@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race test-short serve-race serving-race ingest-race score-race blocking-race docstore-race delta-race stream-race provenance-race conformance fuzz-smoke cover bench-matching bench-blocking bench-docstore bench-serving bench-delta bench-dedup docs
+.PHONY: ci fmt vet build test race test-short serve-race serving-race ingest-race score-race blocking-race docstore-race delta-race stream-race provenance-race conformance fuzz-smoke cover bench-matching bench-blocking bench-docstore bench-serving bench-delta bench-dedup bench-e2e-check bench-e2e docs
 
-ci: fmt vet build race docs conformance fuzz-smoke cover score-race blocking-race docstore-race serving-race delta-race stream-race provenance-race bench-blocking bench-docstore bench-serving bench-delta bench-dedup
+ci: fmt vet build bench-e2e-check race docs conformance fuzz-smoke cover score-race blocking-race docstore-race serving-race delta-race stream-race provenance-race bench-blocking bench-docstore bench-serving bench-delta bench-dedup
 
 # Fail when any tracked Go file is not gofmt-clean.
 fmt:
@@ -19,6 +19,17 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# benchmark/ is a module of its own (BENCHMARK.json's harness), so the root
+# `./...` patterns never reach it: vet and test it here, or a change to an
+# API it calls breaks the benchmark unseen.
+bench-e2e-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+# One untraced end-to-end benchmark run as the driver makes it:
+# `make bench-e2e W=churn` (register | churn | census).
+bench-e2e:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 32 --trace 0
 
 test:
 	$(GO) test ./...
@@ -51,10 +62,14 @@ ingest-race:
 
 # The parallel-scoring equivalence suite under the race detector — the
 # bit-identical-to-sequential guarantee of the §6.3/§6.5 scoring engine
-# (docs/ARCHITECTURE.md "Scoring engine").
+# (docs/ARCHITECTURE.md "Scoring engine"), including the fused
+# heterogeneity scorer's differential oracle against per-pair scoring
+# (full, incremental, delta, singleton and unequal-kinds scoring over the
+# worker ladder {1, 2, 7, GOMAXPROCS}).
 score-race:
-	$(GO) test -race -run 'TestParallelScore|TestEntropyDeterministic|TestSoftCosineDeterministic|TestIntoVariantsMatch|TestHybridIntoVariantsMatch|TestEvaluateAllParallel' \
+	$(GO) test -race -run 'TestParallelScore|TestUpdateScores|TestEntropyDeterministic|TestSoftCosineDeterministic|TestIntoVariantsMatch|TestHybridIntoVariantsMatch|TestEvaluateAllParallel' \
 		./internal/dedup ./internal/simil ./internal/hetero ./internal/plaus ./internal/core
+	$(GO) test -race -run 'TestConformanceHeteroFused|TestConformanceClusterScoring' ./internal/testkit
 
 # The blocking-layer equivalence suite under the race detector — the
 # bit-identical-for-any-worker-count guarantee of the candidate-generation
@@ -79,7 +94,7 @@ docstore-race:
 # differential oracle over the worker ladder {1, 2, 7, GOMAXPROCS} and
 # changed fractions {0%, 1%, 25%, 100%}.
 delta-race:
-	$(GO) test -race -run 'TestApplySnapshotDelta|TestDelta|TestFingerprintIndex|TestUpdateScoresOn' ./internal/core
+	$(GO) test -race -run 'TestApplySnapshotDelta|TestDelta|TestFingerprintIndex|TestUpdateScoresScope' ./internal/core
 	$(GO) test -race -run 'TestDirtySave|TestSegmentCache|TestStrideSave|TestSegmentRangesStride' ./internal/docstore
 	$(GO) test -race -run 'TestConformanceDelta' ./internal/testkit
 
@@ -119,6 +134,7 @@ FUZZ_TARGETS = \
 	FuzzLoadSegmented:./internal/docstore \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \
+	FuzzValueSimShortcuts:./internal/hetero \
 	FuzzProvenanceDecode:./internal/provenance \
 	FuzzChainVerify:./internal/provenance
 

@@ -206,13 +206,19 @@ func nameSim(a, b voter.Record) float64 {
 		a.GetName("first_name"), b.GetName("first_name"))
 }
 
+// pairwise is the UpdateScores factory of a stateless per-pair scorer that
+// all workers may share.
+func pairwise(kind string, f PairScorer) func() ClusterScorer {
+	return func() ClusterScorer { return Pairwise(kind, f) }
+}
+
 func TestUpdateScoresIncremental(t *testing.T) {
 	d := NewDataset(RemoveTrimmed)
 	d.ImportSnapshot(snap("2008-01-01",
 		rec("A1", "JOHN", "SMITH", ""),
 		rec("A1", "JON", "SMITH", ""),
 	))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	v1 := d.Publish()
 	if v1 != 1 {
 		t.Fatalf("version = %d", v1)
@@ -229,11 +235,11 @@ func TestUpdateScoresIncremental(t *testing.T) {
 
 	// Second import round: only new pairs are scored, old scores unchanged.
 	d.ImportSnapshot(snap("2009-01-01", rec("A1", "JOHNNY", "SMITH", "")))
-	d.UpdateScores("test", func(a, b voter.Record) float64 {
+	d.UpdateScores(pairwise("test", func(a, b voter.Record) float64 {
 		// A scorer that would disagree with the original on old pairs; if
 		// old pairs were recomputed the stored score would change.
 		return 0.25
-	})
+	}), 1, nil)
 	d.Publish()
 	if s, _ := c.PairScore("test", 1, 0); s != s10 {
 		t.Errorf("old pair was recomputed: %v -> %v", s10, s)
@@ -251,7 +257,7 @@ func TestClusterScoreAggregations(t *testing.T) {
 	d.ImportSnapshot(snap("2008-01-01",
 		rec("A1", "AAAA", "X", ""), rec("A1", "AAAB", "X", ""), rec("A1", "ZZZZ", "X", ""),
 	))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	c := d.Cluster("A1")
 	min, ok := c.ClusterScore("test", AggMin)
 	if !ok || min != 0 {
@@ -264,7 +270,7 @@ func TestClusterScoreAggregations(t *testing.T) {
 	// Singleton clusters have no score.
 	d2 := NewDataset(RemoveTrimmed)
 	d2.ImportSnapshot(snap("2008-01-01", rec("B1", "A", "B", "")))
-	d2.UpdateScores("test", nameSim)
+	d2.UpdateScores(pairwise("test", nameSim), 1, nil)
 	if _, ok := d2.Cluster("B1").ClusterScore("test", AggMin); ok {
 		t.Error("singleton cluster scored")
 	}
@@ -276,7 +282,7 @@ func TestPairScoresStream(t *testing.T) {
 		rec("A1", "A", "X", ""), rec("A1", "B", "X", ""),
 		rec("B2", "C", "Y", ""), rec("B2", "D", "Y", ""),
 	))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	n := 0
 	d.PairScores("test", func(c *Cluster, i, j int, s float64) bool {
 		n++
@@ -299,10 +305,10 @@ func TestPairScoresStream(t *testing.T) {
 func TestReconstructVersion(t *testing.T) {
 	d := NewDataset(RemoveTrimmed)
 	d.ImportSnapshot(snap("2008-01-01", rec("A1", "JOHN", "SMITH", "")))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	d.Publish()
 	d.ImportSnapshot(snap("2009-01-01", rec("A1", "JON", "SMITH", ""), rec("B2", "M", "K", "")))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	d.Publish()
 
 	v1 := d.ReconstructVersion(1)
@@ -352,10 +358,10 @@ func TestDocDBRoundTrip(t *testing.T) {
 	d := NewDataset(RemoveTrimmed)
 	padded := rec("A1", "JOHN", "SMITH  ", "")
 	d.ImportSnapshot(snap("2008-01-01", padded, rec("A1", "JON", "SMITH", "")))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	d.Publish()
 	d.ImportSnapshot(snap("2009-01-01", rec("B2", "MARY", "JONES", "")))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	d.Publish()
 
 	db := d.ToDocDB()
@@ -414,7 +420,7 @@ func TestDocDBRoundTrip(t *testing.T) {
 func TestDocDBPersistenceRoundTrip(t *testing.T) {
 	d := NewDataset(RemovePersonData)
 	d.ImportSnapshot(snap("2008-01-01", rec("A1", "JOHN", "SMITH", ""), rec("A1", "JON", "SMITH", "")))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	d.Publish()
 
 	dir := t.TempDir()

@@ -27,7 +27,7 @@ import (
 //     docstore segment invalidation (docstore.SaveOpts.Dirty);
 //   - dirty: the cluster gained records, i.e. new duplicate pairs exist —
 //     the unit of score recomputation (plaus.UpdateDelta, hetero.UpdateDelta
-//     via UpdateScoresParallelFactoryOn).
+//     via UpdateScores with the dirty NCIDs).
 //
 // Clusters outside the touched set are provably byte-stable and keep their
 // memoized scores, so an import where k% of the records changed costs O(k)

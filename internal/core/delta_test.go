@@ -135,23 +135,23 @@ func TestDeltaSubsetScoringMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		full.Publish()
-		full.UpdateScores(kind, scorer)
+		full.UpdateScores(pairwise(kind, scorer), 1, nil)
 
 		dl, err := inc.ApplySnapshotDelta(p, DeltaOptions{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		inc.Publish()
-		inc.UpdateScoresParallelFactoryOn(kind, func() PairScorer { return scorer }, 3, dl.Dirty())
+		inc.UpdateScores(pairwise(kind, scorer), 3, dl.Dirty())
 	}
 	if !reflect.DeepEqual(full, inc) {
 		t.Fatal("dirty-subset scoring diverged from full scoring")
 	}
 }
 
-// TestUpdateScoresOnEmptyAndNil pins the scope convention: nil scores
-// everything, an empty non-nil slice scores nothing.
-func TestUpdateScoresOnEmptyAndNil(t *testing.T) {
+// TestUpdateScoresScope pins the scope convention: nil scores everything, an
+// empty non-nil slice scores nothing, unknown NCIDs are ignored.
+func TestUpdateScoresScope(t *testing.T) {
 	mk := func() *Dataset {
 		d := NewDataset(RemoveTrimmed)
 		d.ImportSnapshot(snap("2008-01-01",
@@ -162,16 +162,16 @@ func TestUpdateScoresOnEmptyAndNil(t *testing.T) {
 	scorer := func(a, b voter.Record) float64 { return 0.5 }
 
 	d := mk()
-	d.UpdateScoresOn("k", scorer, []string{})
+	d.UpdateScores(pairwise("k", scorer), 1, []string{})
 	if _, ok := d.Cluster("A1").PairScore("k", 1, 0); ok {
 		t.Fatal("empty scope scored a pair")
 	}
-	d.UpdateScoresOn("k", scorer, nil)
+	d.UpdateScores(pairwise("k", scorer), 1, nil)
 	if _, ok := d.Cluster("A1").PairScore("k", 1, 0); !ok {
 		t.Fatal("nil scope did not score")
 	}
 	d2 := mk()
-	d2.UpdateScoresParallelFactoryOn("k", func() PairScorer { return scorer }, 4, []string{"missing", "A1"})
+	d2.UpdateScores(pairwise("k", scorer), 4, []string{"missing", "A1"})
 	if _, ok := d2.Cluster("A1").PairScore("k", 1, 0); !ok {
 		t.Fatal("scoped parallel scoring missed A1")
 	}
@@ -291,7 +291,7 @@ func TestDeltaMerge(t *testing.T) {
 }
 
 // TestDeltaEmptyDirtyIsNotNil pins the Dirty() convention an empty delta
-// must keep: non-nil empty, so UpdateScoresOn scores nothing rather than
+// must keep: non-nil empty, so UpdateScores scores nothing rather than
 // falling back to everything.
 func TestDeltaEmptyDirtyIsNotNil(t *testing.T) {
 	dir := t.TempDir()

@@ -25,7 +25,7 @@ import (
 // hash per row; a sequencer restores input order and routes each row to the
 // shard owning its NCID; each shard applies rows to a disjoint slice of the
 // cluster map through the same applyRow used by the sequential Import. The
-// only coordination is the work queues, mirroring UpdateScoresParallel.
+// only coordination is the work queues, mirroring UpdateScores.
 // Because every shard sees its rows in input-row order and the merge sorts
 // new clusters by first-seen row index, the result is identical to a
 // sequential import for any worker count.

@@ -21,7 +21,7 @@ func TestFromDocDBParallelMatchesSequential(t *testing.T) {
 			rec(fmt.Sprintf("P%03d", i), "ANA", fmt.Sprintf("SMITH%d", i), ""))
 	}
 	d.ImportSnapshot(snap("2008-01-01", recs...))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 	d.Publish()
 	db := d.ToDocDB()
 

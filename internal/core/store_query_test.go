@@ -31,15 +31,15 @@ func buildScoredStore(t *testing.T) *docstore.DB {
 	}})
 	// Plausibility via the name scorer; heterogeneity via a first-name
 	// similarity stand-in (cheap and monotone for this test).
-	d.UpdateScores(KindPlausibility, func(a, b voter.Record) float64 {
+	d.UpdateScores(pairwise(KindPlausibility, func(a, b voter.Record) float64 {
 		return simil.GeneralizedJaccard(
 			[]string{a.GetName("first_name"), a.GetName("last_name")},
 			[]string{b.GetName("first_name"), b.GetName("last_name")},
 			simil.ExtendedDamerauLevenshtein, 0.5)
-	})
-	d.UpdateScores(KindHeteroPerson, func(a, b voter.Record) float64 {
+	}), 1, nil)
+	d.UpdateScores(pairwise(KindHeteroPerson, func(a, b voter.Record) float64 {
 		return simil.DamerauLevenshteinSimilarity(a.GetName("first_name"), b.GetName("first_name"))
-	})
+	}), 1, nil)
 	d.Publish()
 	return d.ToDocDB()
 }

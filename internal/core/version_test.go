@@ -74,7 +74,7 @@ func TestFilterRemapsSimsAfterMiddleDrop(t *testing.T) {
 	// adds a third variant, so the 2010 range keeps records 0 and 2 while
 	// dropping record 1.
 	d.ImportSnapshot(snap("2010-01-01", rec("A1", "JOHN", "SMITH", ""), rec("A1", "JOHNNY", "SMITH", "")))
-	d.UpdateScores("test", nameSim)
+	d.UpdateScores(pairwise("test", nameSim), 1, nil)
 
 	c := d.Cluster("A1")
 	if len(c.Records) != 3 {

@@ -2,6 +2,7 @@ package corrupt
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -331,6 +332,28 @@ func TestCorruptorNeverTouchesNCID(t *testing.T) {
 		if r.NCID() != "AA1" {
 			t.Fatal("corruptor changed the gold-standard NCID")
 		}
+	}
+}
+
+// TestNicknameReverseDeterministic: a nickname of several formal names must
+// resolve the same way in every process, or corpora are not a function of
+// the seed. The reverse table is built by ranging over a map, so its slices
+// are sorted.
+func TestNicknameReverseDeterministic(t *testing.T) {
+	multi := 0
+	for nick, formals := range nicknameReverse {
+		if !sort.StringsAreSorted(formals) {
+			t.Errorf("nicknameReverse[%q] = %v is not sorted", nick, formals)
+		}
+		if len(formals) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no nickname with several formal names; the test pins nothing")
+	}
+	if got := Nickname(rand.New(rand.NewSource(1)), "TERRY"); got != "THERESA" {
+		t.Errorf(`Nickname(seed 1, "TERRY") = %q, want "THERESA"`, got)
 	}
 }
 

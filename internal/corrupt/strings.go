@@ -2,6 +2,7 @@ package corrupt
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 )
 
@@ -296,7 +297,8 @@ var nicknamePairs = map[string][]string{
 }
 
 // nicknameReverse maps every nickname back to its formal forms, built once
-// at init.
+// at init. Each slice is sorted: the map above is ranged over in a different
+// order in every process, and Nickname indexes the slice with a seeded draw.
 var nicknameReverse = buildNicknameReverse()
 
 func buildNicknameReverse() map[string][]string {
@@ -305,6 +307,9 @@ func buildNicknameReverse() map[string][]string {
 		for _, n := range nicks {
 			rev[n] = append(rev[n], formal)
 		}
+	}
+	for _, formals := range rev {
+		sort.Strings(formals)
 	}
 	return rev
 }

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/hetero"
 	"repro/internal/simil"
 )
 
@@ -83,8 +84,9 @@ func (o ScoreOpts) workersOrDefault() int {
 // valPrep is everything the engine ever needs to know about one distinct
 // column value, computed exactly once.
 type valPrep struct {
-	raw   string
-	lower string
+	raw           string
+	lower         string
+	foldInvariant bool // hetero.FoldInvariant(raw)
 	// tokensRaw/tokensLower back the Monge-Elkan and SoftTFIDF measures.
 	tokensRaw   []string
 	tokensLower []string
@@ -193,7 +195,7 @@ func newEngine(ds *Dataset, m Measure, opts ScoreOpts) *engine {
 			if _, ok := col.index[v]; ok {
 				return
 			}
-			vp := valPrep{raw: v, lower: strings.ToLower(v)}
+			vp := valPrep{raw: v, lower: strings.ToLower(v), foldInvariant: hetero.FoldInvariant(v)}
 			if needTokens {
 				if kind == kindMELev {
 					vp.tokensRaw = simil.Tokenize(vp.raw)
@@ -286,6 +288,9 @@ func (e *engine) value(c int, a, b string, sc *scoreScratch) float64 {
 		// Matcher API is open) take the legacy measure directly.
 		return e.fallback[c](a, b)
 	}
+	if ua == ub && e.kind == kindMELev {
+		return 1 // hetero.ValueSimInto's equal-value shortcut
+	}
 	if v, ok := e.memo.get(int32(c), ua, ub); ok {
 		sc.hits++
 		return v
@@ -304,12 +309,17 @@ func (e *engine) value(c int, a, b string, sc *scoreScratch) float64 {
 func (e *engine) kernel(c int, va, vb *valPrep, sc *scoreScratch) float64 {
 	switch e.kind {
 	case kindMELev:
-		// hetero.ValueSim: mean of raw/lower × sequential/hybrid.
-		s := simil.DamerauLevenshteinSimilarityInto(va.raw, vb.raw, &sc.sc)
-		s += simil.DamerauLevenshteinSimilarityInto(va.lower, vb.lower, &sc.sc)
-		s += simil.MongeElkanTokensInto(va.tokensRaw, vb.tokensRaw, &sc.sc)
-		s += simil.MongeElkanTokensInto(va.tokensLower, vb.tokensLower, &sc.sc)
-		return s / 4
+		// hetero.ValueSimInto over preprocessed values: mean of raw/lower ×
+		// sequential/hybrid; between fold-invariant values the lower-cased
+		// half repeats the raw one bit for bit (argued there).
+		dl := simil.DamerauLevenshteinSimilarityInto(va.raw, vb.raw, &sc.sc)
+		me := simil.MongeElkanTokensInto(va.tokensRaw, vb.tokensRaw, &sc.sc)
+		dlLower, meLower := dl, me
+		if !va.foldInvariant || !vb.foldInvariant {
+			dlLower = simil.DamerauLevenshteinSimilarityInto(va.lower, vb.lower, &sc.sc)
+			meLower = simil.MongeElkanTokensInto(va.tokensLower, vb.tokensLower, &sc.sc)
+		}
+		return (dl + dlLower + me + meLower) / 4
 	case kindJaroWinkler:
 		return simil.JaroWinklerInto(va.lower, vb.lower, &sc.sc)
 	case kindNW:

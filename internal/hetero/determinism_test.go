@@ -98,20 +98,27 @@ func TestParallelScoreHeteroScratchMatchesPlain(t *testing.T) {
 		}
 	}
 
+	// The fused cluster scorer against the per-pair reference, both kinds.
 	d := varietyDataset(t)
-	s := NewScorer(AllColumns(), DatasetWeights(d, AllColumns()))
-	ss := &scorerScratch{}
+	refs := []*Scorer{
+		NewScorer(AllColumns(), DatasetWeights(d, AllColumns())),
+		NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns())),
+	}
+	fused := newClusterScorer(newWeighting(d))
+	pairs := 0
 	d.Clusters(func(c *core.Cluster) bool {
-		for i := 1; i < len(c.Records); i++ {
-			a, b := c.Records[i].Rec, c.Records[i-1].Rec
-			want := s.PairSim(a, b)
-			got := s.pairSimInto(a, b, ss)
+		fused.ScoreCluster(c.Records, 1, func(kind, i, j int, got float64) {
+			pairs++
+			want := refs[kind].PairSim(c.Records[i].Rec, c.Records[j].Rec)
 			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("pairSimInto = %v, want %v (cluster %s)", got, want, c.NCID)
+				t.Fatalf("fused %s(%d,%d) = %v, want %v (cluster %s)", kinds[kind], i, j, got, want, c.NCID)
 			}
-		}
+		})
 		return true
 	})
+	if pairs == 0 {
+		t.Fatal("fixture produced no pairs")
+	}
 }
 
 // TestParallelScoreHeteroWorkerLadder checks UpdateParallel against the
@@ -146,18 +153,5 @@ func assertSameScores(t *testing.T, ref, got *core.Dataset, workers int) {
 		if k != len(want) {
 			t.Fatalf("workers=%d kind=%s: %d scores, want %d", workers, kind, k, len(want))
 		}
-	}
-}
-
-func BenchmarkPersonPairSimScratch(b *testing.B) {
-	d := buildDataset(&testing.T{})
-	s := NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns()))
-	ss := &scorerScratch{}
-	a := d.Cluster("DIRTY").Records[0].Rec
-	c := d.Cluster("DIRTY").Records[1].Rec
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.pairSimInto(a, c, ss)
 	}
 }

@@ -9,6 +9,7 @@
 package hetero
 
 import (
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -19,24 +20,54 @@ import (
 // ValueSim returns the similarity of two attribute values: the mean of the
 // four comparisons described above. Two empty values are identical (1).
 func ValueSim(a, b string) float64 {
-	la, lb := strings.ToLower(a), strings.ToLower(b)
-	s := simil.DamerauLevenshteinSimilarity(a, b)
-	s += simil.DamerauLevenshteinSimilarity(la, lb)
-	s += simil.MongeElkanDL(a, b)
-	s += simil.MongeElkanDL(la, lb)
-	return s / 4
+	var sc simil.Scratch
+	return ValueSimInto(a, b, &sc)
 }
 
-// ValueSimInto is ValueSim through caller-owned scratch buffers: the same
-// four comparisons in the same order, with the DP rows and token slices
-// reused across calls. Results match ValueSim bit for bit.
+// ValueSimInto is ValueSim through caller-owned scratch buffers, and the
+// package's one four-way kernel: DL(a,b) + DL(lower a, lower b) + ME(a,b) +
+// ME(lower a, lower b), added left to right, over 4. Two shortcuts leave every
+// bit of that unchanged:
+//   - a == b scores exactly 1: the Damerau-Levenshtein similarity of equal
+//     values is 1 - 0/m (1 if both are empty); in Monge-Elkan every token
+//     finds itself, so both directed means are n·1/n (1 without tokens);
+//     (1+1+1+1)/4 = 1; and lower-casing equal values keeps them equal.
+//   - between two FoldInvariant values the lower-cased half repeats the raw
+//     half, so each kernel runs once and is added twice, in the same order.
+//
+// The result is also symmetric bit for bit — edit distances are symmetric
+// integers and the two directed Monge-Elkan means are added commutatively —
+// so the cluster scorer keeps one table entry per unordered value pair.
+// FuzzValueSimShortcuts pins all three against the plain four-way form.
 func ValueSimInto(a, b string, sc *simil.Scratch) float64 {
-	la, lb := strings.ToLower(a), strings.ToLower(b)
-	s := simil.DamerauLevenshteinSimilarityInto(a, b, sc)
-	s += simil.DamerauLevenshteinSimilarityInto(la, lb, sc)
-	s += simil.MongeElkanDLInto(a, b, sc)
-	s += simil.MongeElkanDLInto(la, lb, sc)
-	return s / 4
+	if a == b {
+		return 1
+	}
+	dl := simil.DamerauLevenshteinSimilarityInto(a, b, sc)
+	me := simil.MongeElkanDLInto(a, b, sc)
+	dlLower, meLower := dl, me
+	if !FoldInvariant(a) || !FoldInvariant(b) {
+		la, lb := strings.ToLower(a), strings.ToLower(b)
+		dlLower = simil.DamerauLevenshteinSimilarityInto(la, lb, sc)
+		meLower = simil.MongeElkanDLInto(la, lb, sc)
+	}
+	return (dl + dlLower + me + meLower) / 4
+}
+
+// FoldInvariant reports whether s is ASCII without the letters a-z. On such
+// bytes strings.ToLower is injective (A-Z move onto the unused a-z), so
+// between two such values it preserves all the kernels look at: which runes
+// are equal, the lengths and — letters staying letters — the token
+// boundaries. Anything else (a lower-case letter, the Kelvin sign that
+// lower-cases into ASCII, U+0130 whose lower-case form is longer, invalid
+// UTF-8) takes the full four-way path.
+func FoldInvariant(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= 0x80 || 'a' <= c && c <= 'z' {
+			return false
+		}
+	}
+	return true
 }
 
 // PairSim returns the weighted mean value similarity of two aligned value
@@ -75,16 +106,16 @@ func EntropyWeightsFromRows(rows [][]string) []float64 {
 	return simil.EntropyWeights(cols)
 }
 
-// Scorer scores record pairs over a fixed column subset with fixed weights.
-// It implements the similarity orientation of core's version-similarity
-// maps; the heterogeneity is 1 minus the stored score.
+// Scorer scores record pairs one at a time over a fixed column subset with
+// fixed weights (typically DatasetWeights) — the per-pair reference the fused
+// scorer behind Update is held against. Like core's version-similarity maps
+// it yields similarities; the heterogeneity is 1 minus the score.
 type Scorer struct {
 	cols    []int
 	weights []float64
 }
 
-// NewScorer returns a scorer over the given schema columns and weights
-// (typically from DatasetWeights).
+// NewScorer returns a scorer over the given schema columns and weights.
 func NewScorer(cols []int, weights []float64) *Scorer {
 	if len(cols) != len(weights) {
 		panic("hetero: NewScorer length mismatch")
@@ -92,86 +123,163 @@ func NewScorer(cols []int, weights []float64) *Scorer {
 	return &Scorer{cols: cols, weights: weights}
 }
 
-// extract pulls the scored column values out of a record, trimmed: leading
-// and trailing whitespace is a distribution artifact, not dirtiness.
-func (s *Scorer) extract(r voter.Record) []string {
-	vals := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		vals[i] = strings.TrimSpace(r.Values[c])
-	}
-	return vals
-}
-
-// PairSim scores one record pair.
+// PairSim scores one record pair over the trimmed column values: leading and
+// trailing whitespace is a distribution artifact, not dirtiness.
 func (s *Scorer) PairSim(a, b voter.Record) float64 {
-	return PairSim(s.extract(a), s.extract(b), s.weights)
-}
-
-// CorePairScorer adapts the scorer to core's registration interface.
-func (s *Scorer) CorePairScorer() core.PairScorer {
-	return func(a, b voter.Record) float64 { return s.PairSim(a, b) }
-}
-
-// scorerScratch is the per-worker mutable state of the allocation-free
-// scoring path: kernel scratch plus the extracted value and score slices.
-type scorerScratch struct {
-	sc     simil.Scratch
-	va, vb []string
-	scores []float64
-}
-
-// extractInto is extract with a reused destination slice.
-func (s *Scorer) extractInto(r voter.Record, dst []string) []string {
-	dst = dst[:0]
-	for _, c := range s.cols {
-		dst = append(dst, strings.TrimSpace(r.Values[c]))
+	va, vb := make([]string, len(s.cols)), make([]string, len(s.cols))
+	for i, c := range s.cols {
+		va[i], vb[i] = strings.TrimSpace(a.Values[c]), strings.TrimSpace(b.Values[c])
 	}
-	return dst
+	return PairSim(va, vb, s.weights)
 }
 
-// pairSimInto scores one record pair through the scratch. The accumulation
-// order matches PairSim exactly (per-column ValueSim, then WeightedAverage),
-// so the result is bit-identical.
-func (s *Scorer) pairSimInto(a, b voter.Record, ss *scorerScratch) float64 {
-	ss.va = s.extractInto(a, ss.va)
-	ss.vb = s.extractInto(b, ss.vb)
-	if cap(ss.scores) < len(s.cols) {
-		ss.scores = make([]float64, len(s.cols))
-	}
-	ss.scores = ss.scores[:len(s.cols)]
-	for i := range ss.va {
-		ss.scores[i] = ValueSimInto(ss.va[i], ss.vb[i], &ss.sc)
-	}
-	return simil.WeightedAverage(ss.scores, s.weights)
+// clusterScorer is the fused scorer behind Update: one pass over a cluster
+// yields heterogeneity_all and heterogeneity_person together. Per column it
+// interns the cluster's distinct trimmed values and fills a value-pair table
+// lazily, so a distinct value pair runs the four-way kernel at most once per
+// cluster however many record pairs carry it, and equal values never reach
+// it. Each pair's per-column scores then feed simil.WeightedAverage — over
+// all columns, and over the person columns' entries of the same scores —
+// exactly as Scorer.PairSim accumulates them, so both kinds match it bit for
+// bit. Buffers are reused across clusters; one scorer serves one goroutine.
+type clusterScorer struct {
+	*weighting
+	sc          simil.Scratch
+	ids         []int32    // ids[c*n+r]: value id of record r in column c
+	tabs        []colTable // per column
+	all, person []float64  // one pair's per-column scores
 }
 
-// CorePairScorerFactory returns a factory producing one allocation-free
-// scorer per worker for core.UpdateScoresParallelFactory: each returned
-// PairScorer owns private scratch buffers, so it must not be shared between
-// goroutines, and scores equal PairSim's bit for bit.
-func (s *Scorer) CorePairScorerFactory() func() core.PairScorer {
-	return func() core.PairScorer {
-		ss := &scorerScratch{}
-		return func(a, b voter.Record) float64 { return s.pairSimInto(a, b, ss) }
+// colTable holds one column's distinct values in a cluster and their k×k
+// similarities (unset < 0; only cells with row < column are used).
+type colTable struct {
+	vals []string
+	sims []float64
+}
+
+// weighting is what the workers of one update share, read-only: the scored
+// columns, where in them each of PersonColumns sits, and both weight vectors.
+type weighting struct {
+	cols, personAt []int
+	wAll, wPerson  []float64
+}
+
+// newWeighting derives DatasetWeights of AllColumns and of PersonColumns from
+// one pass over the representatives: a column's entropy does not depend on the
+// other columns weighted, so the person weights are the person columns'
+// entries of the same entropies, normalized among themselves.
+func newWeighting(d *core.Dataset) *weighting {
+	w := &weighting{cols: AllColumns()} // ascending
+	ent := columnEntropies(d, w.cols)
+	var personEnt []float64
+	for _, c := range PersonColumns() {
+		i := sort.SearchInts(w.cols, c)
+		if i == len(w.cols) || w.cols[i] != c {
+			panic("hetero: person column outside AllColumns")
+		}
+		w.personAt = append(w.personAt, i)
+		if ent != nil {
+			personEnt = append(personEnt, ent[i])
+		}
 	}
+	w.wAll, w.wPerson = simil.NormalizeWeights(ent), simil.NormalizeWeights(personEnt)
+	return w
+}
+
+func newClusterScorer(w *weighting) *clusterScorer {
+	return &clusterScorer{weighting: w, tabs: make([]colTable, len(w.cols)),
+		all: make([]float64, len(w.cols)), person: make([]float64, len(w.personAt))}
+}
+
+var kinds = []string{core.KindHeteroAll, core.KindHeteroPerson}
+
+func (s *clusterScorer) Kinds() []string { return kinds }
+
+func (s *clusterScorer) ScoreCluster(recs []core.RecordEntry, from int, put func(kind, i, j int, v float64)) {
+	n := len(recs)
+	s.intern(recs)
+	for i := from; i < n; i++ {
+		for j := 0; j < i; j++ {
+			for c := range s.cols {
+				s.all[c] = s.valueSim(&s.tabs[c], s.ids[c*n+i], s.ids[c*n+j])
+			}
+			for p, c := range s.personAt {
+				s.person[p] = s.all[c]
+			}
+			put(0, i, j, simil.WeightedAverage(s.all, s.wAll))
+			put(1, i, j, simil.WeightedAverage(s.person, s.wPerson))
+		}
+	}
+}
+
+// intern gives every record's trimmed value a per-column id (linear scan:
+// clusters are small) and resets the columns' similarity tables.
+func (s *clusterScorer) intern(recs []core.RecordEntry) {
+	s.ids = s.ids[:0]
+	for c, col := range s.cols {
+		t := &s.tabs[c]
+		t.vals, t.sims = t.vals[:0], t.sims[:0]
+		for r := range recs {
+			v := strings.TrimSpace(recs[r].Rec.Values[col])
+			id := 0
+			for id < len(t.vals) && t.vals[id] != v {
+				id++
+			}
+			if id == len(t.vals) {
+				t.vals = append(t.vals, v)
+			}
+			s.ids = append(s.ids, int32(id))
+		}
+		for i := len(t.vals) * len(t.vals); i > 0; i-- {
+			t.sims = append(t.sims, -1)
+		}
+	}
+}
+
+// valueSim returns the similarity of two interned values of a column,
+// running the kernel on the first use of an unordered pair.
+func (s *clusterScorer) valueSim(t *colTable, a, b int32) float64 {
+	if a == b {
+		return 1
+	}
+	if a > b {
+		a, b = b, a
+	}
+	cell := &t.sims[int(a)*len(t.vals)+int(b)]
+	if *cell < 0 {
+		*cell = ValueSimInto(t.vals[a], t.vals[b], &s.sc)
+	}
+	return *cell
+}
+
+// columnEntropies returns the Shannon entropy of each given schema column
+// over one record per cluster of the dataset (nil for an empty dataset) —
+// duplicates would distort the uniqueness estimate (an otherwise unique id
+// occurs multiple times), so only cluster representatives contribute (§6.3).
+func columnEntropies(d *core.Dataset, cols []int) []float64 {
+	if d.NumClusters() == 0 {
+		return nil
+	}
+	reps := make([][]string, 0, d.NumClusters())
+	d.Clusters(func(c *core.Cluster) bool {
+		reps = append(reps, c.Records[0].Rec.Values)
+		return true
+	})
+	column := make([]string, len(reps))
+	ent := make([]float64, len(cols))
+	for i, ci := range cols {
+		for r, vals := range reps {
+			column[r] = strings.TrimSpace(vals[ci])
+		}
+		ent[i] = simil.Entropy(column)
+	}
+	return ent
 }
 
 // DatasetWeights computes the entropy weights of the given schema columns
-// from one record per cluster of the dataset — duplicates would distort the
-// uniqueness estimate (an otherwise unique id occurs multiple times), so
-// only cluster representatives contribute (§6.3).
+// from the dataset's cluster representatives.
 func DatasetWeights(d *core.Dataset, cols []int) []float64 {
-	var rows [][]string
-	d.Clusters(func(c *core.Cluster) bool {
-		r := c.Records[0].Rec
-		vals := make([]string, len(cols))
-		for i, ci := range cols {
-			vals[i] = strings.TrimSpace(r.Values[ci])
-		}
-		rows = append(rows, vals)
-		return true
-	})
-	return EntropyWeightsFromRows(rows)
+	return simil.NormalizeWeights(columnEntropies(d, cols))
 }
 
 // AllColumns returns the schema columns scored by the all-attribute
@@ -197,32 +305,23 @@ func PersonColumns() []int {
 // Update computes (incrementally) both heterogeneity version-similarity maps
 // of the dataset, deriving fresh entropy weights from the current cluster
 // representatives.
-func Update(d *core.Dataset) {
-	UpdateParallel(d, 1)
-}
+func Update(d *core.Dataset) { update(d, 1, nil) }
 
 // UpdateParallel is Update over a worker pool (workers <= 0 selects
-// GOMAXPROCS); the result is identical. Each worker gets its own
-// allocation-free scorer with private scratch buffers, so the hot path
-// performs no per-pair allocations.
-func UpdateParallel(d *core.Dataset, workers int) {
-	all := NewScorer(AllColumns(), DatasetWeights(d, AllColumns()))
-	person := NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns()))
-	d.UpdateScoresParallelFactory(core.KindHeteroAll, all.CorePairScorerFactory(), workers)
-	d.UpdateScoresParallelFactory(core.KindHeteroPerson, person.CorePairScorerFactory(), workers)
-}
+// GOMAXPROCS); the result is identical. Each worker gets its own fused
+// scorer, so the hot path performs no per-pair allocations.
+func UpdateParallel(d *core.Dataset, workers int) { update(d, workers, nil) }
 
 // UpdateDelta scores only the clusters a delta apply marked dirty
-// (dl.Dirty()). The entropy weights are derived from the grown dataset's
-// cluster representatives — exactly the weights a full UpdateParallel would
-// use at this point — and already-scored pairs are never revisited, so
-// delta-scoring after each apply matches full scoring bit for bit as long
-// as scores were current before the delta.
-func UpdateDelta(d *core.Dataset, dl *core.Delta, workers int) {
-	all := NewScorer(AllColumns(), DatasetWeights(d, AllColumns()))
-	person := NewScorer(PersonColumns(), DatasetWeights(d, PersonColumns()))
-	d.UpdateScoresParallelFactoryOn(core.KindHeteroAll, all.CorePairScorerFactory(), workers, dl.Dirty())
-	d.UpdateScoresParallelFactoryOn(core.KindHeteroPerson, person.CorePairScorerFactory(), workers, dl.Dirty())
+// (dl.Dirty()). The entropy weights come from the grown dataset's cluster
+// representatives — exactly those a full UpdateParallel would use now — and
+// already-scored pairs are never revisited, so delta-scoring after each apply
+// matches full scoring bit for bit as long as scores were current before it.
+func UpdateDelta(d *core.Dataset, dl *core.Delta, workers int) { update(d, workers, dl.Dirty()) }
+
+func update(d *core.Dataset, workers int, ncids []string) {
+	w := newWeighting(d)
+	d.UpdateScores(func() core.ClusterScorer { return newClusterScorer(w) }, workers, ncids)
 }
 
 // ClusterHeterogeneity returns the per-cluster heterogeneity (1 - mean pair

@@ -112,10 +112,6 @@ func PairScore(a, b voter.Record) float64 {
 	return simil.WeightedAverage(scores, componentWeights)
 }
 
-// Scorer returns PairScore as a core.PairScorer for registration under
-// core.KindPlausibility.
-func Scorer() core.PairScorer { return PairScore }
-
 // pairScratch is the per-worker mutable state of the allocation-free
 // plausibility scorer: kernel scratch plus fixed-size name-tuple and
 // component-score buffers.
@@ -125,45 +121,43 @@ type pairScratch struct {
 	scores [4]float64
 }
 
-// ScorerFactory returns a factory producing one allocation-free plausibility
-// scorer per worker for core.UpdateScoresParallelFactory. Each returned
-// PairScorer owns private scratch buffers (not goroutine-safe) and computes
-// the same four components in the same order as PairScore, so scores are
-// bit-identical.
-func ScorerFactory() func() core.PairScorer {
-	return func() core.PairScorer {
-		ps := &pairScratch{}
-		tok := func(x, y string) float64 { return simil.ExtendedDamerauLevenshteinInto(x, y, &ps.sc) }
-		return func(a, b voter.Record) float64 {
-			ps.na[0] = normalizeMissing(a.Values[voter.IdxFirstName])
-			ps.na[1] = normalizeMissing(a.Values[voter.IdxMiddleName])
-			ps.na[2] = normalizeMissing(a.Values[voter.IdxLastName])
-			ps.nb[0] = normalizeMissing(b.Values[voter.IdxFirstName])
-			ps.nb[1] = normalizeMissing(b.Values[voter.IdxMiddleName])
-			ps.nb[2] = normalizeMissing(b.Values[voter.IdxLastName])
-			ps.scores[0] = simil.GeneralizedJaccardInto(ps.na[:], ps.nb[:], tok, genJaccThreshold, &ps.sc)
-			ps.scores[1] = SexSimilarity(a, b)
-			ps.scores[2] = YearOfBirthSimilarity(a, b)
-			ps.scores[3] = simil.ExtendedDamerauLevenshteinInto(
-				normalizeMissing(a.Values[voter.IdxBirthPlace]),
-				normalizeMissing(b.Values[voter.IdxBirthPlace]), &ps.sc)
-			return simil.WeightedAverage(ps.scores[:], componentWeights)
-		}
+// NewScorer returns one worker's plausibility scorer for core.UpdateScores
+// (pass the function itself as the factory). It owns private scratch buffers
+// (not goroutine-safe) and computes the same four components in the same
+// order as PairScore, so scores are bit-identical.
+func NewScorer() core.ClusterScorer {
+	return core.Pairwise(core.KindPlausibility, newPairScorer())
+}
+
+// newPairScorer returns PairScore through private, allocation-free scratch.
+func newPairScorer() core.PairScorer {
+	ps := &pairScratch{}
+	tok := func(x, y string) float64 { return simil.ExtendedDamerauLevenshteinInto(x, y, &ps.sc) }
+	return func(a, b voter.Record) float64 {
+		ps.na[0] = normalizeMissing(a.Values[voter.IdxFirstName])
+		ps.na[1] = normalizeMissing(a.Values[voter.IdxMiddleName])
+		ps.na[2] = normalizeMissing(a.Values[voter.IdxLastName])
+		ps.nb[0] = normalizeMissing(b.Values[voter.IdxFirstName])
+		ps.nb[1] = normalizeMissing(b.Values[voter.IdxMiddleName])
+		ps.nb[2] = normalizeMissing(b.Values[voter.IdxLastName])
+		ps.scores[0] = simil.GeneralizedJaccardInto(ps.na[:], ps.nb[:], tok, genJaccThreshold, &ps.sc)
+		ps.scores[1] = SexSimilarity(a, b)
+		ps.scores[2] = YearOfBirthSimilarity(a, b)
+		ps.scores[3] = simil.ExtendedDamerauLevenshteinInto(
+			normalizeMissing(a.Values[voter.IdxBirthPlace]),
+			normalizeMissing(b.Values[voter.IdxBirthPlace]), &ps.sc)
+		return simil.WeightedAverage(ps.scores[:], componentWeights)
 	}
 }
 
 // Update computes (incrementally) the plausibility version-similarity map of
 // the dataset.
-func Update(d *core.Dataset) {
-	d.UpdateScores(core.KindPlausibility, PairScore)
-}
+func Update(d *core.Dataset) { UpdateParallel(d, 1) }
 
 // UpdateParallel is Update over a worker pool (workers <= 0 selects
 // GOMAXPROCS); the result is identical. Each worker gets its own
 // allocation-free scorer with private scratch buffers.
-func UpdateParallel(d *core.Dataset, workers int) {
-	d.UpdateScoresParallelFactory(core.KindPlausibility, ScorerFactory(), workers)
-}
+func UpdateParallel(d *core.Dataset, workers int) { d.UpdateScores(NewScorer, workers, nil) }
 
 // UpdateDelta scores only the clusters a delta apply marked dirty
 // (dl.Dirty()). Because pair scores are computed once and never revisited,
@@ -171,7 +165,7 @@ func UpdateParallel(d *core.Dataset, workers int) {
 // full UpdateParallel over the grown dataset — provided scores were current
 // before the delta was applied.
 func UpdateDelta(d *core.Dataset, dl *core.Delta, workers int) {
-	d.UpdateScoresParallelFactoryOn(core.KindPlausibility, ScorerFactory(), workers, dl.Dirty())
+	d.UpdateScores(NewScorer, workers, dl.Dirty())
 }
 
 // ClusterPlausibility returns the dataset's per-cluster plausibility: the

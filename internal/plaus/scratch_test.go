@@ -12,7 +12,7 @@ import (
 // allocation-free plausibility scorer against PairScore on the Figure 3
 // fixtures, in both orientations.
 func TestParallelScorePlausScratchMatchesPlain(t *testing.T) {
-	scorer := ScorerFactory()()
+	scorer := newPairScorer()
 	recs := []voter.Record{r1, r2, r3, r4, r5}
 	for _, a := range recs {
 		for _, b := range recs {
@@ -65,7 +65,7 @@ func TestParallelScorePlausWorkerLadder(t *testing.T) {
 }
 
 func BenchmarkPairScoreScratch(b *testing.B) {
-	scorer := ScorerFactory()()
+	scorer := newPairScorer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -45,10 +45,18 @@ func Entropy(column []string) float64 {
 // zero entropy the weights are uniform.
 func EntropyWeights(columns [][]string) []float64 {
 	weights := make([]float64, len(columns))
-	total := 0.0
 	for i, col := range columns {
 		weights[i] = Entropy(col)
-		total += weights[i]
+	}
+	return NormalizeWeights(weights)
+}
+
+// NormalizeWeights divides the weights in place by their sum, accumulated in
+// slice order, and returns them; an all-zero vector becomes uniform.
+func NormalizeWeights(weights []float64) []float64 {
+	total := 0.0
+	for _, w := range weights {
+		total += w
 	}
 	if total == 0 {
 		for i := range weights {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dedup"
 	"repro/internal/docstore"
-	"repro/internal/hetero"
 	"repro/internal/plaus"
 	"repro/internal/testkit"
 )
@@ -131,48 +130,35 @@ func scoreFingerprint(d *core.Dataset, kind string) map[string]float64 {
 
 func TestConformanceClusterScoring(t *testing.T) {
 	corpus := testkit.Corpus{Seed: 11}
-	kinds := []struct {
-		kind    string
-		factory func(d *core.Dataset) func() core.PairScorer
-	}{
-		{core.KindPlausibility, func(*core.Dataset) func() core.PairScorer {
-			return plaus.ScorerFactory()
-		}},
-		{core.KindHeteroPerson, func(d *core.Dataset) func() core.PairScorer {
-			cols := hetero.PersonColumns()
-			return hetero.NewScorer(cols, hetero.DatasetWeights(d, cols)).CorePairScorerFactory()
-		}},
-	}
-	for _, k := range kinds {
-		k := k
-		testkit.Differential[map[string]float64]{
-			Name: "update-scores/" + k.kind,
-			Sequential: func(tb testing.TB) map[string]float64 {
-				d := corpus.Dataset(tb, 100, 3)
-				d.UpdateScores(k.kind, k.factory(d)())
-				return scoreFingerprint(d, k.kind)
-			},
-			Parallel: func(tb testing.TB, workers int) map[string]float64 {
-				d := corpus.Dataset(tb, 100, 3)
-				d.UpdateScoresParallelFactory(k.kind, k.factory(d), workers)
-				return scoreFingerprint(d, k.kind)
-			},
-			Compare: func(tb testing.TB, want, got map[string]float64) {
-				if len(want) == 0 {
-					tb.Fatal("sequential scoring stored no pair scores — fixture too small")
+	testkit.Differential[map[string]float64]{
+		Name: "update-scores/" + core.KindPlausibility,
+		Sequential: func(tb testing.TB) map[string]float64 {
+			d := corpus.Dataset(tb, 100, 3)
+			d.UpdateScores(func() core.ClusterScorer {
+				return core.Pairwise(core.KindPlausibility, plaus.PairScore)
+			}, 1, nil)
+			return scoreFingerprint(d, core.KindPlausibility)
+		},
+		Parallel: func(tb testing.TB, workers int) map[string]float64 {
+			d := corpus.Dataset(tb, 100, 3)
+			d.UpdateScores(plaus.NewScorer, workers, nil)
+			return scoreFingerprint(d, core.KindPlausibility)
+		},
+		Compare: func(tb testing.TB, want, got map[string]float64) {
+			if len(want) == 0 {
+				tb.Fatal("sequential scoring stored no pair scores — fixture too small")
+			}
+			if len(got) != len(want) {
+				tb.Fatalf("stored %d pair scores, want %d", len(got), len(want))
+			}
+			for key, w := range want {
+				g, ok := got[key]
+				if !ok || math.Float64bits(g) != math.Float64bits(w) {
+					tb.Fatalf("pair %s: parallel %v (present=%v) vs sequential %v", key, g, ok, w)
 				}
-				if len(got) != len(want) {
-					tb.Fatalf("stored %d pair scores, want %d", len(got), len(want))
-				}
-				for key, w := range want {
-					g, ok := got[key]
-					if !ok || math.Float64bits(g) != math.Float64bits(w) {
-						tb.Fatalf("pair %s: parallel %v (present=%v) vs sequential %v", key, g, ok, w)
-					}
-				}
-			},
-		}.Run(t)
-	}
+			}
+		},
+	}.Run(t)
 }
 
 // dirBytes reads every regular file of a directory into a name → content

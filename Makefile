@@ -132,6 +132,7 @@ FUZZ_TARGETS = \
 	FuzzStreamTSV:./internal/voter \
 	FuzzLoadFile:./internal/docstore \
 	FuzzLoadSegmented:./internal/docstore \
+	FuzzDocEncoder:./internal/docstore \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \
 	FuzzValueSimShortcuts:./internal/hetero \

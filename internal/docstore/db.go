@@ -113,14 +113,15 @@ func (c *Collection) Save(path string) error {
 		return err
 	}
 	w := bufio.NewWriterSize(f, saveBufferBytes)
-	enc := json.NewEncoder(w)
+	var enc docEncoder
 	var encodeErr error
 	c.ForEach(func(d Document) bool {
-		if err := enc.Encode(d); err != nil {
-			encodeErr = err
-			return false
+		line, err := enc.encode(d)
+		if err == nil {
+			_, err = w.Write(line)
 		}
-		return true
+		encodeErr = err
+		return err == nil
 	})
 	if encodeErr == nil {
 		encodeErr = w.Flush()

@@ -352,10 +352,11 @@ func (c *Collection) saveSegmented(dir string, opts SaveOpts) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var enc docEncoder
 			for i := range jobs {
 				lo, hi := ranges[i][0], ranges[i][1]
 				infos[i], shas[i], errs[i] = writeSegment(
-					fsys, filepath.Join(dir, segmentFileName(c.name, i)), docs[lo:hi], wantSHA)
+					fsys, filepath.Join(dir, segmentFileName(c.name, i)), docs[lo:hi], wantSHA, &enc)
 			}
 		}()
 	}
@@ -437,15 +438,16 @@ func (c *Collection) saveSegmented(dir string, opts SaveOpts) error {
 // a temporary file and rename. With wantSHA it also returns the SHA-256 of
 // the written bytes — computed here, from the exact buffer that hit the
 // disk, so a ProvenanceSink never has to read the file back.
-func writeSegment(fsys FS, path string, docs []Document, wantSHA bool) (segmentInfo, []byte, error) {
+func writeSegment(fsys FS, path string, docs []Document, wantSHA bool, enc *docEncoder) (segmentInfo, []byte, error) {
 	buf := segmentBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer segmentBufPool.Put(buf)
-	enc := json.NewEncoder(buf)
 	for _, d := range docs {
-		if err := enc.Encode(d); err != nil {
+		line, err := enc.encode(d)
+		if err != nil {
 			return segmentInfo{}, nil, fmt.Errorf("docstore: %s: %w", path, err)
 		}
+		buf.Write(line)
 	}
 	tmp := path + ".tmp"
 	if err := fsys.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {

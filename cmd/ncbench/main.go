@@ -23,7 +23,7 @@ func main() {
 	log.SetPrefix("ncbench: ")
 	var (
 		scaleS = flag.String("scale", "small", "experiment scale: tiny|small|medium|large")
-		exp    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,figure1,figure3,figure4a,figure4b,figure4c,figure5,figure5cmp,ablations,scalesweep,serving,load,ingest,matching,blocking,docstore,delta,dedup (serving, load, ingest, matching, blocking, docstore, delta and dedup are opt-in, not part of all)")
+		exp    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,figure1,figure3,figure4a,figure4b,figure4c,figure5,figure5cmp,ablations,scalesweep,serving,load,ingest,matching,blocking,docstore,delta (serving, load, ingest, matching, blocking, docstore and delta are opt-in, not part of all)")
 		serveN = flag.Int("serve-requests", 2000, "requests replayed by the serving experiment")
 		loadW  = flag.Int("load-workers", 8, "closed-loop workers of the load experiment")
 		loadN  = flag.Int("load-requests", 4000, "timed requests of the load experiment")
@@ -32,9 +32,6 @@ func main() {
 		djson  = flag.String("docstore-json", "BENCH_docstore.json", "JSON output path of the docstore experiment (empty to skip)")
 		dljson = flag.String("delta-json", "BENCH_delta.json", "JSON output path of the delta experiment (empty to skip)")
 		dlwork = flag.Int("delta-workers", 0, "workers of the delta experiment (0 = GOMAXPROCS)")
-		ddjson = flag.String("dedup-json", "BENCH_dedup.json", "JSON output path of the end-to-end dedup experiment (empty to skip)")
-		ddrec  = flag.Int("dedup-records", bench.DefaultDedupRecords, "corpus size of the end-to-end dedup experiment")
-		ddwork = flag.Int("dedup-workers", 0, "workers of the end-to-end dedup experiment (0 = GOMAXPROCS)")
 		sjson  = flag.String("serving-json", "BENCH_serving.json", "JSON output path of the load experiment (empty to skip)")
 		top    = flag.Int("top", 100, "clusters per NC1-NC3 customization")
 		seed   = flag.Int64("seed", 1, "workspace seed")
@@ -173,16 +170,6 @@ func main() {
 	}
 	if wanted["delta"] {
 		if _, err := bench.RunDeltaBench(scale, *dlwork, *dljson, out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if wanted["dedup"] {
-		var workers []int
-		if *ddwork > 0 {
-			workers = []int{*ddwork}
-		}
-		if _, err := bench.RunDedupBench(scale.Seed, *ddrec, workers, *ddjson, out); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)

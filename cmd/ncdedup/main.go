@@ -9,7 +9,6 @@
 //	ncdedup -in nc2.tsv -passes 5 -window 20
 //	ncdedup -in nc2.tsv -block snm,trigram -passes 'last_name+zip_code,soundex(last_name)'
 //	ncdedup -in nc2.tsv -workers 8             # parallel blocking + scoring, identical output
-//	ncdedup -in nc2.tsv -stream -workers 8     # fused streaming pipeline, bounded memory
 //	ncdedup -db store/ -store-workers 8        # store-backed evaluation mode
 //
 // -passes takes either an integer k (one SNM pass per the k most unique
@@ -22,19 +21,20 @@
 // cores, and every record is kept (the full heterogeneity range), so the
 // evaluation covers the store as-is.
 //
-// With -stream the blocking layer never materializes the candidate union:
-// pairs flow to the scoring workers as bounded batches (-batch pairs per
-// batch, -stream-buffer batches in flight), so peak memory is independent
-// of the candidate count. Quality curves are bit-identical to the
-// materialized path; blocking re-runs per measure, the price of never
-// holding the pair set.
+// The blocking layer never materializes the candidate union: pairs flow to
+// the scoring workers as bounded batches, so peak memory is independent of
+// the candidate count. Blocking re-runs per measure, the price of never
+// holding the pair set; the report is byte-identical at any -workers.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -47,32 +47,46 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ncdedup: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process state passed in: the exit code comes back
+// instead of os.Exit, so the tests drive the whole command.
+func run(args []string, stdout, stderr io.Writer) int {
+	logger := log.New(stderr, "ncdedup: ", 0)
+	fs := flag.NewFlagSet("ncdedup", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in           = flag.String("in", "", "labeled dataset file (from nccustom); mutually exclusive with the -db store-backed mode")
-		db           = flag.String("db", "", "document-store directory to evaluate directly (store-backed evaluation mode: loads the segmented store in parallel and derives the labeled dataset from it instead of a TSV export)")
-		block        = flag.String("block", "snm", "comma-separated candidate blockers: snm, trigram (their pair union is deduplicated before scoring)")
-		passesS      = flag.String("passes", "5", "SNM passes: an integer k (k most-unique attributes, the paper's setup) or comma-separated key specs like 'last_name+zip_code,soundex(first_name),prefix(last_name,4)'")
-		window       = flag.Int("window", 20, "SNM window size (records per sorted-neighborhood slide)")
-		trigramAttrs = flag.String("trigram-attrs", "", "comma-separated attribute names the trigram blocker signs (default: the dataset's name attributes)")
-		bands        = flag.Int("bands", blocking.DefaultBands, "trigram minhash bands (more bands = higher recall)")
-		rows         = flag.Int("rows", blocking.DefaultRows, "trigram minhash rows per band (more rows = stricter band matches)")
-		maxBucket    = flag.Int("max-bucket", blocking.DefaultMaxBucket, "trigram bucket size cap bounding the quadratic pair blow-up (negative = unlimited)")
-		steps        = flag.Int("steps", 100, "threshold sweep steps")
-		curves       = flag.Bool("curves", false, "print the full F1 curve per measure")
-		workers      = flag.Int("workers", 1, "blocking and scoring workers; >1 runs the parallel engines, with results bit-identical to sequential in both -in and -db store-backed modes")
-		stream       = flag.Bool("stream", false, "fuse blocking into scoring: candidates flow to the workers as bounded batches, never materializing the pair union; curves are bit-identical to the materialized path")
-		batch        = flag.Int("batch", blocking.DefaultStreamBatch, "pairs per streamed batch (-stream)")
-		streamBuffer = flag.Int("stream-buffer", blocking.DefaultStreamBuffer, "batches buffered between blocking and scoring (-stream); with -batch this bounds the pairs in flight, negative = unbuffered lockstep")
-		storeWorkers = flag.Int("store-workers", 0, "document-store load workers for the -db store-backed mode (0 = all cores)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve GET /metrics (JSON and Prometheus) with the blocking_pipeline_total and score_pipeline_total counters on this address during the run (e.g. :9090)")
-		verbose      = flag.Bool("v", false, "print per-stage wall times (blocking, preprocessing, scoring, merge)")
+		in           = fs.String("in", "", "labeled dataset file (from nccustom); mutually exclusive with the -db store-backed mode")
+		db           = fs.String("db", "", "document-store directory to evaluate directly (store-backed evaluation mode: loads the segmented store in parallel and derives the labeled dataset from it instead of a TSV export)")
+		block        = fs.String("block", "snm", "comma-separated candidate blockers: snm, trigram (their pair union is deduplicated before scoring)")
+		passesS      = fs.String("passes", "5", "SNM passes: an integer k (k most-unique attributes, the paper's setup) or comma-separated key specs like 'last_name+zip_code,soundex(first_name),prefix(last_name,4)'")
+		window       = fs.Int("window", 20, "SNM window size (records per sorted-neighborhood slide)")
+		trigramAttrs = fs.String("trigram-attrs", "", "comma-separated attribute names the trigram blocker signs (default: the dataset's name attributes)")
+		bands        = fs.Int("bands", blocking.DefaultBands, "trigram minhash bands (more bands = higher recall)")
+		rows         = fs.Int("rows", blocking.DefaultRows, "trigram minhash rows per band (more rows = stricter band matches)")
+		maxBucket    = fs.Int("max-bucket", blocking.DefaultMaxBucket, "trigram bucket size cap bounding the quadratic pair blow-up (negative = unlimited)")
+		steps        = fs.Int("steps", 100, "threshold sweep steps (at least 1)")
+		curves       = fs.Bool("curves", false, "print the full F1 curve per measure")
+		workers      = fs.Int("workers", 1, "blocking and scoring workers; 1 runs inline, >1 on that many goroutines, with results bit-identical in both -in and -db store-backed modes")
+		storeWorkers = fs.Int("store-workers", 0, "document-store load workers for the -db store-backed mode (0 = all cores)")
+		metricsAddr  = fs.String("metrics-addr", "", "serve GET /metrics (JSON and Prometheus) with the blocking_pipeline_total and score_pipeline_total counters on this address during the run (e.g. :9090)")
+		verbose      = fs.Bool("v", false, "print per-stage wall times (blocking, preprocessing, scoring, merge)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		logger.Print(err)
+		return 1
+	}
 	if (*in == "") == (*db == "") {
-		log.Fatal("need exactly one of -in (dataset file) or -db (document store)")
+		return fail(errors.New("need exactly one of -in (dataset file) or -db (document store)"))
+	}
+	if *steps < 1 {
+		return fail(fmt.Errorf("-steps %d: need at least one threshold step", *steps))
 	}
 
 	metrics := obs.NewMetrics()
@@ -80,9 +94,9 @@ func main() {
 		go func() {
 			mux := http.NewServeMux()
 			mux.Handle("GET /metrics", metrics.Handler())
-			log.Printf("metrics on http://%s/metrics", *metricsAddr)
+			logger.Printf("metrics on http://%s/metrics", *metricsAddr)
 			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				log.Printf("metrics server: %v", err)
+				logger.Printf("metrics server: %v", err)
 			}
 		}()
 	}
@@ -91,11 +105,11 @@ func main() {
 	if *db != "" {
 		stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: *storeWorkers, Observer: metrics})
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		cds, err := core.FromDocDBParallel(stored, *storeWorkers)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		// The full heterogeneity range keeps every record: the evaluation
 		// runs against the store as-is rather than a customization of it.
@@ -104,23 +118,22 @@ func main() {
 		var err error
 		ds, err = dedup.ReadFile(*in)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 	}
-	fmt.Printf("%s: %d records, %d clusters, %d true duplicate pairs\n",
+	fmt.Fprintf(stdout, "%s: %d records, %d clusters, %d true duplicate pairs\n",
 		ds.Name, ds.NumRecords(), ds.NumClusters(), ds.NumTruePairs())
 
 	cfg, err := blockConfig(ds, *block, *passesS, *window, *trigramAttrs, *bands, *rows, *maxBucket)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	cfg.Workers = *workers
 	cfg.Observer = metrics
 
 	// stages accumulates wall time per pipeline stage for -v, mirroring
-	// ncimport. In stream mode the blocking stage runs concurrently with
-	// scoring, so its time overlaps the scoring stage rather than adding to
-	// the total.
+	// ncimport. The blocking stage runs concurrently with scoring, so its
+	// time overlaps the scoring stage rather than adding to the total.
 	stages := map[string]time.Duration{}
 	var stageOrder []string
 	addStage := func(name string, d time.Duration) {
@@ -131,94 +144,56 @@ func main() {
 	}
 	opts := dedup.ScoreOpts{Workers: *workers, Observer: metrics, OnStage: addStage}
 
-	if *stream {
-		evalStreamed(ds, cfg, opts, *steps, *batch, *streamBuffer, *curves, addStage)
-	} else {
-		evalMaterialized(ds, cfg, opts, *steps, *workers, *curves, addStage)
-	}
-	printStageTimings(*verbose, stageOrder, stages)
-}
-
-// evalMaterialized is the classic flow: generate the full candidate union
-// once, then score it per measure.
-func evalMaterialized(ds *dedup.Dataset, cfg blocking.Config, opts dedup.ScoreOpts, steps, workers int, curves bool, addStage func(string, time.Duration)) {
-	start := time.Now()
-	cands, stats := blocking.Generate(ds, cfg)
-	addStage("blocking", time.Since(start))
-	printBlockingStats(cfg, stats, blocking.Recall(ds, cands))
-
-	for _, m := range dedup.Measures {
-		var curve dedup.Curve
-		if workers > 1 {
-			curve = dedup.EvaluateCandidatesParallel(ds, m, cands, steps, opts)
-		} else {
-			start := time.Now()
-			curve = dedup.EvaluateCandidates(ds, m, cands, steps)
-			addStage("scoring", time.Since(start))
-		}
-		printCurve(m, curve, curves)
-	}
-}
-
-// evalStreamed is the fused flow: one GenerateStream per measure feeds the
-// scoring workers directly, so the candidate union never exists in memory.
-// The blocking summary prints after the first measure, when its stats are
-// complete.
-func evalStreamed(ds *dedup.Dataset, cfg blocking.Config, opts dedup.ScoreOpts, steps, batch, buffer int, curves bool, addStage func(string, time.Duration)) {
-	sopts := blocking.StreamOpts{BatchSize: batch, Buffer: buffer}
-	addStage("blocking", 0) // fix the stage order; blocking overlaps scoring here
+	// One GenerateStream per measure feeds the scoring workers directly, so
+	// the candidate union never exists in memory. The blocking summary
+	// prints after the first measure, when its stats are complete.
+	addStage("blocking", 0) // fix the stage order
 	for i, m := range dedup.Measures {
-		scfg := cfg
 		if i > 0 {
 			// Blocking counters were reported with the first stream; the
 			// re-runs for the remaining measures are repeats, not new work.
-			scfg.Observer = nil
+			cfg.Observer = nil
 		}
-		s := blocking.GenerateStream(ds, scfg, sopts)
-		mopts := opts
-		mopts.Recycle = s.Recycle
-		curve := dedup.EvaluateCandidatesStream(ds, m, s.C, steps, mopts)
+		s := blocking.GenerateStream(ds, cfg, blocking.StreamOpts{})
+		opts.Recycle = s.Recycle
+		curve := dedup.EvaluateCandidatesStream(ds, m, s.C, *steps, opts)
 		addStage("blocking", s.Elapsed())
 		if i == 0 {
 			// Recall at threshold 0 classifies every streamed candidate a
 			// duplicate — exactly the blocking recall.
-			printBlockingStats(scfg, s.Stats(), curve.Points[0].Recall)
+			printBlockingStats(stdout, cfg, s.Stats(), curve.Points[0].Recall)
 		}
-		printCurve(m, curve, curves)
+		printCurve(stdout, m, curve, *curves)
 	}
+	if *verbose {
+		fmt.Fprintln(stdout, "stage timings:")
+		for _, name := range stageOrder {
+			fmt.Fprintf(stdout, "  %-13s %9.3fs\n", name, stages[name].Seconds())
+		}
+	}
+	return 0
 }
 
-func printBlockingStats(cfg blocking.Config, stats blocking.Stats, recall float64) {
+func printBlockingStats(w io.Writer, cfg blocking.Config, stats blocking.Stats, recall float64) {
 	for _, p := range stats.SNMPasses {
-		fmt.Printf("blocking: snm pass %-28s window %-3d %8d pairs\n", p.Name, p.Window, p.Pairs)
+		fmt.Fprintf(w, "blocking: snm pass %-28s window %-3d %8d pairs\n", p.Name, p.Window, p.Pairs)
 	}
 	if cfg.Trigram != nil {
-		fmt.Printf("blocking: trigram banding %dx%d %17d pairs (%d buckets, %d skipped oversize)\n",
+		fmt.Fprintf(w, "blocking: trigram banding %dx%d %17d pairs (%d buckets, %d skipped oversize)\n",
 			cfg.Trigram.Bands, cfg.Trigram.Rows, stats.TrigramPairs, stats.Buckets, stats.OversizeBuckets)
 	}
-	fmt.Printf("blocking: %d unique candidate pairs (%d emitted), recall %.3f\n",
+	fmt.Fprintf(w, "blocking: %d unique candidate pairs (%d emitted), recall %.3f\n",
 		stats.Unique, stats.Emitted, recall)
 }
 
-func printCurve(m dedup.Measure, curve dedup.Curve, full bool) {
+func printCurve(w io.Writer, m dedup.Measure, curve dedup.Curve, full bool) {
 	f1, th := curve.BestF1()
-	fmt.Printf("%-12s best F1 %.3f at threshold %.2f\n", m, f1, th)
+	fmt.Fprintf(w, "%-12s best F1 %.3f at threshold %.2f\n", m, f1, th)
 	if full {
 		for _, p := range curve.Points {
-			fmt.Printf("  t=%.2f precision %.3f recall %.3f F1 %.3f\n",
+			fmt.Fprintf(w, "  t=%.2f precision %.3f recall %.3f F1 %.3f\n",
 				p.Threshold, p.Precision, p.Recall, p.F1)
 		}
-	}
-}
-
-// printStageTimings mirrors ncimport -v.
-func printStageTimings(verbose bool, order []string, stages map[string]time.Duration) {
-	if !verbose {
-		return
-	}
-	fmt.Println("stage timings:")
-	for _, name := range order {
-		fmt.Printf("  %-13s %9.3fs\n", name, stages[name].Seconds())
 	}
 }
 

@@ -187,7 +187,7 @@ func RunAblationMeasures(w *Workspace, top int, out io.Writer) AblationMeasuresR
 	fmt.Fprintf(out, "Ablation measure zoo on %s (%d records, %d true pairs)\n",
 		ds.Name, ds.NumRecords(), ds.NumTruePairs())
 	for _, m := range dedup.AllMeasures {
-		curve := dedup.EvaluateCandidates(ds, m, cands, sweepSteps)
+		curve := dedup.EvaluateCandidatesParallel(ds, m, cands, sweepSteps, dedup.ScoreOpts{})
 		f1, th := curve.BestF1()
 		res.Measure = append(res.Measure, m)
 		res.BestF1 = append(res.BestF1, f1)

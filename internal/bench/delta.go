@@ -11,11 +11,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/deltafile"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/plaus"
 	"repro/internal/synth"
-	"repro/internal/testkit"
 )
 
 // DeltaPoint is one row of the incremental-application experiment: the same
@@ -112,7 +112,7 @@ func RunDeltaBench(scale Scale, workers int, jsonPath string, out io.Writer) (De
 		d := core.NewDataset(core.RemoveTrimmed)
 		rows := 0
 		for _, p := range basePaths {
-			st, err := d.ImportSnapshotFileParallel(p, workers)
+			st, err := d.ImportSnapshotFileParallelOpts(p, core.IngestOptions{Workers: workers})
 			if err != nil {
 				return nil, 0, fmt.Errorf("%s: %w", p, err)
 			}
@@ -146,7 +146,7 @@ func RunDeltaBench(scale Scale, workers int, jsonPath string, out io.Writer) (De
 		"fraction", "rows", "changed", "rescored", "seg rw", "seg reuse", "full s", "delta s", "speedup", "identical")
 
 	for _, fraction := range DeltaFractions {
-		deltaPath, changed, err := testkit.WriteDeltaFile(regDir, proto, deltaDate, fraction, true)
+		deltaPath, changed, err := deltafile.Write(regDir, proto, deltaDate, fraction, true)
 		if err != nil {
 			return res, err
 		}
@@ -191,7 +191,7 @@ func RunDeltaBench(scale Scale, workers int, jsonPath string, out io.Writer) (De
 		fullDS := core.NewDataset(core.RemoveTrimmed)
 		importErr := func() error {
 			for _, p := range append(append([]string{}, basePaths...), deltaPath) {
-				if _, err := fullDS.ImportSnapshotFileParallel(p, workers); err != nil {
+				if _, err := fullDS.ImportSnapshotFileParallelOpts(p, core.IngestOptions{Workers: workers}); err != nil {
 					return fmt.Errorf("%s: %w", p, err)
 				}
 				fullDS.Publish()

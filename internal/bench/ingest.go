@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/histogram"
 	"repro/internal/synth"
 )
 
@@ -39,7 +40,7 @@ func DefaultIngestWorkers() []int {
 }
 
 // RunIngestThroughput writes the scale's register to disk once and imports
-// it at each worker count through core.ImportSnapshotFileParallel, reporting
+// it at each worker count through core.ImportSnapshotFileParallelOpts, reporting
 // rows/sec, speedup over the sequential import, per-file latency quantiles
 // (via the shared Histogram) and whether the resulting dataset is identical
 // to the sequential baseline — the paper's 507 M-row framing says ingest,
@@ -67,7 +68,7 @@ func RunIngestThroughput(scale Scale, workerCounts []int, out io.Writer) ([]Inge
 		start := time.Now()
 		for _, p := range paths {
 			fs := time.Now()
-			if _, err := ds.ImportSnapshotFileParallel(p, workers); err != nil {
+			if _, err := ds.ImportSnapshotFileParallelOpts(p, core.IngestOptions{Workers: workers}); err != nil {
 				return nil, nil, 0, fmt.Errorf("%s: %w", p, err)
 			}
 			perFileMS = append(perFileMS, float64(time.Since(fs))/float64(time.Millisecond))
@@ -95,7 +96,7 @@ func RunIngestThroughput(scale Scale, workerCounts []int, out io.Writer) ([]Inge
 		if err != nil {
 			return nil, err
 		}
-		hist := NewHistogramOver(0, Max(perFileMS)+1, 200)
+		hist := histogram.NewOver(0, Max(perFileMS)+1, 200)
 		for _, ms := range perFileMS {
 			hist.Add(ms)
 		}

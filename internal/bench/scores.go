@@ -9,6 +9,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dedup"
 	"repro/internal/hetero"
+	"repro/internal/histogram"
 	"repro/internal/plaus"
 	"repro/internal/voter"
 )
@@ -77,8 +78,8 @@ func RunFigure3Examples(out io.Writer) Figure3Result {
 
 // Figure4aResult is the plausibility distribution of the big dataset.
 type Figure4aResult struct {
-	ClusterHist   Histogram
-	PairHist      Histogram
+	ClusterHist   histogram.Histogram
+	PairHist      histogram.Histogram
 	AvgCluster    float64
 	MinCluster    float64
 	FracAtOne     float64 // fraction of clusters at exactly 1.0 (paper: 92.8 %)
@@ -98,8 +99,8 @@ func RunFigure4a(w *Workspace, out io.Writer) Figure4aResult {
 		return true
 	})
 	res := Figure4aResult{
-		ClusterHist:   NewHistogram(clusters, 20),
-		PairHist:      NewHistogram(pairs, 20),
+		ClusterHist:   histogram.New(clusters, 20),
+		PairHist:      histogram.New(pairs, 20),
 		AvgCluster:    Mean(clusters),
 		MinCluster:    Min(clusters),
 		FracBelow0_9:  FractionBelow(clusters, 0.9),
@@ -126,8 +127,8 @@ func RunFigure4a(w *Workspace, out io.Writer) Figure4aResult {
 
 // Figure4bResult is the NC heterogeneity distribution.
 type Figure4bResult struct {
-	ClusterHist Histogram
-	PairHist    Histogram
+	ClusterHist histogram.Histogram
+	PairHist    histogram.Histogram
 	AvgCluster  float64 // paper: 0.09
 	AvgPair     float64 // paper: 0.16
 	MaxCluster  float64 // paper: 0.64
@@ -141,8 +142,8 @@ func RunFigure4b(w *Workspace, out io.Writer) Figure4bResult {
 	clusters := hetero.ClusterHeterogeneity(d, core.KindHeteroPerson)
 	pairs := hetero.PairHeterogeneities(d, core.KindHeteroPerson)
 	res := Figure4bResult{
-		ClusterHist: NewHistogram(clusters, 20),
-		PairHist:    NewHistogram(pairs, 20),
+		ClusterHist: histogram.New(clusters, 20),
+		PairHist:    histogram.New(pairs, 20),
 		AvgCluster:  Mean(clusters),
 		AvgPair:     Mean(pairs),
 		MaxCluster:  Max(clusters),
@@ -158,7 +159,7 @@ func RunFigure4b(w *Workspace, out io.Writer) Figure4bResult {
 
 // Figure4cResult is the comparators' pair-heterogeneity distributions.
 type Figure4cResult struct {
-	Hists map[string]Histogram
+	Hists map[string]histogram.Histogram
 	Avg   map[string]float64 // paper: Cora 0.171, Census ~0.15, CDDB 0.218
 	Max   map[string]float64 // paper: Cora 0.63, Census 0.46, CDDB 0.65
 }
@@ -167,7 +168,7 @@ type Figure4cResult struct {
 // datasets under the same scoring configuration.
 func RunFigure4c(seed int64, out io.Writer) Figure4cResult {
 	res := Figure4cResult{
-		Hists: map[string]Histogram{},
+		Hists: map[string]histogram.Histogram{},
 		Avg:   map[string]float64{},
 		Max:   map[string]float64{},
 	}
@@ -176,7 +177,7 @@ func RunFigure4c(seed int64, out io.Writer) Figure4cResult {
 		datasets.Cora(seed), datasets.Census(seed), datasets.CDDB(seed),
 	} {
 		hs := custom.PairHeterogeneities(ds.Trimmed())
-		res.Hists[ds.Name] = NewHistogram(hs, 20)
+		res.Hists[ds.Name] = histogram.New(hs, 20)
 		res.Avg[ds.Name] = Mean(hs)
 		res.Max[ds.Name] = Max(hs)
 		fmt.Fprintf(out, "  %-7s avg %.3f max %.3f\n", ds.Name, res.Avg[ds.Name], res.Max[ds.Name])

@@ -1,0 +1,60 @@
+package bench
+
+// Mean returns the arithmetic mean of values (0 for empty input).
+func Mean(values []float64) float64 {
+	if len(values) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, v := range values {
+		s += v
+	}
+	return s / float64(len(values))
+}
+
+// Max returns the maximum of values (0 for empty input).
+func Max(values []float64) float64 {
+	m := 0.0
+	for _, v := range values {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// Min returns the minimum of values (0 for empty input).
+func Min(values []float64) float64 {
+	if len(values) == 0 {
+		return 0
+	}
+	m := values[0]
+	for _, v := range values[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
+}
+
+// FractionBelow returns the fraction of values strictly below x.
+func FractionBelow(values []float64, x float64) float64 {
+	if len(values) == 0 {
+		return 0
+	}
+	n := 0
+	for _, v := range values {
+		if v < x {
+			n++
+		}
+	}
+	return float64(n) / float64(len(values))
+}
+
+// FractionAtLeast returns the fraction of values >= x.
+func FractionAtLeast(values []float64, x float64) float64 {
+	if len(values) == 0 {
+		return 0
+	}
+	return 1 - FractionBelow(values, x)
+}

@@ -99,7 +99,7 @@ func evalDataset(ds *dedup.Dataset, out io.Writer) Figure5Result {
 	fmt.Fprintf(out, "  blocking: %d candidate pairs, recall %.3f\n",
 		len(cands), dedup.BlockingRecall(ds, cands))
 	for _, m := range dedup.Measures {
-		curve := dedup.EvaluateCandidates(ds, m, cands, sweepSteps)
+		curve := dedup.EvaluateCandidatesParallel(ds, m, cands, sweepSteps, dedup.ScoreOpts{})
 		res.Curves = append(res.Curves, curve)
 		f1, th := curve.BestF1()
 		fmt.Fprintf(out, "  %-12s best F1 %.3f @ threshold %.2f | F1@0.55 %.3f  F1@0.70 %.3f  F1@0.85 %.3f\n",

@@ -17,13 +17,16 @@
 //     character errors. Records whose trigram-set minhash signatures agree
 //     on any band land in the same bucket.
 //
-// Generate runs every configured blocker with each stage sharded across
-// workers, then unions the per-blocker pair streams with the same
-// deterministic sort+dedupe merge discipline as the ingest pipeline —
-// downstream scoring sees each candidate pair exactly once, in sorted
-// (I, J) order, and the result is bit-identical to the sequential
-// reference GenerateSeq for any worker count (enforced under -race by the
-// testkit differential oracle, `make blocking-race`).
+// GenerateStream (stream.go) is the one implementation: it runs every
+// configured blocker with each stage sharded across workers and k-way
+// merges the per-blocker sorted runs with duplicates dropped at the merge
+// point, so downstream scoring sees each candidate pair exactly once, in
+// (I, J) order, as bounded batches. Generate drains that stream into a
+// slice for callers that need the whole pair set. GenerateSeq is the
+// independent sequential reference — plain loops, no pools, no merges —
+// that both are pinned to, pairs and Stats, for any worker count (under
+// -race by the package tests and the testkit differential oracle,
+// `make conformance`).
 package blocking
 
 import (
@@ -91,8 +94,8 @@ type Config struct {
 	Window int
 	// Trigram enables the minhash banding blocker when non-nil.
 	Trigram *TrigramConfig
-	// Workers shards every stage; <= 0 selects GOMAXPROCS, 1 runs the
-	// parallel path on one worker (GenerateSeq is the independent
+	// Workers shards every stage; <= 0 selects GOMAXPROCS, 1 runs every
+	// stage inline on the producer (GenerateSeq is the independent
 	// sequential reference, not this).
 	Workers int
 	// Observer, when set, receives the blocking_* counters after the run.
@@ -128,7 +131,7 @@ type PassStats struct {
 	Pairs  int
 }
 
-// Stats describes one Generate run. Every field is a pure function of the
+// Stats describes one blocking run. Every field is a pure function of the
 // dataset and the configuration — never of the worker count — so the
 // differential oracle compares stats alongside the pair set.
 type Stats struct {
@@ -142,44 +145,30 @@ type Stats struct {
 	Buckets         int
 	OversizeBuckets int
 	// Emitted is the total pre-dedupe candidate stream; Unique is the
-	// final pair count after the sort+dedupe merge.
+	// final pair count after the deduplicating merge.
 	Emitted int
 	Unique  int
 }
 
-// Generate runs the configured blockers sharded across cfg.Workers and
-// returns the deduplicated union of their candidate pairs, sorted by
-// (I, J). The result — pairs and stats — is bit-identical to GenerateSeq
-// for any worker count.
+// Generate drains GenerateStream into a slice: the deduplicated union of
+// the configured blockers' candidate pairs, sorted by (I, J), with the
+// run's Stats and — when cfg.Observer is set — the stream's counters. For
+// callers that need the pair set itself; scoring consumes the stream
+// directly and never holds it.
 func Generate(ds *dedup.Dataset, cfg Config) ([]dedup.Pair, Stats) {
-	workers := cfg.workers()
-	stats := Stats{Records: len(ds.Records)}
-	var streams [][]dedup.Pair
-	for _, p := range cfg.Passes {
-		w := cfg.window(p)
-		pairs := snmPassParallel(ds, p.Key, w, workers)
-		stats.SNMPasses = append(stats.SNMPasses, PassStats{Name: p.Name, Window: w, Pairs: len(pairs)})
-		streams = append(streams, pairs)
+	s := GenerateStream(ds, cfg, StreamOpts{})
+	var pairs []dedup.Pair
+	for batch := range s.C {
+		pairs = append(pairs, batch...)
+		s.Recycle(batch)
 	}
-	if cfg.Trigram != nil {
-		pairs, bs := trigramParallel(ds, *cfg.Trigram, workers)
-		stats.TrigramPairs = len(pairs)
-		stats.Buckets = bs.buckets
-		stats.OversizeBuckets = bs.oversize
-		streams = append(streams, pairs)
-	}
-	pairs := mergeStreams(streams, workers)
-	for _, s := range streams {
-		stats.Emitted += len(s)
-	}
-	stats.Unique = len(pairs)
-	report(cfg.Observer, stats)
-	return pairs, stats
+	return pairs, s.Stats()
 }
 
 // GenerateSeq is the sequential reference: the same blockers implemented
-// with plain loops and a seen-set union, no pools, no merges. The testkit
-// differential oracle pins Generate to it bit for bit.
+// with plain loops and a sort+dedupe union, no pools, no merges. The
+// package tests and the testkit differential oracle pin GenerateStream —
+// and Generate, its drain — to it bit for bit.
 func GenerateSeq(ds *dedup.Dataset, cfg Config) ([]dedup.Pair, Stats) {
 	stats := Stats{Records: len(ds.Records)}
 	var all []dedup.Pair
@@ -259,23 +248,6 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// mergeStreams unions the blockers' pair streams into one sorted,
-// deduplicated slice: the streams are concatenated (stream order is part
-// of the configuration, not the schedule), chunk-sorted across workers and
-// k-way merged with duplicates dropped at the merge point — the same
-// sort+dedupe merge discipline as the ingest pipeline's cluster merge.
-func mergeStreams(streams [][]dedup.Pair, workers int) []dedup.Pair {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	all := make([]dedup.Pair, 0, total)
-	for _, s := range streams {
-		all = append(all, s...)
-	}
-	return sortDedupeParallel(all, workers)
-}
-
 // pairLess is the total order every sort and merge of the package uses.
 func pairLess(a, b dedup.Pair) bool {
 	if a.I != b.I {
@@ -284,72 +256,43 @@ func pairLess(a, b dedup.Pair) bool {
 	return a.J < b.J
 }
 
-// sortDedupeParallel sorts pairs by (I, J) and drops duplicates: the slice
-// is split into one chunk per worker, each chunk sorted concurrently, and
-// the sorted chunks k-way merged on the calling goroutine. The comparator
-// is a total order (no two distinct elements compare equal without being
-// equal), so the output is independent of the chunking and the schedule.
-func sortDedupeParallel(pairs []dedup.Pair, workers int) []dedup.Pair {
-	n := len(pairs)
-	if n == 0 {
-		return pairs[:0]
-	}
+// sortChunks sorts s in place under less: one contiguous chunk per worker
+// sorted concurrently, then a sequential k-way merge through a scratch
+// slice. less must be a total order (no two distinct elements compare
+// equal), which makes the result independent of the chunking and the
+// schedule. K is the worker count, so the linear scan over chunk heads
+// stays cheap.
+func sortChunks[T any](s []T, workers int, less func(a, b T) bool) {
+	n := len(s)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		sort.Slice(pairs, func(x, y int) bool { return pairLess(pairs[x], pairs[y]) })
-		w := 0
-		for i, p := range pairs {
-			if i == 0 || p != pairs[w-1] {
-				pairs[w] = p
-				w++
-			}
-		}
-		return pairs[:w]
+		sort.Slice(s, func(x, y int) bool { return less(s[x], s[y]) })
+		return
 	}
-
-	type chunk struct{ lo, hi int }
-	chunks := make([]chunk, 0, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		chunks = append(chunks, chunk{lo, hi})
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			part := pairs[lo:hi]
-			sort.Slice(part, func(x, y int) bool { return pairLess(part[x], part[y]) })
-		}(lo, hi)
+	parallelRanges(n, workers, func(lo, hi int) {
+		part := s[lo:hi]
+		sort.Slice(part, func(x, y int) bool { return less(part[x], part[y]) })
+	})
+	// heads[w] walks chunk w, which parallelRanges cut at w*n/workers.
+	heads := make([]int, workers)
+	for w := range heads {
+		heads[w] = w * n / workers
 	}
-	wg.Wait()
-
-	// K-way merge with dedupe at the merge point. K is the worker count,
-	// so the linear scan over chunk heads stays cheap.
-	heads := make([]int, len(chunks))
-	out := make([]dedup.Pair, 0, n)
-	for {
+	merged := make([]T, 0, n)
+	for len(merged) < n {
 		best := -1
-		for c := range chunks {
-			if heads[c] >= chunks[c].hi-chunks[c].lo {
+		for w, h := range heads {
+			if h == (w+1)*n/workers {
 				continue
 			}
-			if best < 0 || pairLess(pairs[chunks[c].lo+heads[c]], pairs[chunks[best].lo+heads[best]]) {
-				best = c
+			if best < 0 || less(s[h], s[heads[best]]) {
+				best = w
 			}
 		}
-		if best < 0 {
-			break
-		}
-		p := pairs[chunks[best].lo+heads[best]]
+		merged = append(merged, s[heads[best]])
 		heads[best]++
-		if len(out) == 0 || p != out[len(out)-1] {
-			out = append(out, p)
-		}
 	}
-	return out
+	copy(s, merged)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/dedup"
@@ -76,9 +77,9 @@ func testConfig(ds *dedup.Dataset, workers int) Config {
 }
 
 // TestBlockingParallelMatchesSequential is the package-local differential:
-// Generate must equal GenerateSeq — pairs and stats — at every ladder
-// worker count. The testkit conformance oracle re-runs this over the
-// shared seeded corpus.
+// Generate (the drained stream) must equal GenerateSeq — pairs and stats —
+// at every ladder worker count. The testkit conformance oracle re-runs this
+// over the shared seeded corpus.
 func TestBlockingParallelMatchesSequential(t *testing.T) {
 	ds := testDataset(7, 120)
 	wantPairs, wantStats := GenerateSeq(ds, testConfig(ds, 1))
@@ -134,37 +135,82 @@ func TestEntropyPassesMatchLegacySNM(t *testing.T) {
 }
 
 // TestBlockingEdgeCases covers the degenerate shapes: empty corpus, a
-// single record, window larger than the dataset, and all-equal keys.
+// single record, all-equal keys and a window larger than the dataset. On
+// each, Generate must equal GenerateSeq — pairs and stats — and report the
+// blocking_pipeline_total counters exactly once.
 func TestBlockingEdgeCases(t *testing.T) {
 	empty := &dedup.Dataset{Name: "empty", Attrs: []string{"a"}}
-	pairs, stats := Generate(empty, Config{Passes: EntropyPasses(empty, 1), Trigram: &TrigramConfig{}, Workers: 4})
-	if len(pairs) != 0 || stats.Unique != 0 {
-		t.Fatalf("empty corpus produced %d pairs", len(pairs))
-	}
-
 	single := &dedup.Dataset{Name: "single", Attrs: []string{"a"}, Records: [][]string{{"x"}}, ClusterOf: []int{0}}
-	pairs, _ = Generate(single, Config{Passes: EntropyPasses(single, 1), Trigram: &TrigramConfig{}, Workers: 4})
-	if len(pairs) != 0 {
-		t.Fatalf("single record produced %d pairs", len(pairs))
-	}
-
-	ds := testDataset(5, 10)
-	n := len(ds.Records)
-	all := n * (n - 1) / 2
-	pairs, _ = Generate(ds, Config{Passes: EntropyPasses(ds, 1), Window: n + 50, Workers: 3})
-	if len(pairs) != all {
-		t.Fatalf("window > dataset: got %d pairs, want the full cross %d", len(pairs), all)
-	}
-
 	eq := &dedup.Dataset{Name: "equal", Attrs: []string{"a"}}
 	for i := 0; i < 9; i++ {
 		eq.Records = append(eq.Records, []string{"same"})
 		eq.ClusterOf = append(eq.ClusterOf, i)
 	}
-	pairs, _ = Generate(eq, Config{Passes: EntropyPasses(eq, 1), Window: 4, Workers: 2})
-	want, _ := GenerateSeq(eq, Config{Passes: EntropyPasses(eq, 1), Window: 4, Workers: 1})
-	if !reflect.DeepEqual(want, pairs) {
-		t.Fatalf("all-equal keys: parallel %v != sequential %v", pairs, want)
+	for _, tc := range []struct {
+		ds        *dedup.Dataset
+		cfg       Config
+		wantPairs int
+	}{
+		{empty, Config{Passes: EntropyPasses(empty, 1), Trigram: &TrigramConfig{}, Workers: 4}, 0},
+		{single, Config{Passes: EntropyPasses(single, 1), Trigram: &TrigramConfig{}, Workers: 4}, 0},
+		{eq, Config{Passes: EntropyPasses(eq, 1), Window: 4, Workers: 2}, 21},
+	} {
+		wantPairs, wantStats := GenerateSeq(tc.ds, tc.cfg)
+		obs := countObserver{}
+		tc.cfg.Observer = obs
+		pairs, stats := Generate(tc.ds, tc.cfg)
+		if len(pairs) != tc.wantPairs || stats.Unique != tc.wantPairs {
+			t.Fatalf("%s: %d pairs (stats.Unique %d), want %d", tc.ds.Name, len(pairs), stats.Unique, tc.wantPairs)
+		}
+		if !reflect.DeepEqual(wantPairs, pairs) {
+			t.Fatalf("%s: pairs %v != sequential %v", tc.ds.Name, pairs, wantPairs)
+		}
+		if !reflect.DeepEqual(wantStats, stats) {
+			t.Fatalf("%s: stats %+v != sequential %+v", tc.ds.Name, stats, wantStats)
+		}
+		if obs["blocking_runs"] != 1 || obs["blocking_records"] != int64(len(tc.ds.Records)) ||
+			obs["blocking_pairs_unique"] != int64(tc.wantPairs) {
+			t.Fatalf("%s: blocking_pipeline_total not reported exactly once: %v", tc.ds.Name, obs)
+		}
+	}
+
+	ds := testDataset(5, 10)
+	n := len(ds.Records)
+	all := n * (n - 1) / 2
+	pairs, _ := Generate(ds, Config{Passes: EntropyPasses(ds, 1), Window: n + 50, Workers: 3})
+	if len(pairs) != all {
+		t.Fatalf("window > dataset: got %d pairs, want the full cross %d", len(pairs), all)
+	}
+}
+
+// TestSortChunks pins the one chunk-sort/merge routine to sort.SliceStable
+// on inputs with many equal keys: under the (key, index) total order the
+// result must be the stable order at any worker count, including more
+// workers than elements.
+func TestSortChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{0, 1, 2, 50, 257} {
+		keys := make([]int, n)
+		for i := range keys {
+			keys[i] = rng.Intn(5)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(x, y int) bool { return keys[want[x]] < keys[want[y]] })
+		for _, workers := range []int{1, 2, 7, n + 3} {
+			got := rng.Perm(n)
+			sortChunks(got, workers, func(a, b int) bool {
+				if keys[a] != keys[b] {
+					return keys[a] < keys[b]
+				}
+				return a < b
+			})
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("n=%d workers=%d: %v, want %v", n, workers, got, want)
+			}
+		}
 	}
 }
 
@@ -211,6 +257,9 @@ func TestObserverCounters(t *testing.T) {
 	}
 	if obs["blocking_snm_passes"] != 2 {
 		t.Errorf("blocking_snm_passes = %d, want 2", obs["blocking_snm_passes"])
+	}
+	if obs["blocking_runs"] != 1 {
+		t.Errorf("blocking_runs = %d, want exactly one report", obs["blocking_runs"])
 	}
 }
 

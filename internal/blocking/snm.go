@@ -1,17 +1,15 @@
 // The multi-pass Sorted Neighborhood blocker. Each pass sorts the record
 // indices by a key derived from the record and emits every pair within a
 // sliding window over that order — the paper's own validation setup
-// (§6.5: one pass per sorting key, w = 20). The parallel pass shards all
-// three stages (key derivation, sorting, window emission) across workers
-// with index-addressed writes and a deterministic k-way merge, so the
-// emitted pair stream is identical to the sequential pass for any worker
-// count.
+// (§6.5: one pass per sorting key, w = 20). This file holds the sequential
+// reference pass, which stable-sorts on its own, and the sharded sort of
+// the streamed pass (snmSource, stream.go), which enumerates the same
+// pairs from the sorted order without materializing them.
 
 package blocking
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/dedup"
 )
@@ -47,133 +45,19 @@ func snmPassSeq(ds *dedup.Dataset, key dedup.KeyFunc, window int) []dedup.Pair {
 	return out
 }
 
-// snmPassParallel is the sharded pass. Keys are derived into an
-// index-addressed slice, the order is built by chunk-sorting one contiguous
-// index range per worker and k-way merging under the (key, index) total
-// order, and the window emission is sharded over contiguous position
-// ranges whose outputs concatenate in range order — every stage's result
-// is a pure function of the data.
-func snmPassParallel(ds *dedup.Dataset, key dedup.KeyFunc, window, workers int) []dedup.Pair {
-	n := len(ds.Records)
-	if n == 0 {
-		return nil
-	}
-	keys := make([]string, n)
-	parallelRanges(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = key(ds.Records[i])
-		}
-	})
-	order := sortOrderParallel(keys, workers)
-
-	// Window emission: position x contributes min(window-1, n-1-x) pairs.
-	// Shard positions into one contiguous range per worker; each worker
-	// appends into its own slice, concatenated in range order.
-	if workers > n {
-		workers = n
-	}
-	parts := make([][]dedup.Pair, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			est := (hi - lo) * (window - 1)
-			part := make([]dedup.Pair, 0, est)
-			for x := lo; x < hi; x++ {
-				end := x + window
-				if end > n {
-					end = n
-				}
-				for y := x + 1; y < end; y++ {
-					i, j := order[x], order[y]
-					if i > j {
-						i, j = j, i
-					}
-					part = append(part, dedup.Pair{I: i, J: j})
-				}
-			}
-			parts[w] = part
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]dedup.Pair, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// sortOrderParallel returns the record indices sorted by (keys[i], i):
-// one contiguous index chunk per worker is sorted concurrently, then the
-// chunks are k-way merged sequentially. The comparator is a total order,
-// so the merged permutation is independent of the chunking.
+// sortOrderParallel returns the record indices sorted by (keys[i], i) —
+// the order a stable sort on key yields, as a total order so sortChunks'
+// result is independent of the chunking.
 func sortOrderParallel(keys []string, workers int) []int {
-	n := len(keys)
-	order := make([]int, n)
+	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
 	}
-	if workers > n {
-		workers = n
-	}
-	less := func(a, b int) bool {
+	sortChunks(order, workers, func(a, b int) bool {
 		if keys[a] != keys[b] {
 			return keys[a] < keys[b]
 		}
 		return a < b
-	}
-	if workers <= 1 {
-		sort.Slice(order, func(x, y int) bool { return less(order[x], order[y]) })
-		return order
-	}
-
-	type chunk struct{ lo, hi int }
-	chunks := make([]chunk, 0, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		chunks = append(chunks, chunk{lo, hi})
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			part := order[lo:hi]
-			sort.Slice(part, func(x, y int) bool { return less(part[x], part[y]) })
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	heads := make([]int, len(chunks))
-	merged := make([]int, 0, n)
-	for {
-		best := -1
-		for c := range chunks {
-			if heads[c] >= chunks[c].hi-chunks[c].lo {
-				continue
-			}
-			if best < 0 || less(order[chunks[c].lo+heads[c]], order[chunks[best].lo+heads[best]]) {
-				best = c
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, order[chunks[best].lo+heads[best]])
-		heads[best]++
-	}
-	return merged
+	})
+	return order
 }

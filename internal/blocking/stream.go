@@ -1,21 +1,21 @@
-// Streamed candidate generation — the bounded-memory emission mode of the
-// blocking layer. Generate materializes every blocker's pair stream, then
-// the sorted union, before downstream scoring sees a single pair; at full
-// corpus scale that peak is what decides whether end-to-end dedup fits in
-// RAM at all (cf. the clinical-note dedup study in PAPERS.md: block-then-
-// score only pays off when the intermediate pair set never lands in memory
-// at once). GenerateStream produces the exact same deduplicated, totally
-// ordered candidate stream — bit-identical pairs and Stats — but yields it
-// as bounded batches through a backpressured channel:
+// Candidate generation as a bounded-memory stream — the package's one
+// implementation. Materializing every blocker's pair slice and then their
+// sorted union before scoring sees a single pair sets a peak that, at full
+// corpus scale, decides whether end-to-end dedup fits in RAM at all (cf.
+// the clinical-note dedup study in PAPERS.md: block-then-score only pays
+// off when the intermediate pair set never lands in memory at once).
+// GenerateStream yields the deduplicated, totally ordered candidate stream
+// — GenerateSeq's pairs and Stats, bit for bit — as bounded batches through
+// a backpressured channel:
 //
 //   - each SNM pass becomes an O(records) iterator: after the parallel key
 //     derivation and sort, the pass's pairs are enumerated directly in
 //     (I, J) order by walking each record's sorted-neighborhood window
 //     through the inverse permutation — the pass's full pair slice (window
-//     × records entries in Generate) never exists;
+//     × records entries) never exists;
 //   - the trigram blocker's per-worker emission parts are chunk-sorted in
-//     place and fed to the merge as independent sorted runs — the
-//     concatenated slice Generate builds is skipped;
+//     place and fed to the merge as independent sorted runs, never
+//     concatenated;
 //   - a k-way merge with dedupe at the merge point drains all sources in
 //     the global (I, J) total order, filling fixed-size batches that travel
 //     through a channel of configurable capacity. The producer blocks when
@@ -23,10 +23,10 @@
 //     (Buffer+1) × BatchSize regardless of corpus size.
 //
 // Determinism: every source enumerates a pure function of the dataset and
-// configuration in a fixed order, and the merge comparator is the same
-// total order Generate sorts under — so the emitted concatenation equals
-// Generate's slice element for element at any worker count, enforced by
-// the package tests and the testkit streaming oracle (`make stream-race`).
+// configuration in a fixed order, and the merge comparator is the total
+// order GenerateSeq sorts under — so the emitted concatenation equals its
+// slice element for element at any worker count, enforced by the package
+// tests and the testkit oracles (`make conformance`).
 
 package blocking
 
@@ -102,7 +102,7 @@ type Stream struct {
 }
 
 // Stats blocks until the producer has finished (C closed or the run
-// canceled) and returns the run's Stats — identical to what Generate
+// canceled) and returns the run's Stats — identical to what GenerateSeq
 // returns for the same dataset and configuration. After Cancel the stats
 // are partial and Unique reflects only the pairs emitted before the
 // cancellation was observed.
@@ -145,7 +145,7 @@ func (s *Stream) newBatch(size int) []dedup.Pair {
 // GenerateStream runs the configured blockers sharded across cfg.Workers
 // and emits the deduplicated union of their candidate pairs, sorted by
 // (I, J), as bounded batches on the returned Stream. The concatenation of
-// all batches — and the Stats — is bit-identical to Generate for any
+// all batches — and the Stats — is bit-identical to GenerateSeq for any
 // worker count, but the full union is never materialized: peak memory is
 // O(records) per SNM pass plus the trigram blocker's own emissions plus
 // the in-flight batches.

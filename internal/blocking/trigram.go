@@ -290,32 +290,14 @@ func trigramSeq(ds *dedup.Dataset, tc TrigramConfig) ([]dedup.Pair, bucketStats)
 	return out, st
 }
 
-// trigramParallel is the sharded blocker: the per-worker parts of
-// trigramParts concatenated in part order.
-func trigramParallel(ds *dedup.Dataset, tc TrigramConfig, workers int) ([]dedup.Pair, bucketStats) {
-	parts, st := trigramParts(ds, tc, workers)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil, st
-	}
-	out := make([]dedup.Pair, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, st
-}
-
 // trigramParts is the sharded banding blocker up to pair emission: band
 // entries are computed into an index-addressed slice (one fixed stride per
 // record), compacted in index order, chunk-sorted and k-way merged under
 // the (band, hash, rec) total order, and bucket runs are scanned on the
 // calling goroutine with pair emission sharded per run range. The result
-// is the per-worker emission parts, whose concatenation in part order is
-// the blocker's pair stream; GenerateStream sorts each part instead of
-// concatenating, so the streamed path never builds the combined slice.
+// is the per-worker emission parts — together the blocker's pair multiset,
+// trigramSeq's; GenerateStream sorts each part into one run of its merge,
+// so the combined slice is never built.
 func trigramParts(ds *dedup.Dataset, tc TrigramConfig, workers int) ([][]dedup.Pair, bucketStats) {
 	n := len(ds.Records)
 	if n == 0 {
@@ -352,8 +334,8 @@ func trigramParts(ds *dedup.Dataset, tc TrigramConfig, workers int) ([][]dedup.P
 	}
 
 	// Stage 2: sort entries under the total order so bucket members form
-	// contiguous runs; chunk-sort across workers, merge sequentially.
-	sortBandEntries(valid, workers)
+	// contiguous runs.
+	sortChunks(valid, workers, bandEntryLess)
 
 	// Stage 3: scan runs into buckets, then emit pairs per bucket with the
 	// bucket list sharded across workers (outputs concatenated in bucket
@@ -411,56 +393,4 @@ func trigramParts(ds *dedup.Dataset, tc TrigramConfig, workers int) ([][]dedup.P
 	}
 	wg.Wait()
 	return parts, st
-}
-
-// sortBandEntries sorts entries in place under the (band, hash, rec) total
-// order: one contiguous chunk per worker sorted concurrently, then a
-// sequential k-way merge through a scratch slice.
-func sortBandEntries(entries []bandEntry, workers int) {
-	n := len(entries)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 2 {
-		sort.Slice(entries, func(x, y int) bool { return bandEntryLess(entries[x], entries[y]) })
-		return
-	}
-	type chunk struct{ lo, hi int }
-	chunks := make([]chunk, 0, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		chunks = append(chunks, chunk{lo, hi})
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			part := entries[lo:hi]
-			sort.Slice(part, func(x, y int) bool { return bandEntryLess(part[x], part[y]) })
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	heads := make([]int, len(chunks))
-	merged := make([]bandEntry, 0, n)
-	for {
-		best := -1
-		for c := range chunks {
-			if heads[c] >= chunks[c].hi-chunks[c].lo {
-				continue
-			}
-			if best < 0 || bandEntryLess(entries[chunks[c].lo+heads[c]], entries[chunks[best].lo+heads[best]]) {
-				best = c
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, entries[chunks[best].lo+heads[best]])
-		heads[best]++
-	}
-	copy(entries, merged)
 }

@@ -7,7 +7,7 @@
 // reconstruction of earlier versions and snapshot ranges.
 //
 // Snapshots import either sequentially (ImportSnapshotFile) or through the
-// sharded parallel ingest pipeline (ImportSnapshotFileParallel) — the
+// sharded parallel ingest pipeline (ImportSnapshotFileParallelOpts) — the
 // register-scale answer to the paper's 507 M-row corpus; both paths produce
 // identical datasets (see pipeline.go).
 package core
@@ -265,7 +265,7 @@ func (imp *Import) Close() ImportStats {
 
 // ImportSnapshotFile streams one TSV snapshot file through the removal mode
 // without materializing it (the scalability path for register-sized files).
-// ImportSnapshotFileParallel is the multi-core equivalent.
+// ImportSnapshotFileParallelOpts is the multi-core equivalent.
 func (d *Dataset) ImportSnapshotFile(path string) (ImportStats, error) {
 	f, err := os.Open(path)
 	if err != nil {

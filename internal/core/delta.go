@@ -18,7 +18,7 @@ import (
 // segment, and nothing tells downstream layers which clusters actually
 // changed. ApplySnapshotDelta fixes that: it runs the incoming rows through
 // the exact same mutation path as a plain import (so the resulting dataset
-// is bit-identical to ImportSnapshotFile / ImportSnapshotFileParallel of the
+// is bit-identical to ImportSnapshotFile / ImportSnapshotFileParallelOpts of the
 // same file) while classifying every row against its cluster's pre-apply
 // state. The classification yields two NCID sets:
 //
@@ -195,7 +195,7 @@ func rowChanges(c *Cluster, h voter.Hash, date string, mode RemovalMode) (touch,
 
 // ApplySnapshotDelta streams one TSV snapshot file into the dataset through
 // the standard import machinery — the resulting dataset, import statistics
-// and version bookkeeping are bit-identical to ImportSnapshotFileParallel of
+// and version bookkeeping are bit-identical to ImportSnapshotFileParallelOpts of
 // the same file at any worker count — and returns the delta: which clusters
 // changed and which of them need rescoring. The intended input is an
 // append-mostly delta file (the new and changed rows since the last

@@ -29,17 +29,11 @@ type IngestOptions struct {
 	Observer IngestObserver
 }
 
-// ImportSnapshotFileParallel streams one TSV snapshot file through the
+// ImportSnapshotFileParallelOpts streams one TSV snapshot file through the
 // removal mode on a sharded worker pipeline (see pipeline.go). The resulting
-// dataset and ImportStats are identical to ImportSnapshotFile for any worker
-// count; workers <= 0 selects GOMAXPROCS and workers == 1 is exactly the
-// sequential import.
-func (d *Dataset) ImportSnapshotFileParallel(path string, workers int) (ImportStats, error) {
-	return d.ImportSnapshotFileParallelOpts(path, IngestOptions{Workers: workers})
-}
-
-// ImportSnapshotFileParallelOpts is ImportSnapshotFileParallel with full
-// pipeline tuning.
+// dataset and ImportStats are identical to ImportSnapshotFile for any
+// opts.Workers; <= 0 selects GOMAXPROCS and 1 is exactly the sequential
+// import.
 func (d *Dataset) ImportSnapshotFileParallelOpts(path string, opts IngestOptions) (ImportStats, error) {
 	f, err := os.Open(path)
 	if err != nil {

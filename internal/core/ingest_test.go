@@ -238,7 +238,7 @@ func makeTSVWithValue(t *testing.T, v string) []byte {
 // sequential reader's.
 func TestParallelImportEmptyAndHeaderOnly(t *testing.T) {
 	empty := writeTemp(t, nil)
-	if _, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallel(empty, 4); err == nil ||
+	if _, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(empty, IngestOptions{Workers: 4}); err == nil ||
 		!strings.Contains(err.Error(), "missing header") {
 		t.Errorf("empty file: got %v, want missing-header error", err)
 	}
@@ -251,7 +251,7 @@ func TestParallelImportEmptyAndHeaderOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := NewDataset(RemoveTrimmed)
-	parSt, err := par.ImportSnapshotFileParallel(p, 4)
+	parSt, err := par.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@
 //     comparison;
 //   - a sharded, bounded memo cache reuses value-pair similarities, which
 //     voter data repeats heavily (memo.go);
-//   - candidate pairs are scored by a worker pool that writes into an
-//     index-addressed result slice, the determinism discipline of
-//     internal/core's ingest pipeline: output order — and every float in
-//     it — is identical to the sequential run for any worker count.
+//   - candidate batches are scored by a worker pool that keeps only
+//     per-threshold integer counts (stream.go), which merge commutatively:
+//     every float of the Curve is identical to the sequential run for any
+//     worker count and any batch shape.
 //
 // Bit-identity with the plain Matcher holds because every kernel variant
 // evaluates the same expressions in the same order (fuzz-enforced in
@@ -30,8 +30,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/hetero"
@@ -60,9 +58,10 @@ type ScoreOpts struct {
 	// stage completes (preprocessing, scoring, merge) — the hook behind
 	// `ncdedup -v`.
 	OnStage func(stage string, elapsed time.Duration)
-	// Recycle, when set, receives each fully scored batch of the streaming
-	// path (EvaluateCandidatesStream) so the producer can reuse its backing
-	// array. Ignored by the materialized paths.
+	// Recycle, when set, receives each fully scored batch of
+	// EvaluateCandidatesStream so the producer can reuse its backing array.
+	// Ignored by the slice adapter EvaluateCandidatesParallel, whose batches
+	// alias the caller's slice.
 	Recycle func(batch []Pair)
 }
 
@@ -361,54 +360,6 @@ func (e *engine) kernel(c int, va, vb *valPrep, sc *scoreScratch) float64 {
 		return e.tfidf[c].SoftCosine(va.tokensLower, vb.tokensLower, sc.tok, softTFIDFThreshold)
 	}
 	panic("dedup: unhandled measure kind")
-}
-
-// scoreBatch is the per-worker claim size over the candidate slice: small
-// enough to balance skewed pair costs, large enough that the shared counter
-// stays cold.
-const scoreBatch = 256
-
-// scoreAll scores every candidate pair into an index-addressed slice.
-// Workers claim contiguous batches off an atomic cursor and write only
-// their own indices, so the slice content is independent of scheduling.
-func (e *engine) scoreAll(candidates []Pair, workers int) []float64 {
-	sims := make([]float64, len(candidates))
-	if workers <= 1 {
-		sc := &scoreScratch{}
-		mt := e.matcherFor(sc)
-		for k, p := range candidates {
-			sims[k] = mt.RecordSim(p.I, p.J)
-		}
-		e.flush(sc)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := &scoreScratch{}
-				mt := e.matcherFor(sc)
-				for {
-					lo := int(next.Add(scoreBatch)) - scoreBatch
-					if lo >= len(candidates) {
-						break
-					}
-					hi := lo + scoreBatch
-					if hi > len(candidates) {
-						hi = len(candidates)
-					}
-					for k := lo; k < hi; k++ {
-						sims[k] = mt.RecordSim(candidates[k].I, candidates[k].J)
-					}
-				}
-				e.flush(sc)
-			}()
-		}
-		wg.Wait()
-	}
-	e.report(int64(len(candidates)))
-	return sims
 }
 
 // flush folds one worker's local counters into the cache totals.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -42,9 +43,9 @@ func requireCurvesIdentical(t *testing.T, label string, want, got Curve) {
 }
 
 // TestParallelScoreEquivalence is the engine's bit-identity contract: for
-// every measure and every worker count the parallel curve equals the
-// sequential reference exactly. `make score-race` runs it under the race
-// detector.
+// every measure and every worker count the curve from the slice adapter
+// equals the sequential reference exactly. `make race` runs it under the
+// race detector.
 func TestParallelScoreEquivalence(t *testing.T) {
 	ds := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
 	passes := MostUniqueAttrs(ds, 3)
@@ -76,17 +77,65 @@ func TestParallelScoreEquivalenceTinyMemo(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllParallelMatchesSequential covers the paper's three-measure
-// wrapper.
-func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
+// TestEvaluateAllMatchesSequential covers the paper's three-measure
+// wrapper, which runs the engine at GOMAXPROCS workers, against the plain
+// reference over the same blocking.
+func TestEvaluateAllMatchesSequential(t *testing.T) {
 	ds := toyDataset(t, 20, []int{2}, 0.3)
-	want := EvaluateAll(ds, 2, 10, 20)
-	got := EvaluateAllParallel(ds, 2, 10, 20, ScoreOpts{Workers: 4})
-	if len(got) != len(want) {
-		t.Fatalf("curves = %d, want %d", len(got), len(want))
+	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 2), 10)
+	got := EvaluateAll(ds, 2, 10, 20)
+	if len(got) != len(Measures) {
+		t.Fatalf("curves = %d, want %d", len(got), len(Measures))
 	}
-	for i := range want {
-		requireCurvesIdentical(t, string(want[i].Measure), want[i], got[i])
+	for i, m := range Measures {
+		requireCurvesIdentical(t, string(m), EvaluateCandidates(ds, m, candidates, 20), got[i])
+	}
+}
+
+// TestEvaluateMatchesSequential pins the convenience API to the engine's
+// contract: Evaluate equals the plain reference over its own blocking for
+// every measure.
+func TestEvaluateMatchesSequential(t *testing.T) {
+	ds := toyDataset(t, 25, []int{1, 2, 3}, 0.4)
+	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 12)
+	for _, m := range AllMeasures {
+		requireCurvesIdentical(t, string(m), EvaluateCandidates(ds, m, candidates, 30), Evaluate(ds, m, 3, 12, 30))
+	}
+}
+
+// TestSliceAdapterBatchBoundaries runs the slice adapter on candidate
+// counts around its batch size — none, one, a batch less one, exactly one
+// batch, one more, several batches and a remainder — against the plain
+// reference for every measure.
+func TestSliceAdapterBatchBoundaries(t *testing.T) {
+	ds := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
+	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	counts := []int{0, 1, sliceBatch - 1, sliceBatch, sliceBatch + 1, 3*sliceBatch + 7}
+	if len(candidates) < counts[len(counts)-1] {
+		t.Fatalf("only %d candidates, need %d", len(candidates), counts[len(counts)-1])
+	}
+	for _, m := range AllMeasures {
+		for _, n := range counts {
+			want := EvaluateCandidates(ds, m, candidates[:n], 20)
+			got := EvaluateCandidatesParallel(ds, m, candidates[:n], 20, ScoreOpts{Workers: 3})
+			requireCurvesIdentical(t, string(m)+"/n="+itoa(n), want, got)
+		}
+	}
+}
+
+// TestStepsBelowOnePanicsByName: a sweep without steps is a caller bug and
+// must say so, not surface as a makeslice or index panic.
+func TestStepsBelowOnePanicsByName(t *testing.T) {
+	ds := toyDataset(t, 5, []int{2}, 0)
+	for _, steps := range []int{0, -1, -3} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "steps") {
+					t.Errorf("steps=%d: recovered %q, want a message naming steps", steps, msg)
+				}
+			}()
+			EvaluateCandidatesParallel(ds, MeasureMELev, nil, steps, ScoreOpts{Workers: 1})
+		}()
 	}
 }
 
@@ -161,9 +210,10 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// BenchmarkEvaluateCandidatesLegacy measures the pre-engine sequential
-// matcher; BenchmarkEvaluateCandidatesEngine1 the preprocessed engine at
-// workers=1 — the single-thread speedup the acceptance criterion cites.
+// BenchmarkEvaluateCandidatesLegacy measures the plain sequential
+// reference; BenchmarkEvaluateCandidatesEngine1 the engine through the
+// slice adapter at workers=1 — the single-thread speedup of
+// BENCH_matching.json.
 func BenchmarkEvaluateCandidatesLegacy(b *testing.B) {
 	ds := benchDataset(b)
 	cands := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)

@@ -1,9 +1,6 @@
 package dedup
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // Point is one threshold of an evaluation curve.
 type Point struct {
@@ -40,13 +37,15 @@ func (c Curve) BestF1() (f1, threshold float64) {
 func Evaluate(ds *Dataset, m Measure, numPasses, window, steps int) Curve {
 	passes := MostUniqueAttrs(ds, numPasses)
 	candidates := SortedNeighborhood(ds, passes, window)
-	return EvaluateCandidates(ds, m, candidates, steps)
+	return EvaluateCandidatesParallel(ds, m, candidates, steps, ScoreOpts{})
 }
 
 // EvaluateCandidates scores the given candidate pairs with the plain
-// per-pair Matcher and sweeps the decision threshold. It is the sequential
-// reference implementation; EvaluateCandidatesParallel produces the same
-// Curve — bit for bit — from the preprocessed engine at any worker count.
+// per-pair Matcher and sweeps the decision threshold by sorting. It is the
+// sequential reference the tests compare the engine against — independent
+// code, kept for that. Production callers use EvaluateCandidatesParallel
+// (pairs in a slice) or EvaluateCandidatesStream (pairs from the blocking
+// layer), which produce the same Curve, bit for bit, several times faster.
 func EvaluateCandidates(ds *Dataset, m Measure, candidates []Pair, steps int) Curve {
 	matcher := NewMatcher(ds, m)
 	sims := make([]float64, len(candidates))
@@ -56,28 +55,28 @@ func EvaluateCandidates(ds *Dataset, m Measure, candidates []Pair, steps int) Cu
 	return sweepCurve(ds, m, candidates, sims, steps)
 }
 
-// EvaluateCandidatesParallel is EvaluateCandidates through the parallel
-// scoring engine (engine.go): preprocessing pass, scratch kernels, memo
-// cache, worker pool. The returned Curve is identical to the sequential
-// one for any opts.Workers — workers write into an index-addressed result
-// slice and every kernel is bit-compatible with its allocating
-// counterpart.
+// sliceBatch is how many pairs EvaluateCandidatesParallel hands a worker
+// at a time: small enough to balance skewed pair costs across workers on a
+// few thousand candidates, large enough that the channel stays cold.
+const sliceBatch = 256
+
+// EvaluateCandidatesParallel is EvaluateCandidatesStream over a candidate
+// slice: the slice is cut into sub-slices (no copy) that are queued on a
+// pre-filled, closed channel. The returned Curve is identical to
+// EvaluateCandidates' for any opts.Workers.
 func EvaluateCandidatesParallel(ds *Dataset, m Measure, candidates []Pair, steps int, opts ScoreOpts) Curve {
-	start := time.Now()
-	eng := newEngine(ds, m, opts)
-	opts.stage("preprocessing", start)
-	start = time.Now()
-	sims := eng.scoreAll(candidates, opts.workersOrDefault())
-	opts.stage("scoring", start)
-	start = time.Now()
-	curve := sweepCurve(ds, m, candidates, sims, steps)
-	opts.stage("merge", start)
-	return curve
+	batches := make(chan []Pair, (len(candidates)+sliceBatch-1)/sliceBatch)
+	for lo := 0; lo < len(candidates); lo += sliceBatch {
+		batches <- candidates[lo:min(lo+sliceBatch, len(candidates))]
+	}
+	close(batches)
+	opts.Recycle = nil
+	return EvaluateCandidatesStream(ds, m, batches, steps, opts)
 }
 
 // sweepCurve turns per-candidate similarities into the threshold-sweep
-// curve. Shared by the sequential and parallel paths so that both run the
-// exact same float pipeline after scoring.
+// curve by sorting them — the reference the engine's bucket counts
+// (curveFromCounts) are checked against; both end in point().
 func sweepCurve(ds *Dataset, m Measure, candidates []Pair, sims []float64, steps int) Curve {
 	type scored struct {
 		sim float64
@@ -135,19 +134,6 @@ func EvaluateAll(ds *Dataset, numPasses, window, steps int) []Curve {
 	out := make([]Curve, 0, len(Measures))
 	for _, m := range Measures {
 		out = append(out, Evaluate(ds, m, numPasses, window, steps))
-	}
-	return out
-}
-
-// EvaluateAllParallel is EvaluateAll through the scoring engine: the
-// blocking runs once and every measure's sweep scores the shared candidate
-// set in parallel. Curves equal EvaluateAll's exactly.
-func EvaluateAllParallel(ds *Dataset, numPasses, window, steps int, opts ScoreOpts) []Curve {
-	passes := MostUniqueAttrs(ds, numPasses)
-	candidates := SortedNeighborhood(ds, passes, window)
-	out := make([]Curve, 0, len(Measures))
-	for _, m := range Measures {
-		out = append(out, EvaluateCandidatesParallel(ds, m, candidates, steps, opts))
 	}
 	return out
 }

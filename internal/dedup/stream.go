@@ -1,10 +1,11 @@
-// The streaming half of the scoring engine. EvaluateCandidatesParallel
-// needs the whole candidate slice — and a float64 similarity per pair — in
-// memory before the threshold sweep can run; at full-corpus scale that
-// second copy of the pair set is as heavy as the blocking union itself.
-// EvaluateCandidatesStream consumes candidate batches from a channel (the
-// blocking layer's GenerateStream) and keeps only O(steps) integers per
-// worker:
+// The engine's consumer: scoring candidate batches into a threshold-sweep
+// curve without holding the pairs. A sweep over a candidate slice needs the
+// slice and a float64 similarity per pair in memory before it can sort; at
+// full-corpus scale that second copy of the pair set is as heavy as the
+// blocking union itself. EvaluateCandidatesStream consumes candidate
+// batches from a channel (the blocking layer's GenerateStream, or the
+// slice adapter EvaluateCandidatesParallel) and keeps only O(steps)
+// integers per worker:
 //
 // sweepCurve's output depends on the candidates only through, per
 // threshold t, the counts n(t) = |{pairs: sim >= t}| and
@@ -15,27 +16,31 @@
 // Workers bucket each pair at smax+1 into private count arrays, the
 // arrays merge by integer addition (commutative — order cannot matter),
 // and a suffix sum yields the exact (tp, n) integers sweepCurve would
-// have computed. Both paths then share point(), so every float of the
-// Curve is identical to the materialized path for any worker count —
-// enforced by the package tests and the testkit streaming oracle
-// (`make stream-race`).
+// have computed. Both then share point(), so every float of the Curve is
+// identical to the sorting reference (EvaluateCandidates) for any worker
+// count — enforced by the package tests and the testkit oracles
+// (`make conformance`).
 
 package dedup
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
 
-// EvaluateCandidatesStream is EvaluateCandidatesParallel over a candidate
-// stream: batches of sorted, deduplicated pairs arrive on the channel
-// (closed by the producer after the last batch), workers score them with
-// the engine's scratch kernels and memo cache as they arrive, and the
-// returned Curve is bit-identical to the materialized path over the same
-// pairs — without the candidate slice or the similarity slice ever
-// existing. opts.Recycle, when set, receives each fully scored batch.
+// EvaluateCandidatesStream is the scoring engine: batches of sorted,
+// deduplicated pairs arrive on the channel (closed by the producer after
+// the last batch), workers score them with the engine's scratch kernels
+// and memo cache as they arrive, and the returned Curve is bit-identical
+// to EvaluateCandidates over the same pairs — without the candidate slice
+// or the similarity slice ever existing. opts.Recycle, when set, receives
+// each fully scored batch. steps must be at least 1.
 func EvaluateCandidatesStream(ds *Dataset, m Measure, batches <-chan []Pair, steps int, opts ScoreOpts) Curve {
+	if steps < 1 {
+		panic(fmt.Sprintf("dedup: EvaluateCandidatesStream: steps = %d, need at least 1", steps))
+	}
 	start := time.Now()
 	eng := newEngine(ds, m, opts)
 	opts.stage("preprocessing", start)

@@ -26,7 +26,7 @@ func feedBatches(candidates []Pair, bs, buffer int) <-chan []Pair {
 // TestStreamCurveEquivalence is the streaming consumer's bit-identity
 // contract: for every measure and worker count, the curve computed from
 // batched candidates equals the sequential reference exactly.
-// `make stream-race` runs it under the race detector.
+// `make race` runs it under the race detector.
 func TestStreamCurveEquivalence(t *testing.T) {
 	ds := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
 	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)

@@ -1,4 +1,8 @@
-package testkit
+// Package deltafile synthesizes delta snapshot files against an imported
+// dataset. The delta oracle (internal/testkit) and the delta benchmark
+// (internal/bench) both build their ladders from it; it lives apart from
+// either so the benchmark does not import the test kit.
+package deltafile
 
 import (
 	"fmt"
@@ -7,7 +11,7 @@ import (
 	"repro/internal/voter"
 )
 
-// WriteDeltaFile synthesizes an append-mostly delta snapshot file against
+// Write synthesizes an append-mostly delta snapshot file against
 // the current state of d — the input shape ApplySnapshotDelta is built for —
 // and returns its path plus the number of clusters it changes. The delta
 // oracle and the delta benchmark both derive their ladders from it, so the
@@ -30,14 +34,14 @@ import (
 // every row decodes to a known hash with its date already stamped.
 //
 // Everything is a pure function of (d, date, fraction): no randomness.
-func WriteDeltaFile(dir string, d *core.Dataset, date string, fraction float64, contiguous bool) (path string, changed int, err error) {
+func Write(dir string, d *core.Dataset, date string, fraction float64, contiguous bool) (path string, changed int, err error) {
 	var recs []voter.Record
 	fileDate := date
 	ids := d.NCIDs()
 	if fraction <= 0 {
 		imports := d.Imports()
 		if len(imports) == 0 {
-			return "", 0, fmt.Errorf("testkit: delta file against an empty dataset")
+			return "", 0, fmt.Errorf("deltafile: delta file against an empty dataset")
 		}
 		fileDate = imports[len(imports)-1].Snapshot
 		for _, id := range ids {

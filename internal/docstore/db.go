@@ -26,7 +26,7 @@ const (
 
 // DB is a set of named collections with JSON-lines persistence. Each
 // collection saves to <dir>/<name>.jsonl via an atomic write-then-rename, so
-// a crash mid-save never corrupts a previously saved state. SaveParallel
+// a crash mid-save never corrupts a previously saved state. SaveParallelOpts
 // writes the segmented format instead (see segment.go); Load reads both.
 type DB struct {
 	mu          sync.Mutex
@@ -81,8 +81,8 @@ func (db *DB) CollectionNames() []string {
 }
 
 // Save persists every collection into dir (created if missing) as one flat
-// .jsonl file each — the sequential baseline SaveParallel is measured
-// against. Any segmented state a previous SaveParallel left for the same
+// .jsonl file each — the sequential baseline SaveParallelOpts is measured
+// against. Any segmented state a previous SaveParallelOpts left for the same
 // collections is removed once the flat file is in place, so the formats
 // never coexist.
 func (db *DB) Save(dir string) error {

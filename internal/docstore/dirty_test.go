@@ -115,7 +115,7 @@ func TestDirtySaveReusesCleanSegments(t *testing.T) {
 		t.Errorf("full rewrites = %d, want 0", f)
 	}
 
-	if loaded, err := LoadParallel(dir); err != nil {
+	if loaded, err := LoadParallelOpts(dir, LoadOpts{}); err != nil {
 		t.Fatal(err)
 	} else if !reflect.DeepEqual(dbFingerprint(loaded), dbFingerprint(next)) {
 		t.Error("reloaded dirty-saved database differs from the in-memory state")
@@ -180,7 +180,7 @@ func TestDirtySaveFirstSaveFallsBack(t *testing.T) {
 	if f := obs.get(CounterDeltaFullRewrites); f != 1 {
 		t.Errorf("full rewrites = %d, want 1", f)
 	}
-	if loaded, err := LoadParallel(dir); err != nil || loaded.Collection("clusters").Len() != 120 {
+	if loaded, err := LoadParallelOpts(dir, LoadOpts{}); err != nil || loaded.Collection("clusters").Len() != 120 {
 		t.Fatalf("reload after fallback: %v", err)
 	}
 }
@@ -237,7 +237,7 @@ func TestDirtySaveMissingSegmentFileRewrites(t *testing.T) {
 	if w := obs.get(CounterSegmentsWritten); w != 1 {
 		t.Errorf("segments written = %d, want 1 (the vanished one)", w)
 	}
-	if loaded, err := LoadParallel(dir); err != nil || loaded.Collection("clusters").Len() != 150 {
+	if loaded, err := LoadParallelOpts(dir, LoadOpts{}); err != nil || loaded.Collection("clusters").Len() != 150 {
 		t.Fatalf("reload after heal: %v", err)
 	}
 }
@@ -253,7 +253,7 @@ func TestStrideSaveManySegments(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "clusters.100.jsonl")); err != nil {
 		t.Fatalf("three-digit segment missing: %v", err)
 	}
-	if loaded, err := LoadParallel(dir); err != nil || loaded.Collection("clusters").Len() != 505 {
+	if loaded, err := LoadParallelOpts(dir, LoadOpts{}); err != nil || loaded.Collection("clusters").Len() != 505 {
 		t.Fatalf("reload of 101-segment store: %v", err)
 	}
 }
@@ -310,7 +310,7 @@ func TestSegmentCacheReload(t *testing.T) {
 	if r := warm.get(CounterSegmentsRead); r != 2 {
 		t.Errorf("warm load read %d segments, want 2", r)
 	}
-	fresh, err := LoadParallel(dir)
+	fresh, err := LoadParallelOpts(dir, LoadOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

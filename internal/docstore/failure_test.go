@@ -118,7 +118,7 @@ func TestLoadRejectsTruncatedSegment(t *testing.T) {
 	if err := os.Truncate(path, info.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParallel(dir); err == nil {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil {
 		t.Fatal("truncated segment loaded silently")
 	}
 }
@@ -135,7 +135,7 @@ func TestLoadRejectsCorruptedSegment(t *testing.T) {
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParallel(dir); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corrupted segment: got %v, want CRC mismatch", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestLoadRejectsMissingSegment(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "x.03.jsonl")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParallel(dir); err == nil {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil {
 		t.Fatal("missing segment loaded silently")
 	}
 }
@@ -166,7 +166,7 @@ func TestLoadRejectsMixedGenerationSegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "x.00.jsonl"), body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParallel(dir); err == nil {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil {
 		t.Fatal("mixed-generation segments loaded silently")
 	}
 }
@@ -185,7 +185,7 @@ func TestLoadSkipsOrphanSegmentsNextToFlatFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "x.00.jsonl"), []byte(orphan), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadParallel(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestLoadRejectsOrphanSegmentsWithoutFlatFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "x.00.jsonl"), []byte("{\"_id\":\"a\"}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParallel(dir); err == nil || !strings.Contains(err.Error(), "manifest") {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil || !strings.Contains(err.Error(), "manifest") {
 		t.Fatalf("orphan segments: got %v, want loud manifest error", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestLoadRejectsUnsupportedManifestVersion(t *testing.T) {
 	if err := os.WriteFile(manPath, []byte(strings.Replace(string(body), "\"version\": 1", "\"version\": 99", 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParallel(dir); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future manifest version: got %v, want version error", err)
 	}
 }
@@ -238,7 +238,7 @@ func TestLoadRejectsDocCountMismatch(t *testing.T) {
 	if err := os.WriteFile(manPath, []byte(patched), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParallel(dir); err == nil {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil {
 		t.Fatal("doc-count mismatch loaded silently")
 	}
 }
@@ -282,7 +282,7 @@ func TestLoadRejectsNegativeManifestDocs(t *testing.T) {
 	}
 	writeManifest(t, dir, "c",
 		`{"version":1,"collection":"c","docs":-1,"segments":[{"file":"c.00.jsonl","docs":-1,"bytes":0,"crc32":0}]}`)
-	if _, err := LoadParallel(dir); err == nil {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil {
 		t.Fatal("negative-docs manifest loaded silently")
 	}
 }
@@ -296,7 +296,7 @@ func TestLoadRejectsImpossibleManifestDocCount(t *testing.T) {
 	}
 	writeManifest(t, dir, "c",
 		`{"version":1,"collection":"c","docs":1000000000000,"segments":[{"file":"c.00.jsonl","docs":1000000000000,"bytes":0,"crc32":0}]}`)
-	if _, err := LoadParallel(dir); err == nil || !strings.Contains(err.Error(), "impossible") {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil || !strings.Contains(err.Error(), "impossible") {
 		t.Fatalf("impossible doc count: got %v, want validation error", err)
 	}
 }
@@ -307,7 +307,7 @@ func TestLoadRejectsEscapingSegmentFileName(t *testing.T) {
 	dir := t.TempDir()
 	writeManifest(t, dir, "c",
 		`{"version":1,"collection":"c","docs":0,"segments":[{"file":"../../../etc/passwd","docs":0,"bytes":0,"crc32":0}]}`)
-	if _, err := LoadParallel(dir); err == nil || !strings.Contains(err.Error(), "store directory") {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil || !strings.Contains(err.Error(), "store directory") {
 		t.Fatalf("escaping file name: got %v, want validation error", err)
 	}
 }

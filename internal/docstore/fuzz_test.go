@@ -74,18 +74,18 @@ func FuzzLoadSegmented(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "c.00.jsonl"), segment, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		db, err := LoadParallel(dir)
+		db, err := LoadParallelOpts(dir, LoadOpts{})
 		if err != nil {
 			return
 		}
 		// A load the manifest admits must be deterministic and re-savable:
-		// the round trip through SaveParallel/LoadParallel preserves every
+		// the round trip through SaveParallelOpts/LoadParallelOpts preserves every
 		// document.
 		redir := t.TempDir()
 		if err := db.SaveParallelOpts(redir, SaveOpts{Segments: 2}); err != nil {
 			t.Fatalf("re-save of successfully loaded store: %v", err)
 		}
-		again, err := LoadParallel(redir)
+		again, err := LoadParallelOpts(redir, LoadOpts{})
 		if err != nil {
 			t.Fatalf("re-load of re-saved store: %v", err)
 		}

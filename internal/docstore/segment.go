@@ -173,16 +173,10 @@ func (m *segmentManifest) validate(manPath string) error {
 // segmentBufPool recycles encode/decode buffers across segments and saves.
 var segmentBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// SaveParallel persists every collection into dir as segmented JSON lines
-// using GOMAXPROCS encode workers. See SaveParallelOpts.
-func (db *DB) SaveParallel(dir string) error {
-	return db.SaveParallelOpts(dir, SaveOpts{})
-}
-
 // SaveParallelOpts persists every collection into dir (created if missing)
 // as segment files plus a manifest, encoding segments on a worker pool with
 // pooled buffers. The resulting files are byte-identical for any worker
-// count, and LoadParallel rebuilds a database identical to one that made
+// count, and LoadParallelOpts rebuilds a database identical to one that made
 // the round trip through the flat Save/Load path. Stale flat files and
 // left-over segments from earlier saves are removed after the manifest
 // commits.
@@ -497,12 +491,6 @@ func removeStaleSegments(fsys FS, dir, name string, keep int) {
 func removeSegmentedState(dir, name string) {
 	os.Remove(filepath.Join(dir, name+manifestSuffix))
 	removeStaleSegments(OSFS, dir, name, 0)
-}
-
-// LoadParallel reads a directory saved by either Save or SaveParallel into
-// a fresh database using GOMAXPROCS decode workers. See LoadParallelOpts.
-func LoadParallel(dir string) (*DB, error) {
-	return LoadParallelOpts(dir, LoadOpts{})
 }
 
 // LoadParallelOpts reads every collection in dir — segmented (manifest

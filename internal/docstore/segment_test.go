@@ -15,10 +15,10 @@ import (
 	"repro/internal/scanio"
 )
 
-// The tentpole invariant: SaveParallel/LoadParallel must reconstruct a
+// The tentpole invariant: SaveParallelOpts/LoadParallelOpts must reconstruct a
 // database identical to the flat sequential path — same document order,
 // same index contents — for any worker count, and the bytes on disk must
-// not depend on the worker count. make docstore-race runs these under the
+// not depend on the worker count. make race runs these under the
 // race detector.
 
 // raceWorkerLadder is the worker ladder the equivalence tests sweep; 7 is
@@ -156,7 +156,7 @@ func TestLoadParallelReadsFlatStores(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "clusters.jsonl")); err != nil {
 		t.Fatalf("flat save did not produce clusters.jsonl: %v", err)
 	}
-	loaded, err := LoadParallel(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSaveParallelShrinksSegmentCount(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "clusters.02.jsonl")); !os.IsNotExist(err) {
 		t.Error("stale segment 02 survived the narrower save")
 	}
-	loaded, err := LoadParallel(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +237,10 @@ func TestSegmentedEmptyCollection(t *testing.T) {
 	db := NewDB()
 	db.Collection("empty")
 	dir := t.TempDir()
-	if err := db.SaveParallel(dir); err != nil {
+	if err := db.SaveParallelOpts(dir, SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadParallel(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

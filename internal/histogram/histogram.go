@@ -1,4 +1,8 @@
-package bench
+// Package histogram is the fixed-width histogram shared by the analysis
+// reports (internal/bench) and the serving metrics (internal/obs). It is a
+// leaf — standard library only — so the server does not link the analysis
+// stack to bucket its latencies.
+package histogram
 
 import (
 	"fmt"
@@ -18,18 +22,18 @@ type Histogram struct {
 	Labels []string
 }
 
-// NewHistogram buckets the values into n bins over [0, 1].
-func NewHistogram(values []float64, n int) Histogram {
-	h := NewHistogramOver(0, 1, n)
+// New buckets the values into n bins over [0, 1].
+func New(values []float64, n int) Histogram {
+	h := NewOver(0, 1, n)
 	for _, v := range values {
 		h.Add(v)
 	}
 	return h
 }
 
-// NewHistogramOver returns an empty histogram of n equal-width bins over
-// [lo, hi); fill it with Add.
-func NewHistogramOver(lo, hi float64, n int) Histogram {
+// NewOver returns an empty histogram of n equal-width bins over [lo, hi);
+// fill it with Add.
+func NewOver(lo, hi float64, n int) Histogram {
 	h := Histogram{Bins: make([]int, n), Lo: lo, Width: (hi - lo) / float64(n)}
 	for i := 0; i < n; i++ {
 		h.Labels = append(h.Labels, fmt.Sprintf("[%.2f,%.2f)", lo+float64(i)*h.Width, lo+float64(i+1)*h.Width))
@@ -97,63 +101,4 @@ func (h Histogram) Fprint(w io.Writer, title string) {
 		}
 		fmt.Fprintf(w, "  %s %8d %5.1f%% %s\n", h.Labels[i], b, pct, bar)
 	}
-}
-
-// Mean returns the arithmetic mean of values (0 for empty input).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
-}
-
-// Max returns the maximum of values (0 for empty input).
-func Max(values []float64) float64 {
-	m := 0.0
-	for _, v := range values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of values (0 for empty input).
-func Min(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// FractionBelow returns the fraction of values strictly below x.
-func FractionBelow(values []float64, x float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range values {
-		if v < x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(values))
-}
-
-// FractionAtLeast returns the fraction of values >= x.
-func FractionAtLeast(values []float64, x float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	return 1 - FractionBelow(values, x)
 }

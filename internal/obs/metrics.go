@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/histogram"
 )
 
 // Latency histograms bucket milliseconds over [0, latHiMS) at latBins
@@ -36,7 +36,7 @@ type Metrics struct {
 type routeStats struct {
 	requests int64
 	byCode   map[int]int64
-	lat      bench.Histogram
+	lat      histogram.Histogram
 	sumMS    float64
 	maxMS    float64
 }
@@ -57,7 +57,7 @@ func (m *Metrics) Observe(route string, status int, d time.Duration) {
 	defer m.mu.Unlock()
 	rs, ok := m.routes[route]
 	if !ok {
-		rs = &routeStats{byCode: map[int]int64{}, lat: bench.NewHistogramOver(0, latHiMS, latBins)}
+		rs = &routeStats{byCode: map[int]int64{}, lat: histogram.NewOver(0, latHiMS, latBins)}
 		m.routes[route] = rs
 	}
 	rs.requests++

@@ -9,12 +9,13 @@ import (
 	"repro/internal/testkit"
 )
 
-// The blocking differential oracle: every parallel blocker — multi-pass
-// SNM, trigram banding, and their deduplicated union — pinned to the
-// sequential reference blocking.GenerateSeq over the shared seeded corpus,
-// across the worker ladder, under -race (`make blocking-race`, part of
-// `make conformance` via `make ci`). Compares the full pair set AND the
-// run stats: both are contracts of Generate.
+// The blocking differential oracle: every blocker — multi-pass SNM,
+// trigram banding, and their deduplicated union — drained from the stream
+// by blocking.Generate and pinned to the sequential reference
+// blocking.GenerateSeq over the shared seeded corpus, across the worker
+// ladder, under -race (`make conformance`, and `make race` via `make ci`).
+// Compares the full pair set AND the run stats: both are contracts of
+// Generate.
 
 // blockingResult is what blocking equivalence means: the exact sorted
 // candidate pair set plus every per-pass and bucket counter.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/deltafile"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/plaus"
@@ -19,7 +20,7 @@ import (
 // reflect.DeepEqual on the datasets (clusters, order, hashes, similarity
 // maps, version metadata) and byte equality of every persisted file. The
 // sweep covers changed fractions {0%, 1%, 25%, 100%} at every worker-ladder
-// count; make delta-race runs it under the race detector.
+// count; make conformance runs it under the race detector.
 
 // deltaStride keeps segments small enough that the corpus spans many of
 // them, so dirty-segment reuse is actually exercised rather than collapsing
@@ -65,7 +66,7 @@ func TestConformanceDelta(t *testing.T) {
 
 	for _, fraction := range []float64{0, 0.01, 0.25, 1.0} {
 		fraction := fraction
-		deltaPath, changed, err := testkit.WriteDeltaFile(t.TempDir(), proto, "2097-01-01", fraction, false)
+		deltaPath, changed, err := deltafile.Write(t.TempDir(), proto, "2097-01-01", fraction, false)
 		if err != nil {
 			t.Fatal(err)
 		}

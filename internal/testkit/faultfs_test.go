@@ -90,7 +90,7 @@ func roundTripFingerprints(t *testing.T, db *docstore.DB) map[string]any {
 	if err := db.SaveParallelOpts(dir, saveOpts(nil)); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := docstore.LoadParallel(dir)
+	loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFaultSweepSaveNeverMixesStates(t *testing.T) {
 				if saveErr != nil && !errors.Is(saveErr, testkit.ErrInjected) {
 					t.Fatalf("failAt=%d: save failed with a non-injected error: %v", failAt, saveErr)
 				}
-				loaded, loadErr := docstore.LoadParallel(dir)
+				loaded, loadErr := docstore.LoadParallelOpts(dir, docstore.LoadOpts{})
 				if loadErr != nil {
 					continue // loud failure is an acceptable outcome
 				}
@@ -183,7 +183,7 @@ func TestFaultSweepCrashRecovery(t *testing.T) {
 			t.Fatalf("dropAfter=%d: save reported failure before the crash: %v", dropAfter, err)
 		}
 		ffs.Crash()
-		loaded, err := docstore.LoadParallel(dir)
+		loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{})
 		if err != nil {
 			continue // loud failure is an acceptable outcome
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/deltafile"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/testkit"
@@ -18,7 +19,7 @@ import (
 // core.Pairwise over hetero.Scorer.PairSim with its own DatasetWeights call.
 // Equal means reflect.DeepEqual datasets (every similarity map, singletons'
 // empty ones included) and byte-equal persisted stores, at every worker
-// count; make score-race runs it under the race detector.
+// count; make conformance runs it under the race detector.
 
 var heteroKinds = []struct {
 	kind string
@@ -163,7 +164,7 @@ func TestConformanceHeteroFusedDelta(t *testing.T) {
 		}
 		proto.Publish()
 	}
-	deltaPath, changed, err := testkit.WriteDeltaFile(t.TempDir(), proto, "2097-01-01", 0.25, false)
+	deltaPath, changed, err := deltafile.Write(t.TempDir(), proto, "2097-01-01", 0.25, false)
 	if err != nil || changed < 1 {
 		t.Fatalf("delta file: %d clusters changed, err %v", changed, err)
 	}

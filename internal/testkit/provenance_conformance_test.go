@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/deltafile"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/plaus"
@@ -21,7 +22,7 @@ import (
 // makes the chain meaningful: the record commits to *what* the corpus is,
 // never to *how* it was saved. Both paths must also pass full verification,
 // and the chain must have grown one link per save (extended, not rewritten).
-// make provenance-race runs this under the race detector.
+// make conformance runs this under the race detector.
 
 // provResult is what provenance equivalence means.
 type provResult struct {
@@ -88,7 +89,7 @@ func TestConformanceProvenance(t *testing.T) {
 		contiguous bool
 	}{{0.01, true}, {0.25, false}, {1.0, false}} {
 		fraction, contiguous := tc.fraction, tc.contiguous
-		deltaPath, changed, err := testkit.WriteDeltaFile(t.TempDir(), proto, "2097-01-01", fraction, contiguous)
+		deltaPath, changed, err := deltafile.Write(t.TempDir(), proto, "2097-01-01", fraction, contiguous)
 		if err != nil {
 			t.Fatal(err)
 		}

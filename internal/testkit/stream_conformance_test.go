@@ -9,14 +9,15 @@ import (
 	"repro/internal/testkit"
 )
 
-// The streaming end-to-end oracle: the fused pipeline —
+// The streaming end-to-end oracle: the dedup pipeline —
 // blocking.GenerateStream feeding dedup.EvaluateCandidatesStream through a
-// bounded channel — pinned to the materialized reference (blocking.Generate
-// + EvaluateCandidatesParallel at one worker) over the shared seeded
-// corpus, across the worker ladder, under -race (`make stream-race`, part
-// of `make conformance` via `make ci`). Compares the quality curves of
-// several measures AND the blocking run stats: the streamed path promises
-// bit-identity end to end, not just matching best-F1 summaries.
+// bounded channel — pinned to the independent sequential references
+// (blocking.GenerateSeq + the plain-Matcher dedup.EvaluateCandidates,
+// which share no code with the subject) over the shared seeded corpus,
+// across the worker ladder, under -race (`make conformance`, and `make
+// race` via `make ci`). Compares the quality curves of several measures
+// AND the blocking run stats: the pipeline promises bit-identity end to
+// end, not just matching best-F1 summaries.
 
 // streamResult is what end-to-end equivalence means: every threshold-sweep
 // curve plus the blocking counters.
@@ -51,10 +52,10 @@ func TestConformanceStreamingDedup(t *testing.T) {
 	testkit.Differential[streamResult]{
 		Name: "streaming-dedup/fused-pipeline",
 		Sequential: func(tb testing.TB) streamResult {
-			pairs, stats := blocking.Generate(ds, cfg)
+			pairs, stats := blocking.GenerateSeq(ds, cfg)
 			res := streamResult{Curves: map[dedup.Measure]dedup.Curve{}, Stats: stats}
 			for _, m := range streamMeasures {
-				res.Curves[m] = dedup.EvaluateCandidatesParallel(ds, m, pairs, steps, dedup.ScoreOpts{Workers: 1})
+				res.Curves[m] = dedup.EvaluateCandidates(ds, m, pairs, steps)
 			}
 			return res
 		},
@@ -76,7 +77,7 @@ func TestConformanceStreamingDedup(t *testing.T) {
 		Compare: func(tb testing.TB, want, got streamResult) {
 			for _, m := range streamMeasures {
 				if !reflect.DeepEqual(want.Curves[m], got.Curves[m]) {
-					tb.Fatalf("streamed %s curve diverges from the materialized reference", m)
+					tb.Fatalf("streamed %s curve diverges from the sequential reference", m)
 				}
 			}
 			if !reflect.DeepEqual(want.Stats, got.Stats) {

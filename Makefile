@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race test-short conformance fuzz-smoke cover bench-matching bench-blocking bench-docstore bench-serving bench-delta bench-e2e-check bench-e2e docs
+.PHONY: ci fmt vet build test race test-short conformance fuzz-smoke cover bench-matching bench-blocking bench-docstore bench-delta bench-e2e-check bench-e2e docs
 
 ci: fmt vet build bench-e2e-check race docs fuzz-smoke cover
 
@@ -62,6 +62,7 @@ FUZZ_TARGETS = \
 	FuzzLoadFile:./internal/docstore \
 	FuzzLoadSegmented:./internal/docstore \
 	FuzzDocEncoder:./internal/docstore \
+	FuzzClusterJSON:./internal/core \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \
 	FuzzValueSimShortcuts:./internal/hetero \
@@ -103,11 +104,6 @@ bench-blocking:
 # numbers behind the EXPERIMENTS.md docstore section (BENCH_docstore.json).
 bench-docstore:
 	$(GO) run ./cmd/ncbench -scale small -exp docstore
-
-# Closed-loop serving-load ladder (direct vs cache vs snapshot vs both) —
-# the numbers behind the EXPERIMENTS.md serving section (BENCH_serving.json).
-bench-serving:
-	$(GO) run ./cmd/ncbench -scale small -exp load
 
 # Incremental-application ladder (delta apply + dirty rescoring + dirty
 # segments vs full reimport at 1%/5%/25%/100% changed) — the numbers behind

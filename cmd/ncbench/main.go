@@ -23,16 +23,12 @@ func main() {
 	log.SetPrefix("ncbench: ")
 	var (
 		scaleS = flag.String("scale", "small", "experiment scale: tiny|small|medium|large")
-		exp    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,figure1,figure3,figure4a,figure4b,figure4c,figure5,figure5cmp,ablations,scalesweep,serving,load,ingest,matching,blocking,docstore,delta (serving, load, ingest, matching, blocking, docstore and delta are opt-in, not part of all)")
-		serveN = flag.Int("serve-requests", 2000, "requests replayed by the serving experiment")
-		loadW  = flag.Int("load-workers", 8, "closed-loop workers of the load experiment")
-		loadN  = flag.Int("load-requests", 4000, "timed requests of the load experiment")
+		exp    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,figure1,figure3,figure4a,figure4b,figure4c,figure5,figure5cmp,ablations,scalesweep,ingest,matching,blocking,docstore,delta (ingest, matching, blocking, docstore and delta are opt-in, not part of all)")
 		mjson  = flag.String("matching-json", "BENCH_matching.json", "JSON output path of the matching experiment (empty to skip)")
 		bjson  = flag.String("blocking-json", "BENCH_blocking.json", "JSON output path of the blocking experiment (empty to skip)")
 		djson  = flag.String("docstore-json", "BENCH_docstore.json", "JSON output path of the docstore experiment (empty to skip)")
 		dljson = flag.String("delta-json", "BENCH_delta.json", "JSON output path of the delta experiment (empty to skip)")
 		dlwork = flag.Int("delta-workers", 0, "workers of the delta experiment (0 = GOMAXPROCS)")
-		sjson  = flag.String("serving-json", "BENCH_serving.json", "JSON output path of the load experiment (empty to skip)")
 		top    = flag.Int("top", 100, "clusters per NC1-NC3 customization")
 		seed   = flag.Int64("seed", 1, "workspace seed")
 		mdPath = flag.String("md", "", "also write a markdown report of the run to this file")
@@ -133,16 +129,6 @@ func main() {
 	}
 	if run("scalesweep") {
 		bench.RunScaleSweep(scale.Seed, []int{scale.InitialVoters, scale.InitialVoters * 4}, scale.Years, out)
-	}
-	if wanted["serving"] {
-		runServingLatency(w, *serveN, out)
-		fmt.Fprintln(out)
-	}
-	if wanted["load"] {
-		if err := runServingLoad(w, *loadW, *loadN, *sjson, out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
 	}
 	if wanted["ingest"] {
 		if _, err := bench.RunIngestThroughput(scale, bench.DefaultIngestWorkers(), out); err != nil {

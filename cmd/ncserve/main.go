@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ncserve -db store/ -addr :8080 [-timeout 10s] [-max-inflight 256]
-//	        [-grace 10s] [-store-workers 0] [-cache 1024] [-snapshot]
+//	        [-grace 10s] [-store-workers 0] [-cache 1024]
 //
 // Endpoints (unversioned paths redirect to their /v1 twin — 301 for
 // GET/HEAD, 308 otherwise). Every /v1 response is a {data, meta, error}
@@ -35,9 +35,10 @@
 //	GET /metrics                  per-route counters and latency quantiles
 //	                              (JSON; ?format=prometheus for text)
 //
-// The listener binds before the corpus loads: /v1/livez answers
-// immediately, /v1/healthz flips from 503 to 200 when the first snapshot is
-// published. SIGHUP reloads the database directory and swaps the new
+// The listener binds before the corpus loads (once the -db directory is
+// known to exist): /v1/livez answers immediately, /v1/healthz flips from 503
+// to 200 when the first snapshot is published. SIGHUP reloads the database
+// directory and swaps the new
 // generation in atomically — in-flight requests keep their generation, and
 // a failed reload keeps the old one serving. Reloads decode through a
 // persistent segment cache: segments whose manifest CRC is unchanged since
@@ -53,7 +54,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,25 +70,52 @@ import (
 )
 
 func main() {
+	// The API's request log goes through slog's default logger, which
+	// writes through this one.
 	log.SetFlags(0)
 	log.SetPrefix("ncserve: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs as parameters, so tests can drive
+// the flag handling and a whole serve-until-SIGTERM cycle. It returns the
+// exit code: 0 after a clean drain, 1 when a step failed, 2 for a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	logger := log.New(stderr, "ncserve: ", 0)
+	fs := flag.NewFlagSet("ncserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		db           = flag.String("db", "store", "document-database directory")
-		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
-		timeout      = flag.Duration("timeout", 10*time.Second, "per-request deadline (0 disables)")
-		inflight     = flag.Int("max-inflight", 256, "max concurrently served requests (0 disables shedding)")
-		grace        = flag.Duration("grace", 10*time.Second, "shutdown drain deadline")
-		storeWorkers = flag.Int("store-workers", 0, "document-store load and scan workers (0 = all cores); results are identical at any count")
-		cacheSize    = flag.Int("cache", 1024, "response-cache entries (negative disables)")
-		snapshot     = flag.Bool("snapshot", true, "serve from precomputed read-optimized snapshots (false: compute per request against the store)")
+		db           = fs.String("db", "store", "document-database directory")
+		addr         = fs.String("addr", "127.0.0.1:8080", "listen address")
+		timeout      = fs.Duration("timeout", 10*time.Second, "per-request deadline (0 disables)")
+		inflight     = fs.Int("max-inflight", 256, "max concurrently served requests (0 disables shedding)")
+		grace        = fs.Duration("grace", 10*time.Second, "shutdown drain deadline")
+		storeWorkers = fs.Int("store-workers", 0, "workers of every (re)load: segment decoding, cluster parsing and the serving-snapshot build (0 = all cores); results are identical at any count")
+		cacheSize    = fs.Int("cache", 1024, "response-cache entries (negative disables)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		logger.Print(err)
+		return 1
+	}
+	// A directory that is not there will not appear while the corpus loads:
+	// say so before anything listens, not as a server that is alive and
+	// never ready.
+	if info, err := os.Stat(*db); err != nil {
+		return fail(err)
+	} else if !info.IsDir() {
+		return fail(fmt.Errorf("-db %s: not a directory", *db))
+	}
 
 	api := httpapi.NewDeferred(
 		httpapi.WithTimeout(*timeout),
 		httpapi.WithMaxInflight(*inflight),
 		httpapi.WithStoreWorkers(*storeWorkers),
-		httpapi.WithSnapshotServing(*snapshot),
 		httpapi.WithResponseCache(*cacheSize),
 	)
 
@@ -113,64 +143,65 @@ func main() {
 		var record []byte
 		if rec, raw, perr := provenance.LoadRecord(nil, *db); perr != nil {
 			if raw != nil { // a record exists but does not decode/validate
-				log.Printf("ignoring %s: %v", provenance.RecordPath(*db), perr)
+				logger.Printf("ignoring %s: %v", provenance.RecordPath(*db), perr)
 			}
 		} else if serr := rec.SelfCheck(); serr != nil {
-			log.Printf("ignoring %s: %v", provenance.RecordPath(*db), serr)
+			logger.Printf("ignoring %s: %v", provenance.RecordPath(*db), serr)
 		} else {
 			record = raw
 		}
 		gen := api.PublishWithProvenance(ds, record)
-		log.Printf("generation %d: serving %d clusters / %d records from %s",
+		logger.Printf("generation %d: serving %d clusters / %d records from %s",
 			gen, ds.NumClusters(), ds.NumRecords(), *db)
 		return nil
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-
 	// Bind first, load second: liveness is immediate and readiness is
 	// honest — /v1/healthz answers 503 until the first snapshot lands.
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("listening on http://%s (readiness pending first load)\n", *addr)
-
-	if err := load(); err != nil {
-		log.Fatal(err)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(err)
 	}
+	srv := &http.Server{Handler: api, ReadHeaderTimeout: 5 * time.Second}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	fmt.Fprintf(stdout, "listening on http://%s (readiness pending first load)\n", ln.Addr())
 
+	// Signals are caught from here on, so one that arrives during the first
+	// load drains the server after it instead of killing the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+
+	if err := load(); err != nil {
+		srv.Close()
+		return fail(err)
+	}
 
 	for {
 		select {
 		case err := <-errc:
-			log.Fatal(err)
+			return fail(err)
 		case <-hup:
-			log.Printf("SIGHUP: reloading %s", *db)
+			logger.Printf("SIGHUP: reloading %s", *db)
 			if err := load(); err != nil {
-				log.Printf("reload failed, keeping generation %d: %v", api.Generation(), err)
+				logger.Printf("reload failed, keeping generation %d: %v", api.Generation(), err)
 			}
 		case <-ctx.Done():
 			stop()
-			log.Printf("signal received, draining for up to %s", *grace)
+			logger.Printf("signal received, draining for up to %s", *grace)
 			sctx, cancel := context.WithTimeout(context.Background(), *grace)
 			defer cancel()
 			if err := srv.Shutdown(sctx); err != nil {
-				log.Printf("shutdown: %v", err)
-				os.Exit(1)
+				return fail(fmt.Errorf("shutdown: %w", err))
 			}
 			if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("serve: %v", err)
-				os.Exit(1)
+				return fail(fmt.Errorf("serve: %w", err))
 			}
-			log.Printf("drained cleanly")
-			return
+			logger.Printf("drained cleanly")
+			return 0
 		}
 	}
 }

@@ -60,7 +60,9 @@ func (d *Dataset) ToDocDB() *docstore.DB {
 	return db
 }
 
-// clusterDoc renders one cluster as a nested document.
+// clusterDoc renders one cluster as a nested document. encode.go writes the
+// same layout as JSON text directly; a change here needs its twin there
+// (FuzzClusterJSON fails otherwise).
 func clusterDoc(c *Cluster) docstore.Document {
 	records := make([]any, 0, len(c.Records))
 	hashes := make([]any, 0, len(c.Records))
@@ -108,14 +110,12 @@ func clusterDoc(c *Cluster) docstore.Document {
 			"sims", sims,
 		),
 	)
-	// Cluster-level score summaries let users select score ranges with
-	// plain store queries (the paper's customization workflow, §5): the
-	// minimum plausibility and the mean person heterogeneity.
-	if p, ok := c.ClusterScore(KindPlausibility, AggMin); ok {
+	p, hasP, h, hasH := c.DocScores()
+	if hasP {
 		doc["plausibility"] = p
 	}
-	if h, ok := c.ClusterScore(KindHeteroPerson, AggMean); ok {
-		doc["heterogeneity"] = HeteroFromSim(h)
+	if hasH {
+		doc["heterogeneity"] = h
 	}
 	return doc
 }

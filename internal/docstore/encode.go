@@ -62,7 +62,7 @@ func (e *docEncoder) appendMap(b []byte, m map[string]any) ([]byte, error) {
 		}
 		f := e.fields[i] // nested maps push above end and pop back to it
 		var err error
-		if b, err = appendJSONString(b, f.key); err != nil {
+		if b, err = AppendJSONString(b, f.key); err != nil {
 			return b, err
 		}
 		b = append(b, ':')
@@ -79,7 +79,7 @@ func (e *docEncoder) appendValue(b []byte, v any) ([]byte, error) {
 	case nil:
 		return append(b, "null"...), nil
 	case string:
-		return appendJSONString(b, t)
+		return AppendJSONString(b, t)
 	case map[string]any:
 		return e.appendMap(b, t)
 	case []any:
@@ -100,24 +100,26 @@ func (e *docEncoder) appendValue(b []byte, v any) ([]byte, error) {
 	case int:
 		return strconv.AppendInt(b, int64(t), 10), nil
 	case float64:
-		// json switches to exponents outside [1e-6, 1e21) and rejects
-		// NaN and infinities; both are its business.
-		if abs := math.Abs(t); abs == 0 || 1e-6 <= abs && abs < 1e21 {
-			return strconv.AppendFloat(b, t, 'f', -1, 64), nil
-		}
+		return AppendJSONFloat(b, t)
 	case bool:
 		return strconv.AppendBool(b, t), nil
 	}
-	return appendMarshal(b, v)
+	return AppendJSONMarshal(b, v)
 }
 
-// appendJSONString quotes s. Printable ASCII without the five characters
+// The three primitives below are the whole of the encoder's knowledge of
+// encoding/json's byte layout. They are exported for the one other writer
+// that must produce json.Marshal's bytes without its garbage — core's
+// cluster-document encoder — so that there is a single place where "known
+// identical to encoding/json" is decided.
+
+// AppendJSONString quotes s. Printable ASCII without the five characters
 // json escapes (the quote, the backslash and, for HTML safety, <, > and &)
 // is copied; everything else is json's to encode.
-func appendJSONString(b []byte, s string) ([]byte, error) {
+func AppendJSONString(b []byte, s string) ([]byte, error) {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return appendMarshal(b, s)
+			return AppendJSONMarshal(b, s)
 		}
 	}
 	b = append(b, '"')
@@ -125,7 +127,17 @@ func appendJSONString(b []byte, s string) ([]byte, error) {
 	return append(b, '"'), nil
 }
 
-func appendMarshal(b []byte, v any) ([]byte, error) {
+// AppendJSONFloat renders f as json does. json switches to exponents outside
+// [1e-6, 1e21) and rejects NaN and infinities; both are its business.
+func AppendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if abs := math.Abs(f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64), nil
+	}
+	return AppendJSONMarshal(b, f)
+}
+
+// AppendJSONMarshal is the fallback: json.Marshal's own bytes for v.
+func AppendJSONMarshal(b []byte, v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	return append(b, raw...), err
 }

@@ -1,12 +1,10 @@
 package httpapi
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 
-	"repro/internal/core"
-	"repro/internal/docstore"
+	"repro/internal/serving"
 )
 
 // Pagination bounds for the cluster list.
@@ -16,10 +14,10 @@ const (
 )
 
 // clusterRoutes serves the cluster resource: score-range listing with
-// cursor pagination and per-cluster lookup. Both scan the snapshot's
-// document database through its ordered indexes in either serving mode —
-// the range/cursor space is too large to precompute — so only the list
-// endpoint (whose hot queries repeat) is cacheable.
+// cursor pagination over the snapshot's score tables, and per-cluster
+// lookup, rendered from the dataset per request. The range/cursor space is
+// too large to precompute and the documents are the bulk of the corpus, so
+// only the list endpoint (whose hot queries repeat) is cacheable.
 func (s *Server) clusterRoutes() []route {
 	return []route{
 		{"GET", "/clusters", s.handleClusterQuery, true},
@@ -33,9 +31,14 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ncid := r.PathValue("ncid")
-	doc := snap.DB().Collection(core.ClustersCollection).Get(ncid)
-	if doc == nil {
+	doc, ok, err := snap.ClusterDoc(ncid)
+	if !ok {
 		writeError(w, http.StatusNotFound, "not_found", "unknown cluster "+ncid)
+		return
+	}
+	if err != nil {
+		s.logger.Error("httpapi: cluster document does not render", "ncid", ncid, "err", err)
+		writeError(w, http.StatusInternalServerError, "internal", "response encoding failed")
 		return
 	}
 	s.writeData(w, r, snap, doc, nil)
@@ -48,31 +51,34 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 //	GET /v1/clusters?score=heterogeneity&min=0.4&limit=20&cursor=...
 //	GET /v1/clusters?score=size&min=5
 //
-// Pages materialize at most limit documents; meta.nextCursor resumes the
-// scan.
+// Pages hold at most limit summaries; meta.nextCursor resumes the scan and
+// meta.total counts the whole range.
 func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	snap := s.requireSnapshot(w, r)
 	if snap == nil {
 		return
 	}
 	q := r.URL.Query()
-	score := q.Get("score")
-	switch score {
-	case "":
-		score = "size"
-	case "plausibility", "heterogeneity", "size":
+	var by serving.Score
+	switch score := q.Get("score"); score {
+	case "", "size":
+		by = serving.BySize
+	case "plausibility":
+		by = serving.ByPlausibility
+	case "heterogeneity":
+		by = serving.ByHeterogeneity
 	default:
 		writeError(w, http.StatusBadRequest, "bad_request", "unknown score "+score)
 		return
 	}
-	var lo, hi any
+	var bounds serving.ScoreRange
 	if v := q.Get("min"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "min must be a number")
 			return
 		}
-		lo = f
+		bounds.Min, bounds.HasMin = f, true
 	}
 	if v := q.Get("max"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
@@ -80,7 +86,7 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad_request", "max must be a number")
 			return
 		}
-		hi = f
+		bounds.Max, bounds.HasMax = f, true
 	}
 	limit := defaultPageLimit
 	if v := q.Get("limit"); v != "" {
@@ -98,31 +104,25 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	clusters := snap.DB().Collection(core.ClustersCollection)
-	docs, next, err := clusters.FindRangePage(score, lo, hi, afterID, limit)
-	if errors.Is(err, docstore.ErrBadCursor) {
+	page, next, total, err := snap.ClusterPage(by, bounds, afterID, limit)
+	if err != nil { // serving.ErrBadCursor, the one way a page can fail
 		writeError(w, http.StatusBadRequest, "bad_cursor", "stale or unknown cursor")
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "range scan failed")
 		return
 	}
 
 	// Summaries only: id, size and scores — record bodies via
 	// /v1/clusters/{id} or /v1/records/{id}.
-	items := make([]map[string]any, 0, len(docs))
-	for _, d := range docs {
-		item := map[string]any{"ncid": d["_id"], "size": d["size"]}
-		if p, ok := d["plausibility"]; ok {
-			item["plausibility"] = p
+	items := make([]map[string]any, 0, len(page))
+	for _, e := range page {
+		item := map[string]any{"ncid": e.NCID, "size": e.Size}
+		if e.HasPlaus {
+			item["plausibility"] = e.Plaus
 		}
-		if h, ok := d["heterogeneity"]; ok {
-			item["heterogeneity"] = h
+		if e.HasHetero {
+			item["heterogeneity"] = e.Hetero
 		}
 		items = append(items, item)
 	}
-	total := clusters.CountRange(score, lo, hi)
 	s.writeData(w, r, snap, items, &meta{
 		Total:      &total,
 		NextCursor: encodeCursor(next),

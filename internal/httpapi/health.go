@@ -30,8 +30,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleLivez reports liveness: always 200 while the process serves
 // requests, snapshot or not. meta.generation is 0 before the first swap.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, envelope{
-		Data: map[string]any{"status": "alive"},
-		Meta: meta{Generation: s.source.Generation()},
-	})
+	s.writeEnvelope(w, map[string]any{"status": "alive"}, meta{Generation: s.source.Generation()})
 }

@@ -21,7 +21,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -42,8 +41,7 @@ type Config struct {
 	Timeout      time.Duration // per-request deadline (default 10s; <0 disables)
 	MaxInflight  int           // in-flight request cap (default 256; <0 disables)
 	Logger       *slog.Logger  // request logger (default slog.Default())
-	StoreWorkers int           // workers for store scans and snapshot builds (default/0: all cores)
-	Snapshot     bool          // serve from precomputed snapshots (default on)
+	StoreWorkers int           // workers of the snapshot build (default/0: all cores)
 	CacheSize    int           // response-cache entries (default 1024; <0 disables)
 }
 
@@ -56,19 +54,15 @@ func WithTimeout(d time.Duration) Option { return func(c *Config) { c.Timeout = 
 // WithMaxInflight caps concurrently served requests; n < 0 disables the cap.
 func WithMaxInflight(n int) Option { return func(c *Config) { c.MaxInflight = n } }
 
-// WithLogger sets the structured request logger.
+// WithLogger sets the structured logger of the request log and of the
+// server's own failures (a response that does not encode or write).
 func WithLogger(l *slog.Logger) Option { return func(c *Config) { c.Logger = l } }
 
-// WithStoreWorkers sets the worker count for parallel document-store scans
-// and snapshot precomputes; n <= 0 selects GOMAXPROCS. Responses and built
-// snapshots are identical at any count.
+// WithStoreWorkers sets the worker count of the snapshot build every Publish
+// runs (the pass over the clusters; a process that loads a store first, like
+// ncserve, gives its load the same count); n <= 0 selects GOMAXPROCS.
+// Responses and built snapshots are identical at any count.
 func WithStoreWorkers(n int) Option { return func(c *Config) { c.StoreWorkers = n } }
-
-// WithSnapshotServing selects between the two serving modes: precomputed
-// read-optimized snapshots (true, the default) or per-request computation
-// against the document store (false — the reference mode the snapshot path
-// is pinned byte-identical to).
-func WithSnapshotServing(on bool) Option { return func(c *Config) { c.Snapshot = on } }
 
 // WithResponseCache bounds the LRU response cache to n entries; n < 0
 // disables caching. The default is 1024 entries.
@@ -81,8 +75,8 @@ type Server struct {
 	handler      http.Handler
 	source       *serving.Source
 	cache        *serving.ResponseCache
+	logger       *slog.Logger
 	storeWorkers int
-	snapshotMode bool
 }
 
 // route is one registered endpoint, relative to the /v1 prefix. Resources
@@ -112,7 +106,7 @@ func New(ds *core.Dataset, opts ...Option) *Server {
 // a process bind its listener before the corpus load and expose honest
 // readiness to orchestrators.
 func NewDeferred(opts ...Option) *Server {
-	cfg := Config{Timeout: 10 * time.Second, MaxInflight: 256, Snapshot: true, CacheSize: 1024}
+	cfg := Config{Timeout: 10 * time.Second, MaxInflight: 256, CacheSize: 1024}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -122,12 +116,15 @@ func NewDeferred(opts ...Option) *Server {
 	if cfg.MaxInflight < 0 {
 		cfg.MaxInflight = 0
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
 
 	s := &Server{
 		mux:          http.NewServeMux(),
 		metrics:      obs.NewMetrics(),
+		logger:       cfg.Logger,
 		storeWorkers: cfg.StoreWorkers,
-		snapshotMode: cfg.Snapshot,
 	}
 	s.source = serving.NewSource(s.metrics)
 	if cfg.CacheSize >= 0 {
@@ -154,36 +151,34 @@ func NewDeferred(opts ...Option) *Server {
 	return s
 }
 
-// Publish freezes the dataset into a new serving snapshot — materializing
-// its document database, building the ordered score indexes, and (in
-// snapshot mode) precomputing the read-optimized lookup tables — and swaps
-// it in atomically, returning the new generation. In-flight requests keep
-// serving the previous generation untouched; requests arriving after the
-// swap see only the new one. Publish is safe to call while serving (reload
-// on SIGHUP); the dataset must not be mutated afterwards.
+// Publish freezes the dataset into a new serving snapshot — one pass over
+// its clusters that renders the record views and fills the summary rows and
+// score tables (serving.Build) — and swaps it in atomically, returning the
+// new generation. In-flight requests keep serving the previous generation
+// untouched; requests arriving after the swap see only the new one. Publish
+// is safe to call while serving (reload on SIGHUP); the dataset must not be
+// mutated afterwards: the snapshot renders cluster documents from it.
 func (s *Server) Publish(ds *core.Dataset) uint64 {
 	return s.PublishWithProvenance(ds, nil)
 }
 
 // PublishWithProvenance is Publish carrying the raw provenance record of the
-// store the dataset was loaded from; it is served verbatim on
-// /v1/provenance for this generation. A nil record publishes a generation
-// without provenance (the endpoint answers 404).
+// store the dataset was loaded from; /v1/provenance serves it for this
+// generation, compacted. A nil record publishes a generation without
+// provenance (the endpoint answers 404), and so does one that is not JSON.
 func (s *Server) PublishWithProvenance(ds *core.Dataset, record json.RawMessage) uint64 {
-	db := ds.ToDocDB()
-	clusters := db.Collection(core.ClustersCollection)
-	clusters.CreateOrderedIndex("plausibility")
-	clusters.CreateOrderedIndex("heterogeneity")
-	clusters.CreateOrderedIndex("size")
-	// Store counters (pipeline runs, pushdown hits, documents cloned) land
-	// in the same registry as the request metrics, so GET /metrics covers
-	// the query layer too.
-	db.SetObserver(s.metrics)
-	snap := serving.Build(ds, db, serving.BuildOpts{
-		Workers:    s.storeWorkers,
-		Precompute: s.snapshotMode,
-		Provenance: record,
-	})
+	if record != nil {
+		// Every payload a snapshot holds is spliced into the envelope as it
+		// is, so the record takes the form json gives an embedded message —
+		// compact, HTML-safe — here, once.
+		compact, err := json.Marshal(record)
+		if err != nil {
+			s.logger.Error("httpapi: provenance record is not JSON, serving none", "err", err)
+			compact = nil
+		}
+		record = compact
+	}
+	snap := serving.Build(ds, serving.BuildOpts{Workers: s.storeWorkers, Provenance: record})
 	return s.source.Swap(snap)
 }
 
@@ -272,14 +267,9 @@ func (s *Server) requireSnapshot(w http.ResponseWriter, r *http.Request) *servin
 	return snap
 }
 
-// envelope is the unified success envelope of every /v1 endpoint.
-type envelope struct {
-	Data any  `json:"data"`
-	Meta meta `json:"meta"`
-}
-
-// meta is the response metadata: the snapshot generation on every
-// response, plus the pagination fields on list endpoints.
+// meta is the metadata half of the unified {data, meta} success envelope of
+// every /v1 endpoint: the snapshot generation on every response, plus the
+// pagination fields on list endpoints.
 type meta struct {
 	Generation uint64 `json:"generation"`
 	Total      *int   `json:"total,omitempty"`
@@ -309,7 +299,9 @@ func etagMatches(header, etag string) bool {
 
 // writeData renders the success envelope from one snapshot: generation
 // headers, strong ETag, If-None-Match revalidation (304), then the
-// {data, meta} body. listMeta may be nil for object endpoints.
+// {data, meta} body. listMeta may be nil for object endpoints. A
+// json.RawMessage is a payload some snapshot already rendered; see
+// writeEnvelope.
 func (s *Server) writeData(w http.ResponseWriter, r *http.Request, snap *serving.Snapshot, data any, listMeta *meta) {
 	m := meta{}
 	if listMeta != nil {
@@ -323,7 +315,7 @@ func (s *Server) writeData(w http.ResponseWriter, r *http.Request, snap *serving
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeJSON(w, http.StatusOK, envelope{Data: data, Meta: m})
+	s.writeEnvelope(w, data, m)
 }
 
 // jsonErrorWriter intercepts non-JSON error responses (the ServeMux's own
@@ -367,21 +359,39 @@ func (w *jsonErrorWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// writeJSON buffers the encoding of v so failures surface as a clean 500
-// (instead of a silently truncated 200) and Content-Length is always set.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		slog.Default().Error("httpapi: response encoding failed", "err", err)
+// writeEnvelope writes the 200 response {"data":…,"meta":…} — the bytes
+// json.Encoder writes for that pair. The body is complete before the first
+// byte leaves, so an encoding failure surfaces as a clean 500 (instead of a
+// silently truncated 200) and Content-Length is always set. A
+// json.RawMessage is spliced in as it is: snapshots hold their payloads in
+// the form json embeds a message in (compact, HTML-safe), so having json
+// re-scan and compact one per request would only find that out again.
+func (s *Server) writeEnvelope(w http.ResponseWriter, data any, m meta) {
+	metaJSON, err := json.Marshal(m)
+	payload, rendered := data.(json.RawMessage)
+	if err == nil && !rendered {
+		payload, err = json.Marshal(data)
+	}
+	if err != nil {
+		s.logger.Error("httpapi: response encoding failed", "err", err)
 		obs.WriteError(w, http.StatusInternalServerError, "internal", "response encoding failed")
 		return
 	}
+	if len(payload) == 0 {
+		payload = json.RawMessage("null")
+	}
+	body := make([]byte, 0, len(`{"data":,"meta":}`)+len(payload)+len(metaJSON)+1)
+	body = append(body, `{"data":`...)
+	body = append(body, payload...)
+	body = append(body, `,"meta":`...)
+	body = append(body, metaJSON...)
+	body = append(body, "}\n"...)
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
 		// Headers are gone; the client likely went away. Log and move on.
-		slog.Default().Error("httpapi: response write failed", "err", err)
+		s.logger.Error("httpapi: response write failed", "err", err)
 	}
 }
 

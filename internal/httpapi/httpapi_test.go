@@ -1,11 +1,14 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plaus"
 	"repro/internal/synth"
+	"repro/internal/testkit"
 )
 
 func testDataset(t *testing.T) *core.Dataset {
@@ -141,35 +145,64 @@ func TestClusterLookup(t *testing.T) {
 
 func TestRecordsEndpoint(t *testing.T) {
 	ds := testDataset(t)
-	for _, mode := range []bool{true, false} {
-		srv := httptest.NewServer(New(ds, WithLogger(testLogger()), WithSnapshotServing(mode)))
-		var list []map[string]any
-		if code, _ := getData(t, srv.URL+"/v1/clusters?limit=1", &list); code != 200 || len(list) == 0 {
-			t.Fatalf("snapshot=%v: no clusters to look up", mode)
-		}
-		ncid := list[0]["ncid"].(string)
-		var view map[string]any
+	srv := httptest.NewServer(New(ds, WithLogger(testLogger())))
+	defer srv.Close()
+	oracle := testkit.NewServingOracle(ds.ToDocDB())
+	for _, ncid := range ds.NCIDs() {
+		var view json.RawMessage
 		code, m := getData(t, srv.URL+"/v1/records/"+ncid, &view)
-		if code != 200 {
-			t.Fatalf("snapshot=%v: record lookup = %d", mode, code)
+		if code != 200 || m.Generation == 0 {
+			t.Fatalf("%s: record lookup = %d, generation %d", ncid, code, m.Generation)
 		}
-		if m.Generation == 0 {
-			t.Errorf("snapshot=%v: record view misses generation", mode)
+		// The served view is the projection of the cluster document that
+		// encoding/json renders — byte for byte.
+		doc := oracle.RecordView(ncid)
+		want, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if view["ncid"] != ncid {
-			t.Errorf("snapshot=%v: view ncid = %v", mode, view["ncid"])
+		if string(view) != string(want) {
+			t.Fatalf("%s: served view diverged from the document projection:\n got %s\nwant %s", ncid, view, want)
 		}
-		if _, ok := view["records"]; !ok {
-			t.Errorf("snapshot=%v: record view misses records", mode)
+		if doc["ncid"] != ncid || doc["records"] == nil {
+			t.Fatalf("%s: view misses its id or records: %v", ncid, doc)
 		}
-		if _, ok := view["meta"]; ok {
-			t.Errorf("snapshot=%v: record view leaks the meta block", mode)
+		if _, ok := doc["meta"]; ok {
+			t.Fatalf("%s: record view leaks the meta block", ncid)
 		}
-		var env obs.ErrorEnvelope
-		if code := getJSON(t, srv.URL+"/v1/records/NOPE", &env); code != 404 || env.Error.Code != "not_found" {
-			t.Errorf("snapshot=%v: missing ncid: code %d, %+v", mode, code, env)
-		}
-		srv.Close()
+	}
+	var env obs.ErrorEnvelope
+	if code := getJSON(t, srv.URL+"/v1/records/NOPE", &env); code != 404 || env.Error.Code != "not_found" {
+		t.Errorf("missing ncid: code %d, %+v", code, env)
+	}
+}
+
+// TestProvenanceEndpoint: the record is served in the form json embeds a
+// message in — compact, HTML-safe — whatever its layout on disk, and a
+// record that is not JSON is refused at Publish, in the configured log.
+func TestProvenanceEndpoint(t *testing.T) {
+	var logged bytes.Buffer
+	api := NewDeferred(WithLogger(slog.New(slog.NewTextHandler(&logged, nil))))
+	ds := testDataset(t)
+	record := []byte("{\n  \"generator\": \"a<b>&c\",\n  \"chain\": [ 1, 2 ]\n}\n")
+	api.PublishWithProvenance(ds, record)
+	rec := httptest.NewRecorder()
+	api.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/provenance", nil))
+	want := `{"data":{"generator":"a\u003cb\u003e\u0026c","chain":[1,2]},"meta":{"generation":1}}` + "\n"
+	if rec.Code != 200 || rec.Body.String() != want {
+		t.Fatalf("provenance: status %d, body %q, want %q", rec.Code, rec.Body.String(), want)
+	}
+
+	logged.Reset()
+	api.PublishWithProvenance(ds, []byte(`{"truncated":`))
+	rec = httptest.NewRecorder()
+	api.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/provenance", nil))
+	var env obs.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != 404 || env.Error.Code != "no_provenance" {
+		t.Fatalf("broken record: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(logged.String(), "provenance record is not JSON") {
+		t.Errorf("broken record was dropped without a word: %q", logged.String())
 	}
 }
 
@@ -538,15 +571,70 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestWriteJSONReportsEncodeFailure(t *testing.T) {
+// failingWriter is a client that went away after the headers.
+type failingWriter struct{ http.ResponseWriter }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestEnvelopeFailuresReachTheConfiguredLogger: a payload that does not
+// encode is a clean 500, a body that does not write is dropped, and both are
+// reported through the logger the server was given, not the process default.
+func TestEnvelopeFailuresReachTheConfiguredLogger(t *testing.T) {
+	var logged bytes.Buffer
+	s := NewDeferred(WithLogger(slog.New(slog.NewTextHandler(&logged, nil))))
+
 	rec := httptest.NewRecorder()
-	writeJSON(rec, 200, map[string]any{"bad": func() {}}) // funcs cannot encode
+	s.writeEnvelope(rec, map[string]any{"bad": func() {}}, meta{}) // funcs cannot encode
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	var env obs.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "internal" {
 		t.Fatalf("body = %q", rec.Body.String())
+	}
+	if !strings.Contains(logged.String(), "response encoding failed") {
+		t.Errorf("encode failure not in the configured log: %q", logged.String())
+	}
+
+	logged.Reset()
+	s.writeEnvelope(failingWriter{httptest.NewRecorder()}, json.RawMessage(`{}`), meta{Generation: 3})
+	if !strings.Contains(logged.String(), "response write failed") || !strings.Contains(logged.String(), "connection reset") {
+		t.Errorf("write failure not in the configured log: %q", logged.String())
+	}
+}
+
+// TestEnvelopeSplice pins the spliced body to json.Encoder's rendering of
+// the same pair, for a rendered payload, a value and an empty message.
+func TestEnvelopeSplice(t *testing.T) {
+	s := NewDeferred(WithLogger(testLogger()))
+	total := 7
+	type envelope struct {
+		Data any  `json:"data"`
+		Meta meta `json:"meta"`
+	}
+	for _, tc := range []struct {
+		data any
+		m    meta
+	}{
+		{json.RawMessage(`{"a":[1,2,{"b":"\u003c"}]}`), meta{Generation: 1}},
+		{json.RawMessage(`[{"x":1}]`), meta{Generation: 12, Total: &total, NextCursor: "djE6QUIxMjM"}},
+		{map[string]any{"z": 1, "a": "<&>"}, meta{Generation: 2}},
+		{[]map[string]any{}, meta{Generation: 2, Total: new(int)}},
+		{json.RawMessage(nil), meta{}},
+		{nil, meta{Generation: 9}},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(envelope{tc.data, tc.m}); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.writeEnvelope(rec, tc.data, tc.m)
+		if rec.Code != 200 || rec.Body.String() != want.String() {
+			t.Errorf("data %v: status %d, body %q, json.Encoder writes %q", tc.data, rec.Code, rec.Body.String(), want.String())
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(want.Len()) {
+			t.Errorf("data %v: Content-Length %s, body has %d bytes", tc.data, cl, want.Len())
+		}
 	}
 }
 

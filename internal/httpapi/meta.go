@@ -1,14 +1,10 @@
 package httpapi
 
-import (
-	"net/http"
-
-	"repro/internal/serving"
-)
+import "net/http"
 
 // metaRoutes serves the dataset-level resources: statistics, import
-// history, cluster-size histogram and published versions. All four are
-// pure functions of the snapshot, so they are cacheable.
+// history, cluster-size histogram and published versions. All four were
+// rendered when the snapshot was built, and are cacheable.
 func (s *Server) metaRoutes() []route {
 	return []route{
 		{"GET", "/stats", s.handleStats, true},
@@ -23,11 +19,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	if snap.Precomputed() {
-		s.writeData(w, r, snap, snap.Stats(), nil)
-		return
-	}
-	s.writeData(w, r, snap, serving.StatsPayload(snap.Dataset()), nil)
+	s.writeData(w, r, snap, snap.Stats(), nil)
 }
 
 func (s *Server) handleYears(w http.ResponseWriter, r *http.Request) {
@@ -35,14 +27,8 @@ func (s *Server) handleYears(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	if snap.Precomputed() {
-		raw, total := snap.Years()
-		s.writeData(w, r, snap, raw, &meta{Total: &total})
-		return
-	}
-	years := snap.Dataset().YearlyStats()
-	total := len(years)
-	s.writeData(w, r, snap, years, &meta{Total: &total})
+	raw, total := snap.Years()
+	s.writeData(w, r, snap, raw, &meta{Total: &total})
 }
 
 func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
@@ -50,11 +36,7 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	if snap.Precomputed() {
-		s.writeData(w, r, snap, snap.Histogram(), nil)
-		return
-	}
-	s.writeData(w, r, snap, serving.HistogramPayload(snap.Dataset()), nil)
+	s.writeData(w, r, snap, snap.Histogram(), nil)
 }
 
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
@@ -62,12 +44,6 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	if snap.Precomputed() {
-		raw, total := snap.Versions()
-		s.writeData(w, r, snap, raw, &meta{Total: &total})
-		return
-	}
-	versions := snap.Dataset().Versions()
-	total := len(versions)
-	s.writeData(w, r, snap, versions, &meta{Total: &total})
+	raw, total := snap.Versions()
+	s.writeData(w, r, snap, raw, &meta{Total: &total})
 }

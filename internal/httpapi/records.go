@@ -1,16 +1,11 @@
 package httpapi
 
-import (
-	"net/http"
-
-	"repro/internal/core"
-	"repro/internal/serving"
-)
+import "net/http"
 
 // recordRoutes serves the census-style point lookup: one person (NCID) →
 // their record versions plus cluster-level scores. This is the endpoint the
 // consulta-censo pattern optimizes for — very high QPS, tiny responses —
-// so it is cacheable and, in snapshot mode, a single map probe.
+// so it is cacheable and a single map probe.
 func (s *Server) recordRoutes() []route {
 	return []route{
 		{"GET", "/records/{ncid}", s.handleRecord, true},
@@ -18,28 +13,18 @@ func (s *Server) recordRoutes() []route {
 }
 
 // handleRecord answers GET /v1/records/{ncid}: the record view of one
-// person. In snapshot mode the payload was marshaled at build time and the
-// lookup is O(1); in store mode the cluster document is fetched and
-// projected per request. Both produce byte-identical envelopes.
+// person. The payload was rendered when the snapshot was built; the lookup
+// is O(1).
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	snap := s.requireSnapshot(w, r)
 	if snap == nil {
 		return
 	}
 	ncid := r.PathValue("ncid")
-	if snap.Precomputed() {
-		raw, ok := snap.RecordView(ncid)
-		if !ok {
-			writeError(w, http.StatusNotFound, "not_found", "unknown ncid "+ncid)
-			return
-		}
-		s.writeData(w, r, snap, raw, nil)
-		return
-	}
-	doc := snap.DB().Collection(core.ClustersCollection).Get(ncid)
-	if doc == nil {
+	raw, ok := snap.RecordView(ncid)
+	if !ok {
 		writeError(w, http.StatusNotFound, "not_found", "unknown ncid "+ncid)
 		return
 	}
-	s.writeData(w, r, snap, serving.RecordViewPayload(doc), nil)
+	s.writeData(w, r, snap, raw, nil)
 }

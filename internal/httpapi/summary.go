@@ -3,10 +3,7 @@ package httpapi
 import (
 	"net/http"
 	"strconv"
-	"sync"
 
-	"repro/internal/core"
-	"repro/internal/docstore"
 	"repro/internal/serving"
 )
 
@@ -25,14 +22,9 @@ func (s *Server) summaryRoutes() []route {
 //	GET /v1/clusters/summary
 //	GET /v1/clusters/summary?minSize=2&maxSize=10
 //
-// In snapshot mode the unfiltered payload was marshaled at build time and a
+// The unfiltered payload was marshaled when the snapshot was built; a
 // size-filtered request folds a binary-searched slice of the snapshot's
-// size-sorted summary table — no document visits either way. In store mode
-// the unfiltered form runs a parallel scan on the server's store-worker
-// pool and the filtered form runs a streaming Pipeline whose Match pushes
-// down to the ordered size index. All accumulators are counts, extremes and
-// integer histogram bins (serving.SummaryAccumulator), so every path yields
-// the identical payload.
+// size table — no cluster visits either way.
 func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
 	snap := s.requireSnapshot(w, r)
 	if snap == nil {
@@ -57,42 +49,5 @@ func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
 		*bound.has = true
 	}
 
-	if snap.Precomputed() {
-		s.writeData(w, r, snap, snap.Summary(bounds), nil)
-		return
-	}
-
-	var (
-		mu  sync.Mutex
-		acc serving.SummaryAccumulator
-	)
-	fold := func(d docstore.Document) {
-		var size int64
-		if v, ok := d["size"].(float64); ok {
-			size = int64(v)
-		} else if v, ok := d["size"].(int); ok {
-			size = int64(v)
-		}
-		p, hasP := d["plausibility"].(float64)
-		h, hasH := d["heterogeneity"].(float64)
-		mu.Lock()
-		acc.Add(size, p, hasP, h, hasH)
-		mu.Unlock()
-	}
-	col := snap.DB().Collection(core.ClustersCollection)
-	if bounds.Unbounded() {
-		col.ForEachParallel(s.storeWorkers, fold)
-	} else {
-		var sizeFilters []docstore.Filter
-		if bounds.HasMin {
-			sizeFilters = append(sizeFilters, docstore.Gte("size", float64(bounds.Min)))
-		}
-		if bounds.HasMax {
-			sizeFilters = append(sizeFilters, docstore.Lte("size", float64(bounds.Max)))
-		}
-		for _, d := range col.Pipeline(docstore.Match{Filter: docstore.And(sizeFilters...)}) {
-			fold(d)
-		}
-	}
-	s.writeData(w, r, snap, acc.Payload(), nil)
+	s.writeData(w, r, snap, snap.Summary(bounds), nil)
 }

@@ -1,36 +1,30 @@
 package httpapi
 
 import (
-	"io"
-	"net/http"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
+
+	"repro/internal/serving"
+	"repro/internal/testkit"
 )
 
 func TestClusterSummary(t *testing.T) {
 	ds := testDataset(t)
 
-	// The aggregation must not depend on the serving mode or on the worker
-	// count of either the store scan or the snapshot build.
-	var ref map[string]any
-	for _, snapshot := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 7} {
-			srv := httptest.NewServer(New(ds, WithLogger(testLogger()),
-				WithStoreWorkers(workers), WithSnapshotServing(snapshot)))
-			var got map[string]any
-			if code, _ := getData(t, srv.URL+"/v1/clusters/summary", &got); code != 200 {
-				t.Fatalf("snapshot=%v workers=%d: summary code = %d", snapshot, workers, code)
-			}
-			srv.Close()
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("snapshot=%v workers=%d: summary diverged:\n%v\nvs\n%v", snapshot, workers, got, ref)
-			}
+	// The aggregation is the fold of a scan over the corpus's documents,
+	// whatever the worker count of the snapshot build.
+	ref := viaJSON(t, testkit.NewServingOracle(ds.ToDocDB()).Summary(serving.SizeBounds{}))
+	for _, workers := range []int{1, 2, 7} {
+		srv := httptest.NewServer(New(ds, WithLogger(testLogger()), WithStoreWorkers(workers)))
+		var got map[string]any
+		if code, _ := getData(t, srv.URL+"/v1/clusters/summary", &got); code != 200 {
+			t.Fatalf("workers=%d: summary code = %d", workers, code)
+		}
+		srv.Close()
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d: summary diverged from the document scan:\n%v\nvs\n%v", workers, got, ref)
 		}
 	}
 
@@ -59,6 +53,20 @@ func TestClusterSummary(t *testing.T) {
 	}
 }
 
+// viaJSON passes a payload through encoding/json, as a client sees it.
+func viaJSON(t *testing.T, payload map[string]any) map[string]any {
+	t.Helper()
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSummaryDoesNotShadowClusterLookup(t *testing.T) {
 	// "/clusters/summary" is more specific than "/clusters/{ncid}"; both
 	// must keep working side by side.
@@ -84,55 +92,31 @@ func TestSummaryDoesNotShadowClusterLookup(t *testing.T) {
 
 func TestSummarySizeFilter(t *testing.T) {
 	ds := testDataset(t)
-	for _, snapshot := range []bool{false, true} {
-		srv := httptest.NewServer(New(ds, WithLogger(testLogger()), WithSnapshotServing(snapshot)))
-		var all, filtered map[string]any
-		getData(t, srv.URL+"/v1/clusters/summary", &all)
-		if code, _ := getData(t, srv.URL+"/v1/clusters/summary?minSize=2", &filtered); code != 200 {
-			t.Fatalf("snapshot=%v: filtered summary code = %d", snapshot, code)
-		}
-		allN, _ := all["clusters"].(float64)
-		fN, _ := filtered["clusters"].(float64)
-		if fN <= 0 || fN > allN {
-			t.Fatalf("snapshot=%v: filtered clusters = %v, all = %v", snapshot, fN, allN)
-		}
-		if size, ok := filtered["size"].(map[string]any); ok {
-			if lo, _ := size["min"].(float64); lo < 2 {
-				t.Errorf("snapshot=%v: minSize=2 returned a cluster of size %v", snapshot, lo)
-			}
-		}
-		var bad map[string]any
-		if code, _ := getData(t, srv.URL+"/v1/clusters/summary?minSize=two", &bad); code != 400 {
-			t.Errorf("snapshot=%v: malformed minSize code = %d, want 400", snapshot, code)
-		}
-		srv.Close()
-	}
-}
-
-func TestDocstoreCountersReachMetrics(t *testing.T) {
-	// In store-backed mode the size-filtered summary runs a Pipeline whose
-	// Match pushes down to the ordered size index; the resulting docstore
-	// counters must land in the server's metrics registry via the DB
-	// observer wiring. (Snapshot mode never touches the store on this path —
-	// that is the point of the snapshot.)
-	srv := httptest.NewServer(New(testDataset(t), WithLogger(testLogger()), WithSnapshotServing(false)))
+	srv := httptest.NewServer(New(ds, WithLogger(testLogger())))
 	defer srv.Close()
-	var sum map[string]any
-	getData(t, srv.URL+"/v1/clusters/summary?minSize=1", &sum)
-
-	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
+	var all, filtered map[string]any
+	getData(t, srv.URL+"/v1/clusters/summary", &all)
+	if code, _ := getData(t, srv.URL+"/v1/clusters/summary?minSize=2", &filtered); code != 200 {
+		t.Fatalf("filtered summary code = %d", code)
 	}
-	defer resp.Body.Close()
-	text, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{
-		`docstore_pipeline_total{counter="pipeline_runs"} 1`,
-		`docstore_pipeline_total{counter="pushdown_hits"} 1`,
-		`docstore_pipeline_total{counter="docs_cloned"}`,
-	} {
-		if !strings.Contains(string(text), want) {
-			t.Errorf("prometheus output misses %q:\n%s", want, text)
+	// The filtered fold is what a Pipeline over the documents yields with
+	// its Match pushed down to the size index.
+	want := viaJSON(t, testkit.NewServingOracle(ds.ToDocDB()).Summary(serving.SizeBounds{Min: 2, HasMin: true}))
+	if !reflect.DeepEqual(filtered, want) {
+		t.Errorf("filtered summary diverged from the document pipeline:\n%v\nvs\n%v", filtered, want)
+	}
+	allN, _ := all["clusters"].(float64)
+	fN, _ := filtered["clusters"].(float64)
+	if fN <= 0 || fN > allN {
+		t.Fatalf("filtered clusters = %v, all = %v", fN, allN)
+	}
+	if size, ok := filtered["size"].(map[string]any); ok {
+		if lo, _ := size["min"].(float64); lo < 2 {
+			t.Errorf("minSize=2 returned a cluster of size %v", lo)
 		}
+	}
+	var bad map[string]any
+	if code, _ := getData(t, srv.URL+"/v1/clusters/summary?minSize=two", &bad); code != 400 {
+		t.Errorf("malformed minSize code = %d, want 400", code)
 	}
 }

@@ -3,8 +3,10 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -55,15 +57,14 @@ func TestSourceLifecycle(t *testing.T) {
 		t.Fatal("fresh source is not empty")
 	}
 	ds := testDataset(t)
-	db := ds.ToDocDB()
-	s1 := Build(ds, db, BuildOpts{Precompute: true})
+	s1 := Build(ds, BuildOpts{})
 	if gen := src.Swap(s1); gen != 1 || s1.Generation() != 1 {
 		t.Fatalf("first swap: gen %d, stamped %d", gen, s1.Generation())
 	}
 	if src.Current() != s1 || src.Generation() != 1 {
 		t.Fatal("current snapshot not published")
 	}
-	s2 := Build(ds, db, BuildOpts{Precompute: false})
+	s2 := Build(ds, BuildOpts{})
 	if gen := src.Swap(s2); gen != 2 {
 		t.Fatalf("second swap: gen %d", gen)
 	}
@@ -77,10 +78,9 @@ func TestSourceLifecycle(t *testing.T) {
 
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	ds := testDataset(t)
-	db := ds.ToDocDB()
-	ref := Build(ds, db, BuildOpts{Workers: 1, Precompute: true})
-	for _, workers := range []int{2, 3, 7, 0} {
-		got := Build(ds, db, BuildOpts{Workers: workers, Precompute: true})
+	ref := Build(ds, BuildOpts{Workers: 1})
+	for _, workers := range []int{2, 3, 4, 7, 0} {
+		got := Build(ds, BuildOpts{Workers: workers})
 		if !bytes.Equal(got.Stats(), ref.Stats()) {
 			t.Errorf("workers=%d: stats diverged", workers)
 		}
@@ -88,8 +88,8 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(gotSum.(json.RawMessage), refSum.(json.RawMessage)) {
 			t.Errorf("workers=%d: summary diverged", workers)
 		}
-		if got.NumRecordViews() != ref.NumRecordViews() {
-			t.Fatalf("workers=%d: %d record views, want %d", workers, got.NumRecordViews(), ref.NumRecordViews())
+		if len(got.views) != len(ref.views) {
+			t.Fatalf("workers=%d: %d record views, want %d", workers, len(got.views), len(ref.views))
 		}
 		for _, ncid := range ds.NCIDs() {
 			g, _ := got.RecordView(ncid)
@@ -98,17 +98,20 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: record view %s diverged", workers, ncid)
 			}
 		}
-		if !reflect.DeepEqual(got.summaries, ref.summaries) {
-			t.Errorf("workers=%d: summary table diverged", workers)
+		if !reflect.DeepEqual(got.rows, ref.rows) {
+			t.Errorf("workers=%d: summary rows diverged", workers)
+		}
+		if !reflect.DeepEqual(got.tables, ref.tables) {
+			t.Errorf("workers=%d: score tables diverged", workers)
 		}
 	}
 }
 
 func TestSnapshotRecordView(t *testing.T) {
 	ds := testDataset(t)
-	snap := Build(ds, ds.ToDocDB(), BuildOpts{Precompute: true})
-	if snap.NumRecordViews() != ds.NumClusters() {
-		t.Fatalf("record views = %d, clusters = %d", snap.NumRecordViews(), ds.NumClusters())
+	snap := Build(ds, BuildOpts{})
+	if len(snap.views) != ds.NumClusters() {
+		t.Fatalf("record views = %d, clusters = %d", len(snap.views), ds.NumClusters())
 	}
 	ncid := ds.NCIDs()[0]
 	raw, ok := snap.RecordView(ncid)
@@ -135,10 +138,10 @@ func TestSnapshotRecordView(t *testing.T) {
 
 func TestSummaryBoundsMatchFullFold(t *testing.T) {
 	ds := testDataset(t)
-	snap := Build(ds, ds.ToDocDB(), BuildOpts{Precompute: true})
+	snap := Build(ds, BuildOpts{})
 
-	// The filtered fold over the size-sorted table must agree with a naive
-	// filter over the same entries.
+	// The filtered fold over the size table must agree with a naive filter
+	// over the same rows.
 	for _, tc := range []SizeBounds{
 		{},
 		{Min: 2, HasMin: true},
@@ -148,7 +151,7 @@ func TestSummaryBoundsMatchFullFold(t *testing.T) {
 		{Min: 5, Max: 2, HasMin: true, HasMax: true}, // inverted → empty
 	} {
 		var naive SummaryAccumulator
-		for _, e := range snap.summaries {
+		for _, e := range snap.rows {
 			if tc.HasMin && e.Size < tc.Min {
 				continue
 			}
@@ -236,5 +239,105 @@ func TestSummaryAccumulatorOrderIndependent(t *testing.T) {
 	}
 	if _, ok := p["size"]; ok {
 		t.Error("empty payload renders a size block")
+	}
+}
+
+// naiveRange lists the rows that have the score and lie in the range, by a
+// stable sort of the first-seen order — the definition ClusterPage's tables
+// and binary searches implement.
+func naiveRange(rows []ClusterSummary, by Score, r ScoreRange) []ClusterSummary {
+	var out []ClusterSummary
+	for _, e := range rows {
+		v, ok := e.score(by)
+		if !ok || r.HasMin && v < r.Min || r.HasMax && v > r.Max {
+			continue
+		}
+		out = append(out, e)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		vi, _ := out[i].score(by)
+		vj, _ := out[j].score(by)
+		return vi < vj
+	})
+	return out
+}
+
+func TestClusterPageWalksEveryRange(t *testing.T) {
+	ds := testDataset(t)
+	snap := Build(ds, BuildOpts{})
+	var unscored string
+	for _, e := range snap.rows {
+		if !e.HasPlaus {
+			unscored = e.NCID
+		}
+	}
+	if unscored == "" {
+		t.Fatal("corpus has no cluster lacking a score")
+	}
+	for _, by := range []Score{BySize, ByPlausibility, ByHeterogeneity} {
+		for _, r := range []ScoreRange{
+			{},
+			{Min: 2, HasMin: true},
+			{Max: 0.9, HasMax: true},
+			{Min: 0.1, Max: 3, HasMin: true, HasMax: true},
+			{Min: 5, Max: 2, HasMin: true, HasMax: true}, // inverted → empty
+		} {
+			want := naiveRange(snap.rows, by, r)
+			for _, limit := range []int{1, 4, 1000} {
+				var walked []ClusterSummary
+				for afterID, pages := "", 0; ; pages++ {
+					if pages > len(want) {
+						t.Fatalf("score %d range %+v limit %d: pagination does not terminate", by, r, limit)
+					}
+					page, next, total, err := snap.ClusterPage(by, r, afterID, limit)
+					if err != nil {
+						t.Fatalf("score %d range %+v after %q: %v", by, r, afterID, err)
+					}
+					if total != len(want) || len(page) > limit {
+						t.Fatalf("score %d range %+v: total %d (want %d), page of %d at limit %d",
+							by, r, total, len(want), len(page), limit)
+					}
+					walked = append(walked, page...)
+					if afterID = next; next == "" {
+						break
+					}
+				}
+				if !reflect.DeepEqual(walked, want) {
+					t.Fatalf("score %d range %+v limit %d: walked %d rows, want %d in another order or set",
+						by, r, limit, len(walked), len(want))
+				}
+			}
+		}
+	}
+	if _, _, total, _ := snap.ClusterPage(BySize, ScoreRange{}, "", 0); total != ds.NumClusters() {
+		t.Errorf("limit 0 total = %d, want %d", total, ds.NumClusters())
+	}
+	for _, tc := range []struct {
+		by Score
+		id string
+	}{{BySize, "NOPE"}, {ByPlausibility, unscored}} {
+		if _, _, _, err := snap.ClusterPage(tc.by, ScoreRange{}, tc.id, 5); !errors.Is(err, ErrBadCursor) {
+			t.Errorf("cursor %q on score %d: err = %v, want ErrBadCursor", tc.id, tc.by, err)
+		}
+	}
+}
+
+func TestClusterDoc(t *testing.T) {
+	ds := testDataset(t)
+	snap := Build(ds, BuildOpts{})
+	ncid := ds.NCIDs()[0]
+	raw, ok, err := snap.ClusterDoc(ncid)
+	if !ok || err != nil {
+		t.Fatalf("cluster doc %s: ok=%v err=%v", ncid, ok, err)
+	}
+	want, err := json.Marshal(ds.ToDocDB().Collection(core.ClustersCollection).Get(ncid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Errorf("cluster doc diverged from the marshaled document:\n got %s\nwant %s", raw, want)
+	}
+	if _, ok, _ := snap.ClusterDoc("NOPE"); ok {
+		t.Error("unknown ncid resolved")
 	}
 }

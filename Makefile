@@ -1,13 +1,12 @@
 # Development targets. `make ci` is the gate: gofmt + vet + build + the
 # end-to-end benchmark's own vet and tests + race-enabled tests over every
 # package (the conformance harness included), the docs-link check, the fuzz
-# smoke pass and the coverage floors. The bench-* targets record the
-# checked-in BENCH_*.json files and run only when asked for.
+# smoke pass and the coverage floors.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race test-short conformance fuzz-smoke cover bench-matching bench-blocking bench-docstore bench-delta bench-e2e-check bench-e2e docs
+.PHONY: ci fmt vet build test race test-short conformance fuzz-smoke cover loc bench-e2e-check bench-e2e docs
 
 ci: fmt vet build bench-e2e-check race docs fuzz-smoke cover
 
@@ -88,28 +87,12 @@ cover:
 		else echo "FAIL $$pkg $$pct% under floor $$floor%"; fail=1; fi; \
 	done < coverage_floors.txt; exit $$fail
 
-# Matching-throughput ladder (pairs/sec per measure, legacy vs engine) —
-# the numbers behind the EXPERIMENTS.md matching section.
-bench-matching:
-	$(GO) run ./cmd/ncbench -scale small -exp matching
-
-# Candidate-generation ladder (SNM pass counts, trigram banding, union):
-# pairs considered, reduction, recall of injected duplicates and the
-# parallel worker ladder — the numbers behind the EXPERIMENTS.md blocking
-# section (BENCH_blocking.json).
-bench-blocking:
-	$(GO) run ./cmd/ncbench -scale small -exp blocking
-
-# Segmented save/load ladder plus the pipeline pushdown comparison — the
-# numbers behind the EXPERIMENTS.md docstore section (BENCH_docstore.json).
-bench-docstore:
-	$(GO) run ./cmd/ncbench -scale small -exp docstore
-
-# Incremental-application ladder (delta apply + dirty rescoring + dirty
-# segments vs full reimport at 1%/5%/25%/100% changed) — the numbers behind
-# the EXPERIMENTS.md delta section (BENCH_delta.json).
-bench-delta:
-	$(GO) run ./cmd/ncbench -scale small -exp delta
+# The number ROADMAP.md's line bar is written in: non-test Go lines under
+# internal + cmd, per package and in total.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # Fail when the README links to a docs/ file that does not exist.
 docs:

@@ -9,31 +9,42 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ncbench: ")
+// experiments are the names -exp takes besides "all".
+const experiments = "table1,table2,table3,table4,figure1,figure3,figure4a,figure4b,figure4c,figure5,figure5cmp,ablations,scalesweep"
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process state passed in: the exit code comes back
+// instead of os.Exit, so the tests drive the whole command.
+func run(args []string, out, stderr io.Writer) int {
+	logger := log.New(stderr, "ncbench: ", 0)
+	fs := flag.NewFlagSet("ncbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scaleS = flag.String("scale", "small", "experiment scale: tiny|small|medium|large")
-		exp    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,figure1,figure3,figure4a,figure4b,figure4c,figure5,figure5cmp,ablations,scalesweep,ingest,matching,blocking,docstore,delta (ingest, matching, blocking, docstore and delta are opt-in, not part of all)")
-		mjson  = flag.String("matching-json", "BENCH_matching.json", "JSON output path of the matching experiment (empty to skip)")
-		bjson  = flag.String("blocking-json", "BENCH_blocking.json", "JSON output path of the blocking experiment (empty to skip)")
-		djson  = flag.String("docstore-json", "BENCH_docstore.json", "JSON output path of the docstore experiment (empty to skip)")
-		dljson = flag.String("delta-json", "BENCH_delta.json", "JSON output path of the delta experiment (empty to skip)")
-		dlwork = flag.Int("delta-workers", 0, "workers of the delta experiment (0 = GOMAXPROCS)")
-		top    = flag.Int("top", 100, "clusters per NC1-NC3 customization")
-		seed   = flag.Int64("seed", 1, "workspace seed")
-		mdPath = flag.String("md", "", "also write a markdown report of the run to this file")
+		scaleS = fs.String("scale", "small", "experiment scale: tiny|small|medium|large")
+		exp    = fs.String("exp", "all", "comma-separated experiments: all or any of "+experiments)
+		top    = fs.Int("top", 100, "clusters per NC1-NC3 customization")
+		seed   = fs.Int64("seed", 1, "workspace seed")
+		mdPath = fs.String("md", "", "also write a markdown report of the run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var scale bench.Scale
 	switch *scaleS {
@@ -46,19 +57,24 @@ func main() {
 	case "large":
 		scale = bench.Large
 	default:
-		log.Fatalf("unknown scale %q", *scaleS)
+		logger.Printf("unknown -scale %q (want tiny|small|medium|large)", *scaleS)
+		return 2
 	}
 	scale.Seed = *seed
 
 	wanted := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
-		wanted[strings.TrimSpace(e)] = true
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(strings.Split(experiments, ","), e) {
+			logger.Printf("unknown experiment %q in -exp (want all or any of %s)", e, experiments)
+			return 2
+		}
+		wanted[e] = true
 	}
 	all := wanted["all"]
 	run := func(name string) bool { return all || wanted[name] }
 
 	w := bench.NewWorkspace(scale)
-	out := os.Stdout
 	fmt.Fprintf(out, "ncbench scale=%s (initial voters %d, %d years, seed %d)\n\n",
 		*scaleS, scale.InitialVoters, scale.Years, scale.Seed)
 
@@ -130,45 +146,18 @@ func main() {
 	if run("scalesweep") {
 		bench.RunScaleSweep(scale.Seed, []int{scale.InitialVoters, scale.InitialVoters * 4}, scale.Years, out)
 	}
-	if wanted["ingest"] {
-		if _, err := bench.RunIngestThroughput(scale, bench.DefaultIngestWorkers(), out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if wanted["matching"] {
-		if _, err := bench.RunMatchingThroughput(w, *top, bench.DefaultMatchingWorkers(), *mjson, out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if wanted["blocking"] {
-		if _, err := bench.RunBlockingBench(w, *top, bench.DefaultBlockingWorkers(), *bjson, out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if wanted["docstore"] {
-		if _, err := bench.RunDocstoreBench(w, bench.DefaultDocstoreWorkers(), *djson, out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if wanted["delta"] {
-		if _, err := bench.RunDeltaBench(scale, *dlwork, *dljson, out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
 	if *mdPath != "" {
 		f, err := os.Create(*mdPath)
 		if err != nil {
-			log.Fatal(err)
+			logger.Print(err)
+			return 1
 		}
 		report.WriteMarkdown(f)
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			logger.Print(err)
+			return 1
 		}
 		fmt.Fprintf(out, "wrote markdown report to %s\n", *mdPath)
 	}
+	return 0
 }

@@ -21,7 +21,7 @@ func FromDocDBParallel(db *docstore.DB, workers int) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	docs := db.Collection(ClustersCollection).Find(nil)
+	docs := db.Collection(ClustersCollection).Docs()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -61,52 +61,6 @@ func TestClusterDocsCarryScoreSummaries(t *testing.T) {
 	}
 }
 
-func TestStoreQueryCustomization(t *testing.T) {
-	// The paper's customization workflow directly on the store: select
-	// suspect clusters via a range scan and extract a subset via the
-	// aggregation pipeline.
-	db := buildScoredStore(t)
-	col := db.Collection(ClustersCollection)
-	col.CreateOrderedIndex("plausibility")
-
-	suspects := col.FindRange("plausibility", nil, 0.8)
-	if len(suspects) != 1 || suspects[0]["_id"] != "BAD" {
-		t.Fatalf("suspects = %v", ids(suspects))
-	}
-
-	sound := col.Pipeline(
-		docstore.Match{Filter: docstore.Gt("plausibility", 0.8)},
-		docstore.Sort{Path: "heterogeneity", Desc: true},
-		docstore.Project{Paths: []string{"size", "heterogeneity"}},
-	)
-	if len(sound) != 2 {
-		t.Fatalf("sound clusters = %v", ids(sound))
-	}
-	// The typo cluster is dirtier than the whitespace-only cluster.
-	if sound[0]["_id"] != "TYPO" {
-		t.Errorf("dirtiest sound cluster = %v", sound[0]["_id"])
-	}
-
-	// Per-record extraction via Unwind (the "one document per person,
-	// records nested" layout pays off here).
-	recs := col.Pipeline(
-		docstore.Match{Filter: docstore.Eq("_id", "TYPO")},
-		docstore.Unwind{Path: "records"},
-		docstore.Project{Paths: []string{"records.person.first_name"}},
-	)
-	if len(recs) != 2 {
-		t.Fatalf("unwound records = %d", len(recs))
-	}
-}
-
-func ids(docs []docstore.Document) []any {
-	var out []any
-	for _, d := range docs {
-		out = append(out, d["_id"])
-	}
-	return out
-}
-
 func TestScoreSummariesSurviveRoundTrip(t *testing.T) {
 	db := buildScoredStore(t)
 	ds, err := FromDocDB(db)

@@ -345,7 +345,7 @@ func (e *engine) kernel(c int, va, vb *valPrep, sc *scoreScratch) float64 {
 			return 0
 		}
 		dot := simil.SortedDot(va.grams, vb.grams)
-		return float64(dot) / (sqrtInt(va.grams.NormSq) * sqrtInt(vb.grams.NormSq))
+		return math.Min(1, float64(dot)/(sqrtInt(va.grams.NormSq)*sqrtInt(vb.grams.NormSq)))
 	case kindOverlap:
 		la, lb := len(va.grams.IDs), len(vb.grams.IDs)
 		if la == 0 && lb == 0 {
@@ -384,7 +384,7 @@ func (e *engine) report(pairs int64) {
 
 // sqrtInt is math.Sqrt over an int count, so the cosine kernel normalizes
 // with the same expression as CosineQGram (sqrt(na)·sqrt(nb), not
-// sqrt(na·nb) — the products differ in the last ulp).
+// sqrt(na·nb) — the products differ in the last ulp), clamp to 1 included.
 func sqrtInt(n int) float64 { return math.Sqrt(float64(n)) }
 
 // minInt2 returns the smaller of a and b (simil's helpers are unexported).

@@ -1,249 +1,27 @@
 package docstore
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"strconv"
 	"sync"
 )
 
-// Filter is a predicate over documents. Filters built by the constructors
-// below (Eq, Lt, Lte, Gt, Gte, Exists, And, Or, Not) are pure — they only
-// read the document — and introspectable, which lets the pipeline planner
-// push leading Match stages down to hash and ordered indexes. Where wraps
-// an arbitrary predicate function, which stays opaque to the planner. A nil
-// Filter matches everything.
-type Filter interface {
-	// Matches reports whether the document satisfies the filter.
-	Matches(Document) bool
-}
-
-// eqFilter matches documents whose value at path equals the literal; it is
-// the one filter a hash index can serve.
-type eqFilter struct {
-	path  string
-	value any
-}
-
-func (f eqFilter) Matches(d Document) bool {
-	got, ok := Get(d, f.path)
-	return ok && compare(got, f.value) == 0
-}
-
-// Eq matches documents whose value at path equals v.
-func Eq(path string, v any) Filter { return eqFilter{path, v} }
-
-// ordOp is the comparison direction of an ordFilter.
-type ordOp int
-
-const (
-	opLt ordOp = iota
-	opLte
-	opGt
-	opGte
-)
-
-// ordFilter matches documents whose value at path compares against the
-// literal in the given direction; an ordered index can serve it.
-type ordFilter struct {
-	path  string
-	value any
-	op    ordOp
-}
-
-func (f ordFilter) Matches(d Document) bool {
-	got, ok := Get(d, f.path)
-	if !ok {
-		return false
-	}
-	c := compare(got, f.value)
-	switch f.op {
-	case opLt:
-		return c < 0
-	case opLte:
-		return c <= 0
-	case opGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
-}
-
-// Lt matches documents whose value at path is strictly less than v.
-func Lt(path string, v any) Filter { return ordFilter{path, v, opLt} }
-
-// Lte matches documents whose value at path is at most v.
-func Lte(path string, v any) Filter { return ordFilter{path, v, opLte} }
-
-// Gt matches documents whose value at path is strictly greater than v.
-func Gt(path string, v any) Filter { return ordFilter{path, v, opGt} }
-
-// Gte matches documents whose value at path is at least v.
-func Gte(path string, v any) Filter { return ordFilter{path, v, opGte} }
-
-// existsFilter matches documents that have any value at path.
-type existsFilter struct{ path string }
-
-func (f existsFilter) Matches(d Document) bool {
-	_, ok := Get(d, f.path)
-	return ok
-}
-
-// Exists matches documents that have any value at path.
-func Exists(path string) Filter { return existsFilter{path} }
-
-// andFilter combines filters conjunctively.
-type andFilter struct{ filters []Filter }
-
-func (f andFilter) Matches(d Document) bool {
-	for _, sub := range f.filters {
-		if sub != nil && !sub.Matches(d) {
-			return false
-		}
-	}
-	return true
-}
-
-// And combines filters conjunctively; And() matches everything.
-func And(filters ...Filter) Filter { return andFilter{filters} }
-
-// orFilter combines filters disjunctively.
-type orFilter struct{ filters []Filter }
-
-func (f orFilter) Matches(d Document) bool {
-	for _, sub := range f.filters {
-		if sub != nil && sub.Matches(d) {
-			return true
-		}
-	}
-	return false
-}
-
-// Or combines filters disjunctively; Or() matches nothing.
-func Or(filters ...Filter) Filter { return orFilter{filters} }
-
-// notFilter inverts a filter.
-type notFilter struct{ f Filter }
-
-func (f notFilter) Matches(d Document) bool { return !(f.f == nil || f.f.Matches(d)) }
-
-// Not inverts a filter.
-func Not(f Filter) Filter { return notFilter{f} }
-
-// whereFilter wraps an arbitrary predicate; it is opaque to the planner and
-// treated as potentially mutating.
-type whereFilter struct{ fn func(Document) bool }
-
-func (f whereFilter) Matches(d Document) bool { return f.fn(d) }
-
-// Where wraps an arbitrary predicate function as a Filter. Unlike the pure
-// constructors it cannot be pushed down to an index, and the pipeline
-// clones documents before applying it, so a misbehaving predicate can never
-// reach the stored documents.
-func Where(fn func(Document) bool) Filter { return whereFilter{fn} }
-
-// pure reports whether the filter is built solely from the read-only
-// constructors — the precondition for evaluating it against stored,
-// uncloned documents in the pipeline's pushdown prefix.
-func pure(f Filter) bool {
-	switch t := f.(type) {
-	case nil:
-		return true
-	case eqFilter, ordFilter, existsFilter:
-		return true
-	case andFilter:
-		for _, sub := range t.filters {
-			if !pure(sub) {
-				return false
-			}
-		}
-		return true
-	case orFilter:
-		for _, sub := range t.filters {
-			if !pure(sub) {
-				return false
-			}
-		}
-		return true
-	case notFilter:
-		return pure(t.f)
-	}
-	return false
-}
-
-// matches applies a possibly nil filter.
-func matches(f Filter, d Document) bool { return f == nil || f.Matches(d) }
-
 // Collection stores documents keyed by their "_id" field, preserving
-// insertion order for scans. Secondary hash indexes over dotted paths
-// accelerate equality lookups. All methods are safe for concurrent use.
+// insertion order for scans and saves. All methods are safe for concurrent
+// use.
 type Collection struct {
-	mu      sync.RWMutex
-	name    string
-	docs    []Document               // insertion order; nil slots after deletion
-	byID    map[string]int           // _id -> slot
-	indexes map[string]index         // path -> hash index
-	ordered map[string]*orderedIndex // path -> sorted index
-	deleted int
-	obsv    StoreObserver // counter sink; nil drops counters
-}
-
-// index is a hash index from rendered value to document slots.
-type index map[string][]int
-
-// indexKey renders an indexed value; documents missing the path are not
-// indexed. The type switch covers every scalar the JSON document model
-// produces without going through fmt's reflection (which allocates on every
-// insert and lookup); the renderings match fmt.Sprint exactly, so the
-// fallback for exotic values keys the same buckets.
-func indexKey(v any) string {
-	switch t := v.(type) {
-	case string:
-		return t
-	case float64:
-		return strconv.FormatFloat(t, 'g', -1, 64)
-	case int:
-		return strconv.Itoa(t)
-	case int64:
-		return strconv.FormatInt(t, 10)
-	case bool:
-		if t {
-			return "true"
-		}
-		return "false"
-	}
-	return fmt.Sprint(v)
+	mu   sync.RWMutex
+	name string
+	docs []Document     // insertion order; nil slots after deletion
+	byID map[string]int // _id -> slot
 }
 
 // NewCollection returns an empty collection with the given name.
 func NewCollection(name string) *Collection {
-	return &Collection{
-		name:    name,
-		byID:    map[string]int{},
-		indexes: map[string]index{},
-	}
+	return &Collection{name: name, byID: map[string]int{}}
 }
 
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }
-
-// SetObserver routes the collection's docstore_* counters (pipeline runs,
-// pushdown hits, documents cloned, segment and byte IO) to o; nil
-// disconnects. obs.Metrics satisfies StoreObserver.
-func (c *Collection) SetObserver(o StoreObserver) {
-	c.mu.Lock()
-	c.obsv = o
-	c.mu.Unlock()
-}
-
-// observer reads the counter sink.
-func (c *Collection) observer() StoreObserver {
-	c.mu.RLock()
-	o := c.obsv
-	c.mu.RUnlock()
-	return o
-}
 
 // Len returns the number of live documents.
 func (c *Collection) Len() int {
@@ -265,16 +43,8 @@ func (c *Collection) Insert(doc Document) error {
 	if _, dup := c.byID[id]; dup {
 		return fmt.Errorf("docstore: %s: duplicate _id %q", c.name, id)
 	}
-	slot := len(c.docs)
+	c.byID[id] = len(c.docs)
 	c.docs = append(c.docs, doc)
-	c.byID[id] = slot
-	for path, ix := range c.indexes {
-		if v, ok := Get(doc, path); ok {
-			k := indexKey(v)
-			ix[k] = append(ix[k], slot)
-		}
-	}
-	c.markOrderedDirty()
 	return nil
 }
 
@@ -288,8 +58,8 @@ func (c *Collection) Get(id string) Document {
 	return nil
 }
 
-// Update applies fn to the document with the given id under the write lock
-// and refreshes its index entries. It returns false if the id is unknown.
+// Update applies fn to the document with the given id under the write
+// lock. It returns false if the id is unknown.
 func (c *Collection) Update(id string, fn func(Document)) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -297,32 +67,7 @@ func (c *Collection) Update(id string, fn func(Document)) bool {
 	if !ok {
 		return false
 	}
-	doc := c.docs[slot]
-	before := map[string]string{}
-	for path := range c.indexes {
-		if v, ok := Get(doc, path); ok {
-			before[path] = indexKey(v)
-		}
-	}
-	fn(doc)
-	for path, ix := range c.indexes {
-		var after string
-		v, has := Get(doc, path)
-		if has {
-			after = indexKey(v)
-		}
-		prev, had := before[path]
-		if had == has && prev == after {
-			continue
-		}
-		if had {
-			ix[prev] = removeSlot(ix[prev], slot)
-		}
-		if has {
-			ix[after] = append(ix[after], slot)
-		}
-	}
-	c.markOrderedDirty()
+	fn(c.docs[slot])
 	return true
 }
 
@@ -335,99 +80,9 @@ func (c *Collection) Delete(id string) bool {
 	if !ok {
 		return false
 	}
-	doc := c.docs[slot]
-	for path, ix := range c.indexes {
-		if v, ok := Get(doc, path); ok {
-			k := indexKey(v)
-			ix[k] = removeSlot(ix[k], slot)
-		}
-	}
 	c.docs[slot] = nil
 	delete(c.byID, id)
-	c.deleted++
-	c.markOrderedDirty()
 	return true
-}
-
-func removeSlot(slots []int, slot int) []int {
-	for i, s := range slots {
-		if s == slot {
-			return append(slots[:i], slots[i+1:]...)
-		}
-	}
-	return slots
-}
-
-// CreateIndex builds a hash index over the dotted path; subsequent
-// FindEq calls on that path use it. Creating an existing index is a no-op.
-func (c *Collection) CreateIndex(path string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.indexes[path]; ok {
-		return
-	}
-	ix := index{}
-	for slot, doc := range c.docs {
-		if doc == nil {
-			continue
-		}
-		if v, ok := Get(doc, path); ok {
-			k := indexKey(v)
-			ix[k] = append(ix[k], slot)
-		}
-	}
-	c.indexes[path] = ix
-}
-
-// HasIndex reports whether path is indexed.
-func (c *Collection) HasIndex(path string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.indexes[path]
-	return ok
-}
-
-// FindEq returns the documents whose value at path equals v, using the hash
-// index when one exists and a full scan otherwise.
-func (c *Collection) FindEq(path string, v any) []Document {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if ix, ok := c.indexes[path]; ok {
-		slots := ix[indexKey(v)]
-		out := make([]Document, 0, len(slots))
-		for _, s := range slots {
-			if doc := c.docs[s]; doc != nil {
-				// indexKey collapses distinct values with equal renderings;
-				// re-check to be exact.
-				if got, ok := Get(doc, path); ok && compare(got, v) == 0 {
-					out = append(out, doc)
-				}
-			}
-		}
-		return out
-	}
-	return c.findScan(Eq(path, v))
-}
-
-// Find returns the documents matching the filter in insertion order; a nil
-// filter returns everything.
-func (c *Collection) Find(f Filter) []Document {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.findScan(f)
-}
-
-func (c *Collection) findScan(f Filter) []Document {
-	var out []Document
-	for _, doc := range c.docs {
-		if doc == nil {
-			continue
-		}
-		if matches(f, doc) {
-			out = append(out, doc)
-		}
-	}
-	return out
 }
 
 // ForEach visits every live document in insertion order under the read
@@ -446,128 +101,17 @@ func (c *Collection) ForEach(fn func(Document) bool) {
 	}
 }
 
-// ForEachParallel visits every live document with a pool of workers — the
-// embarrassingly parallel scan behind score-summary aggregation and
-// whole-collection exports. The live documents are snapshotted under the
-// read lock and then visited outside it in contiguous blocks, one block per
-// worker, so fn may call back into read methods but runs concurrently: it
-// must be safe for concurrent use and must not mutate documents. Visit
-// order is unspecified; workers <= 0 selects GOMAXPROCS.
-func (c *Collection) ForEachParallel(workers int, fn func(Document)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	c.mu.RLock()
-	snap := make([]Document, 0, len(c.byID))
-	for _, doc := range c.docs {
-		if doc != nil {
-			snap = append(snap, doc)
-		}
-	}
-	c.mu.RUnlock()
-	if workers > len(snap) {
-		workers = len(snap)
-	}
-	if workers <= 1 {
-		for _, doc := range snap {
-			fn(doc)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	block := (len(snap) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * block
-		hi := min(lo+block, len(snap))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(part []Document) {
-			defer wg.Done()
-			for _, doc := range part {
-				fn(doc)
-			}
-		}(snap[lo:hi])
-	}
-	wg.Wait()
-}
-
-// ForEachIndexedParallel is ForEachParallel with a stable rank: fn
-// additionally receives the document's dense insertion-order index among
-// the live documents (0..Len()-1). It exists for deterministic parallel
-// builders — notably the serving-snapshot precompute — that drop results
-// into a rank-addressed slice: workers complete in any order, but the
-// assembled slice comes out in insertion order for any worker count. The
-// same constraints as ForEachParallel apply: fn must be safe for concurrent
-// use and must not mutate documents.
-func (c *Collection) ForEachIndexedParallel(workers int, fn func(rank int, doc Document)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	c.mu.RLock()
-	snap := make([]Document, 0, len(c.byID))
-	for _, doc := range c.docs {
-		if doc != nil {
-			snap = append(snap, doc)
-		}
-	}
-	c.mu.RUnlock()
-	if workers > len(snap) {
-		workers = len(snap)
-	}
-	if workers <= 1 {
-		for rank, doc := range snap {
-			fn(rank, doc)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	block := (len(snap) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * block
-		hi := min(lo+block, len(snap))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(base int, part []Document) {
-			defer wg.Done()
-			for i, doc := range part {
-				fn(base+i, doc)
-			}
-		}(lo, snap[lo:hi])
-	}
-	wg.Wait()
-}
-
-// forEachCtxStride bounds how many documents ForEachContext visits between
-// cancellation checks; a power of two keeps the modulo cheap.
-const forEachCtxStride = 1024
-
-// ForEachContext is ForEach with a cancellation hook: every
-// forEachCtxStride documents it checks ctx and aborts the scan, returning
-// ctx.Err(), once the context is done. A completed scan (or one stopped by
-// fn returning false) returns nil. This is what request handlers use so a
-// per-request timeout actually interrupts long scans instead of merely
-// expiring while they run.
-func (c *Collection) ForEachContext(ctx context.Context, fn func(Document) bool) error {
+// Docs returns the live documents in insertion order — the slice saves and
+// whole-collection readers partition among workers. The documents are the
+// stored ones, not copies: callers must not mutate them.
+func (c *Collection) Docs() []Document {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	visited := 0
+	snap := make([]Document, 0, len(c.byID))
 	for _, doc := range c.docs {
-		if doc == nil {
-			continue
-		}
-		if visited%forEachCtxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		visited++
-		if !fn(doc) {
-			return nil
+		if doc != nil {
+			snap = append(snap, doc)
 		}
 	}
-	return nil
+	return snap
 }

@@ -31,7 +31,6 @@ const (
 type DB struct {
 	mu          sync.Mutex
 	collections map[string]*Collection
-	obsv        StoreObserver // inherited by collections created later
 }
 
 // NewDB returns an empty database.
@@ -46,26 +45,9 @@ func (db *DB) Collection(name string) *Collection {
 	c, ok := db.collections[name]
 	if !ok {
 		c = NewCollection(name)
-		c.SetObserver(db.obsv)
 		db.collections[name] = c
 	}
 	return c
-}
-
-// SetObserver routes the docstore_* counters of every collection — current
-// and future — to o; nil disconnects. obs.Metrics satisfies StoreObserver,
-// so a serving process wires the store into GET /metrics with one call.
-func (db *DB) SetObserver(o StoreObserver) {
-	db.mu.Lock()
-	db.obsv = o
-	cols := make([]*Collection, 0, len(db.collections))
-	for _, c := range db.collections {
-		cols = append(cols, c)
-	}
-	db.mu.Unlock()
-	for _, c := range cols {
-		c.SetObserver(o)
-	}
 }
 
 // CollectionNames returns the names of all collections, sorted.

@@ -1,17 +1,13 @@
 // Package docstore is an embedded, aggregate-oriented document store — the
-// stand-in for the MongoDB deployment of the paper (§5). It provides the
-// three capabilities the generation pipeline relies on: (i) cluster-grouped
-// storage of nested documents, (ii) efficient handling of sparse data
-// (absent fields cost nothing), and (iii) subset extraction via a
-// multi-stage aggregation pipeline with filtering, projection, grouping and
-// sorting. Collections are safe for concurrent use and persist as JSON-lines
-// files with atomic replacement.
+// storage half of the paper's MongoDB deployment (§5): cluster-grouped
+// nested documents in which absent fields cost nothing, kept in insertion
+// order and persisted as checksummed JSON-lines segments behind a manifest
+// (segment.go). It stores and nothing else: subset extraction by score range
+// is internal/custom over a core.Dataset, and range pages are the serving
+// snapshot's tables. Collections are safe for concurrent use.
 package docstore
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Document is a nested JSON-like object: values are strings, numbers
 // (float64 or int), bools, nil, []any, or nested Documents.
@@ -36,7 +32,7 @@ func D(pairs ...any) Document {
 
 // Get resolves a dotted path ("meta.inserted.2008-01-01") inside doc. The
 // second result reports whether every path segment existed. Path segments
-// never index into arrays; arrays are handled by the Unwind pipeline stage.
+// never index into arrays.
 func Get(doc Document, path string) (any, bool) {
 	cur := any(doc)
 	for _, seg := range strings.Split(path, ".") {
@@ -52,103 +48,7 @@ func Get(doc Document, path string) (any, bool) {
 	return cur, true
 }
 
-// Set assigns value at the dotted path inside doc, creating intermediate
-// sub-documents as needed. It returns an error if an intermediate segment
-// exists but is not a sub-document.
-func Set(doc Document, path string, value any) error {
-	segs := strings.Split(path, ".")
-	cur := doc
-	for _, seg := range segs[:len(segs)-1] {
-		next, ok := cur[seg]
-		if !ok {
-			child := Document{}
-			cur[seg] = child
-			cur = child
-			continue
-		}
-		child, ok := next.(Document)
-		if !ok {
-			return fmt.Errorf("docstore: path %q blocked by non-document at %q", path, seg)
-		}
-		cur = child
-	}
-	cur[segs[len(segs)-1]] = value
-	return nil
-}
-
-// Clone deep-copies a document (sub-documents and arrays included).
-func Clone(doc Document) Document {
-	out := make(Document, len(doc))
-	for k, v := range doc {
-		out[k] = cloneValue(v)
-	}
-	return out
-}
-
-func cloneValue(v any) any {
-	switch t := v.(type) {
-	case Document:
-		return Clone(t)
-	case []any:
-		arr := make([]any, len(t))
-		for i, e := range t {
-			arr[i] = cloneValue(e)
-		}
-		return arr
-	default:
-		return v
-	}
-}
-
-// compare orders two scalar values: numbers before strings, numerically and
-// lexicographically respectively; nil sorts first. It returns -1, 0 or 1.
-func compare(a, b any) int {
-	an, aIsNum := toFloat(a)
-	bn, bIsNum := toFloat(b)
-	switch {
-	case a == nil && b == nil:
-		return 0
-	case a == nil:
-		return -1
-	case b == nil:
-		return 1
-	case aIsNum && bIsNum:
-		switch {
-		case an < bn:
-			return -1
-		case an > bn:
-			return 1
-		}
-		return 0
-	case aIsNum:
-		return -1
-	case bIsNum:
-		return 1
-	default:
-		as, bs := fmt.Sprint(a), fmt.Sprint(b)
-		switch {
-		case as < bs:
-			return -1
-		case as > bs:
-			return 1
-		}
-		return 0
-	}
-}
-
-// toFloat widens any numeric value to float64.
-func toFloat(v any) (float64, bool) {
-	switch n := v.(type) {
-	case int:
-		return float64(n), true
-	case int32:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case float32:
-		return float64(n), true
-	case float64:
-		return n, true
-	}
-	return 0, false
-}
+// FieldPathEscape is a helper for keys containing dots (e.g. snapshot
+// dates used as map keys): it replaces dots so they survive dotted-path
+// addressing.
+func FieldPathEscape(key string) string { return strings.ReplaceAll(key, ".", "．") }

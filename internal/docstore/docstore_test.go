@@ -6,11 +6,8 @@ import (
 	"testing"
 )
 
-func TestGetSetDottedPaths(t *testing.T) {
-	d := Document{}
-	if err := Set(d, "meta.counts.a", 3); err != nil {
-		t.Fatal(err)
-	}
+func TestGetDottedPaths(t *testing.T) {
+	d := D("meta", D("counts", D("a", 3)))
 	v, ok := Get(d, "meta.counts.a")
 	if !ok || v != 3 {
 		t.Fatalf("Get = %v, %v", v, ok)
@@ -20,41 +17,6 @@ func TestGetSetDottedPaths(t *testing.T) {
 	}
 	if _, ok := Get(d, "meta.counts.a.b"); ok {
 		t.Error("Get descended through a scalar")
-	}
-	// Blocked path errors.
-	if err := Set(d, "meta.counts.a.b", 1); err == nil {
-		t.Error("Set through a scalar should fail")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	d := D("name", "x", "sub", D("arr", []any{1, 2}), "n", 1)
-	c := Clone(d)
-	Set(c, "sub.extra", true)
-	c["sub"].(Document)["arr"].([]any)[0] = 99
-	if _, ok := Get(d, "sub.extra"); ok {
-		t.Error("Clone shares sub-documents")
-	}
-	if d["sub"].(Document)["arr"].([]any)[0] != 1 {
-		t.Error("Clone shares arrays")
-	}
-}
-
-func TestCompareOrdering(t *testing.T) {
-	cases := []struct {
-		a, b any
-		want int
-	}{
-		{1, 2, -1}, {2, 1, 1}, {2, 2, 0},
-		{1, 1.0, 0}, {int64(3), 3.5, -1},
-		{"a", "b", -1}, {"b", "a", 1}, {"a", "a", 0},
-		{nil, 1, -1}, {1, nil, 1}, {nil, nil, 0},
-		{1, "a", -1}, {"a", 1, 1}, // numbers sort before strings
-	}
-	for _, c := range cases {
-		if got := compare(c.a, c.b); got != c.want {
-			t.Errorf("compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
-		}
 	}
 }
 
@@ -103,158 +65,6 @@ func TestCollectionCRUD(t *testing.T) {
 	}
 	if c.Delete("id003") {
 		t.Error("double delete returned true")
-	}
-}
-
-func TestIndexedFindEq(t *testing.T) {
-	c := NewCollection("test")
-	insertN(t, c, 30)
-	c.CreateIndex("person.last")
-	if !c.HasIndex("person.last") {
-		t.Fatal("index missing")
-	}
-	got := c.FindEq("person.last", "NAME2")
-	if len(got) != 6 {
-		t.Fatalf("indexed FindEq = %d docs, want 6", len(got))
-	}
-	// Unindexed path falls back to scan with the same result.
-	scan := c.FindEq("mod", 1)
-	if len(scan) != 10 {
-		t.Fatalf("scan FindEq = %d docs, want 10", len(scan))
-	}
-}
-
-func TestIndexFollowsUpdatesAndDeletes(t *testing.T) {
-	c := NewCollection("test")
-	insertN(t, c, 10)
-	c.CreateIndex("person.last")
-	c.Update("id001", func(d Document) { Set(d, "person.last", "RENAMED") })
-	if got := c.FindEq("person.last", "RENAMED"); len(got) != 1 {
-		t.Fatalf("index missed update: %d", len(got))
-	}
-	if got := c.FindEq("person.last", "NAME1"); len(got) != 1 {
-		t.Fatalf("stale index entry: %d", len(got))
-	}
-	c.Delete("id002")
-	if got := c.FindEq("person.last", "NAME2"); len(got) != 1 {
-		t.Fatalf("index kept a deleted doc: %d", len(got))
-	}
-}
-
-func TestFilters(t *testing.T) {
-	c := NewCollection("test")
-	insertN(t, c, 10)
-	if n := len(c.Find(And(Gte("n", 3), Lt("n", 7)))); n != 4 {
-		t.Errorf("range filter = %d docs, want 4", n)
-	}
-	if n := len(c.Find(Or(Eq("n", 1), Eq("n", 2)))); n != 2 {
-		t.Errorf("or filter = %d docs, want 2", n)
-	}
-	if n := len(c.Find(Not(Exists("person.last")))); n != 0 {
-		t.Errorf("not-exists = %d docs, want 0", n)
-	}
-	if n := len(c.Find(Lte("n", 0))); n != 1 {
-		t.Errorf("lte = %d docs, want 1", n)
-	}
-	if n := len(c.Find(Gt("n", 8))); n != 1 {
-		t.Errorf("gt = %d docs, want 1", n)
-	}
-}
-
-func TestPipelineMatchProjectSortLimit(t *testing.T) {
-	c := NewCollection("test")
-	insertN(t, c, 20)
-	out := c.Pipeline(
-		Match{Filter: Eq("mod", 0)},
-		Sort{Path: "n", Desc: true},
-		Limit{N: 3},
-		Project{Paths: []string{"n"}},
-	)
-	if len(out) != 3 {
-		t.Fatalf("pipeline = %d docs", len(out))
-	}
-	if out[0]["n"] != 18 {
-		t.Errorf("top doc n = %v, want 18", out[0]["n"])
-	}
-	if _, ok := out[0]["mod"]; ok {
-		t.Error("projection kept an unlisted field")
-	}
-	if _, ok := out[0]["_id"]; !ok {
-		t.Error("projection dropped _id")
-	}
-}
-
-func TestPipelineDoesNotMutateStore(t *testing.T) {
-	c := NewCollection("test")
-	insertN(t, c, 5)
-	c.Pipeline(Match{}, Project{Paths: nil})
-	if v, _ := Get(c.Get("id000"), "person.last"); v != "NAME0" {
-		t.Error("pipeline mutated stored documents")
-	}
-}
-
-func TestUnwindAndGroup(t *testing.T) {
-	c := NewCollection("clusters")
-	c.Insert(D("_id", "c1", "records", []any{
-		D("last", "A"), D("last", "B"), D("last", "A"),
-	}))
-	c.Insert(D("_id", "c2", "records", []any{D("last", "A")}))
-	out := c.Pipeline(
-		Unwind{Path: "records"},
-		Group{ByPath: "records.last", Accums: []Accumulator{
-			{Name: "n", Op: "count"},
-		}},
-		Sort{Path: "_id"},
-	)
-	if len(out) != 2 {
-		t.Fatalf("groups = %d, want 2", len(out))
-	}
-	if out[0]["_id"] != "A" || out[0]["n"] != 3.0 {
-		t.Errorf("group A = %v", out[0])
-	}
-	if out[1]["_id"] != "B" || out[1]["n"] != 1.0 {
-		t.Errorf("group B = %v", out[1])
-	}
-}
-
-func TestGroupAccumulators(t *testing.T) {
-	c := NewCollection("t")
-	for i := 1; i <= 4; i++ {
-		c.Insert(D("_id", fmt.Sprint(i), "k", "x", "v", i))
-	}
-	out := c.Pipeline(Group{ByPath: "k", Accums: []Accumulator{
-		{Name: "sum", Op: "sum", Path: "v"},
-		{Name: "avg", Op: "avg", Path: "v"},
-		{Name: "min", Op: "min", Path: "v"},
-		{Name: "max", Op: "max", Path: "v"},
-		{Name: "first", Op: "first", Path: "v"},
-		{Name: "all", Op: "push", Path: "v"},
-	}})
-	if len(out) != 1 {
-		t.Fatalf("groups = %d", len(out))
-	}
-	g := out[0]
-	if g["sum"] != 10.0 || g["avg"] != 2.5 {
-		t.Errorf("sum/avg = %v/%v", g["sum"], g["avg"])
-	}
-	if g["min"] != 1 || g["max"] != 4 || g["first"] != 1 {
-		t.Errorf("min/max/first = %v/%v/%v", g["min"], g["max"], g["first"])
-	}
-	if arr := g["all"].([]any); len(arr) != 4 {
-		t.Errorf("push = %v", arr)
-	}
-}
-
-func TestSkipAndCount(t *testing.T) {
-	c := NewCollection("t")
-	insertN(t, c, 10)
-	out := c.Pipeline(Skip{N: 7})
-	if len(out) != 3 {
-		t.Errorf("skip = %d docs", len(out))
-	}
-	cnt := c.Pipeline(Match{Filter: Eq("mod", 1)}, Count{})
-	if cnt[0]["count"] != 3.0 {
-		t.Errorf("count = %v", cnt[0]["count"])
 	}
 }
 
@@ -317,7 +127,6 @@ func TestSaveIsAtomicOverwrite(t *testing.T) {
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	c := NewCollection("t")
-	c.CreateIndex("k")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -333,7 +142,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c.FindEq("k", i%7)
+				c.Get(fmt.Sprintf("w0-%d", i))
+				c.Docs()
 				c.Len()
 			}
 		}()
@@ -346,53 +156,19 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 
 func TestFieldPathEscape(t *testing.T) {
 	key := FieldPathEscape("2008-01-01.v2")
-	d := Document{}
-	if err := Set(d, "m."+key, 1); err != nil {
-		t.Fatal(err)
-	}
+	d := D("m", D(key, 1))
 	if v, ok := Get(d, "m."+key); !ok || v != 1 {
-		t.Errorf("escaped key round trip failed: %v %v", v, ok)
+		t.Errorf("escaped key not addressable as one segment: %v %v", v, ok)
 	}
-	if m, ok := d["m"].(Document); !ok || len(m) != 1 {
-		t.Errorf("escaped key split into segments: %#v", d)
-	}
-}
-
-func BenchmarkIndexedLookup(b *testing.B) {
-	c := NewCollection("bench")
-	for i := 0; i < 10000; i++ {
-		c.Insert(D("_id", fmt.Sprint(i), "k", fmt.Sprint(i%997)))
-	}
-	c.CreateIndex("k")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.FindEq("k", fmt.Sprint(i%997))
+	if _, ok := Get(D("m", D("2008-01-01.v2", 1)), "m.2008-01-01.v2"); ok {
+		t.Error("an unescaped dotted key resolved as one segment")
 	}
 }
 
 func BenchmarkInsert(b *testing.B) {
 	b.ReportAllocs()
 	c := NewCollection("bench")
-	c.CreateIndex("k")
 	for i := 0; i < b.N; i++ {
 		c.Insert(D("_id", fmt.Sprint(i), "k", i%997, "person", D("last", "SMITH")))
-	}
-}
-
-func BenchmarkPipelineUnwindGroup(b *testing.B) {
-	c := NewCollection("bench")
-	for i := 0; i < 500; i++ {
-		c.Insert(D("_id", fmt.Sprint(i), "records", []any{
-			D("last", fmt.Sprint(i%7)), D("last", fmt.Sprint(i%5)),
-		}))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Pipeline(
-			Unwind{Path: "records"},
-			Group{ByPath: "records.last", Accums: []Accumulator{{Name: "n", Op: "count"}}},
-			Sort{Path: "n", Desc: true},
-		)
 	}
 }

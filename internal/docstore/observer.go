@@ -11,9 +11,9 @@ type StoreObserver interface {
 	AddN(counter string, n int64)
 }
 
-// Counter names of the docstore_pipeline_total family. The segments/bytes/
-// docs counters track the segmented persistence layer; the pipeline
-// counters track the streaming query path and its index pushdown.
+// Counter names of the docstore_pipeline_total family: the segments, bytes
+// and documents the segmented persistence layer wrote, read, reused or
+// served from a SegmentCache.
 const (
 	CounterSegmentsWritten = "docstore_segments_written"
 	CounterSegmentsRead    = "docstore_segments_read"
@@ -29,10 +29,6 @@ const (
 	CounterBytesRead      = "docstore_bytes_read"
 	CounterDocsWritten    = "docstore_docs_written"
 	CounterDocsRead       = "docstore_docs_read"
-	CounterPipelineRuns   = "docstore_pipeline_runs"
-	CounterPushdownHits   = "docstore_pushdown_hits"
-	CounterDocsScanned    = "docstore_docs_scanned"
-	CounterDocsCloned     = "docstore_docs_cloned"
 )
 
 // addN reports to a possibly nil observer, skipping zero deltas.

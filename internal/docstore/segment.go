@@ -22,7 +22,7 @@ import (
 // worker pool — the same sharded-worker pattern as snapshot ingest and pair
 // scoring — while the segment layout depends only on the data, never on the
 // worker count, so saves are byte-identical at any parallelism and loads
-// rebuild the same document order and index contents as the flat path.
+// rebuild the same document order as the flat path.
 //
 // The manifest is the commit point. Saves write and rename every segment
 // first, then write and rename the manifest, then delete stale files; loads
@@ -192,19 +192,6 @@ func (db *DB) SaveParallelOpts(dir string, opts SaveOpts) error {
 	return nil
 }
 
-// snapshotDocs returns the live documents in insertion order.
-func (c *Collection) snapshotDocs() []Document {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	snap := make([]Document, 0, len(c.byID))
-	for _, doc := range c.docs {
-		if doc != nil {
-			snap = append(snap, doc)
-		}
-	}
-	return snap
-}
-
 // segmentCount derives the segment count for docs documents; requested > 0
 // overrides the automatic sizing. The count depends only on its inputs —
 // never on the worker pool — so the segment layout is deterministic.
@@ -315,7 +302,7 @@ func planDirtySave(fsys FS, dir, name string, docs []Document, ranges [][2]int, 
 // saveSegmented writes the collection as segments plus a manifest into dir.
 func (c *Collection) saveSegmented(dir string, opts SaveOpts) error {
 	fsys := fsOrDefault(opts.FS)
-	docs := c.snapshotDocs()
+	docs := c.Docs()
 	ranges := segmentRanges(len(docs), segmentCount(len(docs), opts.Segments), opts.Stride)
 	n := len(ranges)
 
@@ -498,10 +485,10 @@ func removeSegmentedState(dir, name string) {
 // decode on a worker pool and are verified against the manifest's byte
 // counts and CRCs, so a torn or mixed-generation store fails loudly instead
 // of loading silently wrong data; documents then insert in segment order,
-// which reproduces exactly the document order and index contents of a flat
-// sequential load. Orphan segment files (a save that crashed before its
-// manifest committed) are skipped when the collection still has its flat
-// file and rejected otherwise.
+// which reproduces exactly the document order of a flat sequential load.
+// Orphan segment files (a save that crashed before its manifest committed)
+// are skipped when the collection still has its flat file and rejected
+// otherwise.
 func LoadParallelOpts(dir string, opts LoadOpts) (*DB, error) {
 	entries, err := fsOrDefault(opts.FS).ReadDir(dir)
 	if err != nil {
@@ -637,7 +624,7 @@ func (c *Collection) loadSegmented(dir string, opts LoadOpts) error {
 	}
 
 	// Sequential insert in segment order rebuilds the exact document order
-	// (and therefore index contents) of the flat path.
+	// of the flat path.
 	total := 0
 	for i, docs := range segDocs {
 		for j, d := range docs {

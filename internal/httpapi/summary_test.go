@@ -99,11 +99,11 @@ func TestSummarySizeFilter(t *testing.T) {
 	if code, _ := getData(t, srv.URL+"/v1/clusters/summary?minSize=2", &filtered); code != 200 {
 		t.Fatalf("filtered summary code = %d", code)
 	}
-	// The filtered fold is what a Pipeline over the documents yields with
-	// its Match pushed down to the size index.
+	// The filtered fold is what one pass over the documents with a size
+	// comparison yields.
 	want := viaJSON(t, testkit.NewServingOracle(ds.ToDocDB()).Summary(serving.SizeBounds{Min: 2, HasMin: true}))
 	if !reflect.DeepEqual(filtered, want) {
-		t.Errorf("filtered summary diverged from the document pipeline:\n%v\nvs\n%v", filtered, want)
+		t.Errorf("filtered summary diverged from the document scan:\n%v\nvs\n%v", filtered, want)
 	}
 	allN, _ := all["clusters"].(float64)
 	fN, _ := filtered["clusters"].(float64)

@@ -8,16 +8,15 @@ import (
 )
 
 // Metrics must satisfy the document store's observer interface so serving
-// and import processes can expose persistence and pipeline counters on
-// /metrics.
+// and import processes can expose persistence counters on /metrics.
 var _ docstore.StoreObserver = (*Metrics)(nil)
 
 func TestDocstorePrometheusFamily(t *testing.T) {
 	m := NewMetrics()
 	m.AddN(docstore.CounterSegmentsWritten, 8)
 	m.AddN(docstore.CounterBytesWritten, 1<<20)
-	m.AddN(docstore.CounterPipelineRuns, 3)
-	m.AddN(docstore.CounterPushdownHits, 2)
+	m.AddN(docstore.CounterSegmentsCached, 3)
+	m.AddN(docstore.CounterDocsRead, 2)
 	m.AddN("ingest_rows_decoded", 5)
 	m.Inc("panics")
 
@@ -25,8 +24,8 @@ func TestDocstorePrometheusFamily(t *testing.T) {
 	for _, want := range []string{
 		`docstore_pipeline_total{counter="segments_written"} 8`,
 		`docstore_pipeline_total{counter="bytes_written"} 1048576`,
-		`docstore_pipeline_total{counter="pipeline_runs"} 3`,
-		`docstore_pipeline_total{counter="pushdown_hits"} 2`,
+		`docstore_pipeline_total{counter="segments_cached"} 3`,
+		`docstore_pipeline_total{counter="docs_read"} 2`,
 		`ingest_pipeline_total{counter="rows_decoded"} 5`,
 		`http_server_events_total{event="panics"} 1`,
 	} {

@@ -287,7 +287,7 @@ func (m *Metrics) PrometheusText() string {
 	}
 
 	if len(docstoreNames) > 0 {
-		fmt.Fprintf(&b, "# HELP docstore_pipeline_total Document store counters (segments and bytes saved/loaded, pipeline runs, index-pushdown hits, documents scanned/cloned).\n")
+		fmt.Fprintf(&b, "# HELP docstore_pipeline_total Document store counters (segments, bytes and documents saved/loaded, segments reused or served from the segment cache).\n")
 		fmt.Fprintf(&b, "# TYPE docstore_pipeline_total counter\n")
 		for _, name := range docstoreNames {
 			fmt.Fprintf(&b, "docstore_pipeline_total{counter=%q} %d\n", strings.TrimPrefix(name, "docstore_"), snap.Counters[name])

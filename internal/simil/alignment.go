@@ -55,7 +55,9 @@ func CosineQGram(a, b string, q int) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return float64(dot) / (math.Sqrt(float64(na)) * math.Sqrt(float64(nb)))
+	// sqrt(n)·sqrt(n) can round below n (sqrt(3)² = 2.9999999999999996), so
+	// equal vectors would score a hair above 1 without the clamp.
+	return math.Min(1, float64(dot)/(math.Sqrt(float64(na))*math.Sqrt(float64(nb))))
 }
 
 // OverlapQGram returns the overlap coefficient of the q-gram sets:

@@ -53,6 +53,11 @@ func TestCosineQGramKnown(t *testing.T) {
 	if got := CosineQGram("NIGHT", "NIGHT", 3); !almost(got, 1) {
 		t.Errorf("identical = %v", got)
 	}
+	// Three distinct trigrams: sqrt(3)·sqrt(3) rounds below 3, and the
+	// quotient must still not exceed 1.
+	if got := CosineQGram("SMITH", "SMITH", 3); got != 1 {
+		t.Errorf("identical, three trigrams = %v, want exactly 1", got)
+	}
 	mid := CosineQGram("NIGHT", "NIGTH", 3) // shares only the NIG trigram
 	if mid <= 0 || mid >= 1 {
 		t.Errorf("related = %v, want in (0, 1)", mid)

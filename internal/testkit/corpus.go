@@ -77,15 +77,13 @@ func (c Corpus) DedupDataset(tb testing.TB, voters, snapshots, sample, top int) 
 }
 
 // DocDB builds a document store exercising the shapes persistence has to
-// survive: two collections, hash and ordered indexes, nested documents and
-// arrays, and deletions (nil slots must not shift document order through a
-// save/load round trip). Contents depend only on the corpus seed and docs.
+// survive: two collections, nested documents and arrays, and deletions (nil
+// slots must not shift document order through a save/load round trip).
+// Contents depend only on the corpus seed and docs.
 func (c Corpus) DocDB(tb testing.TB, docs int) *docstore.DB {
 	tb.Helper()
 	db := docstore.NewDB()
 	cl := db.Collection("clusters")
-	cl.CreateIndex("county")
-	cl.CreateOrderedIndex("score")
 	for i := 0; i < docs; i++ {
 		d := docstore.D(
 			"_id", fmt.Sprintf("c%06d", i),
@@ -111,9 +109,9 @@ func (c Corpus) DocDB(tb testing.TB, docs int) *docstore.DB {
 }
 
 // DocDBFingerprint captures everything store equivalence means: per
-// collection the ordered _id sequence and full documents, plus the answers
-// the indexes serve. Two stores with equal fingerprints are
-// indistinguishable to every docstore consumer in the pipeline.
+// collection the ordered _id sequence and the full documents. Two stores
+// with equal fingerprints are indistinguishable to every docstore consumer
+// in the pipeline.
 func DocDBFingerprint(db *docstore.DB) map[string]any {
 	fp := map[string]any{}
 	for _, name := range db.CollectionNames() {
@@ -128,10 +126,5 @@ func DocDBFingerprint(db *docstore.DB) map[string]any {
 		fp[name+"/ids"] = ids
 		fp[name+"/docs"] = docs
 	}
-	cl := db.Collection("clusters")
-	for i := 0; i < 17; i++ {
-		fp[fmt.Sprintf("eq/%d", i)] = cl.FindEq("county", fmt.Sprintf("county-%d", i))
-	}
-	fp["range"] = cl.FindRange("score", 0.25, 0.75)
 	return fp
 }

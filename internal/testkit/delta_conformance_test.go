@@ -3,10 +3,10 @@ package testkit_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/deltafile"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/plaus"
@@ -64,15 +64,21 @@ func TestConformanceDelta(t *testing.T) {
 		proto.Publish()
 	}
 
+	prevChanged := 0
 	for _, fraction := range []float64{0, 0.01, 0.25, 1.0} {
 		fraction := fraction
-		deltaPath, changed, err := deltafile.Write(t.TempDir(), proto, "2097-01-01", fraction, false)
+		deltaPath, changed, err := testkit.WriteDeltaFile(t.TempDir(), proto, "2097-01-01", fraction, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fraction > 0 && changed < 1 {
 			t.Fatalf("fraction %g: delta file changes no clusters", fraction)
 		}
+		if changed < prevChanged || fraction == 1 && changed != proto.NumClusters() {
+			t.Fatalf("fraction %g: delta file changes %d of %d clusters after %d at the previous fraction",
+				fraction, changed, proto.NumClusters(), prevChanged)
+		}
+		prevChanged = changed
 
 		testkit.Differential[deltaResult]{
 			Name: fmt.Sprintf("delta/frac=%v", fraction),
@@ -116,9 +122,24 @@ func TestConformanceDelta(t *testing.T) {
 				d.Publish()
 				plaus.UpdateDelta(d, dl, workers)
 				hetero.UpdateDelta(d, dl, workers)
-				saveStore(tb, d, dir, docstore.SaveOpts{Workers: workers, Dirty: dl.DirtyIDs()})
-				if fraction > 0 && len(dl.Dirty()) != changed {
-					tb.Errorf("delta marked %d clusters dirty, file changed %d", len(dl.Dirty()), changed)
+				counters := stampCounters{}
+				store := saveStore(tb, d, dir, docstore.SaveOpts{Workers: workers, Dirty: dl.DirtyIDs(), Observer: counters})
+				if fraction > 0 && (len(dl.Dirty()) != changed || dl.Stats.DirtyClusters != changed) {
+					tb.Errorf("delta marked %d clusters dirty (stats say %d), file changed %d",
+						len(dl.Dirty()), dl.Stats.DirtyClusters, changed)
+				}
+				// Every segment of the saved store was either rewritten or
+				// reused, the meta segment always rewritten; with every
+				// cluster changed nothing is left to reuse.
+				segments := int64(0)
+				for name := range store {
+					if strings.HasSuffix(name, ".jsonl") {
+						segments++
+					}
+				}
+				written, reused := counters[docstore.CounterSegmentsWritten], counters[docstore.CounterSegmentsReused]
+				if written < 1 || written+reused != segments || fraction == 1 && reused != 0 {
+					tb.Errorf("dirty save rewrote %d and reused %d of %d segments", written, reused, segments)
 				}
 				if err := ix.Verify(d); err != nil {
 					tb.Errorf("fingerprint index stale after apply: %v", err)

@@ -1,8 +1,4 @@
-// Package deltafile synthesizes delta snapshot files against an imported
-// dataset. The delta oracle (internal/testkit) and the delta benchmark
-// (internal/bench) both build their ladders from it; it lives apart from
-// either so the benchmark does not import the test kit.
-package deltafile
+package testkit
 
 import (
 	"fmt"
@@ -11,11 +7,11 @@ import (
 	"repro/internal/voter"
 )
 
-// Write synthesizes an append-mostly delta snapshot file against
+// WriteDeltaFile synthesizes an append-mostly delta snapshot file against
 // the current state of d — the input shape ApplySnapshotDelta is built for —
-// and returns its path plus the number of clusters it changes. The delta
-// oracle and the delta benchmark both derive their ladders from it, so the
-// "changed fraction" means the same thing in both.
+// and returns its path plus the number of clusters it changes. The delta,
+// scoring and provenance oracles all derive their ladders from it, so the
+// "changed fraction" means the same thing in each.
 //
 // fraction > 0 selects round(fraction·clusters) clusters (at least one) and
 // emits one mutated copy of each selected cluster's first record: last name
@@ -26,22 +22,21 @@ import (
 // contributes an unmutated replay of its first record, exercising the
 // date-stamp-only (touched, not dirty) path. contiguous true selects one run
 // starting a third of the way in with no replay rows (an update batch with
-// locality, the benchmark's choice — segment rewrites stay proportional to
-// the fraction). date must be a snapshot date the dataset has not seen.
+// locality — segment rewrites stay proportional to the fraction). date must be a snapshot date the dataset has not seen.
 //
 // fraction == 0 replays, under the dataset's most recent import date, every
 // record whose snapshot trail already ends on that date — a pure no-op file:
 // every row decodes to a known hash with its date already stamped.
 //
 // Everything is a pure function of (d, date, fraction): no randomness.
-func Write(dir string, d *core.Dataset, date string, fraction float64, contiguous bool) (path string, changed int, err error) {
+func WriteDeltaFile(dir string, d *core.Dataset, date string, fraction float64, contiguous bool) (path string, changed int, err error) {
 	var recs []voter.Record
 	fileDate := date
 	ids := d.NCIDs()
 	if fraction <= 0 {
 		imports := d.Imports()
 		if len(imports) == 0 {
-			return "", 0, fmt.Errorf("deltafile: delta file against an empty dataset")
+			return "", 0, fmt.Errorf("testkit: delta file against an empty dataset")
 		}
 		fileDate = imports[len(imports)-1].Snapshot
 		for _, id := range ids {

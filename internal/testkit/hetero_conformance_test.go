@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/deltafile"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/testkit"
@@ -164,7 +163,7 @@ func TestConformanceHeteroFusedDelta(t *testing.T) {
 		}
 		proto.Publish()
 	}
-	deltaPath, changed, err := deltafile.Write(t.TempDir(), proto, "2097-01-01", 0.25, false)
+	deltaPath, changed, err := testkit.WriteDeltaFile(t.TempDir(), proto, "2097-01-01", 0.25, false)
 	if err != nil || changed < 1 {
 		t.Fatalf("delta file: %d clusters changed, err %v", changed, err)
 	}

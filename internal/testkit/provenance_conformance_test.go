@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/deltafile"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/plaus"
@@ -89,7 +88,7 @@ func TestConformanceProvenance(t *testing.T) {
 		contiguous bool
 	}{{0.01, true}, {0.25, false}, {1.0, false}} {
 		fraction, contiguous := tc.fraction, tc.contiguous
-		deltaPath, changed, err := deltafile.Write(t.TempDir(), proto, "2097-01-01", fraction, contiguous)
+		deltaPath, changed, err := testkit.WriteDeltaFile(t.TempDir(), proto, "2097-01-01", fraction, contiguous)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +171,7 @@ func TestConformanceProvenance(t *testing.T) {
 	}
 }
 
-// stampCounters collects provenance counters for assertions.
+// stampCounters collects provenance and store counters for assertions.
 type stampCounters map[string]int64
 
 func (c stampCounters) AddN(name string, n int64) { c[name] += n }

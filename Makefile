@@ -61,6 +61,7 @@ FUZZ_TARGETS = \
 	FuzzLoadFile:./internal/docstore \
 	FuzzLoadSegmented:./internal/docstore \
 	FuzzDocEncoder:./internal/docstore \
+	FuzzDocDecoder:./internal/docstore \
 	FuzzClusterJSON:./internal/core \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \

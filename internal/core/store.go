@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/docstore"
 	"repro/internal/voter"
@@ -166,7 +167,7 @@ func datasetFromMeta(db *docstore.DB) (*Dataset, error) {
 			ver := Version{Number: asInt(num)}
 			if snaps, ok := docstore.Get(vd, "snapshots"); ok {
 				for _, s := range snaps.([]any) {
-					ver.Snapshots = append(ver.Snapshots, fmt.Sprint(s))
+					ver.Snapshots = append(ver.Snapshots, asString(s))
 				}
 			}
 			d.versions = append(d.versions, ver)
@@ -178,7 +179,7 @@ func datasetFromMeta(db *docstore.DB) (*Dataset, error) {
 			vd, _ := v.(docstore.Document)
 			st := ImportStats{}
 			if s, ok := docstore.Get(vd, "snapshot"); ok {
-				st.Snapshot = fmt.Sprint(s)
+				st.Snapshot = asString(s)
 			}
 			st.Rows = intAt(vd, "rows")
 			st.NewRecords = intAt(vd, "newRecords")
@@ -199,9 +200,10 @@ func clusterFromDoc(doc docstore.Document) (*Cluster, error) {
 		hashes:   map[voter.Hash]int{},
 	}
 	recsAny, _ := doc["records"].([]any)
-	hashesAny, _ := valueAt(doc, "meta.hashes").([]any)
-	fvAny, _ := valueAt(doc, "meta.firstVersion").([]any)
-	snapsAny, _ := valueAt(doc, "meta.snapshots").([]any)
+	meta, _ := doc["meta"].(docstore.Document)
+	hashesAny, _ := meta["hashes"].([]any)
+	fvAny, _ := meta["firstVersion"].([]any)
+	snapsAny, _ := meta["snapshots"].([]any)
 	for i, rv := range recsAny {
 		rd, _ := rv.(docstore.Document)
 		e := RecordEntry{Rec: recordFromDoc(rd), FirstVersion: 1}
@@ -218,7 +220,7 @@ func clusterFromDoc(doc docstore.Document) (*Cluster, error) {
 		if i < len(snapsAny) {
 			if dates, ok := snapsAny[i].([]any); ok {
 				for _, dt := range dates {
-					e.Snapshots = append(e.Snapshots, fmt.Sprint(dt))
+					e.Snapshots = append(e.Snapshots, asString(dt))
 				}
 			}
 		}
@@ -227,12 +229,12 @@ func clusterFromDoc(doc docstore.Document) (*Cluster, error) {
 		}
 		c.Records = append(c.Records, e)
 	}
-	if ins, ok := valueAt(doc, "meta.inserted").(docstore.Document); ok {
+	if ins, ok := meta["inserted"].(docstore.Document); ok {
 		for k, v := range ins {
 			c.Inserted[unescapeField(k)] = asInt(v)
 		}
 	}
-	if sims, ok := valueAt(doc, "meta.sims").(docstore.Document); ok {
+	if sims, ok := meta["sims"].(docstore.Document); ok {
 		for kind, kv := range sims {
 			kindDoc, _ := kv.(docstore.Document)
 			vm := VersionSimMap{}
@@ -267,14 +269,22 @@ func clusterFromDoc(doc docstore.Document) (*Cluster, error) {
 	return c, nil
 }
 
+// recordGroups lists the sub-documents recordDoc splits a record into.
+var recordGroups = [...]voter.Group{voter.GroupMeta, voter.GroupPerson, voter.GroupDistrict, voter.GroupElection}
+
 // recordFromDoc rebuilds the flat 90-value record from the grouped sparse
-// document.
+// document. It walks the values the document holds — a sparse record has
+// about 35 — rather than probing for all 90 attributes; a name filed under
+// another group than its own is ignored.
 func recordFromDoc(doc docstore.Document) voter.Record {
 	r := voter.NewRecord()
-	for i, a := range voter.Attributes {
-		if group, ok := doc[a.Group.String()].(docstore.Document); ok {
-			if v, ok := group[a.Name].(string); ok {
-				r.Values[i] = v
+	for _, g := range recordGroups {
+		group, _ := doc[g.String()].(docstore.Document)
+		for name, v := range group {
+			if s, ok := v.(string); ok {
+				if i, ok := voter.Index(name); ok && voter.Attributes[i].Group == g {
+					r.Values[i] = s
+				}
 			}
 		}
 	}
@@ -308,12 +318,6 @@ func fromHexDigit(c byte) (byte, bool) {
 		return c - 'A' + 10, true
 	}
 	return 0, false
-}
-
-// valueAt is Get without the ok flag.
-func valueAt(doc docstore.Document, path string) any {
-	v, _ := docstore.Get(doc, path)
-	return v
 }
 
 func intAt(doc docstore.Document, path string) int {
@@ -350,14 +354,14 @@ func trimPrefix(s, p string) string {
 	return s
 }
 
-func unescapeField(k string) string {
-	out := make([]rune, 0, len(k))
-	for _, r := range k {
-		if r == '．' {
-			out = append(out, '.')
-			continue
-		}
-		out = append(out, r)
+// asString returns strings as they are; any other value a hostile document
+// holds in a string's place prints as fmt prints it.
+func asString(v any) string {
+	if s, ok := v.(string); ok {
+		return s
 	}
-	return string(out)
+	return fmt.Sprint(v)
 }
+
+// unescapeField undoes docstore.FieldPathEscape.
+func unescapeField(k string) string { return strings.ReplaceAll(k, "．", ".") }

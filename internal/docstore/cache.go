@@ -3,7 +3,8 @@ package docstore
 import "sync"
 
 // SegmentCache memoizes decoded segments across loads of the same store
-// directory, keyed by the manifest's (file, bytes, CRC32) triple. After a
+// directory: one entry per segment file, valid for the manifest's exact
+// (file, bytes, CRC32) triple and document count. After a
 // dirty-segment save rewrites only the touched segments, a reload through
 // the cache re-reads and re-parses exactly those — every byte-identical
 // segment resolves to its previously decoded documents, so the reload cost
@@ -19,19 +20,19 @@ import "sync"
 // generations). The zero value is not usable; NewSegmentCache constructs.
 type SegmentCache struct {
 	mu sync.Mutex
-	m  map[segmentKey][]Document
+	m  map[string]cachedSegment // by file name: one generation per segment file
 }
 
-// segmentKey identifies one exact segment generation.
-type segmentKey struct {
-	file  string
+// cachedSegment is the decode of one exact segment generation.
+type cachedSegment struct {
 	bytes int64
 	crc   uint32
+	docs  []Document
 }
 
 // NewSegmentCache returns an empty cache, safe for concurrent use.
 func NewSegmentCache() *SegmentCache {
-	return &SegmentCache{m: map[segmentKey][]Document{}}
+	return &SegmentCache{m: map[string]cachedSegment{}}
 }
 
 // Len returns the number of cached segments.
@@ -41,23 +42,22 @@ func (sc *SegmentCache) Len() int {
 	return len(sc.m)
 }
 
-// lookup returns the cached documents for info, or nil.
+// lookup returns the cached documents for info, or nil when the file is
+// unknown or cached in another generation.
 func (sc *SegmentCache) lookup(info segmentInfo) []Document {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.m[segmentKey{info.File, info.Bytes, info.CRC32}]
+	if e := sc.m[info.File]; e.bytes == info.Bytes && e.crc == info.CRC32 && len(e.docs) == info.Docs {
+		return e.docs
+	}
+	return nil
 }
 
-// store remembers docs as the decode of info. Earlier generations of the
-// same file are dropped: a reload only ever sees the manifest's current
-// triple, so stale entries would just pin memory.
+// store remembers docs as the decode of info, replacing whatever generation
+// of the same file was cached: a reload only ever sees the manifest's current
+// triple, so an older entry would just pin memory.
 func (sc *SegmentCache) store(info segmentInfo, docs []Document) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for k := range sc.m {
-		if k.file == info.File && k.crc != info.CRC32 {
-			delete(sc.m, k)
-		}
-	}
-	sc.m[segmentKey{info.File, info.Bytes, info.CRC32}] = docs
+	sc.m[info.File] = cachedSegment{info.Bytes, info.CRC32, docs}
 }

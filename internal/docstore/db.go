@@ -2,7 +2,6 @@ package docstore
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,42 +125,17 @@ func (c *Collection) LoadFile(path string) error {
 	}
 	defer f.Close()
 	sc := scanio.NewScanner(f, loadMaxLineBytes)
+	var dec docDecoder
 	line := 0
 	for sc.Scan() {
 		line++
-		var d Document
-		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
+		d, err := dec.decode(sc.Bytes())
+		if err != nil {
 			return fmt.Errorf("docstore: %s line %d: %w", path, line, err)
 		}
-		normalize(d)
 		if err := c.Insert(d); err != nil {
 			return fmt.Errorf("docstore: %s line %d: %w", path, line, err)
 		}
 	}
 	return sc.Err()
-}
-
-// normalize rewrites decoded JSON values in place so nested objects are
-// Documents (encoding/json already decodes into map[string]any, which is
-// our Document type; this pass exists to keep the invariant explicit and to
-// normalize nested arrays).
-func normalize(d Document) {
-	for k, v := range d {
-		d[k] = normalizeValue(v)
-	}
-}
-
-func normalizeValue(v any) any {
-	switch t := v.(type) {
-	case map[string]any:
-		normalize(t)
-		return t
-	case []any:
-		for i := range t {
-			t[i] = normalizeValue(t[i])
-		}
-		return t
-	default:
-		return v
-	}
 }

@@ -322,3 +322,72 @@ func TestSegmentCacheReload(t *testing.T) {
 		t.Errorf("cache holds %d segments, want 11", n)
 	}
 }
+
+// TestSegmentCacheHoldsOneGenerationPerFile pins the cache's size to the
+// store's: after a dirty save rewrote half the segments and a reload decoded
+// them, the cache holds exactly one entry per live segment.
+func TestSegmentCacheHoldsOneGenerationPerFile(t *testing.T) {
+	const stride, docs = 10, 200
+	dir := t.TempDir()
+	base := func(i int) string { return fmt.Sprintf("base-%d", i) }
+	if err := strideDB(t, docs, base).SaveParallelOpts(dir, SaveOpts{Stride: stride}); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewSegmentCache()
+	if _, err := LoadParallelOpts(dir, LoadOpts{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	// Touch one document in every second segment; the payload changes length,
+	// so byte count and CRC both move.
+	dirty := map[string]bool{}
+	changed := func(i int) string {
+		if i%(2*stride) == 0 {
+			dirty[fmt.Sprintf("c%05d", i)] = true
+			return "rewritten"
+		}
+		return base(i)
+	}
+	next := strideDB(t, docs, changed)
+	if err := next.SaveParallelOpts(dir, SaveOpts{Stride: stride, Dirty: map[string]map[string]bool{"clusters": dirty}}); err != nil {
+		t.Fatal(err)
+	}
+	warm := &countObserver{}
+	if _, err := LoadParallelOpts(dir, LoadOpts{Cache: cache, Observer: warm}); err != nil {
+		t.Fatal(err)
+	}
+	if r := warm.get(CounterSegmentsRead); r != docs/stride/2 {
+		t.Errorf("reload read %d segments, want %d", r, docs/stride/2)
+	}
+	if n := cache.Len(); n != docs/stride {
+		t.Errorf("cache holds %d segments, the store has %d", n, docs/stride)
+	}
+}
+
+// TestSegmentCacheReplacesSameCRC covers the generation the CRC alone cannot
+// tell apart: a rewrite with an equal CRC and another byte count replaces the
+// cached entry — the old one neither answers for the new triple nor stays.
+func TestSegmentCacheReplacesSameCRC(t *testing.T) {
+	cache := NewSegmentCache()
+	old := segmentInfo{File: "clusters.00.jsonl", Docs: 1, Bytes: 10, CRC32: 0xfeed}
+	cache.store(old, []Document{{"_id": "old"}})
+	next := old
+	next.Bytes = 12
+	if cache.lookup(next) != nil {
+		t.Fatal("an entry of 10 bytes answered for a segment of 12")
+	}
+	cache.store(next, []Document{{"_id": "new"}})
+	if n := cache.Len(); n != 1 {
+		t.Errorf("cache holds %d entries for one file, want 1", n)
+	}
+	if cache.lookup(old) != nil {
+		t.Error("the superseded generation is still served")
+	}
+	if docs := cache.lookup(next); len(docs) != 1 || docs[0]["_id"] != "new" {
+		t.Errorf("lookup of the current generation = %v", docs)
+	}
+	// A manifest that disagrees on the document count is another generation.
+	next.Docs = 2
+	if cache.lookup(next) != nil {
+		t.Error("an entry of 1 document answered for a segment of 2")
+	}
+}

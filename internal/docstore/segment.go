@@ -593,9 +593,10 @@ func (c *Collection) loadSegmented(dir string, opts LoadOpts) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var dec docDecoder
 			for i := range jobs {
 				var n int64
-				segDocs[i], n, errs[i] = readSegment(fsys, dir, man.Segments[i])
+				segDocs[i], n, errs[i] = readSegment(fsys, dir, man.Segments[i], &dec)
 				bytesMu.Lock()
 				bytesRead += n
 				bytesMu.Unlock()
@@ -652,7 +653,7 @@ func (c *Collection) loadSegmented(dir string, opts LoadOpts) error {
 // and CRC against the manifest entry first — a mismatch means the segment
 // is torn or from a different save generation, and loading it would mix
 // states.
-func readSegment(fsys FS, dir string, info segmentInfo) ([]Document, int64, error) {
+func readSegment(fsys FS, dir string, info segmentInfo, dec *docDecoder) ([]Document, int64, error) {
 	path := filepath.Join(dir, info.File)
 	raw, err := fsys.ReadFile(path)
 	if err != nil {
@@ -682,11 +683,10 @@ func readSegment(fsys FS, dir string, info segmentInfo) ([]Document, int64, erro
 			continue
 		}
 		line++
-		var d Document
-		if err := json.Unmarshal(rec, &d); err != nil {
+		d, err := dec.decode(rec)
+		if err != nil {
 			return nil, info.Bytes, fmt.Errorf("docstore: %s line %d: %w", path, line, err)
 		}
-		normalize(d)
 		docs = append(docs, d)
 	}
 	if len(docs) != info.Docs {

@@ -1,16 +1,20 @@
 package testkit_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dedup"
 	"repro/internal/docstore"
+	"repro/internal/hetero"
 	"repro/internal/plaus"
 	"repro/internal/testkit"
 )
@@ -233,11 +237,125 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 			return testkit.DocDBFingerprint(loaded)
 		},
 	}.Run(t)
+
+	// Both sides above read through docstore's own line decoder, so the
+	// reader it replaced stays the judge: a scored corpus' cluster documents,
+	// saved in either format, load as encoding/json reads the same lines.
+	t.Run("reads-as-encoding-json", func(t *testing.T) {
+		ds := corpus.Dataset(t, 120, 4)
+		plaus.UpdateParallel(ds, 1)
+		hetero.UpdateParallel(ds, 1)
+		stored := ds.ToDocDB()
+		segmented, flat := t.TempDir(), t.TempDir()
+		if err := stored.SaveParallelOpts(segmented, docstore.SaveOpts{Stride: 16}); err != nil {
+			t.Fatal(err)
+		}
+		if err := stored.Save(flat); err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{segmented, flat} {
+			want := jsonStoreDocs(t, dir)
+			if len(want[core.ClustersCollection]) != ds.NumClusters() {
+				t.Fatalf("%d cluster lines on disk, dataset has %d", len(want[core.ClustersCollection]), ds.NumClusters())
+			}
+			for _, workers := range []int{1, 4} {
+				loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, docs := range want {
+					col := loaded.Collection(name)
+					if col.Len() != len(docs) {
+						t.Fatalf("workers %d: %s holds %d documents, json reads %d", workers, name, col.Len(), len(docs))
+					}
+					for id, doc := range docs {
+						if !reflect.DeepEqual(col.Get(id), doc) {
+							t.Fatalf("workers %d: %s/%s loads differently from json.Unmarshal of its line", workers, name, id)
+						}
+					}
+				}
+			}
+		}
+	})
+
+	// Lines the decoder declines (an escape, a non-ASCII name, an exponent
+	// float) between lines it reads itself: the fast and the fallback path in
+	// one load, equal to what was saved.
+	t.Run("declined-lines", func(t *testing.T) {
+		mixed := docstore.NewDB()
+		col := mixed.Collection("clusters")
+		for i := 0; i < 40; i++ {
+			doc := docstore.D("_id", fmt.Sprintf("m%03d", i), "size", float64(i), "records",
+				[]any{docstore.D("person", docstore.D("last_name", "SMITH", "age", "41"))})
+			switch i % 4 {
+			case 1:
+				doc["note"] = "q\"uote, back\\slash, <tag> & tab\t"
+			case 2:
+				doc["records"] = []any{docstore.D("person", docstore.D("last_name", "ÅSTRÖM", "first_name", "日本"))}
+			case 3:
+				doc["tiny"], doc["huge"] = 1e-9, 1e21
+			}
+			if err := col.Insert(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		if err := mixed.SaveParallelOpts(dir, docstore.SaveOpts{Stride: 8}); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(testkit.DocDBFingerprint(loaded), testkit.DocDBFingerprint(mixed)) {
+				t.Fatalf("workers %d: the store loads differently from what was saved", workers)
+			}
+		}
+	})
+}
+
+// jsonStoreDocs reads every document line under dir with encoding/json, by
+// collection and _id: the reader both load paths used before docstore had a
+// decoder of its own.
+func jsonStoreDocs(tb testing.TB, dir string) map[string]map[string]docstore.Document {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("no document files under %s: %v", dir, err)
+	}
+	out := map[string]map[string]docstore.Document{}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		name, _, _ := strings.Cut(filepath.Base(file), ".")
+		if out[name] == nil {
+			out[name] = map[string]docstore.Document{}
+		}
+		for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+			var doc docstore.Document
+			if err := json.Unmarshal(line, &doc); err != nil {
+				tb.Fatalf("%s: %v", file, err)
+			}
+			out[name][doc["_id"].(string)] = doc
+		}
+	}
+	return out
 }
 
 func TestConformanceDatasetDocDB(t *testing.T) {
 	corpus := testkit.Corpus{Seed: 13}
-	db := corpus.Dataset(t, 100, 3).ToDocDB()
+	ds := corpus.Dataset(t, 100, 3)
+	db := ds.ToDocDB()
+	// The conversion back walks what each document holds; it must rebuild
+	// every cluster the documents were made from.
+	if back, err := core.FromDocDB(db); err != nil {
+		t.Fatal(err)
+	} else if diff := core.BuildFingerprintIndex(ds).Diff(core.BuildFingerprintIndex(back)); len(diff) > 0 {
+		t.Fatalf("FromDocDB(ToDocDB(ds)) changed %d clusters (first: %s)", len(diff), diff[0])
+	}
 	testkit.Differential[*core.Dataset]{
 		Name: "docstore/from-docdb",
 		Sequential: func(tb testing.TB) *core.Dataset {

@@ -1,14 +1,14 @@
 # Development targets. `make ci` is the gate: gofmt + vet + build + the
-# end-to-end benchmark's own vet and tests + race-enabled tests over every
-# package (the conformance harness included), the docs-link check, the fuzz
-# smoke pass and the coverage floors.
+# end-to-end benchmark's own vet and tests + the report golden +
+# race-enabled tests over every package (the conformance harness included),
+# the docs-link check, the fuzz smoke pass and the coverage floors.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race test-short conformance fuzz-smoke cover loc bench-e2e-check bench-e2e docs
+.PHONY: ci fmt vet build test race test-short conformance report-check fuzz-smoke cover loc bench-e2e-check bench-e2e docs
 
-ci: fmt vet build bench-e2e-check race docs fuzz-smoke cover
+ci: fmt vet build bench-e2e-check report-check race docs fuzz-smoke cover
 
 # Fail when any tracked Go file is not gofmt-clean.
 fmt:
@@ -49,8 +49,16 @@ race:
 # (ingest, scoring, docstore, blocking, streaming dedup, delta, serving,
 # provenance) under the race detector, plus the fault-injection sweeps, the
 # examples smoke test and the shared scanner-limit regression.
-conformance:
+conformance: report-check
 	$(GO) test -race ./internal/testkit ./internal/scanio
+
+# report_small.md is a golden: every Table 1-4 / Figure 1, 3-5 number of the
+# reproduction at one seed. Regenerate it and compare byte for byte; a PR
+# that changes the file names the paper shape that moved (EXPERIMENTS.md).
+report-check:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) run ./cmd/ncbench -scale small -exp all -top 100 -seed 1 -md "$$tmp" >/dev/null && \
+	cmp "$$tmp" report_small.md && echo "ok   report_small.md reproduced byte for byte"
 
 # Every native fuzz target, seeds plus $(FUZZTIME) of live fuzzing each.
 # `make fuzz-smoke FUZZTIME=10m` digs deeper on one coffee break.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/blocking"
 	"repro/internal/corpus"
 	"repro/internal/dedup"
 )
@@ -76,8 +77,9 @@ func main() {
 	}
 	if *detect {
 		fmt.Println("\ndetection:")
+		cands, _ := blocking.Generate(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 4), Window: 20})
 		for _, m := range dedup.Measures {
-			curve := dedup.Evaluate(ds, m, 4, 20, 100)
+			curve := dedup.EvaluateCandidatesParallel(ds, m, cands, 100, dedup.ScoreOpts{})
 			f1, th := curve.BestF1()
 			fmt.Printf("  %-12s best F1 %.3f @ threshold %.2f\n", m, f1, th)
 		}

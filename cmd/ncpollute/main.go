@@ -54,7 +54,7 @@ func main() {
 		fmt.Println("recomputing heterogeneity scores ...")
 		hetero.UpdateParallel(polluted, 0)
 	}
-	if err := polluted.ToDocDB().Save(*out); err != nil {
+	if err := polluted.ToDocDB().SaveParallelOpts(*out, docstore.SaveOpts{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("polluted %d of %d records, added %d synthetic duplicates\n",

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/custom"
 	"repro/internal/dedup"
@@ -45,8 +46,9 @@ func main() {
 			fmt.Println("  (no duplicate pairs at this scale — grow the source dataset)")
 			continue
 		}
+		cands, _ := blocking.Generate(out, blocking.Config{Passes: blocking.EntropyPasses(out, 5), Window: 20})
 		for _, m := range dedup.Measures {
-			curve := dedup.Evaluate(out, m, 5, 20, 100)
+			curve := dedup.EvaluateCandidatesParallel(out, m, cands, 100, dedup.ScoreOpts{})
 			f1, th := curve.BestF1()
 			fmt.Printf("  %-12s best F1 %.3f @ threshold %.2f\n", m, f1, th)
 		}

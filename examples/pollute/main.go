@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/custom"
 	"repro/internal/dapo"
@@ -50,7 +51,8 @@ func main() {
 func report(name string, d *core.Dataset, extra int) {
 	avgHet := mean(hetero.ClusterHeterogeneity(d, core.KindHeteroPerson))
 	ds := custom.Build(d, custom.Config{Name: name, HLow: 0, HHigh: 1, SelectTop: 120, Seed: 1})
-	f1, _ := dedup.Evaluate(ds, dedup.MeasureMELev, 5, 20, 100).BestF1()
+	cands, _ := blocking.Generate(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 5), Window: 20})
+	f1, _ := dedup.EvaluateCandidatesParallel(ds, dedup.MeasureMELev, cands, 100, dedup.ScoreOpts{}).BestF1()
 	fmt.Printf("%-10s %12d %14d %10.3f %10.3f\n", name, d.NumRecords(), extra, avgHet, f1)
 }
 

@@ -37,7 +37,7 @@ func main() {
 	plaus.Update(ds)
 	v1 := ds.Publish()
 	recordsV1 := ds.NumRecords()
-	if err := ds.ToDocDB().Save(dir); err != nil {
+	if err := ds.ToDocDB().SaveParallelOpts(dir, docstore.SaveOpts{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("published version %d: %d records, persisted to %s\n", v1, recordsV1, dir)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/dedup"
 	"repro/internal/simil"
@@ -76,13 +77,13 @@ type AblationWindowResult struct {
 // window grows (the paper fixes w = 20 and loses no true pair).
 func RunAblationWindow(w *Workspace, top int, out io.Writer) AblationWindowResult {
 	ds := NCDatasets(w, top)[1] // NC2: the medium setting
-	passes := dedup.MostUniqueAttrs(ds, snmPasses)
+	passes := blocking.EntropyPasses(ds, snmPasses)
 	res := AblationWindowResult{}
 	fmt.Fprintf(out, "Ablation SNM window on %s (%d records, %d true pairs)\n",
 		ds.Name, ds.NumRecords(), ds.NumTruePairs())
 	for _, win := range []int{2, 5, 10, 20, 40, 80} {
-		cands := dedup.SortedNeighborhood(ds, passes, win)
-		rec := dedup.BlockingRecall(ds, cands)
+		cands, _ := blocking.Generate(ds, blocking.Config{Passes: passes, Window: win})
+		rec := blocking.Recall(ds, cands)
 		res.Windows = append(res.Windows, win)
 		res.Candidates = append(res.Candidates, len(cands))
 		res.Recalls = append(res.Recalls, rec)
@@ -102,31 +103,19 @@ type AblationWeightsResult struct {
 // uniform weighting on the NC2 customization.
 func RunAblationWeights(w *Workspace, top int, out io.Writer) AblationWeightsResult {
 	ds := NCDatasets(w, top)[1]
-	entropyCurve := dedup.Evaluate(ds, dedup.MeasureMELev, snmPasses, snmWindow, sweepSteps)
-	entropyF1, _ := entropyCurve.BestF1()
+	cands := paperCandidates(ds)
+	entropyF1, _ := dedup.EvaluateCandidatesParallel(ds, dedup.MeasureMELev, cands, sweepSteps, dedup.ScoreOpts{}).BestF1()
 
-	// Uniform weights: flatten the value distribution by feeding the
-	// matcher a dataset whose entropy is equal per column. Easiest faithful
-	// comparison: score with a uniform-weight matcher built directly.
-	uniform := &dedup.Dataset{
-		Name:      ds.Name + "-uniform",
-		Attrs:     ds.Attrs,
-		Records:   ds.Records,
-		ClusterOf: ds.ClusterOf,
-		NameAttrs: ds.NameAttrs,
-	}
-	uniformF1 := evaluateUniform(uniform)
-	res := AblationWeightsResult{EntropyF1: entropyF1, UniformF1: uniformF1}
+	res := AblationWeightsResult{EntropyF1: entropyF1, UniformF1: evaluateUniform(ds, cands)}
 	fmt.Fprintf(out, "Ablation weights on %s: entropy best F1 %.3f vs uniform %.3f\n",
 		ds.Name, res.EntropyF1, res.UniformF1)
 	return res
 }
 
-// evaluateUniform scores candidates under uniform attribute weights by
-// using a plain unweighted mean of value similarities.
-func evaluateUniform(ds *dedup.Dataset) float64 {
-	passes := dedup.MostUniqueAttrs(ds, snmPasses)
-	cands := dedup.SortedNeighborhood(ds, passes, snmWindow)
+// evaluateUniform scores the candidates under uniform attribute weights —
+// a plain unweighted mean of value similarities — and returns the best F1
+// of the same threshold sweep.
+func evaluateUniform(ds *dedup.Dataset, cands []dedup.Pair) float64 {
 	type scored struct {
 		sim float64
 		dup bool

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/custom"
 	"repro/internal/dapo"
@@ -11,59 +12,52 @@ import (
 	"repro/internal/hetero"
 )
 
-// AblationBlockingResult compares the paper's multi-pass Sorted
-// Neighborhood against standard blocking and canopy blocking on the same
-// dataset.
+// AblationBlockingResult compares the blockers the pipeline ships on the
+// same dataset: the paper's entropy-pass SNM, SNM over hand-picked key
+// passes, and trigram banding.
 type AblationBlockingResult struct {
-	SNMCandidates    int
-	SNMRecall        float64
-	StdCandidates    int
-	StdRecall        float64
-	CanopyCandidates int
-	CanopyRecall     float64
+	SNMCandidates     int
+	SNMRecall         float64
+	KeyCandidates     int
+	KeyRecall         float64
+	TrigramCandidates int
+	TrigramRecall     float64
 }
 
+// keyPassSpec is the hand-picked SNM configuration of the blocking
+// ablation: phonetic last name, zip code, first-name prefix.
+const keyPassSpec = "soundex(last_name), zip_code, prefix(first_name,4)"
+
 // RunAblationBlocking contrasts the three blocking schemes on the NC1
-// customization: SNM with the paper's parameters, standard blocking on
-// last-name Soundex / zip code / first-name prefix, and canopy blocking
-// over the name attributes.
+// customization, all through blocking.Generate: SNM with the paper's
+// parameters, SNM over keyPassSpec at the same window, and trigram banding
+// at its defaults.
 func RunAblationBlocking(w *Workspace, top int, out io.Writer) AblationBlockingResult {
 	ds := NCDatasets(w, top)[0]
-	passes := dedup.MostUniqueAttrs(ds, snmPasses)
-	snm := dedup.SortedNeighborhood(ds, passes, snmWindow)
-
-	lastIdx, firstIdx, zipIdx := attrIndex(ds, "last_name"), attrIndex(ds, "first_name"), attrIndex(ds, "zip_code")
-	keys := []dedup.KeyFunc{}
-	if lastIdx >= 0 {
-		keys = append(keys, dedup.SoundexKey(lastIdx))
+	snm := paperCandidates(ds)
+	keyPasses, err := blocking.ParsePasses(ds, keyPassSpec)
+	if err != nil {
+		panic(err) // the NC customizations carry the register's schema
 	}
-	if zipIdx >= 0 {
-		keys = append(keys, dedup.ExactKey(zipIdx))
-	}
-	if firstIdx >= 0 {
-		keys = append(keys, dedup.PrefixKey(firstIdx, 4))
-	}
-	std := dedup.StandardBlocking(ds, keys, 0)
-	canopy := dedup.CanopyBlocking(ds, dedup.CanopyConfig{
-		Attrs: ds.NameAttrs, Loose: 0.25, Tight: 0.75, Seed: w.Scale.Seed,
-	})
+	key, _ := blocking.Generate(ds, blocking.Config{Passes: keyPasses, Window: snmWindow})
+	trigram, _ := blocking.Generate(ds, blocking.Config{Trigram: &blocking.TrigramConfig{}})
 
 	res := AblationBlockingResult{
-		SNMCandidates:    len(snm),
-		SNMRecall:        dedup.BlockingRecall(ds, snm),
-		StdCandidates:    len(std),
-		StdRecall:        dedup.BlockingRecall(ds, std),
-		CanopyCandidates: len(canopy),
-		CanopyRecall:     dedup.BlockingRecall(ds, canopy),
+		SNMCandidates:     len(snm),
+		SNMRecall:         blocking.Recall(ds, snm),
+		KeyCandidates:     len(key),
+		KeyRecall:         blocking.Recall(ds, key),
+		TrigramCandidates: len(trigram),
+		TrigramRecall:     blocking.Recall(ds, trigram),
 	}
 	fmt.Fprintf(out, "Ablation blocking on %s (%d records, %d true pairs)\n",
 		ds.Name, ds.NumRecords(), ds.NumTruePairs())
 	fmt.Fprintf(out, "  SNM (%d passes, w=%d): %d candidates, recall %.3f\n",
 		snmPasses, snmWindow, res.SNMCandidates, res.SNMRecall)
-	fmt.Fprintf(out, "  standard (soundex/zip/prefix): %d candidates, recall %.3f\n",
-		res.StdCandidates, res.StdRecall)
-	fmt.Fprintf(out, "  canopy (names, loose 0.25 / tight 0.75): %d candidates, recall %.3f\n",
-		res.CanopyCandidates, res.CanopyRecall)
+	fmt.Fprintf(out, "  SNM (%s, w=%d): %d candidates, recall %.3f\n",
+		keyPassSpec, snmWindow, res.KeyCandidates, res.KeyRecall)
+	fmt.Fprintf(out, "  trigram banding (names, %d bands x %d rows): %d candidates, recall %.3f\n",
+		blocking.DefaultBands, blocking.DefaultRows, res.TrigramCandidates, res.TrigramRecall)
 	return res
 }
 
@@ -82,7 +76,7 @@ func RunAblationThreshold(w *Workspace, top int, out io.Writer) AblationThreshol
 	var res AblationThresholdResult
 	fmt.Fprintln(out, "Ablation threshold transfer (train on half the clusters, validate on the rest)")
 	for _, ds := range NCDatasets(w, top) {
-		sel := dedup.SelectThreshold(ds, dedup.MeasureMELev, snmPasses, snmWindow, sweepSteps, 0.5, w.Scale.Seed)
+		sel := dedup.SelectThreshold(ds, dedup.MeasureMELev, paperCandidates, sweepSteps, 0.5, w.Scale.Seed)
 		res.Dataset = append(res.Dataset, ds.Name)
 		res.Selected = append(res.Selected, sel)
 		fmt.Fprintf(out, "  %-4s threshold %.2f: train F1 %.3f -> validate F1 %.3f\n",
@@ -106,8 +100,8 @@ func RunAblationFS(w *Workspace, top int, out io.Writer) AblationFSResult {
 	var res AblationFSResult
 	fmt.Fprintln(out, "Ablation Fellegi-Sunter vs similarity threshold (validated on held-out clusters)")
 	for _, ds := range NCDatasets(w, top) {
-		sel := dedup.SelectThreshold(ds, dedup.MeasureMELev, snmPasses, snmWindow, sweepSteps, 0.5, w.Scale.Seed)
-		fsF1, _ := dedup.EvaluateFellegiSunter(ds, snmPasses, snmWindow, 0.9, 0.5, w.Scale.Seed)
+		sel := dedup.SelectThreshold(ds, dedup.MeasureMELev, paperCandidates, sweepSteps, 0.5, w.Scale.Seed)
+		fsF1, _ := dedup.EvaluateFellegiSunter(ds, paperCandidates, 0.9, 0.5, w.Scale.Seed)
 		res.Dataset = append(res.Dataset, ds.Name)
 		res.ThresholdF1 = append(res.ThresholdF1, sel.ValidateF1)
 		res.FSF1 = append(res.FSF1, fsF1)
@@ -115,15 +109,6 @@ func RunAblationFS(w *Workspace, top int, out io.Writer) AblationFSResult {
 			ds.Name, sel.ValidateF1, fsF1)
 	}
 	return res
-}
-
-func attrIndex(ds *dedup.Dataset, name string) int {
-	for i, a := range ds.Attrs {
-		if a == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // AblationPollutionResult quantifies the DaPo hybrid (the paper's future
@@ -160,8 +145,8 @@ func RunAblationPollution(w *Workspace, out io.Writer) AblationPollutionResult {
 	baseDS := custom.Build(base, full)
 	full.Name = "polluted"
 	polDS := custom.Build(polluted, full)
-	res.BaseF1, _ = dedup.Evaluate(baseDS, dedup.MeasureMELev, snmPasses, snmWindow, 50).BestF1()
-	res.PollutedF1, _ = dedup.Evaluate(polDS, dedup.MeasureMELev, snmPasses, snmWindow, 50).BestF1()
+	res.BaseF1, _ = dedup.EvaluateCandidatesParallel(baseDS, dedup.MeasureMELev, paperCandidates(baseDS), 50, dedup.ScoreOpts{}).BestF1()
+	res.PollutedF1, _ = dedup.EvaluateCandidatesParallel(polDS, dedup.MeasureMELev, paperCandidates(polDS), 50, dedup.ScoreOpts{}).BestF1()
 
 	fmt.Fprintf(out, "Ablation DaPo hybrid: heterogeneity %.3f -> %.3f, best F1 %.3f -> %.3f, +%d synthetic duplicates\n",
 		res.BaseHetero, res.PollutedHetero, res.BaseF1, res.PollutedF1, res.ExtraDuplicate)
@@ -181,8 +166,7 @@ type AblationMeasuresResult struct {
 // matters (§6.5's observation for dirtier data).
 func RunAblationMeasures(w *Workspace, top int, out io.Writer) AblationMeasuresResult {
 	ds := NCDatasets(w, top)[1]
-	passes := dedup.MostUniqueAttrs(ds, snmPasses)
-	cands := dedup.SortedNeighborhood(ds, passes, snmWindow)
+	cands := paperCandidates(ds)
 	var res AblationMeasuresResult
 	fmt.Fprintf(out, "Ablation measure zoo on %s (%d records, %d true pairs)\n",
 		ds.Name, ds.NumRecords(), ds.NumTruePairs())

@@ -50,11 +50,3 @@ func FractionBelow(values []float64, x float64) float64 {
 	}
 	return float64(n) / float64(len(values))
 }
-
-// FractionAtLeast returns the fraction of values >= x.
-func FractionAtLeast(values []float64, x float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	return 1 - FractionBelow(values, x)
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/blocking"
 	"repro/internal/custom"
 	"repro/internal/datasets"
 	"repro/internal/dedup"
@@ -18,6 +19,14 @@ const (
 	sweepSteps    = 100
 	defaultSample = 0 // 0 = all clusters; the paper samples 100k of 13.5M
 )
+
+// paperCandidates is the paper's candidate generation for one dataset:
+// one SNM pass per most-unique attribute, snmPasses of them, window
+// snmWindow.
+func paperCandidates(ds *dedup.Dataset) []dedup.Pair {
+	pairs, _ := blocking.Generate(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, snmPasses), Window: snmWindow})
+	return pairs
+}
 
 // NCDatasets builds the NC1/NC2/NC3 customizations from the workspace's
 // scored dataset. top bounds the cluster count of each (the paper uses
@@ -94,10 +103,9 @@ func RunFigure5Comparators(seed int64, out io.Writer) []Figure5Result {
 func evalDataset(ds *dedup.Dataset, out io.Writer) Figure5Result {
 	res := Figure5Result{Dataset: ds.Name}
 	fmt.Fprintf(out, "Figure 5: %s (%d records, %d true pairs)\n", ds.Name, ds.NumRecords(), ds.NumTruePairs())
-	passes := dedup.MostUniqueAttrs(ds, snmPasses)
-	cands := dedup.SortedNeighborhood(ds, passes, snmWindow)
+	cands := paperCandidates(ds)
 	fmt.Fprintf(out, "  blocking: %d candidate pairs, recall %.3f\n",
-		len(cands), dedup.BlockingRecall(ds, cands))
+		len(cands), blocking.Recall(ds, cands))
 	for _, m := range dedup.Measures {
 		curve := dedup.EvaluateCandidatesParallel(ds, m, cands, sweepSteps, dedup.ScoreOpts{})
 		res.Curves = append(res.Curves, curve)
@@ -123,18 +131,4 @@ func f1At(c dedup.Curve, t float64) float64 {
 		}
 	}
 	return best
-}
-
-// BestF1ByDataset flattens results into dataset -> measure -> best F1.
-func BestF1ByDataset(results []Figure5Result) map[string]map[dedup.Measure]float64 {
-	out := map[string]map[dedup.Measure]float64{}
-	for _, r := range results {
-		m := map[dedup.Measure]float64{}
-		for _, c := range r.Curves {
-			f1, _ := c.BestF1()
-			m[c.Measure] = f1
-		}
-		out[r.Dataset] = m
-	}
-	return out
 }

@@ -50,7 +50,7 @@ type Pass struct {
 	// Name labels the pass in stats, benchmarks and metrics.
 	Name string
 	// Key derives the sorting key from a record's attribute values.
-	Key dedup.KeyFunc
+	Key KeyFunc
 	// Window overrides Config.Window for this pass when > 0.
 	Window int
 }

@@ -119,21 +119,6 @@ func TestGenerateSortedUnique(t *testing.T) {
 	}
 }
 
-// TestEntropyPassesMatchLegacySNM pins the blocking layer to the legacy
-// single-blocker path: Generate over EntropyPasses with one global window
-// must reproduce dedup.SortedNeighborhood's candidate set exactly.
-func TestEntropyPassesMatchLegacySNM(t *testing.T) {
-	ds := testDataset(3, 100)
-	for _, k := range []int{1, 3} {
-		legacy := dedup.SortedNeighborhood(ds, dedup.MostUniqueAttrs(ds, k), 8)
-		got, _ := Generate(ds, Config{Passes: EntropyPasses(ds, k), Window: 8, Workers: 4})
-		if !reflect.DeepEqual(legacy, got) {
-			t.Fatalf("k=%d: blocking SNM diverges from dedup.SortedNeighborhood (%d vs %d pairs)",
-				k, len(got), len(legacy))
-		}
-	}
-}
-
 // TestBlockingEdgeCases covers the degenerate shapes: empty corpus, a
 // single record, all-equal keys and a window larger than the dataset. On
 // each, Generate must equal GenerateSeq — pairs and stats — and report the

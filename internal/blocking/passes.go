@@ -12,11 +12,40 @@ import (
 	"strings"
 
 	"repro/internal/dedup"
+	"repro/internal/simil"
 )
 
 // keySep joins component keys inside one pass key. It cannot occur in TSV
 // data, so "a"+"bc" and "ab"+"c" sort as distinct keys.
 const keySep = "\x1f"
+
+// KeyFunc derives a pass's sorting key from a record's values; records with
+// close keys sort adjacently. See docs/BLOCKING.md for the pass-key design
+// space.
+type KeyFunc func(rec []string) string
+
+// SoundexKey keys on the Soundex code of one attribute — the classic
+// phonetic blocking for name data (the same code §6.4 uses as an error
+// measure for phonetic typos, here turned into a sort key).
+func SoundexKey(attr int) KeyFunc {
+	return func(rec []string) string { return simil.Soundex(rec[attr]) }
+}
+
+// PrefixKey keys on the first n runes of one attribute (upper-cased).
+func PrefixKey(attr, n int) KeyFunc {
+	return func(rec []string) string {
+		r := []rune(strings.ToUpper(strings.TrimSpace(rec[attr])))
+		if len(r) > n {
+			r = r[:n]
+		}
+		return string(r)
+	}
+}
+
+// ExactKey keys on the full trimmed value of one attribute.
+func ExactKey(attr int) KeyFunc {
+	return func(rec []string) string { return strings.TrimSpace(rec[attr]) }
+}
 
 // ParsePasses builds SNM passes from a spec string: passes are separated
 // by commas, components inside a pass by "+". Each component is an
@@ -34,7 +63,7 @@ func ParsePasses(ds *dedup.Dataset, spec string) ([]Pass, error) {
 			continue
 		}
 		comps := strings.Split(ps, "+")
-		keys := make([]dedup.KeyFunc, 0, len(comps))
+		keys := make([]KeyFunc, 0, len(comps))
 		for _, c := range comps {
 			k, err := componentKey(ds, strings.TrimSpace(c))
 			if err != nil {
@@ -72,7 +101,7 @@ func splitTopLevel(spec string) []string {
 }
 
 // componentKey resolves one spec component to a key function.
-func componentKey(ds *dedup.Dataset, comp string) (dedup.KeyFunc, error) {
+func componentKey(ds *dedup.Dataset, comp string) (KeyFunc, error) {
 	if open := strings.IndexByte(comp, '('); open >= 0 && strings.HasSuffix(comp, ")") {
 		fn := strings.TrimSpace(comp[:open])
 		args := strings.Split(comp[open+1:len(comp)-1], ",")
@@ -85,7 +114,7 @@ func componentKey(ds *dedup.Dataset, comp string) (dedup.KeyFunc, error) {
 			if err != nil {
 				return nil, err
 			}
-			return dedup.SoundexKey(attr), nil
+			return SoundexKey(attr), nil
 		case "prefix":
 			if len(args) != 2 {
 				return nil, fmt.Errorf("blocking: prefix wants (attr, n), got %q", comp)
@@ -98,7 +127,7 @@ func componentKey(ds *dedup.Dataset, comp string) (dedup.KeyFunc, error) {
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("blocking: prefix length in %q must be a positive integer", comp)
 			}
-			return dedup.PrefixKey(attr, n), nil
+			return PrefixKey(attr, n), nil
 		}
 		return nil, fmt.Errorf("blocking: unknown key function %q (want soundex, prefix)", fn)
 	}
@@ -106,12 +135,12 @@ func componentKey(ds *dedup.Dataset, comp string) (dedup.KeyFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dedup.ExactKey(attr), nil
+	return ExactKey(attr), nil
 }
 
 // combineKeys joins component keys with keySep; a single component passes
 // through unchanged.
-func combineKeys(keys []dedup.KeyFunc) dedup.KeyFunc {
+func combineKeys(keys []KeyFunc) KeyFunc {
 	if len(keys) == 1 {
 		return keys[0]
 	}
@@ -143,9 +172,7 @@ func attrIndex(ds *dedup.Dataset, name string) (int, error) {
 
 // EntropyPasses returns one raw-value pass per most-unique attribute —
 // the paper's default setup (§6.5: one pass for each of the k most unique
-// attributes). Keys are the raw record values, exactly the sort keys of
-// the legacy dedup.SortedNeighborhood, so a Generate run over these
-// passes reproduces its candidate set bit for bit.
+// attributes). Keys are the raw record values, untrimmed.
 func EntropyPasses(ds *dedup.Dataset, k int) []Pass {
 	attrs := dedup.MostUniqueAttrs(ds, k)
 	passes := make([]Pass, len(attrs))
@@ -164,9 +191,18 @@ func EntropyPasses(ds *dedup.Dataset, k int) []Pass {
 }
 
 // Recall is the fraction of gold-standard duplicate pairs the candidate
-// set covers (dedup.BlockingRecall re-exported at this layer so callers of
-// Generate need not import both packages for the one number the paper
-// reports: no true duplicates lost).
+// set covers (§6.5: the paper reports that no true duplicates were lost by
+// the candidate reduction on NC1-NC3).
 func Recall(ds *dedup.Dataset, candidates []dedup.Pair) float64 {
-	return dedup.BlockingRecall(ds, candidates)
+	truePairs := ds.NumTruePairs()
+	if truePairs == 0 {
+		return 1
+	}
+	found := 0
+	for _, p := range candidates {
+		if ds.IsDuplicate(p.I, p.J) {
+			found++
+		}
+	}
+	return float64(found) / float64(truePairs)
 }

@@ -97,9 +97,19 @@ func TestEntropyPassesNames(t *testing.T) {
 			t.Errorf("empty pass name")
 		}
 	}
-	// Raw-value keys: no trimming, exactly the legacy sort key.
+	// Raw-value keys: no trimming.
 	rec := []string{" Miller ", "J", "1"}
 	if got := passes[0].Key(rec); got != rec[dedup.MostUniqueAttrs(ds, 2)[0]] {
 		t.Errorf("entropy pass key %q is not the raw value", got)
+	}
+}
+
+func TestPrefixKey(t *testing.T) {
+	k := PrefixKey(0, 3)
+	if k([]string{" williams "}) != "WIL" {
+		t.Errorf("PrefixKey = %q", k([]string{" williams "}))
+	}
+	if k([]string{"AB"}) != "AB" {
+		t.Errorf("short value key = %q", k([]string{"AB"}))
 	}
 }

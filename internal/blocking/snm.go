@@ -16,8 +16,8 @@ import (
 
 // snmPassSeq is the sequential reference pass: derive keys, stable-sort,
 // slide the window. Stable sort on key equals the (key, index) total
-// order, matching dedup.SortedNeighborhood's documented behavior.
-func snmPassSeq(ds *dedup.Dataset, key dedup.KeyFunc, window int) []dedup.Pair {
+// order sortOrderParallel sorts by.
+func snmPassSeq(ds *dedup.Dataset, key KeyFunc, window int) []dedup.Pair {
 	n := len(ds.Records)
 	keys := make([]string, n)
 	for i, rec := range ds.Records {

@@ -213,7 +213,7 @@ type snmSource struct {
 // newSNMSource runs the pass's parallel key derivation and sort, builds
 // the inverse permutation, and primes the iterator. pairs is the pass's
 // total emission count — a pure function of the record count and window.
-func newSNMSource(ds *dedup.Dataset, key dedup.KeyFunc, window, workers int) (src *snmSource, pairs int) {
+func newSNMSource(ds *dedup.Dataset, key KeyFunc, window, workers int) (src *snmSource, pairs int) {
 	n := len(ds.Records)
 	keys := make([]string, n)
 	parallelRanges(n, workers, func(lo, hi int) {

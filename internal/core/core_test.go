@@ -424,7 +424,7 @@ func TestDocDBPersistenceRoundTrip(t *testing.T) {
 	d.Publish()
 
 	dir := t.TempDir()
-	if err := d.ToDocDB().Save(dir); err != nil {
+	if err := d.ToDocDB().SaveParallelOpts(dir, docstore.SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	db, err := docstore.Load(dir)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blocking"
 	"repro/internal/dedup"
 )
 
@@ -156,8 +157,8 @@ func TestExportAndDetect(t *testing.T) {
 		t.Errorf("pairs: export %d vs pipeline %d", ds.NumTruePairs(), d.NumPairs())
 	}
 	// The full detection substrate works on the new domain out of the box.
-	curve := dedup.Evaluate(ds, dedup.MeasureMELev, 4, 20, 50)
-	f1, _ := curve.BestF1()
+	cands, _ := blocking.Generate(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 4), Window: 20})
+	f1, _ := dedup.EvaluateCandidatesParallel(ds, dedup.MeasureMELev, cands, 50, dedup.ScoreOpts{}).BestF1()
 	if f1 < 0.5 {
 		t.Errorf("company-register detection best F1 = %v, want >= 0.5", f1)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blocking"
 	"repro/internal/dedup"
 )
 
@@ -50,7 +51,8 @@ func TestPublicationsPipelineEndToEnd(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	f1, _ := dedup.Evaluate(ds, dedup.MeasureTrigramJaccard, 4, 20, 50).BestF1()
+	cands, _ := blocking.Generate(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 4), Window: 20})
+	f1, _ := dedup.EvaluateCandidatesParallel(ds, dedup.MeasureTrigramJaccard, cands, 50, dedup.ScoreOpts{}).BestF1()
 	if f1 < 0.5 {
 		t.Errorf("publication detection best F1 = %v", f1)
 	}

@@ -363,19 +363,13 @@ func TestNicknameBothDirections(t *testing.T) {
 	if got == "WILLIAM" {
 		t.Errorf("formal name not substituted: %q", got)
 	}
-	if !HasNickname(got) {
+	// A nickname maps back to one of its formal names.
+	if back := Nickname(r, got); back == got {
 		t.Errorf("nickname %q not reversible", got)
-	}
-	back := Nickname(r, got)
-	if !HasNickname(back) {
-		t.Errorf("reverse substitution gave unknown name %q", back)
 	}
 	// Unknown names pass through.
 	if got := Nickname(r, "XYZZY"); got != "XYZZY" {
 		t.Errorf("unknown name changed: %q", got)
-	}
-	if HasNickname("XYZZY") {
-		t.Error("HasNickname invented an entry")
 	}
 	// Case-insensitive lookup, trimmed.
 	if got := Nickname(r, " robert "); got == " robert " {

@@ -328,17 +328,6 @@ func Nickname(rng *rand.Rand, s string) string {
 	return s
 }
 
-// HasNickname reports whether the name participates in the nickname table
-// (in either direction).
-func HasNickname(s string) bool {
-	key := strings.ToUpper(strings.TrimSpace(s))
-	if _, ok := nicknamePairs[key]; ok {
-		return true
-	}
-	_, ok := nicknameReverse[key]
-	return ok
-}
-
 // CaseNoise lower-cases or title-cases an upper-case value.
 func CaseNoise(rng *rand.Rand, s string) string {
 	if s == "" {

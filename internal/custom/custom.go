@@ -207,72 +207,6 @@ func PairHeterogeneities(ds *dedup.Dataset) []float64 {
 	return out
 }
 
-// BuildFromDataset applies the same three customization steps to any
-// labeled dataset (the generic-corpus path): sample clusters, keep records
-// whose heterogeneity to the preceding kept records stays inside
-// [HLow, HHigh], select the largest reduced clusters. Heterogeneity uses
-// the standard scoring (entropy weights from one record per cluster of the
-// input).
-func BuildFromDataset(ds *dedup.Dataset, cfg Config) *dedup.Dataset {
-	var reps [][]string
-	clusters := clustersInOrder(ds)
-	for _, idx := range clusters {
-		reps = append(reps, ds.Records[idx[0]])
-	}
-	weights := hetero.EntropyWeightsFromRows(reps)
-
-	rng := rand.New(rand.NewSource(corrupt.SubSeed(cfg.Seed, 31)))
-	order := make([]int, len(clusters))
-	for i := range order {
-		order[i] = i
-	}
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	if cfg.SampleClusters > 0 && cfg.SampleClusters < len(order) {
-		order = order[:cfg.SampleClusters]
-	}
-
-	type reduced struct {
-		orig int
-		recs []int
-	}
-	var reducedClusters []reduced
-	for _, ci := range order {
-		var kept []int
-		for _, ri := range clusters[ci] {
-			ok := true
-			for _, ki := range kept {
-				h := hetero.Heterogeneity(ds.Records[ri], ds.Records[ki], weights)
-				if h < cfg.HLow || h > cfg.HHigh {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, ri)
-			}
-		}
-		reducedClusters = append(reducedClusters, reduced{ci, kept})
-	}
-	sort.SliceStable(reducedClusters, func(a, b int) bool {
-		if len(reducedClusters[a].recs) != len(reducedClusters[b].recs) {
-			return len(reducedClusters[a].recs) > len(reducedClusters[b].recs)
-		}
-		return reducedClusters[a].orig < reducedClusters[b].orig
-	})
-	if cfg.SelectTop > 0 && cfg.SelectTop < len(reducedClusters) {
-		reducedClusters = reducedClusters[:cfg.SelectTop]
-	}
-
-	out := &dedup.Dataset{Name: cfg.Name, Attrs: ds.Attrs, NameAttrs: ds.NameAttrs}
-	for cid, rc := range reducedClusters {
-		for _, ri := range rc.recs {
-			out.Records = append(out.Records, ds.Records[ri])
-			out.ClusterOf = append(out.ClusterOf, cid)
-		}
-	}
-	return out
-}
-
 // clustersInOrder returns the cluster index lists sorted by cluster id so
 // iteration order is deterministic.
 func clustersInOrder(ds *dedup.Dataset) [][]int {

@@ -110,36 +110,6 @@ func TestFullRangeKeepsEverythingFirstRecord(t *testing.T) {
 	}
 }
 
-func TestBuildFromDatasetGeneric(t *testing.T) {
-	d := buildInput(t)
-	// The generic path over an exported dataset must behave like the core
-	// path: full range keeps everything.
-	src := Build(d, Config{Name: "SRC", HLow: 0, HHigh: 1, Seed: 1})
-	all := BuildFromDataset(src, Config{Name: "ALL", HLow: 0, HHigh: 1, Seed: 1})
-	if all.NumRecords() != src.NumRecords() || all.NumClusters() != src.NumClusters() {
-		t.Errorf("full-range generic build: %d/%d vs %d/%d",
-			all.NumRecords(), all.NumClusters(), src.NumRecords(), src.NumClusters())
-	}
-	// A narrow clean range reduces records and lowers heterogeneity.
-	clean := BuildFromDataset(src, Config{Name: "CLEAN", HLow: 0.0, HHigh: 0.15, SelectTop: 30, Seed: 1})
-	if clean.NumClusters() != 30 {
-		t.Fatalf("clean clusters = %d", clean.NumClusters())
-	}
-	if err := clean.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	chAll := Describe(all)
-	chClean := Describe(clean)
-	if chClean.AvgHetero > chAll.AvgHetero && chClean.DupPairs > 0 && chAll.DupPairs > 0 {
-		t.Errorf("clean range (%v) dirtier than full range (%v)", chClean.AvgHetero, chAll.AvgHetero)
-	}
-	// Determinism.
-	again := BuildFromDataset(src, Config{Name: "CLEAN", HLow: 0.0, HHigh: 0.15, SelectTop: 30, Seed: 1})
-	if again.NumRecords() != clean.NumRecords() {
-		t.Error("generic build not deterministic")
-	}
-}
-
 func TestDescribeStructure(t *testing.T) {
 	d := buildInput(t)
 	ds := Build(d, NC1Config(3, 150, 25))

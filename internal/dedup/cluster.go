@@ -135,18 +135,3 @@ func signature(idx []int) string {
 	}
 	return string(out)
 }
-
-// DetectClusters runs the full end-to-end deduplication for one measure and
-// threshold: blocking, scoring, classification, transitive closure.
-func DetectClusters(ds *Dataset, m Measure, threshold float64, numPasses, window int) []int {
-	passes := MostUniqueAttrs(ds, numPasses)
-	candidates := SortedNeighborhood(ds, passes, window)
-	matcher := NewMatcher(ds, m)
-	var dupPairs []Pair
-	for _, p := range candidates {
-		if matcher.RecordSim(p.I, p.J) >= threshold {
-			dupPairs = append(dupPairs, p)
-		}
-	}
-	return ConnectedComponents(len(ds.Records), dupPairs)
-}

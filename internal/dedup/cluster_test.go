@@ -79,27 +79,3 @@ func TestEvaluateClusteringUnderMerge(t *testing.T) {
 		t.Errorf("under-merge scored %+v", res)
 	}
 }
-
-func TestDetectClustersEndToEnd(t *testing.T) {
-	ds := toyDataset(t, 25, []int{2, 3}, 0.2)
-	comp := DetectClusters(ds, MeasureMELev, 0.7, 3, 20)
-	res := EvaluateClustering(ds, comp)
-	if res.PairF1 < 0.8 {
-		t.Errorf("end-to-end clustering F1 = %v, want >= 0.8 on clean data", res.PairF1)
-	}
-	if res.ExactClusters == 0 {
-		t.Error("no exactly reconstructed clusters")
-	}
-	// The transitive closure can only help recall vs the raw pair
-	// classification at the same threshold.
-	curve := Evaluate(ds, MeasureMELev, 3, 20, 10)
-	var rawRecall float64
-	for _, p := range curve.Points {
-		if p.Threshold == 0.7 {
-			rawRecall = p.Recall
-		}
-	}
-	if res.PairRecall+1e-9 < rawRecall {
-		t.Errorf("closure reduced recall: %v < %v", res.PairRecall, rawRecall)
-	}
-}

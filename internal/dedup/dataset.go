@@ -2,14 +2,17 @@
 // usability experiment (§6.5): a schema-agnostic labeled dataset type,
 // entropy-weighted record similarity with best 1:1 name matching, the three
 // record measures of the paper (Monge-Elkan/Damerau-Levenshtein,
-// Jaro-Winkler, trigram Jaccard), multi-pass Sorted Neighborhood blocking,
-// and threshold-sweep evaluation against the gold standard
-// (precision/recall/F1).
+// Jaro-Winkler, trigram Jaccard) and threshold-sweep evaluation against
+// the gold standard (precision/recall/F1). Candidate pairs come from
+// internal/blocking; nothing here builds them.
 package dedup
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+
+	"repro/internal/simil"
 )
 
 // Dataset is a labeled test dataset: aligned attribute values per record
@@ -134,4 +137,28 @@ func (d *Dataset) Columns() [][]string {
 		cols[c] = col
 	}
 	return cols
+}
+
+// MostUniqueAttrs returns the indices of the k attributes with the highest
+// entropy — the paper's choice of SNM sorting keys (§6.5 sorts on the five
+// most unique attributes, reusing the §6.3 entropy weights).
+func MostUniqueAttrs(ds *Dataset, k int) []int {
+	cols := ds.Columns()
+	type ae struct {
+		idx int
+		h   float64
+	}
+	es := make([]ae, len(cols))
+	for i, col := range cols {
+		es[i] = ae{i, simil.Entropy(col)}
+	}
+	sort.SliceStable(es, func(x, y int) bool { return es[x].h > es[y].h })
+	if k > len(es) {
+		k = len(es)
+	}
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		out[i] = es[i].idx
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package dedup
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/corrupt"
@@ -48,6 +47,19 @@ func toyDataset(t testing.TB, nClusters int, sizes []int, errRate float64) *Data
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// allPairs is every pair i < j over n records: the candidate set of the
+// tests whose subject is scoring, not blocking (which this package cannot
+// import).
+func allPairs(n int) []Pair {
+	var out []Pair
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			out = append(out, Pair{i, j})
+		}
+	}
+	return out
 }
 
 func TestDatasetStats(t *testing.T) {
@@ -111,17 +123,6 @@ func TestMatcherIdenticalRecords(t *testing.T) {
 	}
 }
 
-func TestExtendedMeasuresEvaluate(t *testing.T) {
-	ds := toyDataset(t, 30, []int{2, 3}, 0.2)
-	for _, m := range AllMeasures[3:] {
-		curve := Evaluate(ds, m, 3, 20, 20)
-		f1, _ := curve.BestF1()
-		if f1 < 0.7 {
-			t.Errorf("%s: best F1 = %v on clean data, want >= 0.7", m, f1)
-		}
-	}
-}
-
 func TestMatcherNameConfusionHandled(t *testing.T) {
 	ds := &Dataset{
 		Name:      "confused",
@@ -158,40 +159,6 @@ func TestMatcherWeightsSumToOne(t *testing.T) {
 	}
 }
 
-func TestSortedNeighborhoodFindsAllClusteredPairs(t *testing.T) {
-	ds := toyDataset(t, 30, []int{2, 3}, 0.2)
-	passes := MostUniqueAttrs(ds, 3)
-	cands := SortedNeighborhood(ds, passes, 20)
-	if rec := BlockingRecall(ds, cands); rec < 0.95 {
-		t.Errorf("blocking recall = %v, want >= 0.95", rec)
-	}
-	// No duplicates in the candidate list, all i < j.
-	seen := map[Pair]bool{}
-	for _, p := range cands {
-		if p.I >= p.J {
-			t.Fatalf("unordered pair %v", p)
-		}
-		if seen[p] {
-			t.Fatalf("duplicate pair %v", p)
-		}
-		seen[p] = true
-	}
-}
-
-func TestSortedNeighborhoodWindowBoundsCandidates(t *testing.T) {
-	ds := toyDataset(t, 50, []int{2}, 0.2)
-	small := SortedNeighborhood(ds, []int{0}, 5)
-	big := SortedNeighborhood(ds, []int{0}, 50)
-	if len(small) >= len(big) {
-		t.Errorf("window 5 produced %d pairs, window 50 %d", len(small), len(big))
-	}
-	n := ds.NumRecords()
-	maxSmall := n * 4 // window-1 successors each
-	if len(small) > maxSmall {
-		t.Errorf("window 5 produced %d pairs, cap %d", len(small), maxSmall)
-	}
-}
-
 func TestMostUniqueAttrs(t *testing.T) {
 	ds := &Dataset{
 		Name:  "u",
@@ -208,91 +175,6 @@ func TestMostUniqueAttrs(t *testing.T) {
 	if got := MostUniqueAttrs(ds, 10); len(got) != 2 {
 		t.Errorf("k beyond schema = %v", got)
 	}
-}
-
-func TestEvaluateCleanDatasetNearPerfect(t *testing.T) {
-	ds := toyDataset(t, 40, []int{2, 3}, 0.15)
-	for _, m := range Measures {
-		curve := Evaluate(ds, m, 3, 20, 50)
-		f1, th := curve.BestF1()
-		if f1 < 0.9 {
-			t.Errorf("%s: best F1 = %v @%v, want >= 0.9 on a clean dataset", m, f1, th)
-		}
-	}
-}
-
-func TestEvaluateCurveShape(t *testing.T) {
-	ds := toyDataset(t, 30, []int{2}, 0.5)
-	curve := Evaluate(ds, MeasureJaroWinkler, 3, 20, 20)
-	if len(curve.Points) != 21 {
-		t.Fatalf("points = %d", len(curve.Points))
-	}
-	// Threshold 0 classifies every candidate pair: recall is maximal.
-	p0 := curve.Points[0]
-	pLast := curve.Points[len(curve.Points)-1]
-	if p0.Recall < pLast.Recall {
-		t.Errorf("recall should not increase with threshold: %v -> %v", p0.Recall, pLast.Recall)
-	}
-	// Monotone recall along the curve.
-	for i := 1; i < len(curve.Points); i++ {
-		if curve.Points[i].Recall > curve.Points[i-1].Recall+1e-12 {
-			t.Fatalf("recall increased at threshold %v", curve.Points[i].Threshold)
-		}
-	}
-	// All metrics in [0, 1].
-	for _, p := range curve.Points {
-		if p.Precision < 0 || p.Precision > 1 || p.Recall < 0 || p.Recall > 1 || p.F1 < 0 || p.F1 > 1 {
-			t.Fatalf("metric out of range at %v: %+v", p.Threshold, p)
-		}
-	}
-}
-
-func TestEvaluateAllCoversMeasures(t *testing.T) {
-	ds := toyDataset(t, 10, []int{2}, 0.3)
-	curves := EvaluateAll(ds, 2, 10, 10)
-	if len(curves) != 3 {
-		t.Fatalf("curves = %d", len(curves))
-	}
-	names := map[Measure]bool{}
-	for _, c := range curves {
-		names[c.Measure] = true
-		if c.Dataset != "toy" {
-			t.Errorf("curve dataset = %s", c.Dataset)
-		}
-	}
-	if len(names) != 3 {
-		t.Errorf("measures = %v", names)
-	}
-}
-
-func TestDirtierDataScoresWorse(t *testing.T) {
-	clean := toyDataset(t, 40, []int{2, 3}, 0.1)
-	dirty := toyDataset(t, 40, []int{2, 3}, 0.95)
-	// Make the dirty dataset truly dirty: corrupt aggressively.
-	rng := rand.New(rand.NewSource(9))
-	for i := range dirty.Records {
-		if dirty.ClusterOf[i] == dirty.ClusterOf[maxInt(0, i-1)] && i > 0 {
-			for c := 0; c < 3; c++ {
-				v := dirty.Records[i][c]
-				for k := 0; k < 3; k++ {
-					v = corrupt.Typo(rng, v)
-				}
-				dirty.Records[i][c] = strings.TrimSpace(v)
-			}
-		}
-	}
-	cleanF1, _ := Evaluate(clean, MeasureMELev, 3, 20, 50).BestF1()
-	dirtyF1, _ := Evaluate(dirty, MeasureMELev, 3, 20, 50).BestF1()
-	if dirtyF1 >= cleanF1 {
-		t.Errorf("dirty F1 (%v) should be below clean F1 (%v)", dirtyF1, cleanF1)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func BenchmarkRecordSimMELev(b *testing.B) {

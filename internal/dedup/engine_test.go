@@ -48,8 +48,7 @@ func requireCurvesIdentical(t *testing.T, label string, want, got Curve) {
 // race detector.
 func TestParallelScoreEquivalence(t *testing.T) {
 	ds := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
-	passes := MostUniqueAttrs(ds, 3)
-	candidates := SortedNeighborhood(ds, passes, 20)
+	candidates := allPairs(len(ds.Records))
 	if len(candidates) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -67,7 +66,7 @@ func TestParallelScoreEquivalence(t *testing.T) {
 // the cache policy must never leak into the scores.
 func TestParallelScoreEquivalenceTinyMemo(t *testing.T) {
 	ds := toyDataset(t, 25, []int{2, 3}, 0.5)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 2), 10)
+	candidates := allPairs(len(ds.Records))
 	for _, m := range []Measure{MeasureMELev, MeasureTrigramJaccard} {
 		want := EvaluateCandidates(ds, m, candidates, 25)
 		for _, cap := range []int{64, -1} {
@@ -77,39 +76,13 @@ func TestParallelScoreEquivalenceTinyMemo(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllMatchesSequential covers the paper's three-measure
-// wrapper, which runs the engine at GOMAXPROCS workers, against the plain
-// reference over the same blocking.
-func TestEvaluateAllMatchesSequential(t *testing.T) {
-	ds := toyDataset(t, 20, []int{2}, 0.3)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 2), 10)
-	got := EvaluateAll(ds, 2, 10, 20)
-	if len(got) != len(Measures) {
-		t.Fatalf("curves = %d, want %d", len(got), len(Measures))
-	}
-	for i, m := range Measures {
-		requireCurvesIdentical(t, string(m), EvaluateCandidates(ds, m, candidates, 20), got[i])
-	}
-}
-
-// TestEvaluateMatchesSequential pins the convenience API to the engine's
-// contract: Evaluate equals the plain reference over its own blocking for
-// every measure.
-func TestEvaluateMatchesSequential(t *testing.T) {
-	ds := toyDataset(t, 25, []int{1, 2, 3}, 0.4)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 12)
-	for _, m := range AllMeasures {
-		requireCurvesIdentical(t, string(m), EvaluateCandidates(ds, m, candidates, 30), Evaluate(ds, m, 3, 12, 30))
-	}
-}
-
 // TestSliceAdapterBatchBoundaries runs the slice adapter on candidate
 // counts around its batch size — none, one, a batch less one, exactly one
 // batch, one more, several batches and a remainder — against the plain
 // reference for every measure.
 func TestSliceAdapterBatchBoundaries(t *testing.T) {
 	ds := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	candidates := allPairs(len(ds.Records))
 	counts := []int{0, 1, sliceBatch - 1, sliceBatch, sliceBatch + 1, 3*sliceBatch + 7}
 	if len(candidates) < counts[len(counts)-1] {
 		t.Fatalf("only %d candidates, need %d", len(candidates), counts[len(counts)-1])
@@ -159,7 +132,7 @@ func (o *countingObserver) AddN(counter string, n int64) {
 // data.
 func TestParallelScoreObserverCounters(t *testing.T) {
 	ds := toyDataset(t, 30, []int{2, 3}, 0.2)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	candidates := allPairs(len(ds.Records))
 	obs := &countingObserver{}
 	EvaluateCandidatesParallel(ds, MeasureTrigramJaccard, candidates, 20,
 		ScoreOpts{Workers: 2, Observer: obs})
@@ -182,22 +155,6 @@ func TestParallelScoreObserverCounters(t *testing.T) {
 	}
 }
 
-// TestSortedNeighborhoodOrdering pins the documented output order: sorted
-// by (I, J), strictly increasing, no duplicates.
-func TestSortedNeighborhoodOrdering(t *testing.T) {
-	ds := toyDataset(t, 30, []int{2, 3}, 0.2)
-	pairs := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 8)
-	if len(pairs) == 0 {
-		t.Fatal("no pairs")
-	}
-	for k := 1; k < len(pairs); k++ {
-		prev, cur := pairs[k-1], pairs[k]
-		if cur.I < prev.I || (cur.I == prev.I && cur.J <= prev.J) {
-			t.Fatalf("pairs out of order at %d: %v then %v", k, prev, cur)
-		}
-	}
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -216,7 +173,7 @@ func itoa(n int) string {
 // BENCH_matching.json.
 func BenchmarkEvaluateCandidatesLegacy(b *testing.B) {
 	ds := benchDataset(b)
-	cands := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	cands := allPairs(len(ds.Records))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -226,7 +183,7 @@ func BenchmarkEvaluateCandidatesLegacy(b *testing.B) {
 
 func BenchmarkEvaluateCandidatesEngine1(b *testing.B) {
 	ds := benchDataset(b)
-	cands := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	cands := allPairs(len(ds.Records))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,11 @@ package dedup
 
 import "sort"
 
+// Pair is a candidate record pair with i < j — the unit of work the
+// blocking stage (§6.5) hands to the similarity measures, and the unit the
+// candidate-reduction numbers of the paper's evaluation count.
+type Pair struct{ I, J int }
+
 // Point is one threshold of an evaluation curve.
 type Point struct {
 	Threshold float64
@@ -27,17 +32,6 @@ func (c Curve) BestF1() (f1, threshold float64) {
 		}
 	}
 	return f1, threshold
-}
-
-// Evaluate runs the full §6.5 pipeline for one measure: multi-pass SNM
-// blocking over the numPasses most unique attributes with the given window,
-// record scoring, and a threshold sweep. Thresholds run from 0 to 1 in
-// steps of 1/steps. True pairs missed by the blocking count as false
-// negatives at every threshold.
-func Evaluate(ds *Dataset, m Measure, numPasses, window, steps int) Curve {
-	passes := MostUniqueAttrs(ds, numPasses)
-	candidates := SortedNeighborhood(ds, passes, window)
-	return EvaluateCandidatesParallel(ds, m, candidates, steps, ScoreOpts{})
 }
 
 // EvaluateCandidates scores the given candidate pairs with the plain
@@ -127,13 +121,4 @@ func point(t float64, tp, n, totalTrue int) Point {
 		p.F1 = 2 * p.Precision * p.Recall / (p.Precision + p.Recall)
 	}
 	return p
-}
-
-// EvaluateAll runs Evaluate for every measure.
-func EvaluateAll(ds *Dataset, numPasses, window, steps int) []Curve {
-	out := make([]Curve, 0, len(Measures))
-	for _, m := range Measures {
-		out = append(out, Evaluate(ds, m, numPasses, window, steps))
-	}
-	return out
 }

@@ -88,14 +88,13 @@ func (m *FSModel) Weight(attr int) float64 {
 
 // EvaluateFellegiSunter trains on a cluster split and sweeps the decision
 // score on the held-out half, returning the best validation F1 and the
-// score achieving it. trainFrac and seed control the split, numPasses and
-// window the blocking.
-func EvaluateFellegiSunter(ds *Dataset, numPasses, window int, agreeSim, trainFrac float64, seed int64) (bestF1, bestScore float64) {
+// score achieving it. trainFrac and seed control the split, candidates
+// blocks each half (see SelectThreshold).
+func EvaluateFellegiSunter(ds *Dataset, candidates func(*Dataset) []Pair, agreeSim, trainFrac float64, seed int64) (bestF1, bestScore float64) {
 	train, validate := SplitClusters(ds, trainFrac, seed)
-	trainCands := SortedNeighborhood(train, MostUniqueAttrs(train, numPasses), window)
-	model := TrainFellegiSunter(train, trainCands, agreeSim)
+	model := TrainFellegiSunter(train, candidates(train), agreeSim)
 
-	valCands := SortedNeighborhood(validate, MostUniqueAttrs(validate, numPasses), window)
+	valCands := candidates(validate)
 	type scored struct {
 		s   float64
 		dup bool

@@ -29,7 +29,7 @@ func feedBatches(candidates []Pair, bs, buffer int) <-chan []Pair {
 // `make race` runs it under the race detector.
 func TestStreamCurveEquivalence(t *testing.T) {
 	ds := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	candidates := allPairs(len(ds.Records))
 	if len(candidates) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -47,7 +47,7 @@ func TestStreamCurveEquivalence(t *testing.T) {
 // stream is chopped into batches.
 func TestStreamBatchShapeIrrelevant(t *testing.T) {
 	ds := toyDataset(t, 25, []int{2, 3}, 0.5)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 2), 10)
+	candidates := allPairs(len(ds.Records))
 	want := EvaluateCandidates(ds, MeasureJaroWinkler, candidates, 25)
 	for _, bs := range []int{1, 7, len(candidates), len(candidates) * 2} {
 		got := EvaluateCandidatesStream(ds, MeasureJaroWinkler, feedBatches(candidates, bs, 0), 25,
@@ -70,7 +70,7 @@ func TestStreamEmpty(t *testing.T) {
 // once, and OnStage reports the three pipeline stages in order.
 func TestStreamRecycleAndStages(t *testing.T) {
 	ds := toyDataset(t, 20, []int{2}, 0.3)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 2), 10)
+	candidates := allPairs(len(ds.Records))
 
 	var mu sync.Mutex
 	recycled := 0
@@ -110,7 +110,7 @@ func TestStreamRecycleAndStages(t *testing.T) {
 // family plus the dedup_stream_* extension.
 func TestStreamObserverCounters(t *testing.T) {
 	ds := toyDataset(t, 30, []int{2, 3}, 0.2)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	candidates := allPairs(len(ds.Records))
 	obs := &countingObserver{}
 	EvaluateCandidatesStream(ds, MeasureTrigramJaccard, feedBatches(candidates, 64, 2), 20,
 		ScoreOpts{Workers: 2, Observer: obs})
@@ -160,7 +160,7 @@ func TestThresholdBucketMatchesSweepSearch(t *testing.T) {
 // the streamed curve untouched.
 func TestMemoBoundedCapUnderStreaming(t *testing.T) {
 	ds := toyDataset(t, 60, []int{2, 3}, 0.6)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 3), 20)
+	candidates := allPairs(len(ds.Records))
 	want := EvaluateCandidates(ds, MeasureMELev, candidates, 25)
 
 	const memoCap = memoShardCount * 2 // two entries per shard
@@ -236,7 +236,7 @@ func TestMemoShardNeverExceedsCap(t *testing.T) {
 // matcher.
 func TestCurveFromCountsMatchesSweep(t *testing.T) {
 	ds := toyDataset(t, 10, []int{2}, 0.2)
-	candidates := SortedNeighborhood(ds, MostUniqueAttrs(ds, 2), 8)
+	candidates := allPairs(len(ds.Records))
 	sims := make([]float64, len(candidates))
 	for k := range sims {
 		// A spread of exact-grid and off-grid values.

@@ -22,16 +22,17 @@ type ThresholdSelection struct {
 
 // SelectThreshold runs the protocol. Clusters (not records) are split, so
 // no duplicate pair straddles the halves and the validation score is
-// honest. trainFrac is the fraction of clusters trained on; seed fixes the
-// split.
-func SelectThreshold(ds *Dataset, m Measure, numPasses, window, steps int, trainFrac float64, seed int64) ThresholdSelection {
+// honest. candidates blocks each half (internal/blocking's Generate, which
+// this package cannot import); trainFrac is the fraction of clusters
+// trained on; seed fixes the split.
+func SelectThreshold(ds *Dataset, m Measure, candidates func(*Dataset) []Pair, steps int, trainFrac float64, seed int64) ThresholdSelection {
 	train, validate := SplitClusters(ds, trainFrac, seed)
 	sel := ThresholdSelection{Measure: m}
 
-	trainCurve := Evaluate(train, m, numPasses, window, steps)
+	trainCurve := EvaluateCandidatesParallel(train, m, candidates(train), steps, ScoreOpts{})
 	sel.TrainF1, sel.Threshold = trainCurve.BestF1()
 
-	valCurve := Evaluate(validate, m, numPasses, window, steps)
+	valCurve := EvaluateCandidatesParallel(validate, m, candidates(validate), steps, ScoreOpts{})
 	best := 0.0
 	bestDist := 2.0
 	for _, p := range valCurve.Points {

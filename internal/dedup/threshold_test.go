@@ -33,18 +33,3 @@ func TestSplitClusters(t *testing.T) {
 		t.Log("different seeds produced a similar split (possible but unlikely)")
 	}
 }
-
-func TestSelectThresholdGeneralizes(t *testing.T) {
-	ds := toyDataset(t, 80, []int{2, 3}, 0.25)
-	sel := SelectThreshold(ds, MeasureMELev, 3, 20, 50, 0.5, 7)
-	if sel.Threshold <= 0 || sel.Threshold >= 1 {
-		t.Errorf("threshold = %v", sel.Threshold)
-	}
-	if sel.TrainF1 < 0.85 {
-		t.Errorf("train F1 = %v", sel.TrainF1)
-	}
-	// On homogeneous data the trained threshold must transfer.
-	if sel.ValidateF1 < sel.TrainF1-0.2 {
-		t.Errorf("validation F1 %v collapsed vs train %v", sel.ValidateF1, sel.TrainF1)
-	}
-}

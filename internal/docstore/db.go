@@ -1,32 +1,26 @@
 package docstore
 
 import (
-	"bufio"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/scanio"
 )
 
-// Buffer sizes of the JSON-lines codec. A cluster document embeds every
-// record of the cluster, so single lines grow far past bufio's 64 KiB
-// default; loadMaxLineBytes bounds them at 64 MiB. The limits live in
-// internal/scanio next to the voter TSV reader's pair so the two
-// line-oriented readers share one buffer geometry.
-const (
-	// saveBufferBytes sizes the buffered writer of flat saves.
-	saveBufferBytes = 1 << 16
-	// loadMaxLineBytes is the largest single document line a load accepts.
-	loadMaxLineBytes = scanio.MaxDocLineBytes
-)
+// loadMaxLineBytes is the largest single document line a load accepts. A
+// cluster document embeds every record of the cluster, so single lines grow
+// far past bufio's 64 KiB default. The limit lives in internal/scanio next
+// to the voter TSV reader's so the two line-oriented readers share one
+// buffer geometry.
+const loadMaxLineBytes = scanio.MaxDocLineBytes
 
-// DB is a set of named collections with JSON-lines persistence. Each
-// collection saves to <dir>/<name>.jsonl via an atomic write-then-rename, so
-// a crash mid-save never corrupts a previously saved state. SaveParallelOpts
-// writes the segmented format instead (see segment.go); Load reads both.
+// DB is a set of named collections with JSON-lines persistence.
+// SaveParallelOpts is the one writer: segment files plus a manifest
+// committed by an atomic rename (see segment.go), so a crash mid-save never
+// corrupts a previously saved state. Load also reads the flat
+// <dir>/<name>.jsonl layout earlier releases wrote.
 type DB struct {
 	mu          sync.Mutex
 	collections map[string]*Collection
@@ -61,60 +55,10 @@ func (db *DB) CollectionNames() []string {
 	return names
 }
 
-// Save persists every collection into dir (created if missing) as one flat
-// .jsonl file each — the sequential baseline SaveParallelOpts is measured
-// against. Any segmented state a previous SaveParallelOpts left for the same
-// collections is removed once the flat file is in place, so the formats
-// never coexist.
-func (db *DB) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, name := range db.CollectionNames() {
-		if err := db.Collection(name).Save(filepath.Join(dir, name+".jsonl")); err != nil {
-			return err
-		}
-		removeSegmentedState(dir, name)
-	}
-	return nil
-}
-
 // Load reads every collection in dir — flat or segmented — into a fresh
 // database, decoding sequentially. It is LoadParallelOpts at one worker.
 func Load(dir string) (*DB, error) {
 	return LoadParallelOpts(dir, LoadOpts{Workers: 1})
-}
-
-// Save writes the collection as JSON lines (one document per line, in
-// insertion order) using a temporary file and an atomic rename.
-func (c *Collection) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, saveBufferBytes)
-	var enc docEncoder
-	var encodeErr error
-	c.ForEach(func(d Document) bool {
-		line, err := enc.encode(d)
-		if err == nil {
-			_, err = w.Write(line)
-		}
-		encodeErr = err
-		return err == nil
-	})
-	if encodeErr == nil {
-		encodeErr = w.Flush()
-	}
-	if err := f.Close(); encodeErr == nil {
-		encodeErr = err
-	}
-	if encodeErr != nil {
-		os.Remove(tmp)
-		return encodeErr
-	}
-	return os.Rename(tmp, path)
 }
 
 // LoadFile appends the documents of a JSON-lines file into the collection.

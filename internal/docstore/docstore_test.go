@@ -75,7 +75,7 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 	c.Insert(D("_id", "c1", "n", 1.5, "records", []any{D("last", "A ")},
 		"meta", D("snapshots", []any{"2008-01-01"})))
 	c.Insert(D("_id", "c2", "flag", true, "null", nil))
-	if err := db.Save(dir); err != nil {
+	if err := db.SaveParallelOpts(dir, SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(dir)
@@ -109,11 +109,11 @@ func TestSaveIsAtomicOverwrite(t *testing.T) {
 	db := NewDB()
 	c := db.Collection("x")
 	c.Insert(D("_id", "a"))
-	if err := db.Save(dir); err != nil {
+	if err := db.SaveParallelOpts(dir, SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	c.Insert(D("_id", "b"))
-	if err := db.Save(dir); err != nil {
+	if err := db.SaveParallelOpts(dir, SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(dir)

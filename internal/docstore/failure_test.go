@@ -63,7 +63,7 @@ func TestSaveFailureLeavesOldFileIntact(t *testing.T) {
 	dir := t.TempDir()
 	db := NewDB()
 	db.Collection("x").Insert(D("_id", "a"))
-	if err := db.Save(dir); err != nil {
+	if err := db.SaveParallelOpts(dir, SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	// Make the directory read-only so the temp file cannot be created.
@@ -72,7 +72,7 @@ func TestSaveFailureLeavesOldFileIntact(t *testing.T) {
 	}
 	defer os.Chmod(dir, 0o755)
 	db.Collection("x").Insert(D("_id", "b"))
-	if err := db.Save(dir); err == nil {
+	if err := db.SaveParallelOpts(dir, SaveOpts{}); err == nil {
 		t.Skip("environment allows writing into read-only dirs (running as root)")
 	}
 	if err := os.Chmod(dir, 0o755); err != nil {
@@ -175,10 +175,8 @@ func TestLoadSkipsOrphanSegmentsNextToFlatFile(t *testing.T) {
 	// A segmented save that crashed before its manifest committed leaves
 	// orphan segments next to the still-authoritative flat file; the loader
 	// must serve the flat state and ignore the orphans.
-	db := NewDB()
-	db.Collection("x").Insert(D("_id", "a", "n", 1))
 	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "x.jsonl"), []byte("{\"_id\":\"a\",\"n\":1}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	orphan := "{\"_id\":\"ghost\"}\n"
@@ -245,18 +243,18 @@ func TestLoadRejectsDocCountMismatch(t *testing.T) {
 
 func TestSaveUnencodableValueCleansUp(t *testing.T) {
 	dir := t.TempDir()
-	c := NewCollection("x")
+	db := NewDB()
 	// A channel cannot be JSON-encoded.
-	c.Insert(Document{"_id": "a", "bad": make(chan int)})
-	path := filepath.Join(dir, "x.jsonl")
-	if err := c.Save(path); err == nil {
+	db.Collection("x").Insert(Document{"_id": "a", "bad": make(chan int)})
+	if err := db.SaveParallelOpts(dir, SaveOpts{}); err == nil {
 		t.Fatal("unencodable value accepted")
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind after failed save")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("failed save created a partial target file")
+	for _, e := range entries {
+		t.Errorf("failed save left %s behind", e.Name())
 	}
 }
 

@@ -176,10 +176,9 @@ var segmentBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // SaveParallelOpts persists every collection into dir (created if missing)
 // as segment files plus a manifest, encoding segments on a worker pool with
 // pooled buffers. The resulting files are byte-identical for any worker
-// count, and LoadParallelOpts rebuilds a database identical to one that made
-// the round trip through the flat Save/Load path. Stale flat files and
-// left-over segments from earlier saves are removed after the manifest
-// commits.
+// count, and LoadParallelOpts rebuilds the database document for document,
+// in order. A flat file an earlier release left and left-over segments from
+// earlier saves are removed after the manifest commits.
 func (db *DB) SaveParallelOpts(dir string, opts SaveOpts) error {
 	if err := fsOrDefault(opts.FS).MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -468,16 +467,6 @@ func removeStaleSegments(fsys FS, dir, name string, keep int) {
 			fsys.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-}
-
-// removeSegmentedState deletes a collection's manifest and segment files —
-// the flat Save path calls it so the two formats never coexist. The
-// manifest goes first: once it is gone a crash leaves orphan segments next
-// to an authoritative flat file, which the loader skips, instead of a live
-// manifest pointing at files a later step deletes.
-func removeSegmentedState(dir, name string) {
-	os.Remove(filepath.Join(dir, name+manifestSuffix))
-	removeStaleSegments(OSFS, dir, name, 0)
 }
 
 // LoadParallelOpts reads every collection in dir — segmented (manifest

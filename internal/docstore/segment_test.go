@@ -2,6 +2,8 @@ package docstore
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -55,6 +57,27 @@ func segmentedFixture(t testing.TB, docs int) *DB {
 	return db
 }
 
+// writeFlat lays db out as the flat format earlier releases wrote — one
+// <collection>.jsonl, a document per line in insertion order — through
+// encoding/json, so the flat reader is tested on files no code of this
+// package produced.
+func writeFlat(t testing.TB, dir string, db *DB) {
+	t.Helper()
+	for _, name := range db.CollectionNames() {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		db.Collection(name).ForEach(func(d Document) bool {
+			if err := enc.Encode(d); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		})
+		if err := os.WriteFile(filepath.Join(dir, name+".jsonl"), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // dbFingerprint captures everything the equivalence check compares: per
 // collection the ordered _id sequence and the full documents.
 func dbFingerprint(db *DB) map[string]any {
@@ -77,9 +100,7 @@ func dbFingerprint(db *DB) map[string]any {
 func TestSaveLoadParallelMatchesSequential(t *testing.T) {
 	db := segmentedFixture(t, 500)
 	flatDir := t.TempDir()
-	if err := db.Save(flatDir); err != nil {
-		t.Fatal(err)
-	}
+	writeFlat(t, flatDir, db)
 	ref, err := Load(flatDir)
 	if err != nil {
 		t.Fatal(err)
@@ -134,16 +155,11 @@ func TestSaveParallelBytesIndependentOfWorkers(t *testing.T) {
 }
 
 func TestLoadParallelReadsFlatStores(t *testing.T) {
-	// Backward compatibility: a directory written by the historical flat
-	// Save must load unchanged through the parallel loader.
+	// Backward compatibility: a directory in the flat layout earlier
+	// releases wrote must load unchanged through the parallel loader.
 	db := segmentedFixture(t, 120)
 	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "clusters.jsonl")); err != nil {
-		t.Fatalf("flat save did not produce clusters.jsonl: %v", err)
-	}
+	writeFlat(t, dir, db)
 	loaded, err := LoadParallelOpts(dir, LoadOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -166,28 +182,17 @@ func TestLoadParallelReadsFlatStores(t *testing.T) {
 }
 
 func TestSaveFormatsAlternateCleanly(t *testing.T) {
-	// Segmented save removes the stale flat file; flat save removes the
-	// stale manifest and segments. The two formats never coexist, so a
-	// loader can never pick the wrong generation.
+	// A segmented save over a flat store removes the stale flat file once
+	// its manifest commits: the two formats never coexist, so a loader can
+	// never pick the wrong generation.
 	db := segmentedFixture(t, 80)
 	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeFlat(t, dir, db)
 	if err := db.SaveParallelOpts(dir, SaveOpts{Segments: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "clusters.jsonl")); !os.IsNotExist(err) {
 		t.Error("segmented save left the stale flat file behind")
-	}
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "clusters"+manifestSuffix)); !os.IsNotExist(err) {
-		t.Error("flat save left the stale manifest behind")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "clusters.00.jsonl")); !os.IsNotExist(err) {
-		t.Error("flat save left stale segments behind")
 	}
 	loaded, err := Load(dir)
 	if err != nil {

@@ -50,57 +50,6 @@ func TestCorpusProfilesEveryErrorType(t *testing.T) {
 	}
 }
 
-// parseCSV rebuilds per-type attribute counts from the WriteCSV output.
-func parseCSV(t *testing.T, data string) map[string]map[string]int {
-	t.Helper()
-	lines := strings.Split(strings.TrimSpace(data), "\n")
-	if lines[0] != "error_type,attribute,count,normalizer,percent" {
-		t.Fatalf("CSV header = %q", lines[0])
-	}
-	out := map[string]map[string]int{}
-	for _, line := range lines[1:] {
-		fields := strings.Split(line, ",")
-		if len(fields) != 5 {
-			t.Fatalf("CSV row %q has %d fields", line, len(fields))
-		}
-		n, err := strconv.Atoi(fields[2])
-		if err != nil {
-			t.Fatalf("CSV row %q count: %v", line, err)
-		}
-		if out[fields[0]] == nil {
-			out[fields[0]] = map[string]int{}
-		}
-		out[fields[0]][fields[1]] = n
-	}
-	return out
-}
-
-func TestCSVRoundTripsProfileCounts(t *testing.T) {
-	tbl := analyzedCorpus(t)
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed := parseCSV(t, buf.String())
-
-	check := func(e errstats.ErrType, s *errstats.Stat) {
-		for attr, want := range s.PerAttr {
-			if got := parsed[string(e)][attr]; got != want {
-				t.Errorf("%s/%s: CSV says %d, table says %d", e, attr, got, want)
-			}
-		}
-		if len(parsed[string(e)]) != len(s.PerAttr) {
-			t.Errorf("%s: CSV carries %d attributes, table %d", e, len(parsed[string(e)]), len(s.PerAttr))
-		}
-	}
-	for _, e := range errstats.SingletonTypes {
-		check(e, tbl.Singletons[e])
-	}
-	for _, e := range errstats.PairTypes {
-		check(e, tbl.PairBased[e])
-	}
-}
-
 func TestRenderTextRoundTripsMostCommon(t *testing.T) {
 	tbl := analyzedCorpus(t)
 	var buf bytes.Buffer

@@ -102,26 +102,6 @@ type Table struct {
 	PairBased    map[ErrType]*Stat
 }
 
-// SingletonPct returns the most-common-attribute frequency of a singleton
-// type normalized by the record count.
-func (t *Table) SingletonPct(e ErrType) float64 {
-	if t.TotalRecords == 0 {
-		return 0
-	}
-	_, n := t.Singletons[e].MostCommon()
-	return float64(n) / float64(t.TotalRecords)
-}
-
-// PairPct returns the most-common-attribute frequency of a pair-based type
-// normalized by the duplicate-pair count.
-func (t *Table) PairPct(e ErrType) float64 {
-	if t.TotalPairs == 0 {
-		return 0
-	}
-	_, n := t.PairBased[e].MostCommon()
-	return float64(n) / float64(t.TotalPairs)
-}
-
 // Analyze profiles the input.
 func Analyze(in Input) *Table {
 	t := &Table{

@@ -201,7 +201,8 @@ func TestPairCountsAndPercentages(t *testing.T) {
 	if got := tab.PairBased[Typo].Total; got != 2 {
 		t.Errorf("typos = %d, want 2", got)
 	}
-	pct := tab.PairPct(Typo)
+	_, n := tab.PairBased[Typo].MostCommon()
+	pct := float64(n) / float64(tab.TotalPairs)
 	if pct < 0.66 || pct > 0.67 {
 		t.Errorf("typo pct = %v, want 2/3", pct)
 	}

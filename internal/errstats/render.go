@@ -3,7 +3,6 @@ package errstats
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Rendering of Table 4-style profiles: a fixed-width text table for one or
@@ -51,42 +50,4 @@ func renderCell(s *Stat, norm int) string {
 		pct = 100 * float64(n) / float64(norm)
 	}
 	return fmt.Sprintf("%s %d (%.1f%%)", attr, n, pct)
-}
-
-// WriteCSV exports one table's complete per-attribute breakdown:
-// error_type,attribute,count,normalizer,percent rows, sorted for stable
-// diffs.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "error_type,attribute,count,normalizer,percent"); err != nil {
-		return err
-	}
-	write := func(e ErrType, s *Stat, norm int) error {
-		attrs := make([]string, 0, len(s.PerAttr))
-		for a := range s.PerAttr {
-			attrs = append(attrs, a)
-		}
-		sort.Strings(attrs)
-		for _, a := range attrs {
-			n := s.PerAttr[a]
-			pct := 0.0
-			if norm > 0 {
-				pct = 100 * float64(n) / float64(norm)
-			}
-			if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%.4f\n", e, a, n, norm, pct); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, e := range SingletonTypes {
-		if err := write(e, t.Singletons[e], t.TotalRecords); err != nil {
-			return err
-		}
-	}
-	for _, e := range PairTypes {
-		if err := write(e, t.PairBased[e], t.TotalPairs); err != nil {
-			return err
-		}
-	}
-	return nil
 }

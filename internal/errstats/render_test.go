@@ -28,26 +28,3 @@ func TestRenderText(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := renderInput().WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "error_type,attribute,count,normalizer,percent\n") {
-		t.Errorf("missing CSV header:\n%s", out)
-	}
-	if !strings.Contains(out, "typo,first,1,1,100.0000") {
-		t.Errorf("missing typo row:\n%s", out)
-	}
-	if !strings.Contains(out, "missing,first,1,3,33.3333") {
-		t.Errorf("missing missing-value row:\n%s", out)
-	}
-	// Stable ordering: two renders agree byte for byte.
-	var sb2 strings.Builder
-	renderInput().WriteCSV(&sb2)
-	if sb.String() != sb2.String() {
-		t.Error("CSV rendering not deterministic")
-	}
-}

@@ -182,6 +182,20 @@ func (m *Metrics) Handler() http.Handler {
 	})
 }
 
+// counterFamilies routes the layers' counters (AddN) to their Prometheus
+// families by name prefix, in exposition order.
+var counterFamilies = []struct{ prefix, family, help string }{
+	{"ingest_", "ingest_pipeline_total", "Parallel snapshot-ingest pipeline counters."},
+	{"delta_", "delta_pipeline_total", "Incremental snapshot application counters (applies, rows decoded/unchanged, records and objects added, clusters touched/dirty/rescored)."},
+	{"score_", "score_pipeline_total", "Parallel pair-scoring engine counters (pairs scored, values preprocessed, memo hits/misses/skips)."},
+	{"blocking_", "blocking_pipeline_total", "Candidate-generation layer counters (runs, records keyed, per-blocker pair emissions, buckets, unique candidates)."},
+	{"blocking_stream_", "blocking_stream_total", "Streamed candidate-emission counters (batches emitted, pairs streamed, peak batch backlog)."},
+	{"dedup_stream_", "dedup_stream_total", "Streaming scoring-consumer counters (batches consumed, pairs scored from the stream)."},
+	{"docstore_", "docstore_pipeline_total", "Document store counters (segments, bytes and documents saved/loaded, segments reused or served from the segment cache)."},
+	{"serving_", "serving_total", "Serving-snapshot counters (swaps, response-cache hits/misses/evictions)."},
+	{"provenance_", "provenance_total", "Corpus provenance counters (records stamped, chain links/resets, leaves hashed/reused, verify runs/leaves/failures, records served)."},
+}
+
 // PrometheusText renders the registry in the Prometheus text exposition
 // format (counters, a summary per route, and the in-flight gauge).
 func (m *Metrics) PrometheusText() string {
@@ -191,122 +205,38 @@ func (m *Metrics) PrometheusText() string {
 	fmt.Fprintf(&b, "# TYPE http_requests_in_flight gauge\n")
 	fmt.Fprintf(&b, "http_requests_in_flight %d\n", snap.InFlight)
 
-	// Counters split into families by prefix: the ingest pipeline's
-	// ingest_* counters, the delta-apply layer's delta_* counters, the
-	// scoring engine's score_* counters, the
-	// blocking layer's blocking_* counters (with the streamed emission's
-	// blocking_stream_* counters split out — checked first, since they share
-	// the blocking_ prefix), the streaming scoring consumer's
-	// dedup_stream_* counters, the document store's docstore_* counters,
-	// the serving snapshots' serving_* counters, the provenance layer's
-	// provenance_* counters, and the middleware's events.
-	var eventNames, ingestNames, deltaNames, scoreNames, blockingNames, blockingStreamNames, dedupStreamNames, docstoreNames, servingNames, provenanceNames []string
+	// A counter belongs to the family with the longest prefix of its name
+	// (blocking_stream_ before blocking_); one no family claims is a
+	// middleware event. Families print in table order, names sorted.
+	names := make([][]string, len(counterFamilies))
+	var eventNames []string
 	for name := range snap.Counters {
-		switch {
-		case strings.HasPrefix(name, "ingest_"):
-			ingestNames = append(ingestNames, name)
-		case strings.HasPrefix(name, "provenance_"):
-			provenanceNames = append(provenanceNames, name)
-		case strings.HasPrefix(name, "delta_"):
-			deltaNames = append(deltaNames, name)
-		case strings.HasPrefix(name, "score_"):
-			scoreNames = append(scoreNames, name)
-		case strings.HasPrefix(name, "blocking_stream_"):
-			blockingStreamNames = append(blockingStreamNames, name)
-		case strings.HasPrefix(name, "blocking_"):
-			blockingNames = append(blockingNames, name)
-		case strings.HasPrefix(name, "dedup_stream_"):
-			dedupStreamNames = append(dedupStreamNames, name)
-		case strings.HasPrefix(name, "docstore_"):
-			docstoreNames = append(docstoreNames, name)
-		case strings.HasPrefix(name, "serving_"):
-			servingNames = append(servingNames, name)
-		default:
+		best := -1
+		for i, f := range counterFamilies {
+			if strings.HasPrefix(name, f.prefix) && (best < 0 || len(f.prefix) > len(counterFamilies[best].prefix)) {
+				best = i
+			}
+		}
+		if best < 0 {
 			eventNames = append(eventNames, name)
+		} else {
+			names[best] = append(names[best], name)
 		}
 	}
 	sort.Strings(eventNames)
-	sort.Strings(ingestNames)
-	sort.Strings(deltaNames)
-	sort.Strings(scoreNames)
-	sort.Strings(blockingNames)
-	sort.Strings(blockingStreamNames)
-	sort.Strings(dedupStreamNames)
-	sort.Strings(docstoreNames)
-	sort.Strings(servingNames)
-	sort.Strings(provenanceNames)
 	fmt.Fprintf(&b, "# HELP http_server_events_total Middleware events (panics, timeouts, shed).\n")
 	fmt.Fprintf(&b, "# TYPE http_server_events_total counter\n")
 	for _, name := range eventNames {
 		fmt.Fprintf(&b, "http_server_events_total{event=%q} %d\n", name, snap.Counters[name])
 	}
-	if len(ingestNames) > 0 {
-		fmt.Fprintf(&b, "# HELP ingest_pipeline_total Parallel snapshot-ingest pipeline counters.\n")
-		fmt.Fprintf(&b, "# TYPE ingest_pipeline_total counter\n")
-		for _, name := range ingestNames {
-			fmt.Fprintf(&b, "ingest_pipeline_total{counter=%q} %d\n", strings.TrimPrefix(name, "ingest_"), snap.Counters[name])
+	for i, f := range counterFamilies {
+		if len(names[i]) == 0 {
+			continue
 		}
-	}
-	if len(deltaNames) > 0 {
-		fmt.Fprintf(&b, "# HELP delta_pipeline_total Incremental snapshot application counters (applies, rows decoded/unchanged, records and objects added, clusters touched/dirty/rescored).\n")
-		fmt.Fprintf(&b, "# TYPE delta_pipeline_total counter\n")
-		for _, name := range deltaNames {
-			fmt.Fprintf(&b, "delta_pipeline_total{counter=%q} %d\n", strings.TrimPrefix(name, "delta_"), snap.Counters[name])
-		}
-	}
-	if len(scoreNames) > 0 {
-		fmt.Fprintf(&b, "# HELP score_pipeline_total Parallel pair-scoring engine counters (pairs scored, values preprocessed, memo hits/misses/skips).\n")
-		fmt.Fprintf(&b, "# TYPE score_pipeline_total counter\n")
-		for _, name := range scoreNames {
-			fmt.Fprintf(&b, "score_pipeline_total{counter=%q} %d\n", strings.TrimPrefix(name, "score_"), snap.Counters[name])
-		}
-	}
-
-	if len(blockingNames) > 0 {
-		fmt.Fprintf(&b, "# HELP blocking_pipeline_total Candidate-generation layer counters (runs, records keyed, per-blocker pair emissions, buckets, unique candidates).\n")
-		fmt.Fprintf(&b, "# TYPE blocking_pipeline_total counter\n")
-		for _, name := range blockingNames {
-			fmt.Fprintf(&b, "blocking_pipeline_total{counter=%q} %d\n", strings.TrimPrefix(name, "blocking_"), snap.Counters[name])
-		}
-	}
-
-	if len(blockingStreamNames) > 0 {
-		fmt.Fprintf(&b, "# HELP blocking_stream_total Streamed candidate-emission counters (batches emitted, pairs streamed, peak batch backlog).\n")
-		fmt.Fprintf(&b, "# TYPE blocking_stream_total counter\n")
-		for _, name := range blockingStreamNames {
-			fmt.Fprintf(&b, "blocking_stream_total{counter=%q} %d\n", strings.TrimPrefix(name, "blocking_stream_"), snap.Counters[name])
-		}
-	}
-
-	if len(dedupStreamNames) > 0 {
-		fmt.Fprintf(&b, "# HELP dedup_stream_total Streaming scoring-consumer counters (batches consumed, pairs scored from the stream).\n")
-		fmt.Fprintf(&b, "# TYPE dedup_stream_total counter\n")
-		for _, name := range dedupStreamNames {
-			fmt.Fprintf(&b, "dedup_stream_total{counter=%q} %d\n", strings.TrimPrefix(name, "dedup_stream_"), snap.Counters[name])
-		}
-	}
-
-	if len(docstoreNames) > 0 {
-		fmt.Fprintf(&b, "# HELP docstore_pipeline_total Document store counters (segments, bytes and documents saved/loaded, segments reused or served from the segment cache).\n")
-		fmt.Fprintf(&b, "# TYPE docstore_pipeline_total counter\n")
-		for _, name := range docstoreNames {
-			fmt.Fprintf(&b, "docstore_pipeline_total{counter=%q} %d\n", strings.TrimPrefix(name, "docstore_"), snap.Counters[name])
-		}
-	}
-
-	if len(servingNames) > 0 {
-		fmt.Fprintf(&b, "# HELP serving_total Serving-snapshot counters (swaps, response-cache hits/misses/evictions).\n")
-		fmt.Fprintf(&b, "# TYPE serving_total counter\n")
-		for _, name := range servingNames {
-			fmt.Fprintf(&b, "serving_total{counter=%q} %d\n", strings.TrimPrefix(name, "serving_"), snap.Counters[name])
-		}
-	}
-
-	if len(provenanceNames) > 0 {
-		fmt.Fprintf(&b, "# HELP provenance_total Corpus provenance counters (records stamped, chain links/resets, leaves hashed/reused, verify runs/leaves/failures, records served).\n")
-		fmt.Fprintf(&b, "# TYPE provenance_total counter\n")
-		for _, name := range provenanceNames {
-			fmt.Fprintf(&b, "provenance_total{counter=%q} %d\n", strings.TrimPrefix(name, "provenance_"), snap.Counters[name])
+		sort.Strings(names[i])
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", f.family, f.help, f.family)
+		for _, name := range names[i] {
+			fmt.Fprintf(&b, "%s{counter=%q} %d\n", f.family, strings.TrimPrefix(name, f.prefix), snap.Counters[name])
 		}
 	}
 

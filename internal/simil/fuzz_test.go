@@ -69,7 +69,7 @@ func FuzzStringKernels(f *testing.F) {
 }
 
 // FuzzTokenKernels covers the token/q-gram measures: TrigramJaccard,
-// TokenJaccard, CosineQGram and OverlapQGram over raw strings, plus the
+// CosineQGram and OverlapQGram over raw strings, plus the
 // GeneralizedJaccard tokens path against its Into variant.
 func FuzzTokenKernels(f *testing.F) {
 	f.Add("CHAPEL HILL", "CHAPELL HILL")
@@ -83,7 +83,6 @@ func FuzzTokenKernels(f *testing.F) {
 			plain func(a, b string) float64
 		}{
 			{"TrigramJaccard", TrigramJaccard},
-			{"TokenJaccard", TokenJaccard},
 			{"CosineTrigram", func(x, y string) float64 { return CosineQGram(x, y, 3) }},
 			{"OverlapTrigram", func(x, y string) float64 { return OverlapQGram(x, y, 3) }},
 		} {

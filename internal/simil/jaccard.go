@@ -34,9 +34,3 @@ func Jaccard(a, b []string) float64 {
 func TrigramJaccard(a, b string) float64 {
 	return Jaccard(QGrams(a, 3), QGrams(b, 3))
 }
-
-// TokenJaccard returns the Jaccard coefficient over the letter/digit token
-// sets of a and b.
-func TokenJaccard(a, b string) float64 {
-	return Jaccard(Tokenize(a), Tokenize(b))
-}

@@ -9,16 +9,6 @@ func Levenshtein(a, b string) int {
 	return LevenshteinInto(a, b, &sc)
 }
 
-// LevenshteinSimilarity normalizes Levenshtein to [0, 1]:
-// 1 - dist/max(len(a), len(b)). Two empty strings are identical (1).
-func LevenshteinSimilarity(a, b string) float64 {
-	m := maxInt(len([]rune(a)), len([]rune(b)))
-	if m == 0 {
-		return 1
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
-
 // DamerauLevenshtein returns the optimal-string-alignment variant of the
 // Damerau-Levenshtein distance: insertions, deletions, substitutions and
 // transpositions of two adjacent runes each cost 1, and no substring is

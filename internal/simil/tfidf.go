@@ -77,27 +77,6 @@ func (t *TFIDF) weights(doc []string) (order []string, w map[string]float64) {
 	return order, w
 }
 
-// Cosine returns the TF-IDF cosine similarity of two token documents in
-// [0, 1]. Two empty documents score 1; one empty document scores 0.
-func (t *TFIDF) Cosine(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	orderA, wa := t.weights(a)
-	_, wb := t.weights(b)
-	dot := 0.0
-	for _, tok := range orderA {
-		dot += wa[tok] * wb[tok]
-	}
-	if dot > 1 {
-		dot = 1 // guard rounding
-	}
-	return dot
-}
-
 // SoftCosine is the SoftTFIDF measure: tokens need not match exactly — a
 // token of a matches the most similar token of b under tok if their
 // similarity reaches threshold, and the match contributes the product of

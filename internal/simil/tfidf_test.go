@@ -23,18 +23,24 @@ func TestIDFOrdering(t *testing.T) {
 	}
 }
 
+// exactCosine is SoftCosine with token matches restricted to equal tokens:
+// the plain TF-IDF cosine.
+func exactCosine(tf *TFIDF, a, b []string) float64 {
+	return tf.SoftCosine(a, b, DamerauLevenshteinSimilarity, 1)
+}
+
 func TestCosineIdentityAndBounds(t *testing.T) {
 	tf := NewTFIDF(corpusDocs())
-	if got := tf.Cosine([]string{"JOHN", "SMITH"}, []string{"JOHN", "SMITH"}); got < 0.999 {
+	if got := exactCosine(tf, []string{"JOHN", "SMITH"}, []string{"JOHN", "SMITH"}); got < 0.999 {
 		t.Errorf("identical docs = %v", got)
 	}
-	if got := tf.Cosine(nil, nil); got != 1 {
+	if got := exactCosine(tf, nil, nil); got != 1 {
 		t.Errorf("both empty = %v", got)
 	}
-	if got := tf.Cosine([]string{"JOHN"}, nil); got != 0 {
+	if got := exactCosine(tf, []string{"JOHN"}, nil); got != 0 {
 		t.Errorf("one empty = %v", got)
 	}
-	if got := tf.Cosine([]string{"JOHN"}, []string{"MARY"}); got != 0 {
+	if got := exactCosine(tf, []string{"JOHN"}, []string{"MARY"}); got != 0 {
 		t.Errorf("disjoint = %v", got)
 	}
 }
@@ -42,8 +48,8 @@ func TestCosineIdentityAndBounds(t *testing.T) {
 func TestCosineWeighsRareTokensHigher(t *testing.T) {
 	tf := NewTFIDF(corpusDocs())
 	// Sharing the rare NGUYEN outweighs sharing the ubiquitous SMITH.
-	rareShared := tf.Cosine([]string{"JOHN", "NGUYEN"}, []string{"MARY", "NGUYEN"})
-	commonShared := tf.Cosine([]string{"JOHN", "SMITH"}, []string{"MARY", "SMITH"})
+	rareShared := exactCosine(tf, []string{"JOHN", "NGUYEN"}, []string{"MARY", "NGUYEN"})
+	commonShared := exactCosine(tf, []string{"JOHN", "SMITH"}, []string{"MARY", "SMITH"})
 	if rareShared <= commonShared {
 		t.Errorf("rare token share (%v) should beat common share (%v)", rareShared, commonShared)
 	}
@@ -51,7 +57,7 @@ func TestCosineWeighsRareTokensHigher(t *testing.T) {
 
 func TestSoftCosineForgivesTypos(t *testing.T) {
 	tf := NewTFIDF(corpusDocs())
-	hard := tf.Cosine([]string{"JOHN", "NGUYEN"}, []string{"JOHN", "NGUYEM"})
+	hard := exactCosine(tf, []string{"JOHN", "NGUYEN"}, []string{"JOHN", "NGUYEM"})
 	soft := tf.SoftCosine([]string{"JOHN", "NGUYEN"}, []string{"JOHN", "NGUYEM"},
 		DamerauLevenshteinSimilarity, 0.8)
 	if soft <= hard {
@@ -86,7 +92,7 @@ func TestEmptyCorpus(t *testing.T) {
 	if got := tf.IDF("X"); got != 0 {
 		t.Errorf("empty-corpus IDF = %v", got)
 	}
-	if got := tf.Cosine([]string{"X"}, []string{"X"}); got != 0 {
+	if got := exactCosine(tf, []string{"X"}, []string{"X"}); got != 0 {
 		// All weights zero: no signal either way.
 		t.Errorf("empty-corpus cosine = %v, want 0", got)
 	}

@@ -73,18 +73,3 @@ func TestConformanceBlocking(t *testing.T) {
 		}.Run(t)
 	}
 }
-
-// TestConformanceBlockingLegacyBridge pins the new layer to the legacy
-// single-blocker path on the seeded corpus: EntropyPasses through Generate
-// must reproduce dedup.SortedNeighborhood exactly, so every result
-// produced before this layer existed is still reproducible through it.
-func TestConformanceBlockingLegacyBridge(t *testing.T) {
-	corpus := testkit.Corpus{Seed: 48}
-	ds := corpus.DedupDataset(t, 100, 3, 0, 150)
-	legacy := dedup.SortedNeighborhood(ds, dedup.MostUniqueAttrs(ds, 5), 20)
-	got, _ := blocking.Generate(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 5), Window: 20, Workers: 7})
-	if !reflect.DeepEqual(legacy, got) {
-		t.Fatalf("blocking.Generate over entropy passes diverges from dedup.SortedNeighborhood: %d vs %d pairs",
-			len(got), len(legacy))
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/dedup"
 	"repro/internal/docstore"
@@ -97,7 +98,7 @@ func TestConformanceScoringCurves(t *testing.T) {
 	if ds.NumRecords() == 0 {
 		t.Fatal("corpus produced an empty dedup dataset")
 	}
-	candidates := dedup.SortedNeighborhood(ds, dedup.MostUniqueAttrs(ds, 3), 20)
+	candidates, _ := blocking.Generate(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 3), Window: 20})
 	for _, m := range dedup.Measures {
 		m := m
 		testkit.Differential[dedup.Curve]{
@@ -214,11 +215,10 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 	testkit.Differential[map[string]any]{
 		Name: "docstore/round-trip",
 		Sequential: func(tb testing.TB) map[string]any {
-			// The flat single-file format is the reference persistence path.
+			// The flat single-file layout, written by encoding/json and
+			// read sequentially, is the reference.
 			dir := tb.TempDir()
-			if err := db.Save(dir); err != nil {
-				tb.Fatal(err)
-			}
+			writeFlatStore(tb, dir, db)
 			loaded, err := docstore.Load(dir)
 			if err != nil {
 				tb.Fatal(err)
@@ -250,9 +250,7 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 		if err := stored.SaveParallelOpts(segmented, docstore.SaveOpts{Stride: 16}); err != nil {
 			t.Fatal(err)
 		}
-		if err := stored.Save(flat); err != nil {
-			t.Fatal(err)
-		}
+		writeFlatStore(t, flat, stored)
 		for _, dir := range []string{segmented, flat} {
 			want := jsonStoreDocs(t, dir)
 			if len(want[core.ClustersCollection]) != ds.NumClusters() {
@@ -313,6 +311,27 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// writeFlatStore lays db out in the flat format earlier releases wrote —
+// one <collection>.jsonl, a document per line in insertion order — through
+// encoding/json: the fixture of the read-only flat loader, produced by no
+// docstore code.
+func writeFlatStore(tb testing.TB, dir string, db *docstore.DB) {
+	tb.Helper()
+	for _, name := range db.CollectionNames() {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		db.Collection(name).ForEach(func(d docstore.Document) bool {
+			if err := enc.Encode(d); err != nil {
+				tb.Fatal(err)
+			}
+			return true
+		})
+		if err := os.WriteFile(filepath.Join(dir, name+".jsonl"), buf.Bytes(), 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
 // jsonStoreDocs reads every document line under dir with encoding/json, by

@@ -34,11 +34,11 @@ func main() {
 	)
 	flag.Parse()
 
-	stored, err := docstore.Load(*db)
+	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds, err := core.FromDocDB(stored)
+	ds, err := core.FromDocDBParallel(stored, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,9 +11,10 @@
 //
 // Re-running against an existing -db directory continues the dataset: new
 // snapshots are appended as a new version (the paper's update process,
-// Fig. 2). With -workers != 1 each snapshot file runs through the sharded
-// parallel ingest pipeline; the result is identical to the sequential
-// import. -workers also sizes dirty-cluster and -scores recomputation.
+// Fig. 2). Each snapshot file is read in line-aligned blocks that -workers
+// goroutines decode and hash (1 = inline, no goroutines) while the rows are
+// applied in input order, so the result is identical at any count. -workers
+// also sizes dirty-cluster and -scores recomputation.
 // -store-workers sizes the document store's segmented save/load pool the
 // same way (the store bytes and contents are identical at any count).
 // -metrics-addr serves GET /metrics (JSON and Prometheus) with the ingest
@@ -33,8 +34,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -53,10 +56,10 @@ import (
 // stampMeta assembles the provenance metadata of one import run: the mode,
 // the full snapshot lineage across all published versions, and the ncgen
 // descriptor of the input directory when one is present.
-func stampMeta(ds *core.Dataset, in string) provenance.Meta {
+func stampMeta(ds *core.Dataset, in string, logger *log.Logger) provenance.Meta {
 	gen, err := provenance.ReadGeneratorInfo(in)
 	if err != nil {
-		log.Printf("reading %s: %v (continuing without generator metadata)", in, err)
+		logger.Printf("reading %s: %v (continuing without generator metadata)", in, err)
 		gen = nil
 	}
 	return provenance.Meta{
@@ -81,83 +84,99 @@ func parseMode(s string) (core.RemovalMode, error) {
 	return 0, fmt.Errorf("unknown removal mode %q (none|exact|trimming|person)", s)
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ncimport: ")
-	var (
-		in           = flag.String("in", "snapshots", "directory with VR_Snapshot_*.tsv files")
-		modeS        = flag.String("mode", "trimming", "duplicate-removal mode: none|exact|trimming|person")
-		db           = flag.String("db", "store", "document-database directory (created or continued)")
-		scores       = flag.Bool("scores", false, "compute plausibility and heterogeneity maps")
-		workers      = flag.Int("workers", 0, "ingest and score-recomputation workers (0 = all cores, 1 = sequential)")
-		storeWorkers = flag.Int("store-workers", 0, "document-store save/load workers (0 = all cores); results are identical at any count")
-		metricsAddr  = flag.String("metrics-addr", "", "serve GET /metrics with ingest counters on this address during the import (e.g. :9090)")
-		delta        = flag.Bool("delta", false, "incremental import: diff snapshots against the continued store, rescore only dirty clusters, rewrite only dirty segments")
-		stride       = flag.Int("stride", 0, "stable segment layout: documents per segment (0 = balanced layout; required > 0 by -delta)")
-		verbose      = flag.Bool("v", false, "print per-stage wall times (load, parse+merge, score, persist)")
-	)
-	flag.Parse()
-	if *delta && *stride <= 0 {
-		log.Fatal("-delta requires -stride > 0: dirty-segment reuse needs the stable segment layout")
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its process state passed in: the exit code comes back
+// instead of os.Exit, so the tests drive the whole command.
+func run(args []string, stdout, stderr io.Writer) int {
+	logger := log.New(stderr, "ncimport: ", 0)
+	fs := flag.NewFlagSet("ncimport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		in           = fs.String("in", "snapshots", "directory with VR_Snapshot_*.tsv files")
+		modeS        = fs.String("mode", "trimming", "duplicate-removal mode: none|exact|trimming|person")
+		db           = fs.String("db", "store", "document-database directory (created or continued)")
+		scores       = fs.Bool("scores", false, "compute plausibility and heterogeneity maps")
+		workers      = fs.Int("workers", 0, "ingest decode and score-recomputation workers (0 = all cores, 1 = inline, no goroutines)")
+		storeWorkers = fs.Int("store-workers", 0, "document-store save/load workers (0 = all cores); results are identical at any count")
+		metricsAddr  = fs.String("metrics-addr", "", "serve GET /metrics with ingest counters on this address during the import (e.g. :9090)")
+		delta        = fs.Bool("delta", false, "incremental import: diff snapshots against the continued store, rescore only dirty clusters, rewrite only dirty segments")
+		stride       = fs.Int("stride", 0, "stable segment layout: documents per segment (0 = balanced layout; required > 0 by -delta)")
+		verbose      = fs.Bool("v", false, "print per-stage wall times (load, parse+merge, score, persist)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	mode, err := parseMode(*modeS)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 2
+	}
+	fail := func(err error) int {
+		logger.Print(err)
+		return 1
+	}
+	if *delta && *stride <= 0 {
+		return fail(errors.New("-delta requires -stride > 0: dirty-segment reuse needs the stable segment layout"))
+	}
+	files, err := voter.ListSnapshotFiles(*in)
+	if err != nil {
+		return fail(err)
+	}
+	if len(files) == 0 {
+		return fail(fmt.Errorf("no VR_Snapshot_*.tsv files in %s", *in))
 	}
 	metrics := obs.NewMetrics()
 
 	// stages accumulates wall time per pipeline stage for -v.
 	stages := map[string]time.Duration{}
 	var stageOrder []string
-	timed := func(name string, f func()) {
+	timed := func(name string, f func() error) error {
 		start := time.Now()
-		f()
+		err := f()
 		if _, seen := stages[name]; !seen {
 			stageOrder = append(stageOrder, name)
 		}
 		stages[name] += time.Since(start)
+		return err
 	}
 
-	loadStart := time.Now()
 	var ds *core.Dataset
-	if _, err := os.Stat(*db); err == nil {
+	if err := timed("load", func() error {
+		if _, err := os.Stat(*db); err != nil {
+			ds = core.NewDataset(mode)
+			return nil
+		}
 		existing, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: *storeWorkers, Observer: metrics})
 		if err != nil {
-			log.Fatalf("loading %s: %v", *db, err)
+			return fmt.Errorf("loading %s: %w", *db, err)
 		}
 		if ds, err = core.FromDocDBParallel(existing, *storeWorkers); err != nil {
 			// A fresh directory without dataset metadata: start clean.
 			ds = core.NewDataset(mode)
-		} else {
-			if ds.Mode != mode {
-				log.Fatalf("store %s uses mode %q; cannot continue with %q", *db, ds.Mode, mode)
-			}
-			fmt.Printf("continuing store %s: %d clusters, %d records, version %d\n",
-				*db, ds.NumClusters(), ds.NumRecords(), len(ds.Versions()))
+			return nil
 		}
-	} else {
-		ds = core.NewDataset(mode)
+		if ds.Mode != mode {
+			return fmt.Errorf("store %s uses mode %q; cannot continue with %q", *db, ds.Mode, mode)
+		}
+		fmt.Fprintf(stdout, "continuing store %s: %d clusters, %d records, version %d\n",
+			*db, ds.NumClusters(), ds.NumRecords(), len(ds.Versions()))
+		return nil
+	}); err != nil {
+		return fail(err)
 	}
-	stages["load"] = time.Since(loadStart)
-	stageOrder = append(stageOrder, "load")
 	if *delta && len(ds.Versions()) == 0 {
-		log.Fatalf("-delta continues an existing store, but %s holds no published dataset", *db)
-	}
-
-	files, err := voter.ListSnapshotFiles(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(files) == 0 {
-		log.Fatalf("no VR_Snapshot_*.tsv files in %s", *in)
+		return fail(fmt.Errorf("-delta continues an existing store, but %s holds no published dataset", *db))
 	}
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", metrics.Handler())
 		go func() {
 			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				log.Printf("metrics server: %v", err)
+				logger.Printf("metrics server: %v", err)
 			}
 		}()
 	}
@@ -170,104 +189,93 @@ func main() {
 		// recomputation).
 		merged := &core.Delta{}
 		var ix *core.FingerprintIndex
-		timed("index", func() { ix = core.BuildFingerprintIndex(ds) })
+		timed("index", func() error { ix = core.BuildFingerprintIndex(ds); return nil })
 		for _, path := range files {
 			var dl *core.Delta
-			timed("parse+merge", func() {
+			if err := timed("parse+merge", func() error {
 				var err error
 				dl, err = ds.ApplySnapshotDelta(path, core.DeltaOptions{
 					Workers: *workers, Observer: metrics, Index: ix,
 				})
-				if err != nil {
-					log.Fatalf("%s: %v", path, err)
-				}
-			})
+				return err
+			}); err != nil {
+				return fail(fmt.Errorf("%s: %w", path, err))
+			}
 			merged.Merge(dl)
-			fmt.Printf("applied %s: %d rows (%d unchanged), %d new records, %d clusters touched, %d dirty\n",
+			fmt.Fprintf(stdout, "applied %s: %d rows (%d unchanged), %d new records, %d clusters touched, %d dirty\n",
 				dl.Stats.Snapshot, dl.Stats.Rows, dl.Stats.UnchangedRows,
 				dl.Stats.NewRecords, dl.Stats.TouchedClusters, dl.Stats.DirtyClusters)
 		}
 		if *scores {
 			dirty := merged.Dirty()
-			fmt.Printf("recomputing scores for %d dirty clusters ...\n", len(dirty))
-			timed("score", func() {
+			fmt.Fprintf(stdout, "recomputing scores for %d dirty clusters ...\n", len(dirty))
+			timed("score", func() error {
 				plaus.UpdateDelta(ds, merged, *workers)
 				hetero.UpdateDelta(ds, merged, *workers)
+				return nil
 			})
 			metrics.AddN("delta_clusters_rescored", int64(len(dirty)))
 		}
-		version := ds.Publish()
 		saveOpts.Dirty = merged.DirtyIDs()
-		timed("persist", func() {
-			// Save and stamp in one pass: the dirty save reuses unchanged
-			// segments, and the provenance record extends the store's hash
-			// chain, carrying their digests over.
-			if _, err := provenance.Save(ds.ToDocDB(), *db, saveOpts,
-				provenance.StampOpts{Meta: stampMeta(ds, *in), Observer: metrics}); err != nil {
-				log.Fatal(err)
+	} else {
+		for _, path := range files {
+			// Stream the file: register-sized snapshots never materialize.
+			if err := timed("parse+merge", func() error {
+				st, err := ds.ImportSnapshotFileParallelOpts(path, core.IngestOptions{Workers: *workers, Observer: metrics})
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "imported %s: %d rows, %d new records, %d new objects\n",
+					st.Snapshot, st.Rows, st.NewRecords, st.NewObjects)
+				return nil
+			}); err != nil {
+				return fail(fmt.Errorf("%s: %w", path, err))
 			}
-		})
-		printIngestCounters(metrics)
-		printStageTimings(*verbose, stageOrder, stages)
-		fmt.Printf("published version %d: %d clusters, %d records, %d duplicate pairs -> %s\n",
-			version, ds.NumClusters(), ds.NumRecords(), ds.NumPairs(), *db)
-		return
-	}
-
-	opts := core.IngestOptions{Workers: *workers, Observer: metrics}
-	for _, path := range files {
-		// Stream the file: register-sized snapshots never materialize.
-		// With workers != 1 the sharded pipeline decodes and hashes rows
-		// on all cores; the result is identical to the sequential import.
-		timed("parse+merge", func() {
-			st, err := ds.ImportSnapshotFileParallelOpts(path, opts)
-			if err != nil {
-				log.Fatalf("%s: %v", path, err)
-			}
-			fmt.Printf("imported %s: %d rows, %d new records, %d new objects\n",
-				st.Snapshot, st.Rows, st.NewRecords, st.NewObjects)
-		})
-	}
-	if *scores {
-		timed("score", func() {
-			fmt.Println("computing plausibility scores ...")
-			plaus.UpdateParallel(ds, *workers)
-			fmt.Println("computing heterogeneity scores ...")
-			hetero.UpdateParallel(ds, *workers)
-		})
+		}
+		if *scores {
+			timed("score", func() error {
+				fmt.Fprintln(stdout, "computing plausibility scores ...")
+				plaus.UpdateParallel(ds, *workers)
+				fmt.Fprintln(stdout, "computing heterogeneity scores ...")
+				hetero.UpdateParallel(ds, *workers)
+				return nil
+			})
+		}
 	}
 	version := ds.Publish()
-	// Segmented parallel save plus a provenance stamp: segment files, a
-	// manifest per collection, and a hash-chained record of their digests
-	// (`ncstats -verify` re-derives it). The bytes do not depend on the
-	// worker count, and older flat stores load unchanged.
-	timed("persist", func() {
-		if _, err := provenance.Save(ds.ToDocDB(), *db, saveOpts,
-			provenance.StampOpts{Meta: stampMeta(ds, *in), Observer: metrics}); err != nil {
-			log.Fatal(err)
-		}
-	})
-	printIngestCounters(metrics)
-	printStageTimings(*verbose, stageOrder, stages)
-	fmt.Printf("published version %d: %d clusters, %d records, %d duplicate pairs -> %s\n",
+	// Segmented parallel save plus a provenance stamp in one pass: segment
+	// files, a manifest per collection, and a hash-chained record of their
+	// digests (`ncstats -verify` re-derives it). The bytes do not depend on
+	// the worker count. A -delta save reuses unchanged segments, and the
+	// record extends the store's chain, carrying their digests over.
+	if err := timed("persist", func() error {
+		_, err := provenance.Save(ds.ToDocDB(), *db, saveOpts,
+			provenance.StampOpts{Meta: stampMeta(ds, *in, logger), Observer: metrics})
+		return err
+	}); err != nil {
+		return fail(err)
+	}
+	printIngestCounters(stdout, metrics)
+	printStageTimings(stdout, *verbose, stageOrder, stages)
+	fmt.Fprintf(stdout, "published version %d: %d clusters, %d records, %d duplicate pairs -> %s\n",
 		version, ds.NumClusters(), ds.NumRecords(), ds.NumPairs(), *db)
+	return 0
 }
 
 // printStageTimings reports each pipeline stage's wall time under -v.
-func printStageTimings(verbose bool, order []string, stages map[string]time.Duration) {
+func printStageTimings(w io.Writer, verbose bool, order []string, stages map[string]time.Duration) {
 	if !verbose {
 		return
 	}
-	fmt.Println("stage timings:")
+	fmt.Fprintln(w, "stage timings:")
 	for _, name := range order {
-		fmt.Printf("  %-12s %10.3fs\n", name, stages[name].Seconds())
+		fmt.Fprintf(w, "  %-12s %10.3fs\n", name, stages[name].Seconds())
 	}
 }
 
 // printIngestCounters summarizes the ingest and docstore counters after the
-// import. The sequential ingest path (workers = 1 on a single core) emits
-// no ingest counters.
-func printIngestCounters(m *obs.Metrics) {
+// import.
+func printIngestCounters(w io.Writer, m *obs.Metrics) {
 	counters := m.Snapshot().Counters
 	names := make([]string, 0, len(counters))
 	for name := range counters {
@@ -277,8 +285,8 @@ func printIngestCounters(m *obs.Metrics) {
 		return
 	}
 	sort.Strings(names)
-	fmt.Println("pipeline counters:")
+	fmt.Fprintln(w, "pipeline counters:")
 	for _, name := range names {
-		fmt.Printf("  %-28s %d\n", name, counters[name])
+		fmt.Fprintf(w, "  %-28s %d\n", name, counters[name])
 	}
 }

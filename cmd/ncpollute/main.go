@@ -35,11 +35,11 @@ func main() {
 	)
 	flag.Parse()
 
-	stored, err := docstore.Load(*db)
+	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := core.FromDocDB(stored)
+	base, err := core.FromDocDBParallel(stored, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,11 +48,11 @@ func main() {
 		return
 	}
 
-	stored, err := docstore.Load(*db)
+	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds, err := core.FromDocDB(stored)
+	ds, err := core.FromDocDBParallel(stored, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,11 +45,11 @@ func main() {
 	// A later session: load the store and continue with new snapshots —
 	// the update process of Fig. 2 (import -> update statistics ->
 	// version & publish).
-	db, err := docstore.Load(dir)
+	db, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds2, err := core.FromDocDB(db)
+	ds2, err := core.FromDocDBParallel(db, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -365,7 +365,7 @@ func TestDocDBRoundTrip(t *testing.T) {
 	d.Publish()
 
 	db := d.ToDocDB()
-	got, err := FromDocDB(db)
+	got, err := FromDocDBParallel(db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,11 +427,11 @@ func TestDocDBPersistenceRoundTrip(t *testing.T) {
 	if err := d.ToDocDB().SaveParallelOpts(dir, docstore.SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	db, err := docstore.Load(dir)
+	db, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromDocDB(db)
+	got, err := FromDocDBParallel(db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

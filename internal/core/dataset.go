@@ -6,16 +6,15 @@
 // heterogeneity scores (§5.2), versioned monotone updates (Fig. 2), and the
 // reconstruction of earlier versions and snapshot ranges.
 //
-// Snapshots import either sequentially (ImportSnapshotFile) or through the
-// sharded parallel ingest pipeline (ImportSnapshotFileParallelOpts) — the
-// register-scale answer to the paper's 507 M-row corpus; both paths produce
-// identical datasets (see pipeline.go).
+// A snapshot file imports through one loop (ImportSnapshotFileParallelOpts,
+// see ingest.go) that decodes and hashes rows on a worker pool — inline at
+// one worker — and applies them in input order, so the dataset is the same
+// at any worker count; ImportSnapshot applies an in-memory snapshot.
 package core
 
 import (
 	"encoding/hex"
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/voter"
@@ -142,53 +141,54 @@ func NewDataset(mode RemovalMode) *Dataset {
 // currentVersion is the number the next Publish will assign.
 func (d *Dataset) currentVersion() int { return len(d.versions) + 1 }
 
-// ImportSnapshot feeds one snapshot through the removal mode and returns its
-// import statistics. Rows with an empty NCID are counted but never stored.
+// ImportSnapshot feeds one in-memory snapshot through the removal mode and
+// returns its import statistics. Rows with an empty NCID are counted but
+// never stored.
 func (d *Dataset) ImportSnapshot(s voter.Snapshot) ImportStats {
-	imp := d.BeginImport(s.Date)
+	imp := d.beginImport(s.Date)
 	for _, r := range s.Records {
-		imp.Add(r)
+		imp.add(r)
 	}
-	return imp.Close()
+	return imp.close()
 }
 
-// Import is an in-progress streaming snapshot import: rows are offered one
-// at a time (directly off a TSV reader, §5's "hundreds of gigabytes"
-// requirement) and the statistics close the round.
-type Import struct {
+// importRound is one in-progress snapshot import: rows are applied one at a
+// time, in input order, and close records the round's statistics.
+type importRound struct {
 	d       *Dataset
 	st      ImportStats
-	hm      voter.HashMode
+	removed int // rows the removal mode dropped
 	version int
 	closed  bool
 }
 
-// BeginImport opens a streaming import for one snapshot date.
-func (d *Dataset) BeginImport(date string) *Import {
-	return &Import{
-		d:       d,
-		st:      ImportStats{Snapshot: date},
-		hm:      d.Mode.hashMode(),
-		version: d.currentVersion(),
-	}
+// beginImport opens an import round for one snapshot date.
+func (d *Dataset) beginImport(date string) *importRound {
+	return &importRound{d: d, st: ImportStats{Snapshot: date}, version: d.currentVersion()}
 }
 
-// Add offers one row to the import.
-func (imp *Import) Add(r voter.Record) { imp.addTracked(r, nil) }
+// add hashes one row and applies it.
+func (imp *importRound) add(r voter.Record) {
+	ncid := r.NCID()
+	var h voter.Hash
+	if ncid != "" {
+		h = voter.HashRecord(r, imp.d.Mode.hashMode())
+	}
+	imp.addHashed(r, ncid, h, nil)
+}
 
-// addTracked is Add with optional delta bookkeeping: when dl is non-nil the
-// row is classified against the cluster's pre-apply state (see delta.go)
-// before the one shared mutation path runs. The classification never changes
-// what applyRow does, which is what keeps ApplySnapshotDelta bit-identical
-// to a plain import of the same rows.
-func (imp *Import) addTracked(r voter.Record, dl *Delta) {
+// addHashed applies one row whose NCID and removal-mode hash are known — the
+// one mutation path of every import. When dl is non-nil the row is first
+// classified against its cluster's pre-apply state (see delta.go); the
+// classification never changes what applyRow does, which is what keeps
+// ApplySnapshotDelta bit-identical to a plain import of the same rows.
+func (imp *importRound) addHashed(r voter.Record, ncid string, h voter.Hash, dl *Delta) {
 	if imp.closed {
-		panic("core: Add on a closed Import")
+		panic("core: row added to a closed import")
 	}
 	d := imp.d
 	imp.st.Rows++
 	d.totalRows++
-	ncid := r.NCID()
 	if ncid == "" {
 		return
 	}
@@ -199,13 +199,14 @@ func (imp *Import) addTracked(r voter.Record, dl *Delta) {
 		d.order = append(d.order, ncid)
 		imp.st.NewObjects++
 	}
-	h := voter.HashRecord(r, imp.hm)
 	if dl != nil {
 		touch, grow := rowChanges(c, h, imp.st.Snapshot, d.Mode)
 		dl.note(c, touch, grow)
 	}
 	if applyRow(c, r, h, d.Mode, imp.version, imp.st.Snapshot) {
 		imp.st.NewRecords++
+	} else if d.Mode != RemoveNone {
+		imp.removed++
 	}
 }
 
@@ -221,10 +222,7 @@ func newCluster(ncid string) *Cluster {
 
 // applyRow applies one pre-hashed row to its cluster under the removal-mode
 // semantics and reports whether a new record (a previously unseen hash) was
-// stored. It is the single mutation path shared by the sequential Import and
-// the sharded parallel pipeline, which is what makes the two provably
-// equivalent: a shard owns every row of its NCIDs and feeds them here in
-// input order, exactly like a sequential import restricted to those NCIDs.
+// stored.
 func applyRow(c *Cluster, r voter.Record, h voter.Hash, mode RemovalMode, version int, date string) bool {
 	if idx, seen := c.hashes[h]; seen {
 		// Known record: remember that this snapshot contained it, too
@@ -252,27 +250,15 @@ func applyRow(c *Cluster, r voter.Record, h voter.Hash, mode RemovalMode, versio
 	return true
 }
 
-// Close finishes the import round, records its statistics and returns them.
-func (imp *Import) Close() ImportStats {
+// close finishes the import round, records its statistics and returns them.
+func (imp *importRound) close() ImportStats {
 	if imp.closed {
-		panic("core: Import closed twice")
+		panic("core: import closed twice")
 	}
 	imp.closed = true
 	imp.d.imports = append(imp.d.imports, imp.st)
 	imp.d.pending = append(imp.d.pending, imp.st.Snapshot)
 	return imp.st
-}
-
-// ImportSnapshotFile streams one TSV snapshot file through the removal mode
-// without materializing it (the scalability path for register-sized files).
-// ImportSnapshotFileParallelOpts is the multi-core equivalent.
-func (d *Dataset) ImportSnapshotFile(path string) (ImportStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ImportStats{}, err
-	}
-	defer f.Close()
-	return d.importReaderSequential(f, nil)
 }
 
 // Publish closes the pending import round as a new version (Fig. 2, step 3)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 
 	"repro/internal/voter"
@@ -17,10 +16,10 @@ import (
 // cluster's similarity map, the persistence pass rewrites every docstore
 // segment, and nothing tells downstream layers which clusters actually
 // changed. ApplySnapshotDelta fixes that: it runs the incoming rows through
-// the exact same mutation path as a plain import (so the resulting dataset
-// is bit-identical to ImportSnapshotFile / ImportSnapshotFileParallelOpts of the
-// same file) while classifying every row against its cluster's pre-apply
-// state. The classification yields two NCID sets:
+// the one import loop (so the resulting dataset is bit-identical to
+// ImportSnapshotFileParallelOpts of the same file) while classifying every
+// row against its cluster's pre-apply state. The classification yields two
+// NCID sets:
 //
 //   - touched: the cluster's stored bytes changed (a record was appended or
 //     a snapshot date was stamped onto an existing record) — the unit of
@@ -36,15 +35,15 @@ import (
 // DeltaOptions tunes ApplySnapshotDelta. The zero value of a field selects
 // the default documented on it.
 type DeltaOptions struct {
-	// Workers sizes the ingest pipeline exactly like IngestOptions.Workers:
-	// <= 0 selects GOMAXPROCS, 1 runs the sequential import. The resulting
-	// dataset and delta sets are identical at any count.
+	// Workers sizes the decode pool exactly like IngestOptions.Workers:
+	// <= 0 selects GOMAXPROCS, 1 decodes inline. The resulting dataset and
+	// delta sets are identical at any count.
 	Workers int
-	// ChunkBytes is the parallel reader's block size; <= 0 selects the
-	// ingest default.
+	// ChunkBytes is the reader's block size; <= 0 selects the ingest
+	// default.
 	ChunkBytes int
-	// Observer, when non-nil, receives the delta_* counters (and, through
-	// the parallel pipeline, the ingest_* counters).
+	// Observer, when non-nil, receives the delta_* and the ingest_*
+	// counters.
 	Observer IngestObserver
 	// Index, when non-nil, is the caller's fingerprint index of the base
 	// dataset. ApplySnapshotDelta validates every first-touched cluster
@@ -85,10 +84,6 @@ func newDelta(ix *FingerprintIndex) *Delta {
 	return &Delta{touched: map[string]bool{}, dirty: map[string]bool{}, idx: ix}
 }
 
-// sibling returns an empty delta sharing the validation index — the
-// shard-local collector of the parallel pipeline. The index is only read.
-func (dl *Delta) sibling() *Delta { return newDelta(dl.idx) }
-
 // note records one row's classification. It runs before the row is applied,
 // so a first touch can validate the cluster's pre-apply state against the
 // fingerprint index.
@@ -106,19 +101,6 @@ func (dl *Delta) note(c *Cluster, touch, grow bool) {
 	if grow {
 		dl.dirty[c.NCID] = true
 	}
-}
-
-// absorb merges a shard-local delta into the root one. Shards own disjoint
-// NCID sets, so the set unions cannot conflict.
-func (dl *Delta) absorb(other *Delta) {
-	for id := range other.touched {
-		dl.touched[id] = true
-	}
-	for id := range other.dirty {
-		dl.dirty[id] = true
-	}
-	dl.Stats.UnchangedRows += other.Stats.UnchangedRows
-	dl.stale = append(dl.stale, other.stale...)
 }
 
 // Merge folds another delta (a later snapshot of the same run) into this
@@ -194,7 +176,7 @@ func rowChanges(c *Cluster, h voter.Hash, date string, mode RemovalMode) (touch,
 }
 
 // ApplySnapshotDelta streams one TSV snapshot file into the dataset through
-// the standard import machinery — the resulting dataset, import statistics
+// the one import loop — the resulting dataset, import statistics
 // and version bookkeeping are bit-identical to ImportSnapshotFileParallelOpts of
 // the same file at any worker count — and returns the delta: which clusters
 // changed and which of them need rescoring. The intended input is an
@@ -218,21 +200,11 @@ func (d *Dataset) ApplySnapshotDelta(path string, opts DeltaOptions) (*Delta, er
 // applyDeltaReader is ApplySnapshotDelta over an open stream.
 func (d *Dataset) applyDeltaReader(r io.Reader, opts DeltaOptions) (*Delta, error) {
 	dl := newDelta(opts.Index)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var st ImportStats
-	var err error
-	if workers == 1 {
-		st, err = d.importReaderSequential(r, dl)
-	} else {
-		st, err = d.importReaderParallel(r, IngestOptions{
-			Workers:    workers,
-			ChunkBytes: opts.ChunkBytes,
-			Observer:   opts.Observer,
-		}, dl)
-	}
+	st, err := d.importReader(r, IngestOptions{
+		Workers:    opts.Workers,
+		ChunkBytes: opts.ChunkBytes,
+		Observer:   opts.Observer,
+	}, dl)
 	if err != nil {
 		return nil, err
 	}

@@ -21,8 +21,8 @@ func writeDeltaFile(t *testing.T, dir string, s voter.Snapshot) string {
 }
 
 // TestApplySnapshotDeltaEquivalence is the core contract: applying a file as
-// a delta leaves the dataset bit-identical to importing the same file
-// plainly, for every removal mode and worker count.
+// a delta leaves the dataset bit-identical to the reference import of the
+// same file, for every removal mode and worker count.
 func TestApplySnapshotDeltaEquivalence(t *testing.T) {
 	paths := writeSnapshotFiles(t, 33, 150, 3)
 	workerCounts := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
@@ -30,11 +30,7 @@ func TestApplySnapshotDeltaEquivalence(t *testing.T) {
 		plain := NewDataset(mode)
 		var plainStats []ImportStats
 		for _, p := range paths {
-			st, err := plain.ImportSnapshotFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plainStats = append(plainStats, st)
+			plainStats = append(plainStats, importReference(t, plain, p))
 			plain.Publish()
 		}
 
@@ -131,9 +127,7 @@ func TestDeltaSubsetScoringMatchesFull(t *testing.T) {
 	full := NewDataset(RemoveTrimmed)
 	inc := NewDataset(RemoveTrimmed)
 	for _, p := range paths {
-		if _, err := full.ImportSnapshotFile(p); err != nil {
-			t.Fatal(err)
-		}
+		importReference(t, full, p)
 		full.Publish()
 		full.UpdateScores(pairwise(kind, scorer), 1, nil)
 
@@ -206,9 +200,7 @@ func TestFingerprintIndexTracksDeltas(t *testing.T) {
 	stale := BuildFingerprintIndex(d)
 	plain := NewDataset(RemoveTrimmed)
 	for _, p := range paths {
-		if _, err := plain.ImportSnapshotFile(p); err != nil {
-			t.Fatal(err)
-		}
+		importReference(t, plain, p)
 		plain.Publish()
 	}
 	dir := t.TempDir()
@@ -224,9 +216,7 @@ func TestFingerprintIndexTracksDeltas(t *testing.T) {
 	if dl == nil || !reflect.DeepEqual(dl.Touched(), []string{ncid}) {
 		t.Fatalf("delta sets not returned on stale index: %+v", dl)
 	}
-	if _, err2 := plain.ImportSnapshotFile(path); err2 != nil {
-		t.Fatal(err2)
-	}
+	importReference(t, plain, path)
 	d.Publish()
 	plain.Publish()
 	if !reflect.DeepEqual(plain, d) {

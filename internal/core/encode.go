@@ -21,8 +21,8 @@ import (
 // of a server's start-up.
 //
 // The cluster-document layout is therefore defined twice: clusterDoc builds
-// it as documents (what the store persists and FromDocDB parses), this file
-// writes it as text. json.Marshal sorts map keys bytewise, so the key order
+// it as documents (what the store persists and FromDocDBParallel parses),
+// this file writes it as text. json.Marshal sorts map keys bytewise, so the key order
 // here is fixed by hand for the static keys and sorted for the dynamic ones
 // (escaped snapshot dates, score kinds, "v<version>", decimal record
 // indices — "10" sorts before "2"). FuzzClusterJSON and TestClusterJSON hold

@@ -63,9 +63,7 @@ func checkClusterJSON(t *testing.T, c *Cluster) {
 func TestClusterJSON(t *testing.T) {
 	d := NewDataset(RemoveTrimmed)
 	for _, p := range writeSnapshotFiles(t, 31, 150, 4) {
-		if _, err := d.ImportSnapshotFile(p); err != nil {
-			t.Fatal(err)
-		}
+		importReference(t, d, p)
 		for _, kind := range []string{KindPlausibility, KindHeteroPerson, KindHeteroAll} {
 			d.UpdateScores(pairwise(kind, nameSim), 1, nil)
 		}

@@ -1,18 +1,48 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/voter"
 )
 
-// IngestObserver receives the counters of a parallel snapshot import:
-// rows decoded, records added, duplicates removed, new objects and the
-// per-stage stall times of the pipeline (ingest_* names). *obs.Metrics
-// implements it, so a serving process importing snapshots exposes ingest on
-// GET /metrics next to the request metrics; the dependency points upward
-// through this interface because core must not import the serving layers.
+// The file import is one loop (§4: read a row, hash its relevant attributes,
+// drop it when its cluster already has that hash), run over line-aligned
+// blocks of the snapshot file:
+//
+//	chunker -> decode pool -> in-order apply
+//
+// Decoding and hashing a row (line split, column validation, the
+// removal-mode MD5) is nearly all of the work; it runs inline at one worker
+// and on a pool of goroutines otherwise. Applying the row to its cluster is
+// the cheap rest and runs on the calling goroutine in input order, so the
+// dataset is the same at any worker count. Every line is copied into its own
+// string before it is split: a kept record holds only its own bytes, and a
+// block buffer is recycled as soon as it is decoded.
+
+// defaultChunkBytes is the line-aligned block size of the reader.
+const defaultChunkBytes = 256 << 10
+
+// blockBufs recycles block buffers across blocks and imports: once a block
+// is decoded, no row refers to its buffer.
+var blockBufs sync.Pool
+
+// IngestObserver receives the counters of a snapshot import: rows decoded,
+// records added, duplicates removed, new objects and the time the chunker
+// and the decode pool spent blocked on their queues (ingest_* names).
+// *obs.Metrics implements it, so a serving process importing snapshots
+// exposes ingest on GET /metrics next to the request metrics; the dependency
+// points upward through this interface because core must not import the
+// serving layers.
 type IngestObserver interface {
 	AddN(name string, n int64)
 }
@@ -20,45 +50,303 @@ type IngestObserver interface {
 // IngestOptions tunes ImportSnapshotFileParallelOpts. The zero value of a
 // field selects the default documented on it.
 type IngestOptions struct {
-	// Workers is the decode-worker and cluster-shard count; <= 0 selects
-	// GOMAXPROCS, 1 falls back to the sequential import.
+	// Workers is the decode-pool size; <= 0 selects GOMAXPROCS, 1 decodes
+	// inline on the calling goroutine.
 	Workers int
 	// ChunkBytes is the line-aligned read block size; <= 0 selects 256 KiB.
 	ChunkBytes int
-	// Observer, when non-nil, receives the pipeline counters.
+	// Observer, when non-nil, receives the ingest counters.
 	Observer IngestObserver
 }
 
 // ImportSnapshotFileParallelOpts streams one TSV snapshot file through the
-// removal mode on a sharded worker pipeline (see pipeline.go). The resulting
-// dataset and ImportStats are identical to ImportSnapshotFile for any
-// opts.Workers; <= 0 selects GOMAXPROCS and 1 is exactly the sequential
-// import.
+// removal mode. The resulting dataset and ImportStats are the same for any
+// opts.Workers. On a malformed row the rows before it stay applied and no
+// import round is recorded.
 func (d *Dataset) ImportSnapshotFileParallelOpts(path string, opts IngestOptions) (ImportStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return ImportStats{}, err
 	}
 	defer f.Close()
-	return d.importReaderParallel(f, opts, nil)
+	return d.importReader(f, opts, nil)
 }
 
-// importReaderSequential is the single-goroutine import shared by
-// ImportSnapshotFile, the workers == 1 path of the parallel importer and
-// (with a non-nil delta) the sequential delta apply.
-func (d *Dataset) importReaderSequential(r io.Reader, dl *Delta) (ImportStats, error) {
-	var imp *Import
-	if _, err := voter.StreamTSV(r, func(rec voter.Record) error {
-		if imp == nil {
-			imp = d.BeginImport(rec.SnapshotDate())
-		}
-		imp.addTracked(rec, dl)
-		return nil
-	}); err != nil {
+// ingestBlock is one line-aligned slice of the input file.
+type ingestBlock struct {
+	seq      int // block sequence number, for reordering after decode
+	firstRow int // zero-based data-row index of the block's first line
+	data     []byte
+}
+
+// ingestRow is one decoded, hashed row.
+type ingestRow struct {
+	rec  voter.Record
+	ncid string
+	hash voter.Hash
+}
+
+// decodedBlock is the decoded rows of one block. On err the rows are exactly
+// those preceding the failing line.
+type decodedBlock struct {
+	seq  int
+	rows []ingestRow
+	err  error
+}
+
+// importReader is the file-import loop of ImportSnapshotFileParallelOpts and,
+// with a non-nil dl that classifies every row before it is applied,
+// ApplySnapshotDelta.
+func (d *Dataset) importReader(r io.Reader, opts IngestOptions, dl *Delta) (ImportStats, error) {
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunkBytes := opts.ChunkBytes
+	if chunkBytes <= 0 {
+		chunkBytes = defaultChunkBytes
+	}
+	br := bufio.NewReader(r) // small: block reads bypass its buffer
+	if err := readIngestHeader(br); err != nil {
 		return ImportStats{}, err
 	}
-	if imp == nil {
-		imp = d.BeginImport("")
+	rd := &blockReader{r: br, chunk: chunkBytes}
+	hm := d.Mode.hashMode()
+
+	imp := d.beginImport("")
+	apply := func(db decodedBlock) error {
+		for _, ir := range db.rows {
+			if imp.st.Rows == 0 {
+				imp.st.Snapshot = ir.rec.SnapshotDate()
+			}
+			imp.addHashed(ir.rec, ir.ncid, ir.hash, dl)
+		}
+		return db.err
 	}
-	return imp.Close(), nil
+	var stallRead, stallDecode atomic.Int64
+	var err error
+	if workers == 1 {
+		var rows []ingestRow
+		for err == nil {
+			b, ok, rerr := rd.next()
+			if rerr != nil || !ok {
+				err = rerr
+				break
+			}
+			db := decodeBlock(b, hm, rows[:0])
+			err = apply(db)
+			rows = db.rows
+		}
+	} else {
+		err = decodePool(rd, hm, workers, &stallRead, &stallDecode, apply)
+	}
+
+	if o := opts.Observer; o != nil {
+		o.AddN("ingest_rows_decoded", int64(imp.st.Rows))
+		o.AddN("ingest_records_added", int64(imp.st.NewRecords))
+		o.AddN("ingest_new_objects", int64(imp.st.NewObjects))
+		o.AddN("ingest_duplicates_removed", int64(imp.removed))
+		o.AddN("ingest_stall_read_ms", stallRead.Load()/int64(time.Millisecond))
+		o.AddN("ingest_stall_decode_ms", stallDecode.Load()/int64(time.Millisecond))
+	}
+	if err != nil {
+		return ImportStats{}, err
+	}
+	return imp.close(), nil
+}
+
+// decodePool decodes blocks on workers goroutines while the chunker reads
+// ahead, and hands the decoded blocks to apply in input order on the calling
+// goroutine. The first error stops the chunker and the pool; they are
+// drained, so no goroutine outlives the call.
+func decodePool(rd *blockReader, hm voter.HashMode, workers int, stallRead, stallDecode *atomic.Int64, apply func(decodedBlock) error) error {
+	// Two blocks per worker on each queue let the chunker read ahead and the
+	// pool run on while a slow block holds up the in-order apply.
+	blocks := make(chan ingestBlock, workers*2)
+	decoded := make(chan decodedBlock, workers*2)
+	done := make(chan struct{})
+
+	// readErr is written before blocks closes, so it is read race-free once
+	// decoded has closed.
+	var readErr error
+	go func() {
+		defer close(blocks)
+		for {
+			b, ok, err := rd.next()
+			if err != nil || !ok {
+				readErr = err
+				return
+			}
+			t := time.Now()
+			select {
+			case blocks <- b:
+				stallRead.Add(int64(time.Since(t)))
+			case <-done:
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range blocks {
+				db := decodeBlock(b, hm, nil)
+				t := time.Now()
+				select {
+				case decoded <- db:
+					stallDecode.Add(int64(time.Since(t)))
+				case <-done:
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(decoded)
+	}()
+
+	pending := map[int]decodedBlock{}
+	next := 0
+	var err error
+	for db := range decoded {
+		if err != nil {
+			continue
+		}
+		pending[db.seq] = db
+		for err == nil {
+			b, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			next++
+			if err = apply(b); err != nil {
+				close(done)
+			}
+		}
+	}
+	if err == nil {
+		err = readErr
+	}
+	return err
+}
+
+// readIngestHeader consumes and validates the header line, with the same
+// errors and line-length limit as voter.StreamTSV.
+func readIngestHeader(br *bufio.Reader) error {
+	line, err := br.ReadString('\n')
+	if err != nil && err != io.EOF {
+		return err
+	}
+	if line == "" {
+		return fmt.Errorf("voter: empty TSV input, missing header")
+	}
+	if len(line) > voter.MaxLineBytes {
+		return bufio.ErrTooLong
+	}
+	line = strings.TrimSuffix(line, "\n")
+	line = strings.TrimSuffix(line, "\r")
+	return voter.ParseHeader(line)
+}
+
+// blockReader slices the input after the header into line-aligned blocks of
+// about chunk bytes, numbering each block and its first data row.
+type blockReader struct {
+	r        io.Reader
+	chunk    int
+	rem      []byte // the partial last line of the previous read
+	seq, row int
+	eof      bool
+}
+
+// next returns the next block, read into a buffer from blockBufs; ok is
+// false at the end of the input. A line with no newline within
+// voter.MaxLineBytes fails with bufio.ErrTooLong, as in voter.StreamTSV.
+func (br *blockReader) next() (ingestBlock, bool, error) {
+	buf, _ := blockBufs.Get().([]byte)
+	for !br.eof {
+		// A line longer than half a chunk doubles the read, so a long
+		// line is copied a bounded number of times per byte.
+		n := max(br.chunk, 2*len(br.rem))
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		copy(buf, br.rem)
+		m, err := io.ReadFull(br.r, buf[len(br.rem):])
+		buf = buf[:len(br.rem)+m]
+		br.rem = br.rem[:0]
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			br.eof = true
+		case err != nil:
+			return ingestBlock{}, false, err
+		default:
+			i := bytes.LastIndexByte(buf, '\n')
+			if i < 0 {
+				// No full line yet: the current line spans blocks.
+				if len(buf) >= voter.MaxLineBytes {
+					return ingestBlock{}, false, bufio.ErrTooLong
+				}
+				br.rem, buf = buf, br.rem
+				continue
+			}
+			br.rem = append(br.rem, buf[i+1:]...)
+			buf = buf[:i+1]
+		}
+		if len(buf) == 0 {
+			continue
+		}
+		rows := bytes.Count(buf, []byte{'\n'})
+		if buf[len(buf)-1] != '\n' {
+			rows++ // unterminated final line at EOF
+		}
+		b := ingestBlock{seq: br.seq, firstRow: br.row, data: buf}
+		br.seq++
+		br.row += rows
+		return b, true, nil
+	}
+	blockBufs.Put(buf)
+	return ingestBlock{}, false, nil
+}
+
+// decodeBlock appends the rows of one block to rows: column validation, NCID
+// and removal-mode hash. Each line is copied into its own string first, so
+// no row refers to the block's buffer, which goes back to blockBufs. Line
+// numbers in errors are 1-based file lines (the header is line 1), as
+// voter.StreamTSV reports them.
+func decodeBlock(b ingestBlock, hm voter.HashMode, rows []ingestRow) decodedBlock {
+	db := decodedBlock{seq: b.seq}
+	data := b.data
+	for line := b.firstRow + 2; len(data) > 0; line++ {
+		ln := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			ln, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if n := len(ln); n > 0 && ln[n-1] == '\r' {
+			ln = ln[:n-1]
+		}
+		if len(ln) >= voter.MaxLineBytes {
+			db.err = bufio.ErrTooLong
+			break
+		}
+		rec, err := voter.DecodeRow(string(ln), line)
+		if err != nil {
+			db.err = err
+			break
+		}
+		ir := ingestRow{rec: rec}
+		if ir.ncid = rec.NCID(); ir.ncid != "" {
+			ir.hash = voter.HashRecord(rec, hm)
+		}
+		rows = append(rows, ir)
+	}
+	blockBufs.Put(b.data)
+	db.rows = rows
+	return db
 }

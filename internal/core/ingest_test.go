@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -31,55 +32,63 @@ func writeSnapshotFiles(t *testing.T, seed int64, voters, years int) []string {
 	return paths
 }
 
-// importAllParallel imports every file with the given worker count.
-func importAllParallel(t *testing.T, d *Dataset, paths []string, opts IngestOptions) []ImportStats {
+// importReference imports one snapshot file the way the loop under test is
+// judged: voter.ReadSnapshotFile (StreamTSV) into memory, then
+// ImportSnapshot. It shares no reader code with the block loop.
+func importReference(t *testing.T, d *Dataset, path string) ImportStats {
+	t.Helper()
+	snap, err := voter.ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("reference import %s: %v", path, err)
+	}
+	return d.ImportSnapshot(snap)
+}
+
+// importAll imports every file with the given options.
+func importAll(t *testing.T, d *Dataset, paths []string, opts IngestOptions) []ImportStats {
 	t.Helper()
 	var stats []ImportStats
 	for _, p := range paths {
 		st, err := d.ImportSnapshotFileParallelOpts(p, opts)
 		if err != nil {
-			t.Fatalf("parallel import %s: %v", p, err)
+			t.Fatalf("import %s at %d workers: %v", p, opts.Workers, err)
 		}
 		stats = append(stats, st)
 	}
 	return stats
 }
 
-// TestParallelImportEquivalence is the contract of the pipeline: for any
-// worker count the parallel import must produce a dataset byte-identical to
-// the sequential one — clusters, order, hashes, import statistics, and the
+// TestParallelImportEquivalence is the contract of the import loop: at any
+// worker count, 1 included, it must produce a dataset identical to the
+// reference import — clusters, order, hashes, import statistics, and the
 // derived Table 1 / Table 2 rows. A deliberately small chunk size forces
-// many blocks so reordering and shard routing are actually exercised.
+// many blocks so reordering is actually exercised.
 func TestParallelImportEquivalence(t *testing.T) {
 	paths := writeSnapshotFiles(t, 21, 180, 4)
 	workerCounts := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 	for _, mode := range []RemovalMode{RemoveNone, RemoveExact, RemoveTrimmed, RemovePersonData} {
-		seq := NewDataset(mode)
-		var seqStats []ImportStats
+		ref := NewDataset(mode)
+		var refStats []ImportStats
 		for _, p := range paths {
-			st, err := seq.ImportSnapshotFile(p)
-			if err != nil {
-				t.Fatalf("sequential import %s: %v", p, err)
-			}
-			seqStats = append(seqStats, st)
+			refStats = append(refStats, importReference(t, ref, p))
 		}
-		seq.Publish()
+		ref.Publish()
 
 		for _, workers := range workerCounts {
-			par := NewDataset(mode)
-			parStats := importAllParallel(t, par, paths, IngestOptions{Workers: workers, ChunkBytes: 1 << 12})
-			par.Publish()
+			got := NewDataset(mode)
+			stats := importAll(t, got, paths, IngestOptions{Workers: workers, ChunkBytes: 1 << 12})
+			got.Publish()
 
-			if !reflect.DeepEqual(seqStats, parStats) {
-				t.Errorf("mode %v workers %d: ImportStats differ\nseq %+v\npar %+v", mode, workers, seqStats, parStats)
+			if !reflect.DeepEqual(refStats, stats) {
+				t.Errorf("mode %v workers %d: ImportStats differ\nref %+v\ngot %+v", mode, workers, refStats, stats)
 			}
-			if !reflect.DeepEqual(seq.YearlyStats(), par.YearlyStats()) {
+			if !reflect.DeepEqual(ref.YearlyStats(), got.YearlyStats()) {
 				t.Errorf("mode %v workers %d: Table 1 rows differ", mode, workers)
 			}
-			if !reflect.DeepEqual(seq.Stats(0), par.Stats(0)) {
+			if !reflect.DeepEqual(ref.Stats(0), got.Stats(0)) {
 				t.Errorf("mode %v workers %d: Table 2 row differs", mode, workers)
 			}
-			if !reflect.DeepEqual(seq, par) {
+			if !reflect.DeepEqual(ref, got) {
 				t.Errorf("mode %v workers %d: datasets differ (clusters/order/metadata)", mode, workers)
 			}
 		}
@@ -88,7 +97,7 @@ func TestParallelImportEquivalence(t *testing.T) {
 
 // TestParallelImportContinuesDataset covers the update process (Fig. 2): a
 // second import round onto an already-published dataset must extend the
-// pre-existing clusters identically on both paths.
+// pre-existing clusters exactly like the reference import does.
 func TestParallelImportContinuesDataset(t *testing.T) {
 	paths := writeSnapshotFiles(t, 5, 120, 3)
 	split := len(paths) / 2
@@ -109,18 +118,14 @@ func TestParallelImportContinuesDataset(t *testing.T) {
 		return d
 	}
 
-	seq := build(func(d *Dataset, p string) {
-		if _, err := d.ImportSnapshotFile(p); err != nil {
-			t.Fatal(err)
+	ref := build(func(d *Dataset, p string) { importReference(t, d, p) })
+	for _, workers := range []int{1, 3} {
+		got := build(func(d *Dataset, p string) {
+			importAll(t, d, []string{p}, IngestOptions{Workers: workers, ChunkBytes: 1 << 12})
+		})
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("workers %d: continued dataset differs from the reference import", workers)
 		}
-	})
-	par := build(func(d *Dataset, p string) {
-		if _, err := d.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 3, ChunkBytes: 1 << 12}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("continued datasets differ between sequential and parallel import")
 	}
 }
 
@@ -152,64 +157,62 @@ func writeTemp(t *testing.T, data []byte) string {
 	return p
 }
 
-// TestParallelImportErrorParity: a malformed line must produce the same
-// error and the same partial dataset state as the sequential reader —
-// rows before the bad line applied, no import round recorded.
+// TestParallelImportErrorParity: a malformed line fails with
+// voter.ReadSnapshotFile's error and leaves the same partial dataset at one
+// worker and at four — rows before the bad line applied, no import round
+// recorded.
 func TestParallelImportErrorParity(t *testing.T) {
 	data := makeTSV(t, 40)
 	lines := strings.Split(string(data), "\n")
 	lines[25] = "only\tthree\tcolumns" // line 26 of the file
-	bad := []byte(strings.Join(lines, "\n"))
-	p := writeTemp(t, bad)
+	p := writeTemp(t, []byte(strings.Join(lines, "\n")))
 
-	seq := NewDataset(RemoveTrimmed)
-	_, seqErr := seq.ImportSnapshotFile(p)
-	par := NewDataset(RemoveTrimmed)
-	_, parErr := par.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 4, ChunkBytes: 256})
+	_, refErr := voter.ReadSnapshotFile(p)
+	one := NewDataset(RemoveTrimmed)
+	_, oneErr := one.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 1, ChunkBytes: 256})
+	four := NewDataset(RemoveTrimmed)
+	_, fourErr := four.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 4, ChunkBytes: 256})
 
-	if seqErr == nil || parErr == nil {
-		t.Fatalf("expected errors, got seq=%v par=%v", seqErr, parErr)
+	if refErr == nil || oneErr == nil || fourErr == nil {
+		t.Fatalf("expected errors, got ref=%v 1=%v 4=%v", refErr, oneErr, fourErr)
 	}
-	if seqErr.Error() != parErr.Error() {
-		t.Errorf("error mismatch:\nseq: %v\npar: %v", seqErr, parErr)
+	if oneErr.Error() != refErr.Error() || fourErr.Error() != refErr.Error() {
+		t.Errorf("error mismatch:\nref: %v\n1:   %v\n4:   %v", refErr, oneErr, fourErr)
 	}
-	if !strings.Contains(parErr.Error(), "line 26") {
-		t.Errorf("error does not name the failing line: %v", parErr)
+	if !strings.Contains(fourErr.Error(), "line 26") {
+		t.Errorf("error does not name the failing line: %v", fourErr)
 	}
-	if !reflect.DeepEqual(seq, par) {
+	if !reflect.DeepEqual(one, four) {
 		t.Error("partial datasets after error differ")
 	}
-	if len(par.Imports()) != 0 {
-		t.Errorf("failed import recorded a round: %+v", par.Imports())
+	if one.TotalRows() != 24 || len(one.Imports()) != 0 || len(four.Imports()) != 0 {
+		t.Errorf("partial state: %d rows applied, rounds %+v / %+v; want 24 rows, no round",
+			one.TotalRows(), one.Imports(), four.Imports())
 	}
 }
 
 // TestParallelImportLongLine is the long-line regression test: a row far
-// beyond bufio's 64 KiB default token limit must import on both paths, and
-// a row beyond voter.MaxLineBytes must fail with bufio.ErrTooLong on both.
+// beyond bufio's 64 KiB default token limit must import at any worker count,
+// and a row beyond voter.MaxLineBytes must fail with bufio.ErrTooLong, as in
+// voter.ReadSnapshotFile.
 func TestParallelImportLongLine(t *testing.T) {
-	long := makeTSVWithValue(t, strings.Repeat("X", 1<<20)) // 1 MiB value
-	p := writeTemp(t, long)
+	p := writeTemp(t, makeTSVWithValue(t, strings.Repeat("X", 1<<20))) // 1 MiB value
+	ref := NewDataset(RemoveTrimmed)
+	importReference(t, ref, p)
 
-	seq := NewDataset(RemoveTrimmed)
-	if _, err := seq.ImportSnapshotFile(p); err != nil {
-		t.Fatalf("sequential long-line import: %v", err)
+	hp := writeTemp(t, makeTSVWithValue(t, strings.Repeat("X", voter.MaxLineBytes+1)))
+	if _, err := voter.ReadSnapshotFile(hp); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("reference over-limit line: got %v, want bufio.ErrTooLong", err)
 	}
-	par := NewDataset(RemoveTrimmed)
-	if _, err := par.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 3, ChunkBytes: 1 << 12}); err != nil {
-		t.Fatalf("parallel long-line import: %v", err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("long-line datasets differ")
-	}
-
-	huge := makeTSVWithValue(t, strings.Repeat("X", voter.MaxLineBytes+1))
-	hp := writeTemp(t, huge)
-	if _, err := NewDataset(RemoveTrimmed).ImportSnapshotFile(hp); !errors.Is(err, bufio.ErrTooLong) {
-		t.Errorf("sequential over-limit line: got %v, want bufio.ErrTooLong", err)
-	}
-	if _, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(hp, IngestOptions{Workers: 3, ChunkBytes: 1 << 12}); !errors.Is(err, bufio.ErrTooLong) {
-		t.Errorf("parallel over-limit line: got %v, want bufio.ErrTooLong", err)
+	for _, workers := range []int{1, 3} {
+		got := NewDataset(RemoveTrimmed)
+		importAll(t, got, []string{p}, IngestOptions{Workers: workers, ChunkBytes: 1 << 12})
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("workers %d: long-line dataset differs from the reference", workers)
+		}
+		if _, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(hp, IngestOptions{Workers: workers, ChunkBytes: 1 << 12}); !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("workers %d over-limit line: got %v, want bufio.ErrTooLong", workers, err)
+		}
 	}
 }
 
@@ -235,28 +238,26 @@ func makeTSVWithValue(t *testing.T, v string) []byte {
 }
 
 // TestParallelImportEmptyAndHeaderOnly pins the edge-file behavior to the
-// sequential reader's.
+// reference reader's.
 func TestParallelImportEmptyAndHeaderOnly(t *testing.T) {
 	empty := writeTemp(t, nil)
-	if _, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(empty, IngestOptions{Workers: 4}); err == nil ||
-		!strings.Contains(err.Error(), "missing header") {
-		t.Errorf("empty file: got %v, want missing-header error", err)
-	}
-
-	headerOnly := makeTSV(t, 0)
-	p := writeTemp(t, headerOnly)
-	seq := NewDataset(RemoveTrimmed)
-	seqSt, err := seq.ImportSnapshotFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := NewDataset(RemoveTrimmed)
-	parSt, err := par.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqSt, parSt) || !reflect.DeepEqual(seq, par) {
-		t.Errorf("header-only file: stats/datasets differ: %+v vs %+v", seqSt, parSt)
+	_, refErr := voter.ReadSnapshotFile(empty)
+	headerOnly := writeTemp(t, makeTSV(t, 0))
+	ref := NewDataset(RemoveTrimmed)
+	refSt := importReference(t, ref, headerOnly)
+	for _, workers := range []int{1, 4} {
+		if _, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(empty, IngestOptions{Workers: workers}); err == nil ||
+			refErr == nil || err.Error() != refErr.Error() {
+			t.Errorf("workers %d empty file: got %v, want %v", workers, err, refErr)
+		}
+		got := NewDataset(RemoveTrimmed)
+		st, err := got.ImportSnapshotFileParallelOpts(headerOnly, IngestOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(refSt, st) || !reflect.DeepEqual(ref, got) {
+			t.Errorf("workers %d header-only file: stats/datasets differ: %+v vs %+v", workers, refSt, st)
+		}
 	}
 }
 
@@ -270,31 +271,65 @@ func (o *countingObserver) AddN(name string, n int64) {
 	o.counts[name] += n
 }
 
+// TestParallelImportObserverCounters: the ingest counters are reported at
+// every worker count, inline included, and agree with ImportStats.
 func TestParallelImportObserverCounters(t *testing.T) {
-	data := makeTSV(t, 50) // 7 distinct NCIDs, heavy duplication
-	p := writeTemp(t, data)
-	obs := &countingObserver{}
-	d := NewDataset(RemoveTrimmed)
-	st, err := d.ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: 4, ChunkBytes: 512, Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obs.counts["ingest_rows_decoded"]; got != int64(st.Rows) {
-		t.Errorf("rows_decoded = %d, want %d", got, st.Rows)
-	}
-	if got := obs.counts["ingest_records_added"]; got != int64(st.NewRecords) {
-		t.Errorf("records_added = %d, want %d", got, st.NewRecords)
-	}
-	if got := obs.counts["ingest_new_objects"]; got != int64(st.NewObjects) {
-		t.Errorf("new_objects = %d, want %d", got, st.NewObjects)
-	}
-	wantRemoved := int64(st.Rows - st.NewRecords)
-	if got := obs.counts["ingest_duplicates_removed"]; got != wantRemoved {
-		t.Errorf("duplicates_removed = %d, want %d", got, wantRemoved)
-	}
-	for _, stage := range []string{"read", "decode", "route", "build"} {
-		if _, ok := obs.counts["ingest_stall_"+stage+"_ms"]; !ok {
-			t.Errorf("missing stall counter for stage %s", stage)
+	p := writeTemp(t, makeTSV(t, 50)) // 7 distinct NCIDs, heavy duplication
+	for _, workers := range []int{1, 4} {
+		obs := &countingObserver{}
+		st, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: workers, ChunkBytes: 512, Observer: obs})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for name, want := range map[string]int{
+			"ingest_rows_decoded":       st.Rows,
+			"ingest_records_added":      st.NewRecords,
+			"ingest_new_objects":        st.NewObjects,
+			"ingest_duplicates_removed": st.Rows - st.NewRecords,
+		} {
+			if got, ok := obs.counts[name]; !ok || got != int64(want) {
+				t.Errorf("workers %d: %s = %d (reported %v), want %d", workers, name, got, ok, want)
+			}
+		}
+		var stalls []string
+		for name := range obs.counts {
+			if strings.HasPrefix(name, "ingest_stall_") {
+				stalls = append(stalls, name)
+			}
+		}
+		sort.Strings(stalls)
+		if want := []string{"ingest_stall_decode_ms", "ingest_stall_read_ms"}; !reflect.DeepEqual(stalls, want) {
+			t.Errorf("workers %d: stall counters %v, want %v", workers, stalls, want)
+		}
+	}
+}
+
+// TestImportRetainsNoBlocks: a kept record holds only its own line, never
+// the read block it was decoded from, so the live heap of an imported
+// dataset does not depend on the worker count. Not parallel: it measures
+// the process heap.
+func TestImportRetainsNoBlocks(t *testing.T) {
+	paths := writeSnapshotFiles(t, 3, 300, 4)
+	liveHeap := func() uint64 {
+		// Two cycles: the first moves blockBufs' idle buffers to the
+		// pool's victim cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	retained := func(workers int) uint64 {
+		before := liveHeap()
+		d := NewDataset(RemoveTrimmed)
+		importAll(t, d, paths, IngestOptions{Workers: workers, ChunkBytes: 1 << 16})
+		after := liveHeap()
+		runtime.KeepAlive(d)
+		return after - before
+	}
+	one, four := retained(1), retained(4)
+	if float64(four) > 1.10*float64(one) {
+		t.Errorf("live heap after import: %d B at 4 workers vs %d B at 1 (%.2fx, want <= 1.10x)",
+			four, one, float64(four)/float64(one))
 	}
 }

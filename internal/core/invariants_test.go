@@ -112,7 +112,7 @@ func TestDocRoundTripPreservesEverythingRandom(t *testing.T) {
 			d.ImportSnapshot(randomSnapshot(rng, fmt.Sprintf("20%02d-01-01", 10+v)))
 			d.Publish()
 		}
-		got, err := FromDocDB(d.ToDocDB())
+		got, err := FromDocDBParallel(d.ToDocDB(), 1)
 		if err != nil {
 			return false
 		}

@@ -140,13 +140,6 @@ func recordDoc(r voter.Record) docstore.Document {
 	return doc
 }
 
-// FromDocDB reconstructs a Dataset from a document database produced by
-// ToDocDB (directly or after a Save/Load round trip), parsing clusters
-// sequentially. It is FromDocDBParallel at one worker.
-func FromDocDB(db *docstore.DB) (*Dataset, error) {
-	return FromDocDBParallel(db, 1)
-}
-
 // datasetFromMeta parses the dataset-level metadata document into a fresh
 // Dataset, leaving the clusters to the caller.
 func datasetFromMeta(db *docstore.DB) (*Dataset, error) {

@@ -7,15 +7,16 @@ import (
 	"repro/internal/docstore"
 )
 
-// FromDocDBParallel is FromDocDB with the cluster documents parsed on a
-// worker pool — the store-to-dataset direction of every scoring, profiling
-// and customization pass, and the dominant cost of reopening a saved
-// corpus. Cluster parsing is embarrassingly parallel (each document is
-// independent); the results land in a slice indexed by the document's
-// position and are committed in that order, so the dataset's cluster order
-// — and everything derived from it, such as deterministic sampling — is
-// identical to the sequential path for any worker count. workers <= 0
-// selects GOMAXPROCS.
+// FromDocDBParallel reconstructs a Dataset from a document database produced
+// by ToDocDB (directly or after a save/load round trip), parsing the cluster
+// documents on a worker pool — the store-to-dataset direction of every
+// scoring, profiling and customization pass, and the dominant cost of
+// reopening a saved corpus. Cluster parsing is embarrassingly parallel (each
+// document is independent); the results land in a slice indexed by the
+// document's position and are committed in that order, so the dataset's
+// cluster order — and everything derived from it, such as deterministic
+// sampling — is the same for any worker count. workers <= 0 selects
+// GOMAXPROCS, 1 parses inline.
 func FromDocDBParallel(db *docstore.DB, workers int) (*Dataset, error) {
 	d, err := datasetFromMeta(db)
 	if err != nil {

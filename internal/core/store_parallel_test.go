@@ -25,7 +25,7 @@ func TestFromDocDBParallelMatchesSequential(t *testing.T) {
 	d.Publish()
 	db := d.ToDocDB()
 
-	want, err := FromDocDB(db)
+	want, err := FromDocDBParallel(db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

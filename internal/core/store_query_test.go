@@ -63,7 +63,7 @@ func TestClusterDocsCarryScoreSummaries(t *testing.T) {
 
 func TestScoreSummariesSurviveRoundTrip(t *testing.T) {
 	db := buildScoredStore(t)
-	ds, err := FromDocDB(db)
+	ds, err := FromDocDBParallel(db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,9 @@ import (
 	"repro/internal/voter"
 )
 
+// TestImportSnapshotFileMatchesInMemory: the file import at its defaults
+// (GOMAXPROCS workers, 256 KiB blocks) counts what the in-memory import of
+// the same files counts.
 func TestImportSnapshotFileMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	cfg := synth.DefaultConfig(17, 150)
@@ -19,7 +22,7 @@ func TestImportSnapshotFileMatchesInMemory(t *testing.T) {
 	streamed := NewDataset(RemoveTrimmed)
 	var streamedStats []ImportStats
 	for _, p := range paths {
-		st, err := streamed.ImportSnapshotFile(p)
+		st, err := streamed.ImportSnapshotFileParallelOpts(p, IngestOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,10 +55,10 @@ func TestImportSnapshotFileMatchesInMemory(t *testing.T) {
 
 func TestImportLifecycleGuards(t *testing.T) {
 	d := NewDataset(RemoveTrimmed)
-	imp := d.BeginImport("2008-01-01")
-	imp.Close()
-	assertPanics(t, "double close", func() { imp.Close() })
-	assertPanics(t, "add after close", func() { imp.Add(voter.NewRecord()) })
+	imp := d.beginImport("2008-01-01")
+	imp.close()
+	assertPanics(t, "double close", func() { imp.close() })
+	assertPanics(t, "add after close", func() { imp.add(voter.NewRecord()) })
 }
 
 func assertPanics(t *testing.T, name string, fn func()) {
@@ -70,7 +73,10 @@ func assertPanics(t *testing.T, name string, fn func()) {
 
 func TestImportSnapshotFileMissing(t *testing.T) {
 	d := NewDataset(RemoveTrimmed)
-	if _, err := d.ImportSnapshotFile("/does/not/exist.tsv"); err == nil {
+	if _, err := d.ImportSnapshotFileParallelOpts("/does/not/exist.tsv", IngestOptions{}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	if _, err := d.ApplySnapshotDelta("/does/not/exist.tsv", DeltaOptions{}); err == nil {
+		t.Fatal("missing delta file accepted")
 	}
 }

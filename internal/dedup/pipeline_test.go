@@ -196,37 +196,3 @@ func TestSelectThresholdGeneralizes(t *testing.T) {
 		t.Errorf("validation F1 %v collapsed vs train %v", sel.ValidateF1, sel.TrainF1)
 	}
 }
-
-// TestClosureEndToEnd runs blocking, classification at one threshold (by
-// the reference Matcher: the engine reports curves, not pairs), transitive
-// closure and the cluster-level evaluation.
-func TestClosureEndToEnd(t *testing.T) {
-	ds := ToyDataset(t, 25, []int{2, 3}, 0.2)
-	cands := candidates(ds, 3, 20)
-	matcher := NewMatcher(ds, MeasureMELev)
-	var dupPairs []Pair
-	for _, p := range cands {
-		if matcher.RecordSim(p.I, p.J) >= 0.7 {
-			dupPairs = append(dupPairs, p)
-		}
-	}
-	res := EvaluateClustering(ds, ConnectedComponents(len(ds.Records), dupPairs))
-	if res.PairF1 < 0.8 {
-		t.Errorf("end-to-end clustering F1 = %v, want >= 0.8 on clean data", res.PairF1)
-	}
-	if res.ExactClusters == 0 {
-		t.Error("no exactly reconstructed clusters")
-	}
-	// The transitive closure can only help recall vs the raw pair
-	// classification at the same threshold.
-	curve := EvaluateCandidatesParallel(ds, MeasureMELev, cands, 10, ScoreOpts{})
-	var rawRecall float64
-	for _, p := range curve.Points {
-		if p.Threshold == 0.7 {
-			rawRecall = p.Recall
-		}
-	}
-	if res.PairRecall+1e-9 < rawRecall {
-		t.Errorf("closure reduced recall: %v < %v", res.PairRecall, rawRecall)
-	}
-}

@@ -55,12 +55,6 @@ func (db *DB) CollectionNames() []string {
 	return names
 }
 
-// Load reads every collection in dir — flat or segmented — into a fresh
-// database, decoding sequentially. It is LoadParallelOpts at one worker.
-func Load(dir string) (*DB, error) {
-	return LoadParallelOpts(dir, LoadOpts{Workers: 1})
-}
-
 // LoadFile appends the documents of a JSON-lines file into the collection.
 func (c *Collection) LoadFile(path string) error {
 	f, err := os.Open(path)

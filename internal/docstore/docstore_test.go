@@ -78,7 +78,7 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 	if err := db.SaveParallelOpts(dir, SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSaveIsAtomicOverwrite(t *testing.T) {
 	if err := db.SaveParallelOpts(dir, SaveOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestLoadFileRejectsMissingID(t *testing.T) {
 }
 
 func TestLoadMissingDirectory(t *testing.T) {
-	db, err := Load(filepath.Join(t.TempDir(), "nope"))
+	db, err := LoadParallelOpts(filepath.Join(t.TempDir(), "nope"), LoadOpts{Workers: 1})
 	// Glob on a missing directory yields no matches, not an error: an
 	// empty database is the correct result.
 	if err != nil {
@@ -78,7 +78,7 @@ func TestSaveFailureLeavesOldFileIntact(t *testing.T) {
 	if err := os.Chmod(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

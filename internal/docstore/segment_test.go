@@ -101,7 +101,7 @@ func TestSaveLoadParallelMatchesSequential(t *testing.T) {
 	db := segmentedFixture(t, 500)
 	flatDir := t.TempDir()
 	writeFlat(t, flatDir, db)
-	ref, err := Load(flatDir)
+	ref, err := LoadParallelOpts(flatDir, LoadOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSaveFormatsAlternateCleanly(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "clusters.jsonl")); !os.IsNotExist(err) {
 		t.Error("segmented save left the stale flat file behind")
 	}
-	loaded, err := Load(dir)
+	loaded, err := LoadParallelOpts(dir, LoadOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,8 @@ func (m *Metrics) Inc(counter string) {
 }
 
 // AddN adds n to a named event counter. It is the bulk form of Inc used by
-// batch producers — notably the parallel ingest pipeline, whose ingest_*
-// counters (rows decoded, records added, duplicates removed, per-stage
+// batch producers — notably the snapshot import, whose ingest_* counters
+// (rows decoded, records added, duplicates removed, chunker and decode-pool
 // stall milliseconds) land here so GET /metrics covers ingest alongside
 // serving, and the document store, whose docstore_* persistence and
 // pipeline counters arrive the same way. Metrics satisfies

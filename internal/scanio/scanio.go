@@ -1,6 +1,6 @@
 // Package scanio centralizes the line-scanner buffer geometry shared by
 // every line-oriented reader in the repo: the voter TSV codec (sequential
-// StreamTSV and the chunked parallel ingest reader in internal/core) and
+// StreamTSV and the chunked ingest reader in internal/core) and
 // the docstore JSON-lines loader. Both families previously carried their
 // own copies of the same two numbers; keeping them here means a future
 // limit change cannot drift one consumer out of sync with the other, and
@@ -21,8 +21,8 @@ const (
 	InitialBufferBytes = 64 << 10
 
 	// MaxTSVLineBytes is the largest accepted voter TSV line; longer lines
-	// fail with bufio.ErrTooLong on every read path (sequential and
-	// parallel ingest alike).
+	// fail with bufio.ErrTooLong on every read path (StreamTSV and the
+	// chunked ingest alike).
 	MaxTSVLineBytes = 4 << 20
 
 	// MaxDocLineBytes is the largest single JSON-lines document the

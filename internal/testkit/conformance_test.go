@@ -18,12 +18,25 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/plaus"
 	"repro/internal/testkit"
+	"repro/internal/voter"
 )
 
 // This file is the unified conformance suite: the three pipeline stages —
 // snapshot ingest, pair scoring, docstore persistence — each run through
 // the same testkit.Differential runner against the same seeded corpus.
 // `make conformance` executes it under the race detector.
+
+// importReference imports one snapshot file the way every ingest oracle is
+// judged: voter.ReadSnapshotFile (StreamTSV) into memory, then
+// ImportSnapshot. It shares no reader code with core's block loop.
+func importReference(tb testing.TB, d *core.Dataset, path string) core.ImportStats {
+	tb.Helper()
+	snap, err := voter.ReadSnapshotFile(path)
+	if err != nil {
+		tb.Fatalf("reference import %s: %v", path, err)
+	}
+	return d.ImportSnapshot(snap)
+}
 
 // ingestResult is what ingest equivalence means: identical per-file import
 // statistics and an identical dataset (clusters, order, hashes, derived
@@ -44,11 +57,7 @@ func TestConformanceIngest(t *testing.T) {
 				d := core.NewDataset(mode)
 				var stats []core.ImportStats
 				for _, p := range paths {
-					st, err := d.ImportSnapshotFile(p)
-					if err != nil {
-						tb.Fatalf("sequential import %s: %v", p, err)
-					}
-					stats = append(stats, st)
+					stats = append(stats, importReference(tb, d, p))
 				}
 				d.Publish()
 				return ingestResult{stats, d}
@@ -58,7 +67,7 @@ func TestConformanceIngest(t *testing.T) {
 				var stats []core.ImportStats
 				for _, p := range paths {
 					// The tiny chunk size forces many blocks per file so
-					// reordering and shard routing are actually exercised.
+					// block reordering is actually exercised.
 					st, err := d.ImportSnapshotFileParallelOpts(p, core.IngestOptions{Workers: workers, ChunkBytes: 1 << 12})
 					if err != nil {
 						tb.Fatalf("parallel import %s: %v", p, err)
@@ -219,7 +228,7 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 			// read sequentially, is the reference.
 			dir := tb.TempDir()
 			writeFlatStore(tb, dir, db)
-			loaded, err := docstore.Load(dir)
+			loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: 1})
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -370,15 +379,15 @@ func TestConformanceDatasetDocDB(t *testing.T) {
 	db := ds.ToDocDB()
 	// The conversion back walks what each document holds; it must rebuild
 	// every cluster the documents were made from.
-	if back, err := core.FromDocDB(db); err != nil {
+	if back, err := core.FromDocDBParallel(db, 1); err != nil {
 		t.Fatal(err)
 	} else if diff := core.BuildFingerprintIndex(ds).Diff(core.BuildFingerprintIndex(back)); len(diff) > 0 {
-		t.Fatalf("FromDocDB(ToDocDB(ds)) changed %d clusters (first: %s)", len(diff), diff[0])
+		t.Fatalf("FromDocDBParallel(ToDocDB(ds), 1) changed %d clusters (first: %s)", len(diff), diff[0])
 	}
 	testkit.Differential[*core.Dataset]{
 		Name: "docstore/from-docdb",
 		Sequential: func(tb testing.TB) *core.Dataset {
-			d, err := core.FromDocDB(db)
+			d, err := core.FromDocDBParallel(db, 1)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -393,7 +402,7 @@ func TestConformanceDatasetDocDB(t *testing.T) {
 		},
 		Compare: func(tb testing.TB, want, got *core.Dataset) {
 			if !reflect.DeepEqual(want, got) {
-				tb.Fatal("FromDocDBParallel dataset diverges from FromDocDB")
+				tb.Fatal("FromDocDBParallel dataset diverges from the one-worker parse")
 			}
 		},
 	}.Run(t)

@@ -58,9 +58,7 @@ func TestConformanceDelta(t *testing.T) {
 	// Prototype base dataset, used only to synthesize the delta files.
 	proto := core.NewDataset(core.RemoveTrimmed)
 	for _, p := range basePaths {
-		if _, err := proto.ImportSnapshotFile(p); err != nil {
-			t.Fatal(err)
-		}
+		importReference(t, proto, p)
 		proto.Publish()
 	}
 
@@ -89,9 +87,7 @@ func TestConformanceDelta(t *testing.T) {
 				d := core.NewDataset(core.RemoveTrimmed)
 				dir := tb.TempDir()
 				for _, p := range append(append([]string{}, basePaths...), deltaPath) {
-					if _, err := d.ImportSnapshotFile(p); err != nil {
-						tb.Fatal(err)
-					}
+					importReference(tb, d, p)
 					d.Publish()
 					scoreRound(d, 1)
 					saveStore(tb, d, dir, docstore.SaveOpts{})

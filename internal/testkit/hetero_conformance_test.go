@@ -158,9 +158,7 @@ func TestConformanceHeteroFusedDelta(t *testing.T) {
 	basePaths := corpus.SnapshotFiles(t, 120, 3)
 	proto := core.NewDataset(core.RemoveTrimmed)
 	for _, p := range basePaths {
-		if _, err := proto.ImportSnapshotFile(p); err != nil {
-			t.Fatal(err)
-		}
+		importReference(t, proto, p)
 		proto.Publish()
 	}
 	deltaPath, changed, err := testkit.WriteDeltaFile(t.TempDir(), proto, "2097-01-01", 0.25, false)
@@ -170,9 +168,7 @@ func TestConformanceHeteroFusedDelta(t *testing.T) {
 	importBase := func(tb testing.TB, score func(*core.Dataset)) *core.Dataset {
 		d := core.NewDataset(core.RemoveTrimmed)
 		for _, p := range basePaths {
-			if _, err := d.ImportSnapshotFile(p); err != nil {
-				tb.Fatal(err)
-			}
+			importReference(tb, d, p)
 			d.Publish()
 			score(d)
 		}
@@ -182,9 +178,7 @@ func TestConformanceHeteroFusedDelta(t *testing.T) {
 		Name: "hetero-fused/delta",
 		Sequential: func(tb testing.TB) heteroResult {
 			d := importBase(tb, func(d *core.Dataset) { referenceHetero(d, 0, 1) })
-			if _, err := d.ImportSnapshotFile(deltaPath); err != nil {
-				tb.Fatal(err)
-			}
+			importReference(tb, d, deltaPath)
 			d.Publish()
 			referenceHetero(d, 0, 1)
 			return heteroResult{d, saveStore(tb, d, tb.TempDir(), docstore.SaveOpts{})}

@@ -73,9 +73,7 @@ func TestConformanceProvenance(t *testing.T) {
 
 	proto := core.NewDataset(core.RemoveTrimmed)
 	for _, p := range basePaths {
-		if _, err := proto.ImportSnapshotFile(p); err != nil {
-			t.Fatal(err)
-		}
+		importReference(t, proto, p)
 		proto.Publish()
 	}
 	rounds := len(basePaths) + 1
@@ -105,9 +103,7 @@ func TestConformanceProvenance(t *testing.T) {
 				dir := tb.TempDir()
 				var rec *provenance.Record
 				for _, p := range append(append([]string{}, basePaths...), deltaPath) {
-					if _, err := d.ImportSnapshotFile(p); err != nil {
-						tb.Fatal(err)
-					}
+					importReference(tb, d, p)
 					d.Publish()
 					scoreRound(d, 1)
 					rec = stampStore(tb, d, dir, docstore.SaveOpts{}, nil)

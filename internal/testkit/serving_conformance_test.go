@@ -38,9 +38,7 @@ func servingDataset(tb testing.TB) *core.Dataset {
 	corpus := testkit.Corpus{Seed: 7}
 	ds := core.NewDataset(core.RemoveTrimmed)
 	for _, p := range corpus.SnapshotFiles(tb, 120, 3) {
-		if _, err := ds.ImportSnapshotFile(p); err != nil {
-			tb.Fatalf("import %s: %v", p, err)
-		}
+		importReference(tb, ds, p)
 	}
 	plaus.Update(ds)
 	hetero.Update(ds)

@@ -51,9 +51,9 @@ func WriteTSV(w io.Writer, s Snapshot) error {
 	return bw.Flush()
 }
 
-// TSV line limits, shared by the sequential scanner below and the chunked
-// parallel reader in internal/core so both paths accept and reject exactly
-// the same inputs. A 90-attribute row with export padding easily exceeds
+// TSV line limits, shared by the scanner below and the chunked import
+// reader in internal/core so both accept and reject exactly the same
+// inputs. A 90-attribute row with export padding easily exceeds
 // bufio's 64 KiB default token limit, so the scanner always gets an
 // explicit buffer: ScanBufferBytes up front, growing to MaxLineBytes. The
 // numbers themselves live in internal/scanio next to the docstore's

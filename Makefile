@@ -71,6 +71,7 @@ FUZZ_TARGETS = \
 	FuzzDocEncoder:./internal/docstore \
 	FuzzDocDecoder:./internal/docstore \
 	FuzzClusterJSON:./internal/core \
+	FuzzImportLines:./internal/core \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \
 	FuzzValueSimShortcuts:./internal/hetero \

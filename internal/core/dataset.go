@@ -167,14 +167,13 @@ func (d *Dataset) beginImport(date string) *importRound {
 	return &importRound{d: d, st: ImportStats{Snapshot: date}, version: d.currentVersion()}
 }
 
-// add hashes one row and applies it.
+// add hashes one in-memory row and applies it.
 func (imp *importRound) add(r voter.Record) {
-	ncid := r.NCID()
-	var h voter.Hash
-	if ncid != "" {
-		h = voter.HashRecord(r, imp.d.Mode.hashMode())
+	row := ingestRow{rec: r, ncid: []byte(r.NCID())}
+	if len(row.ncid) > 0 {
+		row.hash = voter.HashRecord(r, imp.d.Mode.hashMode())
 	}
-	imp.addHashed(r, ncid, h, nil)
+	imp.addHashed(&row, nil)
 }
 
 // addHashed applies one row whose NCID and removal-mode hash are known — the
@@ -182,28 +181,29 @@ func (imp *importRound) add(r voter.Record) {
 // classified against its cluster's pre-apply state (see delta.go); the
 // classification never changes what applyRow does, which is what keeps
 // ApplySnapshotDelta bit-identical to a plain import of the same rows.
-func (imp *importRound) addHashed(r voter.Record, ncid string, h voter.Hash, dl *Delta) {
+func (imp *importRound) addHashed(row *ingestRow, dl *Delta) {
 	if imp.closed {
 		panic("core: row added to a closed import")
 	}
 	d := imp.d
 	imp.st.Rows++
 	d.totalRows++
-	if ncid == "" {
+	if len(row.ncid) == 0 {
 		return
 	}
-	c, ok := d.clusters[ncid]
-	if !ok {
+	c := d.clusters[string(row.ncid)]
+	if c == nil {
+		ncid := string(row.ncid)
 		c = newCluster(ncid)
 		d.clusters[ncid] = c
 		d.order = append(d.order, ncid)
 		imp.st.NewObjects++
 	}
 	if dl != nil {
-		touch, grow := rowChanges(c, h, imp.st.Snapshot, d.Mode)
+		touch, grow := rowChanges(c, row.hash, imp.st.Snapshot, d.Mode)
 		dl.note(c, touch, grow)
 	}
-	if applyRow(c, r, h, d.Mode, imp.version, imp.st.Snapshot) {
+	if applyRow(c, row, d.Mode, imp.version, imp.st.Snapshot) {
 		imp.st.NewRecords++
 	} else if d.Mode != RemoveNone {
 		imp.removed++
@@ -222,9 +222,10 @@ func newCluster(ncid string) *Cluster {
 
 // applyRow applies one pre-hashed row to its cluster under the removal-mode
 // semantics and reports whether a new record (a previously unseen hash) was
-// stored.
-func applyRow(c *Cluster, r voter.Record, h voter.Hash, mode RemovalMode, version int, date string) bool {
-	if idx, seen := c.hashes[h]; seen {
+// stored. Only a row it stores has its record built.
+func applyRow(c *Cluster, row *ingestRow, mode RemovalMode, version int, date string) bool {
+	idx, seen := c.hashes[row.hash]
+	if seen {
 		// Known record: remember that this snapshot contained it, too
 		// (enables snapshot-range reconstruction), but count nothing new.
 		entry := &c.Records[idx]
@@ -234,20 +235,22 @@ func applyRow(c *Cluster, r voter.Record, h voter.Hash, mode RemovalMode, versio
 		if mode != RemoveNone {
 			return false
 		}
-		// RemoveNone imports everything; fall through without
+		// RemoveNone imports everything; store the row again without
 		// registering the duplicate hash again.
-		c.Records = append(c.Records, RecordEntry{
-			Rec: r, Hash: h, FirstVersion: version, Snapshots: []string{date},
-		})
-		c.Inserted[date]++
-		return false
+	} else {
+		c.hashes[row.hash] = len(c.Records)
 	}
-	c.hashes[h] = len(c.Records)
+	rec := row.rec
+	if rec.Values == nil {
+		// A file row: one copy of its line, split, so the record holds only
+		// its own bytes. decodeBlock has validated the line.
+		rec, _ = voter.DecodeRow(string(row.line), row.n)
+	}
 	c.Records = append(c.Records, RecordEntry{
-		Rec: r, Hash: h, FirstVersion: version, Snapshots: []string{date},
+		Rec: rec, Hash: row.hash, FirstVersion: version, Snapshots: []string{date},
 	})
 	c.Inserted[date]++
-	return true
+	return !seen
 }
 
 // close finishes the import round, records its statistics and returns them.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,19 +22,19 @@ import (
 //
 //	chunker -> decode pool -> in-order apply
 //
-// Decoding and hashing a row (line split, column validation, the
-// removal-mode MD5) is nearly all of the work; it runs inline at one worker
-// and on a pool of goroutines otherwise. Applying the row to its cluster is
-// the cheap rest and runs on the calling goroutine in input order, so the
-// dataset is the same at any worker count. Every line is copied into its own
-// string before it is split: a kept record holds only its own bytes, and a
-// block buffer is recycled as soon as it is decoded.
+// Decode scans each line in place (column count, trimmed NCID, removal-mode
+// MD5 straight from the line's bytes) and builds nothing; it runs inline at
+// one worker and on a pool of goroutines otherwise. Apply runs on the calling
+// goroutine in input order, so the dataset is the same at any worker count,
+// and builds a record only for a row it keeps: most rows are duplicates, and a
+// dropped row allocates nothing. A kept record copies its line, so it holds
+// only its own bytes; the block buffer is recycled once apply is done with it.
 
 // defaultChunkBytes is the line-aligned block size of the reader.
 const defaultChunkBytes = 256 << 10
 
 // blockBufs recycles block buffers across blocks and imports: once a block
-// is decoded, no row refers to its buffer.
+// is applied, no row refers to its buffer.
 var blockBufs sync.Pool
 
 // IngestObserver receives the counters of a snapshot import: rows decoded,
@@ -76,20 +77,28 @@ func (d *Dataset) ImportSnapshotFileParallelOpts(path string, opts IngestOptions
 type ingestBlock struct {
 	seq      int // block sequence number, for reordering after decode
 	firstRow int // zero-based data-row index of the block's first line
+	rows     int // lines in the block
 	data     []byte
 }
 
-// ingestRow is one decoded, hashed row.
+// ingestRow is one row on its way to apply: trimmed NCID, removal-mode hash
+// and record — given (ImportSnapshot), or built from line (file line n) only
+// if the row is kept. A file row's line and ncid alias the read block.
 type ingestRow struct {
 	rec  voter.Record
-	ncid string
+	line []byte
+	n    int
+	ncid []byte
 	hash voter.Hash
 }
 
-// decodedBlock is the decoded rows of one block. On err the rows are exactly
-// those preceding the failing line.
+// decodedBlock is the scanned rows of one block, which alias data, its read
+// buffer. date is the snapshot date of the file's first row (block 0 only).
+// On err the rows are exactly those preceding the failing line.
 type decodedBlock struct {
 	seq  int
+	data []byte
+	date string
 	rows []ingestRow
 	err  error
 }
@@ -115,17 +124,19 @@ func (d *Dataset) importReader(r io.Reader, opts IngestOptions, dl *Delta) (Impo
 
 	imp := d.beginImport("")
 	apply := func(db decodedBlock) error {
-		for _, ir := range db.rows {
-			if imp.st.Rows == 0 {
-				imp.st.Snapshot = ir.rec.SnapshotDate()
-			}
-			imp.addHashed(ir.rec, ir.ncid, ir.hash, dl)
+		if db.seq == 0 {
+			imp.st.Snapshot = db.date
 		}
+		for i := range db.rows {
+			imp.addHashed(&db.rows[i], dl)
+		}
+		blockBufs.Put(db.data)
 		return db.err
 	}
 	var stallRead, stallDecode atomic.Int64
 	var err error
 	if workers == 1 {
+		var sc voter.RowScanner
 		var rows []ingestRow
 		for err == nil {
 			b, ok, rerr := rd.next()
@@ -133,7 +144,7 @@ func (d *Dataset) importReader(r io.Reader, opts IngestOptions, dl *Delta) (Impo
 				err = rerr
 				break
 			}
-			db := decodeBlock(b, hm, rows[:0])
+			db := decodeBlock(b, &sc, hm, rows[:0])
 			err = apply(db)
 			rows = db.rows
 		}
@@ -191,8 +202,9 @@ func decodePool(rd *blockReader, hm voter.HashMode, workers int, stallRead, stal
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc voter.RowScanner
 			for b := range blocks {
-				db := decodeBlock(b, hm, nil)
+				db := decodeBlock(b, &sc, hm, nil)
 				t := time.Now()
 				select {
 				case decoded <- db:
@@ -304,7 +316,7 @@ func (br *blockReader) next() (ingestBlock, bool, error) {
 		if buf[len(buf)-1] != '\n' {
 			rows++ // unterminated final line at EOF
 		}
-		b := ingestBlock{seq: br.seq, firstRow: br.row, data: buf}
+		b := ingestBlock{seq: br.seq, firstRow: br.row, rows: rows, data: buf}
 		br.seq++
 		br.row += rows
 		return b, true, nil
@@ -313,40 +325,41 @@ func (br *blockReader) next() (ingestBlock, bool, error) {
 	return ingestBlock{}, false, nil
 }
 
-// decodeBlock appends the rows of one block to rows: column validation, NCID
-// and removal-mode hash. Each line is copied into its own string first, so
-// no row refers to the block's buffer, which goes back to blockBufs. Line
-// numbers in errors are 1-based file lines (the header is line 1), as
-// voter.StreamTSV reports them.
-func decodeBlock(b ingestBlock, hm voter.HashMode, rows []ingestRow) decodedBlock {
-	db := decodedBlock{seq: b.seq}
+// decodeBlock appends the rows of one block to rows: column validation, the
+// trimmed NCID and the removal-mode hash, read from the block's bytes by sc.
+// The rows alias the block. Line numbers in errors are 1-based file lines
+// (the header is line 1), as voter.StreamTSV reports them.
+func decodeBlock(b ingestBlock, sc *voter.RowScanner, hm voter.HashMode, rows []ingestRow) decodedBlock {
+	db := decodedBlock{seq: b.seq, data: b.data}
+	rows = slices.Grow(rows, b.rows)
 	data := b.data
-	for line := b.firstRow + 2; len(data) > 0; line++ {
+	for n := b.firstRow + 2; len(data) > 0; n++ {
 		ln := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
 			ln, data = data[:i], data[i+1:]
 		} else {
 			data = nil
 		}
-		if n := len(ln); n > 0 && ln[n-1] == '\r' {
-			ln = ln[:n-1]
+		if k := len(ln); k > 0 && ln[k-1] == '\r' {
+			ln = ln[:k-1]
 		}
 		if len(ln) >= voter.MaxLineBytes {
 			db.err = bufio.ErrTooLong
 			break
 		}
-		rec, err := voter.DecodeRow(string(ln), line)
-		if err != nil {
+		if err := sc.Scan(ln, n); err != nil {
 			db.err = err
 			break
 		}
-		ir := ingestRow{rec: rec}
-		if ir.ncid = rec.NCID(); ir.ncid != "" {
-			ir.hash = voter.HashRecord(rec, hm)
+		if n == 2 {
+			db.date = string(bytes.TrimSpace(sc.Column(voter.IdxSnapshotDate)))
+		}
+		ir := ingestRow{line: ln, n: n, ncid: bytes.TrimSpace(sc.Column(voter.IdxNCID))}
+		if len(ir.ncid) > 0 {
+			ir.hash = sc.Hash(hm)
 		}
 		rows = append(rows, ir)
 	}
-	blockBufs.Put(b.data)
 	db.rows = rows
 	return db
 }

@@ -304,6 +304,53 @@ func TestParallelImportObserverCounters(t *testing.T) {
 	}
 }
 
+// TestImportKnownRowsAllocateNothing: a row whose hash its cluster already
+// has is dropped straight from the read block — no record, no string, no
+// per-row allocation. Importing a register a second time makes every row
+// such a row; the pass adds no record and stamps the snapshot dates exactly
+// as the reference import does. A record's date list grows by doubling, so
+// the stamps cost about one allocation per record per pass: the register is
+// long (78 snapshots) and without life events, so each record recurs in
+// every snapshot and the stamps stay well under the bound. Not parallel: it
+// counts the process's allocations.
+func TestImportKnownRowsAllocateNothing(t *testing.T) {
+	cfg := synth.DefaultConfig(11, 1000)
+	cfg.Snapshots = synth.Calendar(1971, 52)
+	cfg.NewVoterRate, cfg.ReRegisterRate, cfg.MoveRate, cfg.MarryRate, cfg.DeregisterRate = 0, 0, 0, 0, 0
+	cfg.DriftAt = nil
+	paths, err := synth.WriteAll(cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ref := NewDataset(RemoveTrimmed), NewDataset(RemoveTrimmed)
+	importAll(t, d, paths, IngestOptions{Workers: 1})
+	for _, p := range paths {
+		importReference(t, ref, p)
+	}
+	records := d.NumRecords()
+
+	rows := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, st := range importAll(t, d, paths, IngestOptions{Workers: 1}) {
+		rows += st.Rows
+	}
+	runtime.ReadMemStats(&after)
+	for _, p := range paths {
+		importReference(t, ref, p)
+	}
+
+	if per := float64(after.Mallocs-before.Mallocs) / float64(rows); per > 0.05 {
+		t.Errorf("second pass: %.3f allocations per row over %d rows, want <= 0.05", per, rows)
+	}
+	if d.NumRecords() != records {
+		t.Errorf("second pass added %d records", d.NumRecords()-records)
+	}
+	if !reflect.DeepEqual(ref, d) {
+		t.Error("after the second pass the dataset differs from the reference import's")
+	}
+}
+
 // TestImportRetainsNoBlocks: a kept record holds only its own line, never
 // the read block it was decoded from, so the live heap of an imported
 // dataset does not depend on the worker count. Not parallel: it measures
@@ -332,4 +379,63 @@ func TestImportRetainsNoBlocks(t *testing.T) {
 		t.Errorf("live heap after import: %d B at 4 workers vs %d B at 1 (%.2fx, want <= 1.10x)",
 			four, one, float64(four)/float64(one))
 	}
+}
+
+// fuzzRow renders a data row of cols columns: ncid, a snapshot date and a
+// name, each value wrapped in pad.
+func fuzzRow(ncid, pad string, cols int) string {
+	vals := make([]string, cols)
+	for i := range vals {
+		vals[i] = pad
+	}
+	vals[voter.IdxNCID] = ncid
+	vals[voter.IdxSnapshotDate] = pad + "2010-03-01" + pad
+	vals[voter.IdxLastName] = pad + "SMITH" + pad
+	return strings.Join(vals, "\t")
+}
+
+// FuzzImportLines holds the block loop's in-place scanner and hasher to the
+// reference reader: for any bytes after the canonical header, the import at
+// one worker with small blocks gives the dataset ImportSnapshot builds from
+// voter.ReadTSV, or fails with its error text, in every removal mode.
+func FuzzImportLines(f *testing.F) {
+	names := make([]string, voter.NumAttributes)
+	for i, a := range voter.Attributes {
+		names[i] = a.Name
+	}
+	header := strings.Join(names, "\t") + "\n"
+	n := voter.NumAttributes
+	for _, body := range []string{
+		fuzzRow("AA1", "", n) + "\n" + fuzzRow("AA1", " ", n) + "\n",
+		fuzzRow("AA1", "", n) + "\r\n" + fuzzRow("AA2", " ", n) + "\r\n",
+		fuzzRow("\u00a0AA1\u0085", "\v", n) + "\n" + fuzzRow("\vAA1", "\u00a0", n) + "\n" + fuzzRow("AA1", "\u0085", n) + "\n",
+		fuzzRow("AA1", "\x85", n) + "\n" + fuzzRow("AA1", "\xc2", n) + "\n", // lone bytes of U+0085: not space
+		fuzzRow("  \v ", "", n) + "\n" + fuzzRow("", " ", n) + "\n",
+		fuzzRow("AA1", "", n) + "\n" + fuzzRow("AA1", "", n-1) + "\n",
+		fuzzRow("AA1", "", n) + "\n" + fuzzRow("AA1", "", n+1) + "\n",
+		fuzzRow("AA1", "", n) + "\n" + fuzzRow("AA1", " ", n),
+		"\n",
+		"",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		input := append([]byte(header), body...)
+		snap, refErr := voter.ReadTSV(bytes.NewReader(input))
+		for _, mode := range []RemovalMode{RemoveNone, RemoveExact, RemoveTrimmed, RemovePersonData} {
+			got := NewDataset(mode)
+			_, err := got.importReader(bytes.NewReader(input), IngestOptions{Workers: 1, ChunkBytes: 128}, nil)
+			if err != nil || refErr != nil {
+				if err == nil || refErr == nil || err.Error() != refErr.Error() {
+					t.Fatalf("mode %v: import error %v, reference error %v", mode, err, refErr)
+				}
+				continue
+			}
+			ref := NewDataset(mode)
+			ref.ImportSnapshot(snap)
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("mode %v: dataset differs from the reference import", mode)
+			}
+		}
+	})
 }

@@ -1,7 +1,9 @@
 package voter
 
 import (
+	"bytes"
 	"crypto/md5"
+	"slices"
 	"strings"
 )
 
@@ -58,24 +60,75 @@ func HashColumns(mode HashMode) []int {
 	return cols
 }
 
-// unit separator: cannot occur in TSV values, so concatenation is
-// collision-free across column boundaries.
-const hashSep = "\x1f"
+// A row's hash is one md5.Sum over, for each column of hashCols[mode], its
+// value (TrimSpace'd unless HashExact) and hashSep — the unit separator, which
+// no TSV value holds, so no two concatenations collide. HashRecord reads the
+// values from a record's strings, RowScanner.Hash from a line's bytes.
+var hashCols = [...][]int{
+	HashExact:      HashColumns(HashExact),
+	HashTrimmed:    HashColumns(HashTrimmed),
+	HashPersonData: HashColumns(HashPersonData),
+}
+
+const hashSep = 0x1f
 
 // HashRecord returns the record's MD5 hash under the given mode. In the
 // trimmed and person-data modes the values are trimmed before hashing.
 func HashRecord(r Record, mode HashMode) Hash {
-	h := md5.New()
-	trim := mode != HashExact
-	for _, i := range HashColumns(mode) {
+	buf := make([]byte, 0, 1<<10)
+	for _, i := range hashCols[mode] {
 		v := r.Values[i]
-		if trim {
+		if mode != HashExact {
 			v = strings.TrimSpace(v)
 		}
-		h.Write([]byte(v))
-		h.Write([]byte(hashSep))
+		buf = append(append(buf, v...), hashSep)
 	}
-	var out Hash
-	copy(out[:], h.Sum(nil))
-	return out
+	return md5.Sum(buf)
+}
+
+// RowScanner splits TSV data rows in place and hashes them from their bytes,
+// so a duplicate row is dropped without building a Record. Reused, it stops
+// allocating once its buffers fit the longest row. The zero value is ready.
+type RowScanner struct {
+	line []byte
+	tabs []int  // column i is line[tabs[i]+1 : tabs[i+1]]; tabs[0] is -1
+	buf  []byte // hash input
+}
+
+// Scan splits line into its columns and validates the column count with
+// DecodeRow's error, n being the 1-based line number. The scanner aliases
+// line until the next Scan.
+func (s *RowScanner) Scan(line []byte, n int) error {
+	s.line, s.tabs = line, append(slices.Grow(s.tabs[:0], NumAttributes+1), -1)
+	for off := 0; len(s.tabs) <= NumAttributes; {
+		i := bytes.IndexByte(line[off:], '\t')
+		if i < 0 {
+			s.tabs = append(s.tabs, len(line))
+			break
+		}
+		s.tabs = append(s.tabs, off+i)
+		off += i + 1
+	}
+	if len(s.tabs) != NumAttributes+1 || s.tabs[NumAttributes] != len(line) {
+		_, err := DecodeRow(string(line), n)
+		return err
+	}
+	return nil
+}
+
+// Column returns column i of the scanned line, untrimmed, aliasing the line.
+func (s *RowScanner) Column(i int) []byte { return s.line[s.tabs[i]+1 : s.tabs[i+1]] }
+
+// Hash returns what HashRecord returns for the scanned row's record.
+func (s *RowScanner) Hash(mode HashMode) Hash {
+	buf := slices.Grow(s.buf[:0], len(s.line)+1) // values + one separator per column
+	for _, i := range hashCols[mode] {
+		v := s.Column(i)
+		if mode != HashExact {
+			v = bytes.TrimSpace(v)
+		}
+		buf = append(append(buf, v...), hashSep)
+	}
+	s.buf = buf
+	return md5.Sum(buf)
 }

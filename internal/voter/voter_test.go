@@ -336,6 +336,45 @@ func TestSnapshotYear(t *testing.T) {
 	}
 }
 
+// TestRowScannerMatchesDecodeRow: scanning a line in place gives the columns
+// DecodeRow splits, the hash HashRecord computes over them in every mode,
+// and DecodeRow's error for a wrong column count.
+func TestRowScannerMatchesDecodeRow(t *testing.T) {
+	padded := testRecord()
+	for i, v := range padded.Values {
+		padded.Values[i] = "\u00a0" + v + "\v"
+	}
+	padded.SetName("midl_name", "\x85") // a lone byte of U+0085 is not space
+	var sc RowScanner
+	for _, line := range []string{
+		strings.Join(testRecord().Values, "\t"),
+		strings.Join(padded.Values, "\t"),
+		strings.Repeat("\t", NumAttributes-1),
+		strings.Repeat("\t", NumAttributes-2),
+		strings.Repeat("x\t", NumAttributes),
+		"",
+	} {
+		rec, wantErr := DecodeRow(line, 7)
+		err := sc.Scan([]byte(line), 7)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%q: Scan error %v, DecodeRow error %v", line, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		for i, v := range rec.Values {
+			if got := string(sc.Column(i)); got != v {
+				t.Errorf("%q column %d = %q, want %q", line, i, got, v)
+			}
+		}
+		for _, m := range []HashMode{HashExact, HashTrimmed, HashPersonData} {
+			if sc.Hash(m) != HashRecord(rec, m) {
+				t.Errorf("%q mode %d: scanner hash differs from HashRecord", line, m)
+			}
+		}
+	}
+}
+
 func BenchmarkHashRecord(b *testing.B) {
 	r := testRecord()
 	b.ReportAllocs()

@@ -121,9 +121,15 @@ func clusterDoc(c *Cluster) docstore.Document {
 	return doc
 }
 
-// recordDoc splits one record into the four group sub-documents, storing
-// only non-empty values (sparse representation).
+// recordDoc splits one record into the four group sub-documents, each made at
+// its final size, storing only non-empty values (sparse representation).
 func recordDoc(r voter.Record) docstore.Document {
+	var size [voter.GroupMeta + 1]int
+	for i, a := range voter.Attributes {
+		if r.Values[i] != "" {
+			size[a.Group]++
+		}
+	}
 	doc := docstore.Document{}
 	for i, a := range voter.Attributes {
 		v := r.Values[i]
@@ -132,7 +138,7 @@ func recordDoc(r voter.Record) docstore.Document {
 		}
 		group, ok := doc[a.Group.String()].(docstore.Document)
 		if !ok {
-			group = docstore.Document{}
+			group = make(docstore.Document, size[a.Group])
 			doc[a.Group.String()] = group
 		}
 		group[a.Name] = v

@@ -42,6 +42,35 @@ func TestStoreStringConversions(t *testing.T) {
 	}
 }
 
+// TestRecordDocSizesGroupsOnce: group maps regrown value by value were most
+// of ToDocDB's garbage. A record with every value set must allocate no more
+// than making its four group maps at their final size and filling them.
+func TestRecordDocSizesGroupsOnce(t *testing.T) {
+	r := voter.NewRecord()
+	for i := range r.Values {
+		r.Values[i] = "x"
+	}
+	groups := []voter.Group{voter.GroupMeta, voter.GroupPerson, voter.GroupDistrict, voter.GroupElection}
+	cols := make([][]int, len(groups))
+	for i, g := range groups {
+		cols[i] = voter.GroupIndices(g)
+	}
+	var doc docstore.Document // escapes, as recordDoc's result does
+	want := testing.AllocsPerRun(20, func() {
+		doc = docstore.Document{}
+		for i, g := range groups {
+			group := make(docstore.Document, len(cols[i]))
+			for _, c := range cols[i] {
+				group[voter.Attributes[c].Name] = r.Values[c]
+			}
+			doc[g.String()] = group
+		}
+	})
+	if got := testing.AllocsPerRun(20, func() { recordDoc(r) }); got > want {
+		t.Errorf("recordDoc allocates %v times, its four final-size maps %v", got, want)
+	}
+}
+
 // TestClusterFromDocHostileShapes loads documents whose fields hold the
 // wrong types as it always did: non-string dates print, misfiled or unknown
 // attribute names and non-document groups are ignored, a missing or

@@ -47,10 +47,10 @@ race:
 # The unified conformance harness (docs/TESTING.md), the quick pre-commit
 # subset of `make race`: every differential oracle of internal/testkit
 # (ingest, scoring, docstore, blocking, streaming dedup, delta, serving,
-# provenance) under the race detector, plus the fault-injection sweeps, the
-# examples smoke test and the shared scanner-limit regression.
+# provenance) under the race detector, plus the fault-injection sweeps and
+# the examples smoke test.
 conformance: report-check
-	$(GO) test -race ./internal/testkit ./internal/scanio
+	$(GO) test -race ./internal/testkit
 
 # report_small.md is a golden: every Table 1-4 / Figure 1, 3-5 number of the
 # reproduction at one seed. Regenerate it and compare byte for byte; a PR
@@ -66,7 +66,7 @@ FUZZ_TARGETS = \
 	FuzzParseHeader:./internal/voter \
 	FuzzDecodeRow:./internal/voter \
 	FuzzStreamTSV:./internal/voter \
-	FuzzLoadFile:./internal/docstore \
+	FuzzLoadSegment:./internal/docstore \
 	FuzzLoadSegmented:./internal/docstore \
 	FuzzDocEncoder:./internal/docstore \
 	FuzzDocDecoder:./internal/docstore \

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -29,42 +30,53 @@ import (
 	"repro/internal/provenance"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ncstats: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process state passed in, so the tests drive the whole
+// command: usage errors exit 2, failures 1 with one line on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ncstats", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		db         = flag.String("db", "store", "document-database directory")
-		version    = flag.Int("version", 0, "reconstruct and report this published version (0 = latest)")
-		from       = flag.String("from", "", "restrict to snapshots >= this date (YYYY-MM-DD)")
-		to         = flag.String("to", "", "restrict to snapshots <= this date (YYYY-MM-DD)")
-		verify     = flag.Bool("verify", false, "verify the store against its provenance record and exit")
-		verifyWork = flag.Int("verify-workers", 0, "leaf-hashing workers for -verify (0 = all cores)")
-		expectRoot = flag.String("expect-root", "", "with -verify: require the record's corpus root or head hash to equal this digest")
+		db         = fs.String("db", "store", "document-database directory")
+		version    = fs.Int("version", 0, "reconstruct and report this published version (0 = latest)")
+		from       = fs.String("from", "", "restrict to snapshots >= this date (YYYY-MM-DD)")
+		to         = fs.String("to", "", "restrict to snapshots <= this date (YYYY-MM-DD)")
+		verify     = fs.Bool("verify", false, "verify the store against its provenance record and exit")
+		verifyWork = fs.Int("verify-workers", 0, "leaf-hashing workers for -verify (0 = all cores)")
+		expectRoot = fs.String("expect-root", "", "with -verify: require the record's corpus root or head hash to equal this digest")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "ncstats: ", 0)
 
 	if *verify {
-		runVerify(*db, *verifyWork, *expectRoot)
-		return
+		return runVerify(stdout, logger, *db, *verifyWork, *expectRoot)
 	}
 
 	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	ds, err := core.FromDocDBParallel(stored, 1)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
-	out := os.Stdout
+	if n := len(ds.Versions()); *version < 0 || *version > n {
+		logger.Printf("version %d not published (latest is %d)", *version, n)
+		return 1
+	}
 
-	fmt.Fprintf(out, "store %s: mode %q, %d versions\n", *db, ds.Mode, len(ds.Versions()))
+	fmt.Fprintf(stdout, "store %s: mode %q, %d versions\n", *db, ds.Mode, len(ds.Versions()))
 	if *version > 0 {
-		if *version > len(ds.Versions()) {
-			log.Fatalf("version %d not published (latest is %d)", *version, len(ds.Versions()))
-		}
 		ds = ds.ReconstructVersion(*version)
-		fmt.Fprintf(out, "reconstructed version %d\n", *version)
+		fmt.Fprintf(stdout, "reconstructed version %d\n", *version)
 	}
 	if *from != "" || *to != "" {
 		lo, hi := *from, *to
@@ -75,22 +87,22 @@ func main() {
 			hi = "9999-12-31"
 		}
 		ds = ds.SnapshotRange(lo, hi)
-		fmt.Fprintf(out, "restricted to snapshots %s .. %s\n", lo, hi)
+		fmt.Fprintf(stdout, "restricted to snapshots %s .. %s\n", lo, hi)
 	}
-	fmt.Fprintf(out, "clusters %d, records %d, duplicate pairs %d, avg cluster %.2f, max cluster %d\n",
+	fmt.Fprintf(stdout, "clusters %d, records %d, duplicate pairs %d, avg cluster %.2f, max cluster %d\n",
 		ds.NumClusters(), ds.NumRecords(), ds.NumPairs(), ds.AvgClusterSize(), ds.MaxClusterSize())
-	fmt.Fprintf(out, "rows offered %d, removed as near-exact duplicates %d (%.1f%%)\n",
+	fmt.Fprintf(stdout, "rows offered %d, removed as near-exact duplicates %d (%.1f%%)\n",
 		ds.TotalRows(), ds.RemovedRecords(),
 		100*float64(ds.RemovedRecords())/float64(max(1, ds.TotalRows())))
 
-	fmt.Fprintln(out, "\nper-year import history:")
+	fmt.Fprintln(stdout, "\nper-year import history:")
 	for _, y := range ds.YearlyStats() {
-		fmt.Fprintf(out, "  %d: %d snapshots, %d rows, %d new records (%.1f%%), %d new objects (%.1f%%)\n",
+		fmt.Fprintf(stdout, "  %d: %d snapshots, %d rows, %d new records (%.1f%%), %d new objects (%.1f%%)\n",
 			y.Year, y.Snapshots, y.TotalRecords, y.NewRecords, 100*y.NewRecordRate,
 			y.NewObjects, 100*y.NewObjectRate)
 	}
 
-	fmt.Fprintln(out, "\ncluster-size histogram:")
+	fmt.Fprintln(stdout, "\ncluster-size histogram:")
 	hist := ds.ClusterSizeHistogram()
 	sizes := make([]int, 0, len(hist))
 	for s := range hist {
@@ -98,46 +110,49 @@ func main() {
 	}
 	sort.Ints(sizes)
 	for _, s := range sizes {
-		fmt.Fprintf(out, "  size %3d: %d clusters\n", s, hist[s])
+		fmt.Fprintf(stdout, "  size %3d: %d clusters\n", s, hist[s])
 	}
 
 	if ps := plaus.ClusterPlausibility(ds); len(ps) > 0 {
-		fmt.Fprintf(out, "\nplausibility: %d scored clusters, avg %.3f, min %.3f\n",
+		fmt.Fprintf(stdout, "\nplausibility: %d scored clusters, avg %.3f, min %.3f\n",
 			len(ps), mean(ps), minOf(ps))
 	}
 	if hs := hetero.ClusterHeterogeneity(ds, core.KindHeteroPerson); len(hs) > 0 {
-		fmt.Fprintf(out, "heterogeneity (person): %d scored clusters, avg %.3f, max %.3f\n",
+		fmt.Fprintf(stdout, "heterogeneity (person): %d scored clusters, avg %.3f, max %.3f\n",
 			len(hs), mean(hs), maxOf(hs))
 	}
+	return 0
 }
 
-// runVerify checks the store against its provenance record and exits: 0 on
-// a clean verification, non-zero with every corrupted file named otherwise.
-func runVerify(dir string, workers int, expectRoot string) {
+// runVerify checks the store against its provenance record: 0 on a clean
+// verification, 1 with every corrupted file named otherwise.
+func runVerify(stdout io.Writer, logger *log.Logger, dir string, workers int, expectRoot string) int {
 	rep, err := provenance.VerifyDir(dir, provenance.VerifyOpts{
 		Workers:    workers,
 		ExpectRoot: expectRoot,
 	})
 	if err != nil {
 		for _, f := range rep.Bad {
-			log.Printf("corrupted: %s", f)
+			logger.Printf("corrupted: %s", f)
 		}
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	rec := rep.Record
-	fmt.Printf("store %s: provenance OK\n", dir)
-	fmt.Printf("  chain: %d link(s), head %s\n", len(rec.Chain), rec.HeadHash())
-	fmt.Printf("  corpus root: %s\n", rec.Root())
-	fmt.Printf("  verified: %d collection(s), %d segment(s), %d documents, %d bytes hashed\n",
+	fmt.Fprintf(stdout, "store %s: provenance OK\n", dir)
+	fmt.Fprintf(stdout, "  chain: %d link(s), head %s\n", len(rec.Chain), rec.HeadHash())
+	fmt.Fprintf(stdout, "  corpus root: %s\n", rec.Root())
+	fmt.Fprintf(stdout, "  verified: %d collection(s), %d segment(s), %d documents, %d bytes hashed\n",
 		len(rec.Collections), rep.Leaves, rec.Head().Docs, rep.Bytes)
 	if len(rec.Meta.Lineage) > 0 {
-		fmt.Printf("  lineage: %d snapshot(s), %s .. %s\n",
+		fmt.Fprintf(stdout, "  lineage: %d snapshot(s), %s .. %s\n",
 			len(rec.Meta.Lineage), rec.Meta.Lineage[0], rec.Meta.Lineage[len(rec.Meta.Lineage)-1])
 	}
 	if g := rec.Meta.Generator; g != nil {
-		fmt.Printf("  generator: %s seed %d (%d voters, %d years, %s errors)\n",
+		fmt.Fprintf(stdout, "  generator: %s seed %d (%d voters, %d years, %s errors)\n",
 			g.Tool, g.Seed, g.Voters, g.Years, g.Errors)
 	}
+	return 0
 }
 
 func mean(v []float64) float64 {
@@ -166,11 +181,4 @@ func maxOf(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

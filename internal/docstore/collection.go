@@ -15,8 +15,8 @@ type Collection struct {
 	byID map[string]int // _id -> slot
 }
 
-// NewCollection returns an empty collection with the given name.
-func NewCollection(name string) *Collection {
+// newCollection returns an empty collection with the given name.
+func newCollection(name string) *Collection {
 	return &Collection{name: name, byID: map[string]int{}}
 }
 
@@ -32,7 +32,7 @@ func (c *Collection) Len() int {
 
 // Insert stores doc under its "_id" (which must be a non-empty string) and
 // returns an error for duplicate or missing ids. The document is stored by
-// reference; callers must not mutate it afterwards except through Update.
+// reference; callers must not mutate it afterwards.
 func (c *Collection) Insert(doc Document) error {
 	id, ok := doc["_id"].(string)
 	if !ok || id == "" {
@@ -56,19 +56,6 @@ func (c *Collection) Get(id string) Document {
 		return c.docs[slot]
 	}
 	return nil
-}
-
-// Update applies fn to the document with the given id under the write
-// lock. It returns false if the id is unknown.
-func (c *Collection) Update(id string, fn func(Document)) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slot, ok := c.byID[id]
-	if !ok {
-		return false
-	}
-	fn(c.docs[slot])
-	return true
 }
 
 // Delete removes the document with the given id, returning whether it

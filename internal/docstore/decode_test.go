@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// jsonDoc is what both read paths used to do with a line.
+// jsonDoc is what the load path used to do with a line.
 func jsonDoc(line []byte) (Document, error) {
 	var d Document
 	err := json.Unmarshal(line, &d)

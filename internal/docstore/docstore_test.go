@@ -32,7 +32,7 @@ func insertN(t *testing.T, c *Collection, n int) {
 }
 
 func TestCollectionCRUD(t *testing.T) {
-	c := NewCollection("test")
+	c := newCollection("test")
 	insertN(t, c, 10)
 	if c.Len() != 10 {
 		t.Fatalf("Len = %d", c.Len())
@@ -50,12 +50,6 @@ func TestCollectionCRUD(t *testing.T) {
 	// Missing id rejected.
 	if err := c.Insert(D("x", 1)); err == nil {
 		t.Error("missing _id accepted")
-	}
-	if !c.Update("id003", func(d Document) { d["n"] = 999 }) {
-		t.Fatal("Update missed")
-	}
-	if v, _ := Get(c.Get("id003"), "n"); v != 999 {
-		t.Errorf("update not applied: %v", v)
 	}
 	if !c.Delete("id003") {
 		t.Fatal("Delete missed")
@@ -126,7 +120,7 @@ func TestSaveIsAtomicOverwrite(t *testing.T) {
 }
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	c := NewCollection("t")
+	c := newCollection("t")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -167,7 +161,7 @@ func TestFieldPathEscape(t *testing.T) {
 
 func BenchmarkInsert(b *testing.B) {
 	b.ReportAllocs()
-	c := NewCollection("bench")
+	c := newCollection("bench")
 	for i := 0; i < b.N; i++ {
 		c.Insert(D("_id", fmt.Sprint(i), "k", i%997, "person", D("last", "SMITH")))
 	}

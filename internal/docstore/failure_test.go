@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,45 +12,30 @@ import (
 // Failure injection for the persistence layer: corrupted files, duplicate
 // ids, permission problems. The store must fail loudly, never half-load.
 
-func TestLoadFileRejectsCorruptJSON(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.jsonl")
-	if err := os.WriteFile(path, []byte("{\"_id\":\"a\"}\nnot json at all\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollection("bad")
-	if err := c.LoadFile(path); err == nil {
-		t.Fatal("corrupt JSONL accepted")
-	}
-}
-
-func TestLoadFileRejectsDuplicateIDs(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dup.jsonl")
-	if err := os.WriteFile(path, []byte("{\"_id\":\"a\"}\n{\"_id\":\"a\"}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollection("dup")
-	if err := c.LoadFile(path); err == nil {
-		t.Fatal("duplicate _id accepted on load")
-	}
-}
-
-func TestLoadFileRejectsMissingID(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "noid.jsonl")
-	if err := os.WriteFile(path, []byte("{\"x\":1}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollection("noid")
-	if err := c.LoadFile(path); err == nil {
-		t.Fatal("document without _id accepted on load")
+// TestLoadRejectsHostileSegment: a committed segment whose manifest matches
+// its bytes, CRC and line count still fails the load when a line is not a
+// document or breaks the collection's _id rules — the decoder or Insert
+// rejects it, not the checksum.
+func TestLoadRejectsHostileSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"corrupt-json", `{"_id":"a"}` + "\nnot json at all\n", "c.00.jsonl line 2"},
+		{"duplicate-ids", `{"_id":"a"}` + "\n" + `{"_id":"a"}` + "\n", `duplicate _id "a"`},
+		{"missing-id", `{"x":1}` + "\n", "misses a string _id"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := segmentStore(t, []byte(tc.body))
+			if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 
 func TestLoadMissingDirectory(t *testing.T) {
 	db, err := LoadParallelOpts(filepath.Join(t.TempDir(), "nope"), LoadOpts{Workers: 1})
-	// Glob on a missing directory yields no matches, not an error: an
+	// A missing directory holds no collections, which is not an error: an
 	// empty database is the correct result.
 	if err != nil {
 		t.Fatalf("missing dir: %v", err)
@@ -154,9 +140,18 @@ func TestLoadRejectsMixedGenerationSegment(t *testing.T) {
 	// Simulate a save that crashed mid-overwrite: segment 00 is from a
 	// newer, different generation than the manifest.
 	dir, db := segmentedDir(t, 100, 4)
-	db.Collection("x").Update("d0000", func(d Document) { d["n"] = "changed" })
+	newer := NewDB()
+	for _, d := range db.Collection("x").Docs() {
+		d = maps.Clone(d)
+		if d["_id"] == "d0000" {
+			d["n"] = "changed"
+		}
+		if err := newer.Collection("x").Insert(d); err != nil {
+			t.Fatal(err)
+		}
+	}
 	other := t.TempDir()
-	if err := db.SaveParallelOpts(other, SaveOpts{Segments: 4}); err != nil {
+	if err := newer.SaveParallelOpts(other, SaveOpts{Segments: 4}); err != nil {
 		t.Fatal(err)
 	}
 	body, err := os.ReadFile(filepath.Join(other, "x.00.jsonl"))
@@ -171,31 +166,36 @@ func TestLoadRejectsMixedGenerationSegment(t *testing.T) {
 	}
 }
 
-func TestLoadSkipsOrphanSegmentsNextToFlatFile(t *testing.T) {
-	// A segmented save that crashed before its manifest committed leaves
-	// orphan segments next to the still-authoritative flat file; the loader
-	// must serve the flat state and ignore the orphans.
+func TestLoadRejectsFlatLayout(t *testing.T) {
+	// The single-file layout earlier releases wrote is no longer read. A flat
+	// file alone must fail the load naming it — never load as an empty or a
+	// missing collection — while a stale flat file next to a committed
+	// manifest is ignored.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "x.jsonl"), []byte("{\"_id\":\"a\",\"n\":1}\n"), 0o644); err != nil {
+	flat := filepath.Join(dir, "clusters.jsonl")
+	if err := os.WriteFile(flat, []byte(`{"_id":"a","n":1}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	orphan := "{\"_id\":\"ghost\"}\n"
-	if err := os.WriteFile(filepath.Join(dir, "x.00.jsonl"), []byte(orphan), 0o644); err != nil {
+	if _, err := LoadParallelOpts(dir, LoadOpts{}); err == nil || !strings.Contains(err.Error(), flat) {
+		t.Fatalf("flat layout: got %v, want an error naming %s", err, flat)
+	}
+
+	stale, _ := segmentedDir(t, 10, 1)
+	if err := os.WriteFile(filepath.Join(stale, "x.jsonl"), []byte(`{"_id":"ghost"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadParallelOpts(dir, LoadOpts{})
+	loaded, err := LoadParallelOpts(stale, LoadOpts{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("stale flat file next to a manifest: %v", err)
 	}
-	if loaded.Collection("x").Len() != 1 || loaded.Collection("x").Get("ghost") != nil {
-		t.Error("orphan segment leaked into the flat load")
+	if loaded.Collection("x").Len() != 10 || loaded.Collection("x").Get("ghost") != nil {
+		t.Error("the stale flat file leaked into the segmented load")
 	}
 }
 
 func TestLoadRejectsOrphanSegmentsWithoutFlatFile(t *testing.T) {
-	// Orphan segments with no manifest and no flat file: there is no
-	// authoritative state to fall back to, so the load must fail loudly
-	// rather than guess.
+	// Orphan segments with no manifest: there is no authoritative state to
+	// fall back to, so the load must fail loudly rather than guess.
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "x.00.jsonl"), []byte("{\"_id\":\"a\"}\n"), 0o644); err != nil {
 		t.Fatal(err)

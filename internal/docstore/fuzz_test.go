@@ -1,6 +1,9 @@
 package docstore
 
 import (
+	"bytes"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,18 +11,21 @@ import (
 	"testing"
 )
 
-// Native fuzz targets for the persistence codecs: arbitrary bytes in the
-// JSON-lines loader and in the segmented manifest+segment pair must either
+// Native fuzz targets for the persistence codecs: arbitrary bytes in a
+// segment body and in the segmented manifest+segment pair must either
 // load cleanly or fail with an error — never panic, never allocate
 // proportionally to attacker-controlled numbers, and never read outside the
 // store directory. make fuzz-smoke runs these (and the voter/simil targets)
 // for a bounded time per target; testdata/fuzz holds the seed corpus,
 // including regression seeds for crashes fuzzing has found.
 
-// FuzzLoadFile feeds arbitrary bytes to the flat JSON-lines loader. A
-// successful load must be deterministic: loading the same bytes twice
+// FuzzLoadSegment feeds arbitrary bytes to the segmented loader as the body
+// of one committed segment. The harness derives the manifest from the fuzzed
+// bytes — byte count, CRC and document count all match — so every input
+// reaches the line decoder and Insert instead of stopping at the checksum.
+// A successful load must be deterministic: loading the same store twice
 // yields identical collections.
-func FuzzLoadFile(f *testing.F) {
+func FuzzLoadSegment(f *testing.F) {
 	f.Add([]byte(`{"_id":"a","n":1}` + "\n" + `{"_id":"b","nested":{"x":[1,2]}}` + "\n"))
 	f.Add([]byte(`{"_id":"a"}` + "\n" + `{"_id":"a"}` + "\n")) // duplicate id
 	f.Add([]byte(`{"no_id":true}` + "\n"))
@@ -27,25 +33,47 @@ func FuzzLoadFile(f *testing.F) {
 	f.Add([]byte(`{"_id":"q","v":"` + strings.Repeat("A", 1<<10) + `"}` + "\n"))
 	f.Add([]byte{0xff, 0xfe, '{', '}'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "c.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		c1 := NewCollection("c")
-		err1 := c1.LoadFile(path)
-		c2 := NewCollection("c")
-		err2 := c2.LoadFile(path)
+		dir := segmentStore(t, data)
+		db1, err1 := LoadParallelOpts(dir, LoadOpts{})
+		db2, err2 := LoadParallelOpts(dir, LoadOpts{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("nondeterministic load: %v vs %v", err1, err2)
 		}
 		if err1 != nil {
 			return
 		}
-		if c1.Len() != c2.Len() {
-			t.Fatalf("nondeterministic load: %d vs %d docs", c1.Len(), c2.Len())
+		if got, want := collectDocs(db1), collectDocs(db2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("nondeterministic load:\n got %v\nwant %v", got, want)
 		}
 	})
+}
+
+// segmentStore writes body as the one segment of collection "c" under a
+// manifest that matches it — byte count, CRC32 and the document count the
+// loader will find — and returns the store directory.
+func segmentStore(tb testing.TB, body []byte) string {
+	tb.Helper()
+	docs := 0
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) > 0 {
+			docs++
+		}
+	}
+	man, err := json.Marshal(segmentManifest{
+		Version: manifestVersion, Collection: "c", Docs: docs,
+		Segments: []segmentInfo{{File: "c.00.jsonl", Docs: docs, Bytes: int64(len(body)), CRC32: crc32.ChecksumIEEE(body)}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "c.00.jsonl"), body, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "c"+manifestSuffix), man, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
 }
 
 // FuzzLoadSegmented feeds arbitrary manifest bytes plus one segment file to

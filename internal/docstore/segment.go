@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -22,15 +23,14 @@ import (
 // worker pool — the same sharded-worker pattern as snapshot ingest and pair
 // scoring — while the segment layout depends only on the data, never on the
 // worker count, so saves are byte-identical at any parallelism and loads
-// rebuild the same document order as the flat path.
+// rebuild the saved document order.
 //
 // The manifest is the commit point. Saves write and rename every segment
 // first, then write and rename the manifest, then delete stale files; loads
 // trust only what a manifest lists and verify each segment's byte count and
 // CRC against it. A crash therefore leaves either the previous complete
 // state (no new manifest yet) or the new complete state — segment files
-// without a covering manifest are orphans, skipped when an authoritative
-// flat file exists for the same collection and a loud error otherwise.
+// without a covering manifest are orphans and a loud load error.
 
 const (
 	// manifestVersion is bumped when the manifest schema changes; loaders
@@ -122,8 +122,7 @@ type LoadOpts struct {
 	Workers int
 	// Observer receives the docstore_* persistence counters; nil drops them.
 	Observer StoreObserver
-	// FS substitutes the filesystem the segmented load reads from; nil
-	// selects OSFS. Flat .jsonl files always read through the OS.
+	// FS substitutes the filesystem the load reads from; nil selects OSFS.
 	FS FS
 	// Cache, when non-nil, memoizes decoded segments across loads keyed by
 	// the manifest's (file, bytes, CRC32) triple — see SegmentCache for the
@@ -469,15 +468,16 @@ func removeStaleSegments(fsys FS, dir, name string, keep int) {
 	}
 }
 
-// LoadParallelOpts reads every collection in dir — segmented (manifest
-// present) or flat single-file .jsonl — into a fresh database. Segments
-// decode on a worker pool and are verified against the manifest's byte
-// counts and CRCs, so a torn or mixed-generation store fails loudly instead
-// of loading silently wrong data; documents then insert in segment order,
-// which reproduces exactly the document order of a flat sequential load.
-// Orphan segment files (a save that crashed before its manifest committed)
-// are skipped when the collection still has its flat file and rejected
-// otherwise.
+// LoadParallelOpts reads every collection in dir that has a manifest into a
+// fresh database. Segments decode on a worker pool and are verified against
+// the manifest's byte counts and CRCs, so a torn or mixed-generation store
+// fails loudly instead of loading silently wrong data; documents then insert
+// in segment order, which reproduces the saved document order. Two other
+// .jsonl files fail the load rather than load as a missing collection:
+// segments no manifest covers (a save that crashed before its manifest
+// committed) and a flat <name>.jsonl with no manifest for <name> — the
+// single-file layout of earlier releases, no longer read. A flat file next
+// to a committed manifest is stale and ignored.
 func LoadParallelOpts(dir string, opts LoadOpts) (*DB, error) {
 	entries, err := fsOrDefault(opts.FS).ReadDir(dir)
 	if err != nil {
@@ -489,56 +489,40 @@ func LoadParallelOpts(dir string, opts LoadOpts) (*DB, error) {
 		return nil, err
 	}
 	manifests := map[string]bool{} // collection root -> has manifest
-	flats := map[string]bool{}     // collection root -> has flat file
-	orphans := map[string]bool{}   // collection root -> has manifest-less segments
+	var docFiles []string
 	for _, e := range entries {
 		name := e.Name()
-		if len(name) > len(manifestSuffix) && name[len(name)-len(manifestSuffix):] == manifestSuffix {
-			manifests[name[:len(name)-len(manifestSuffix)]] = true
-			continue
+		if root, ok := strings.CutSuffix(name, manifestSuffix); ok && root != "" {
+			manifests[root] = true
+		} else if filepath.Ext(name) == ".jsonl" {
+			docFiles = append(docFiles, name)
 		}
-		if filepath.Ext(name) != ".jsonl" {
-			continue
-		}
+	}
+	for _, name := range docFiles {
 		if m := segmentFileRe.FindStringSubmatch(name); m != nil {
-			orphans[m[1]] = true
+			if !manifests[m[1]] {
+				return nil, fmt.Errorf(
+					"docstore: %s: segment files without a manifest — a save crashed before committing; restore %s%s or delete the segments",
+					dir, m[1], manifestSuffix)
+			}
 			continue
 		}
-		flats[name[:len(name)-len(".jsonl")]] = true
-	}
-	for root := range manifests {
-		delete(orphans, root) // covered by a manifest: not orphans
-		delete(flats, root)   // stale flat next to a committed manifest
-	}
-	for root := range orphans {
-		if !flats[root] {
+		if !manifests[strings.TrimSuffix(name, ".jsonl")] {
 			return nil, fmt.Errorf(
-				"docstore: %s: segment files without a manifest or flat %s.jsonl — a save crashed before committing; restore the manifest or delete the segments",
-				dir, root)
+				"docstore: %s: flat single-file store layout, no longer read — re-import the snapshots into a segmented store",
+				filepath.Join(dir, name))
 		}
-		// A flat file plus manifest-less segments: the segments are from a
-		// save that never committed; the flat file is authoritative.
 	}
 
-	roots := make([]string, 0, len(manifests)+len(flats))
+	roots := make([]string, 0, len(manifests))
 	for root := range manifests {
-		roots = append(roots, root)
-	}
-	for root := range flats {
 		roots = append(roots, root)
 	}
 	sort.Strings(roots)
 
 	db := NewDB()
 	for _, root := range roots {
-		c := db.Collection(root)
-		if manifests[root] {
-			if err := c.loadSegmented(dir, opts); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := c.LoadFile(filepath.Join(dir, root+".jsonl")); err != nil {
+		if err := db.Collection(root).loadSegmented(dir, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -613,8 +597,7 @@ func (c *Collection) loadSegmented(dir string, opts LoadOpts) error {
 		}
 	}
 
-	// Sequential insert in segment order rebuilds the exact document order
-	// of the flat path.
+	// Sequential insert in segment order rebuilds the saved document order.
 	total := 0
 	for i, docs := range segDocs {
 		for j, d := range docs {

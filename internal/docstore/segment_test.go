@@ -1,25 +1,18 @@
 package docstore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/scanio"
 )
 
-// The tentpole invariant: SaveParallelOpts/LoadParallelOpts must reconstruct a
-// database identical to the flat sequential path — same documents in the
-// same order — for any worker count, and the bytes on disk must not depend
+// The central invariant: SaveParallelOpts/LoadParallelOpts must reconstruct
+// the saved database — same documents in the same order — for any worker
+// count, and the bytes on disk must not depend
 // on the worker count. make race runs these under the
 // race detector.
 
@@ -57,27 +50,6 @@ func segmentedFixture(t testing.TB, docs int) *DB {
 	return db
 }
 
-// writeFlat lays db out as the flat format earlier releases wrote — one
-// <collection>.jsonl, a document per line in insertion order — through
-// encoding/json, so the flat reader is tested on files no code of this
-// package produced.
-func writeFlat(t testing.TB, dir string, db *DB) {
-	t.Helper()
-	for _, name := range db.CollectionNames() {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		db.Collection(name).ForEach(func(d Document) bool {
-			if err := enc.Encode(d); err != nil {
-				t.Fatal(err)
-			}
-			return true
-		})
-		if err := os.WriteFile(filepath.Join(dir, name+".jsonl"), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // dbFingerprint captures everything the equivalence check compares: per
 // collection the ordered _id sequence and the full documents.
 func dbFingerprint(db *DB) map[string]any {
@@ -99,13 +71,7 @@ func dbFingerprint(db *DB) map[string]any {
 
 func TestSaveLoadParallelMatchesSequential(t *testing.T) {
 	db := segmentedFixture(t, 500)
-	flatDir := t.TempDir()
-	writeFlat(t, flatDir, db)
-	ref, err := LoadParallelOpts(flatDir, LoadOpts{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := dbFingerprint(ref)
+	want := dbFingerprint(db)
 
 	for _, workers := range raceWorkerLadder() {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -118,7 +84,7 @@ func TestSaveLoadParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := dbFingerprint(loaded); !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d: reloaded database differs from the sequential round trip", workers)
+				t.Errorf("workers=%d: reloaded database differs from the saved one", workers)
 			}
 		})
 	}
@@ -154,40 +120,14 @@ func TestSaveParallelBytesIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-func TestLoadParallelReadsFlatStores(t *testing.T) {
-	// Backward compatibility: a directory in the flat layout earlier
-	// releases wrote must load unchanged through the parallel loader.
-	db := segmentedFixture(t, 120)
-	dir := t.TempDir()
-	writeFlat(t, dir, db)
-	loaded, err := LoadParallelOpts(dir, LoadOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := loaded.Collection("clusters").Len(), db.Collection("clusters").Len(); got != want {
-		t.Errorf("flat load: %d docs, want %d", got, want)
-	}
-	var wantIDs, gotIDs []string
-	db.Collection("clusters").ForEach(func(d Document) bool {
-		wantIDs = append(wantIDs, d["_id"].(string))
-		return true
-	})
-	loaded.Collection("clusters").ForEach(func(d Document) bool {
-		gotIDs = append(gotIDs, d["_id"].(string))
-		return true
-	})
-	if !reflect.DeepEqual(gotIDs, wantIDs) {
-		t.Error("flat load changed document order")
-	}
-}
-
 func TestSaveFormatsAlternateCleanly(t *testing.T) {
-	// A segmented save over a flat store removes the stale flat file once
-	// its manifest commits: the two formats never coexist, so a loader can
-	// never pick the wrong generation.
+	// A save into a directory holding a flat file of an earlier release
+	// removes it once its manifest commits: the two layouts never coexist.
 	db := segmentedFixture(t, 80)
 	dir := t.TempDir()
-	writeFlat(t, dir, db)
+	if err := os.WriteFile(filepath.Join(dir, "clusters.jsonl"), []byte(`{"_id":"old"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.SaveParallelOpts(dir, SaveOpts{Segments: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +139,7 @@ func TestSaveFormatsAlternateCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded.Collection("clusters").Len() != db.Collection("clusters").Len() {
-		t.Error("alternating formats lost documents")
+		t.Error("the save over a flat file lost documents")
 	}
 }
 
@@ -317,41 +257,5 @@ func TestSegmentedSaveLoadCounters(t *testing.T) {
 	}
 	if got := loadObs.get(CounterBytesRead); got != saveObs.get(CounterBytesWritten) {
 		t.Errorf("bytes read %d != bytes written %d", got, saveObs.get(CounterBytesWritten))
-	}
-}
-
-func TestLoadFileLongLine(t *testing.T) {
-	// Regression test for the named scanner buffer constants: a document
-	// line past scanio.InitialBufferBytes must load, one past
-	// loadMaxLineBytes must fail loudly with bufio.ErrTooLong, mirroring
-	// the voter TSV reader's long-line test.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "long.jsonl")
-	long := fmt.Sprintf("{\"_id\":\"big\",\"v\":%q}\n", strings.Repeat("A", 4*scanio.InitialBufferBytes))
-	if err := os.WriteFile(path, []byte("{\"_id\":\"a\"}\n"+long), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollection("long")
-	if err := c.LoadFile(path); err != nil {
-		t.Fatalf("%d-byte line: %v", len(long), err)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("loaded %d docs, want 2", c.Len())
-	}
-
-	over := filepath.Join(dir, "over.jsonl")
-	f, err := os.Create(over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmt.Fprintf(f, "{\"_id\":\"big\",\"v\":%q}\n", strings.Repeat("A", loadMaxLineBytes+1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCollection("over")
-	if err := c2.LoadFile(over); !errors.Is(err, bufio.ErrTooLong) {
-		t.Fatalf("over-limit line: got %v, want bufio.ErrTooLong", err)
 	}
 }

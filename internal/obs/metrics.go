@@ -80,8 +80,8 @@ func (m *Metrics) Inc(counter string) {
 // batch producers — notably the snapshot import, whose ingest_* counters
 // (rows decoded, records added, duplicates removed, chunker and decode-pool
 // stall milliseconds) land here so GET /metrics covers ingest alongside
-// serving, and the document store, whose docstore_* persistence and
-// pipeline counters arrive the same way. Metrics satisfies
+// serving, and the document store, whose docstore_* persistence counters
+// arrive the same way. Metrics satisfies
 // core.IngestObserver and docstore.StoreObserver through this method.
 func (m *Metrics) AddN(counter string, n int64) {
 	m.mu.Lock()

@@ -224,15 +224,9 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 	testkit.Differential[map[string]any]{
 		Name: "docstore/round-trip",
 		Sequential: func(tb testing.TB) map[string]any {
-			// The flat single-file layout, written by encoding/json and
-			// read sequentially, is the reference.
-			dir := tb.TempDir()
-			writeFlatStore(tb, dir, db)
-			loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: 1})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			return testkit.DocDBFingerprint(loaded)
+			// The in-memory documents as encoding/json reads them back are
+			// the reference: no docstore code on that side.
+			return jsonFingerprint(tb, db)
 		},
 		Parallel: func(tb testing.TB, workers int) map[string]any {
 			dir := tb.TempDir()
@@ -247,38 +241,35 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 		},
 	}.Run(t)
 
-	// Both sides above read through docstore's own line decoder, so the
-	// reader it replaced stays the judge: a scored corpus' cluster documents,
-	// saved in either format, load as encoding/json reads the same lines.
+	// The loads above read through docstore's own line decoder, so the
+	// reader it replaced stays the judge: a scored corpus' cluster documents
+	// load as encoding/json reads the same lines.
 	t.Run("reads-as-encoding-json", func(t *testing.T) {
 		ds := corpus.Dataset(t, 120, 4)
 		plaus.UpdateParallel(ds, 1)
 		hetero.UpdateParallel(ds, 1)
 		stored := ds.ToDocDB()
-		segmented, flat := t.TempDir(), t.TempDir()
-		if err := stored.SaveParallelOpts(segmented, docstore.SaveOpts{Stride: 16}); err != nil {
+		dir := t.TempDir()
+		if err := stored.SaveParallelOpts(dir, docstore.SaveOpts{Stride: 16}); err != nil {
 			t.Fatal(err)
 		}
-		writeFlatStore(t, flat, stored)
-		for _, dir := range []string{segmented, flat} {
-			want := jsonStoreDocs(t, dir)
-			if len(want[core.ClustersCollection]) != ds.NumClusters() {
-				t.Fatalf("%d cluster lines on disk, dataset has %d", len(want[core.ClustersCollection]), ds.NumClusters())
+		want := jsonStoreDocs(t, dir)
+		if len(want[core.ClustersCollection]) != ds.NumClusters() {
+			t.Fatalf("%d cluster lines on disk, dataset has %d", len(want[core.ClustersCollection]), ds.NumClusters())
+		}
+		for _, workers := range []int{1, 4} {
+			loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				loaded, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
+			for name, docs := range want {
+				col := loaded.Collection(name)
+				if col.Len() != len(docs) {
+					t.Fatalf("workers %d: %s holds %d documents, json reads %d", workers, name, col.Len(), len(docs))
 				}
-				for name, docs := range want {
-					col := loaded.Collection(name)
-					if col.Len() != len(docs) {
-						t.Fatalf("workers %d: %s holds %d documents, json reads %d", workers, name, col.Len(), len(docs))
-					}
-					for id, doc := range docs {
-						if !reflect.DeepEqual(col.Get(id), doc) {
-							t.Fatalf("workers %d: %s/%s loads differently from json.Unmarshal of its line", workers, name, id)
-						}
+				for id, doc := range docs {
+					if !reflect.DeepEqual(col.Get(id), doc) {
+						t.Fatalf("workers %d: %s/%s loads differently from json.Unmarshal of its line", workers, name, id)
 					}
 				}
 			}
@@ -322,29 +313,34 @@ func TestConformanceDocstoreRoundTrip(t *testing.T) {
 	})
 }
 
-// writeFlatStore lays db out in the flat format earlier releases wrote —
-// one <collection>.jsonl, a document per line in insertion order — through
-// encoding/json: the fixture of the read-only flat loader, produced by no
-// docstore code.
-func writeFlatStore(tb testing.TB, dir string, db *docstore.DB) {
+// jsonFingerprint is testkit.DocDBFingerprint of db's in-memory documents
+// as encoding/json reads them back, so integers compare as the float64 a
+// load decodes.
+func jsonFingerprint(tb testing.TB, db *docstore.DB) map[string]any {
 	tb.Helper()
-	for _, name := range db.CollectionNames() {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		db.Collection(name).ForEach(func(d docstore.Document) bool {
-			if err := enc.Encode(d); err != nil {
+	fp := testkit.DocDBFingerprint(db)
+	for key, v := range fp {
+		docs, ok := v.([]docstore.Document)
+		if !ok || len(docs) == 0 {
+			continue
+		}
+		back := make([]docstore.Document, len(docs))
+		for i, d := range docs {
+			raw, err := json.Marshal(d)
+			if err == nil {
+				err = json.Unmarshal(raw, &back[i])
+			}
+			if err != nil {
 				tb.Fatal(err)
 			}
-			return true
-		})
-		if err := os.WriteFile(filepath.Join(dir, name+".jsonl"), buf.Bytes(), 0o644); err != nil {
-			tb.Fatal(err)
 		}
+		fp[key] = back
 	}
+	return fp
 }
 
 // jsonStoreDocs reads every document line under dir with encoding/json, by
-// collection and _id: the reader both load paths used before docstore had a
+// collection and _id: the reader the load path used before docstore had a
 // decoder of its own.
 func jsonStoreDocs(tb testing.TB, dir string) map[string]map[string]docstore.Document {
 	tb.Helper()

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"repro/internal/scanio"
 )
 
 // The register is distributed as tab-separated files with a header row
@@ -55,15 +53,13 @@ func WriteTSV(w io.Writer, s Snapshot) error {
 // reader in internal/core so both accept and reject exactly the same
 // inputs. A 90-attribute row with export padding easily exceeds
 // bufio's 64 KiB default token limit, so the scanner always gets an
-// explicit buffer: ScanBufferBytes up front, growing to MaxLineBytes. The
-// numbers themselves live in internal/scanio next to the docstore's
-// JSON-lines limits so the two line-oriented readers cannot drift apart.
+// explicit buffer: ScanBufferBytes up front, growing to MaxLineBytes.
 const (
 	// ScanBufferBytes is the initial scanner buffer size.
-	ScanBufferBytes = scanio.InitialBufferBytes
+	ScanBufferBytes = 64 << 10
 	// MaxLineBytes is the largest accepted TSV line; longer lines fail
 	// with bufio.ErrTooLong on every read path.
-	MaxLineBytes = scanio.MaxTSVLineBytes
+	MaxLineBytes = 4 << 20
 )
 
 // ParseHeader validates one header line against the canonical schema: it
@@ -98,7 +94,8 @@ func DecodeRow(text string, line int) (Record, error) {
 // attribute names in canonical order. fn returning an error aborts the
 // stream. The returned count is the number of rows delivered.
 func StreamTSV(r io.Reader, fn func(Record) error) (int, error) {
-	sc := scanio.NewScanner(r, MaxLineBytes)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, ScanBufferBytes), MaxLineBytes)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return 0, err

@@ -12,35 +12,49 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/custom"
 	"repro/internal/docstore"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("nccustom: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process state passed in, so the tests drive the whole
+// command: usage errors exit 2, failures 1 with one line on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nccustom", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		db     = flag.String("db", "store", "document-database directory")
-		name   = flag.String("name", "NC", "output dataset name")
-		hlow   = flag.Float64("hlow", 0.06, "lower heterogeneity bound")
-		hhigh  = flag.Float64("hhigh", 0.2, "upper heterogeneity bound")
-		sample = flag.Int("sample", 0, "clusters to sample (0 = all)")
-		top    = flag.Int("top", 0, "largest clusters to keep (0 = all)")
-		seed   = flag.Int64("seed", 1, "sampling seed")
-		out    = flag.String("out", "custom.tsv", "output dataset file")
+		db     = fs.String("db", "store", "document-database directory")
+		name   = fs.String("name", "NC", "output dataset name")
+		hlow   = fs.Float64("hlow", 0.06, "lower heterogeneity bound")
+		hhigh  = fs.Float64("hhigh", 0.2, "upper heterogeneity bound")
+		sample = fs.Int("sample", 0, "clusters to sample (0 = all)")
+		top    = fs.Int("top", 0, "largest clusters to keep (0 = all)")
+		seed   = fs.Int64("seed", 1, "sampling seed")
+		out    = fs.String("out", "custom.tsv", "output dataset file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "nccustom: ", 0)
 
 	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	ds, err := core.FromDocDBParallel(stored, 1)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	cfg := custom.Config{
 		Name: *name, HLow: *hlow, HHigh: *hhigh,
@@ -48,12 +62,14 @@ func main() {
 	}
 	result := custom.Build(ds, cfg)
 	if err := result.WriteFile(*out); err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	ch := custom.Describe(result)
-	fmt.Printf("%s: %d records, %d clusters (%d non-singleton), %d duplicate pairs\n",
+	fmt.Fprintf(stdout, "%s: %d records, %d clusters (%d non-singleton), %d duplicate pairs\n",
 		ch.Name, ch.Records, ch.Clusters, ch.NonSingletons, ch.DupPairs)
-	fmt.Printf("cluster size avg %.2f max %d | heterogeneity avg %.3f max %.3f\n",
+	fmt.Fprintf(stdout, "cluster size avg %.2f max %d | heterogeneity avg %.3f max %.3f\n",
 		ch.AvgCluster, ch.MaxCluster, ch.AvgHetero, ch.MaxHetero)
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Fprintf(stdout, "wrote %s\n", *out)
+	return 0
 }

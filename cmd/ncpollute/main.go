@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/dapo"
@@ -20,28 +22,40 @@ import (
 	"repro/internal/hetero"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ncpollute: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process state passed in, so the tests drive the whole
+// command: usage errors exit 2, failures 1 with one line on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ncpollute", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		db        = flag.String("db", "store", "input document-database directory")
-		out       = flag.String("out", "polluted", "output document-database directory")
-		seed      = flag.Int64("seed", 1, "pollution seed")
-		fraction  = flag.Float64("fraction", 0.25, "fraction of records receiving extra errors")
-		intensity = flag.Int("intensity", 1, "error-mix applications per polluted record")
-		extra     = flag.Float64("extra", 0.2, "per-cluster probability of an extra synthetic duplicate")
-		maxExtra  = flag.Int("maxextra", 1, "cap on synthetic duplicates per cluster")
-		scores    = flag.Bool("scores", true, "recompute heterogeneity scores on the polluted data")
+		db        = fs.String("db", "store", "input document-database directory")
+		out       = fs.String("out", "polluted", "output document-database directory")
+		seed      = fs.Int64("seed", 1, "pollution seed")
+		fraction  = fs.Float64("fraction", 0.25, "fraction of records receiving extra errors")
+		intensity = fs.Int("intensity", 1, "error-mix applications per polluted record")
+		extra     = fs.Float64("extra", 0.2, "per-cluster probability of an extra synthetic duplicate")
+		maxExtra  = fs.Int("maxextra", 1, "cap on synthetic duplicates per cluster")
+		scores    = fs.Bool("scores", true, "recompute heterogeneity scores on the polluted data")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "ncpollute: ", 0)
 
 	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	base, err := core.FromDocDBParallel(stored, 1)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	cfg := dapo.DefaultConfig(*seed)
 	cfg.RecordFraction = *fraction
@@ -51,13 +65,15 @@ func main() {
 
 	polluted, st := dapo.Pollute(base, cfg)
 	if *scores {
-		fmt.Println("recomputing heterogeneity scores ...")
+		fmt.Fprintln(stdout, "recomputing heterogeneity scores ...")
 		hetero.UpdateParallel(polluted, 0)
 	}
 	if err := polluted.ToDocDB().SaveParallelOpts(*out, docstore.SaveOpts{}); err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
-	fmt.Printf("polluted %d of %d records, added %d synthetic duplicates\n",
+	fmt.Fprintf(stdout, "polluted %d of %d records, added %d synthetic duplicates\n",
 		st.PollutedRecords, base.NumRecords(), st.ExtraDuplicates)
-	fmt.Printf("wrote %d clusters / %d records -> %s\n", st.Clusters, st.Records, *out)
+	fmt.Fprintf(stdout, "wrote %d clusters / %d records -> %s\n", st.Clusters, st.Records, *out)
+	return 0
 }

@@ -34,15 +34,9 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/counter"
 	"repro/internal/dedup"
 )
-
-// Observer receives the layer's counters (the blocking_pipeline_total
-// family). *obs.Metrics satisfies it; blocking stays import-free of obs
-// the same way core and dedup do through their observer interfaces.
-type Observer interface {
-	AddN(counter string, n int64)
-}
 
 // Pass is one Sorted-Neighborhood pass: records are sorted by Key and
 // every pair within the sliding window becomes a candidate.
@@ -99,7 +93,7 @@ type Config struct {
 	// sequential reference, not this).
 	Workers int
 	// Observer, when set, receives the blocking_* counters after the run.
-	Observer Observer
+	Observer counter.Sink
 }
 
 func (c Config) workers() int {
@@ -204,21 +198,18 @@ func GenerateSeq(ds *dedup.Dataset, cfg Config) ([]dedup.Pair, Stats) {
 }
 
 // report exports a run's counters as the blocking_pipeline_total family.
-func report(obs Observer, s Stats) {
-	if obs == nil {
-		return
-	}
-	obs.AddN("blocking_runs", 1)
-	obs.AddN("blocking_records", int64(s.Records))
-	obs.AddN("blocking_snm_passes", int64(len(s.SNMPasses)))
+func report(obs counter.Sink, s Stats) {
+	counter.Add(obs, "blocking_runs", 1)
+	counter.Add(obs, "blocking_records", int64(s.Records))
+	counter.Add(obs, "blocking_snm_passes", int64(len(s.SNMPasses)))
 	for _, p := range s.SNMPasses {
-		obs.AddN("blocking_snm_pairs", int64(p.Pairs))
+		counter.Add(obs, "blocking_snm_pairs", int64(p.Pairs))
 	}
-	obs.AddN("blocking_trigram_pairs", int64(s.TrigramPairs))
-	obs.AddN("blocking_trigram_buckets", int64(s.Buckets))
-	obs.AddN("blocking_trigram_oversize_buckets", int64(s.OversizeBuckets))
-	obs.AddN("blocking_pairs_emitted", int64(s.Emitted))
-	obs.AddN("blocking_pairs_unique", int64(s.Unique))
+	counter.Add(obs, "blocking_trigram_pairs", int64(s.TrigramPairs))
+	counter.Add(obs, "blocking_trigram_buckets", int64(s.Buckets))
+	counter.Add(obs, "blocking_trigram_oversize_buckets", int64(s.OversizeBuckets))
+	counter.Add(obs, "blocking_pairs_emitted", int64(s.Emitted))
+	counter.Add(obs, "blocking_pairs_unique", int64(s.Unique))
 }
 
 // parallelRanges splits [0, n) into one contiguous range per worker and

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dedup"
+	"repro/internal/obs"
 )
 
 // testDataset builds a small labeled dataset with injected duplicates:
@@ -141,8 +142,8 @@ func TestBlockingEdgeCases(t *testing.T) {
 		{eq, Config{Passes: EntropyPasses(eq, 1), Window: 4, Workers: 2}, 21},
 	} {
 		wantPairs, wantStats := GenerateSeq(tc.ds, tc.cfg)
-		obs := countObserver{}
-		tc.cfg.Observer = obs
+		m := obs.NewMetrics()
+		tc.cfg.Observer = m
 		pairs, stats := Generate(tc.ds, tc.cfg)
 		if len(pairs) != tc.wantPairs || stats.Unique != tc.wantPairs {
 			t.Fatalf("%s: %d pairs (stats.Unique %d), want %d", tc.ds.Name, len(pairs), stats.Unique, tc.wantPairs)
@@ -153,9 +154,9 @@ func TestBlockingEdgeCases(t *testing.T) {
 		if !reflect.DeepEqual(wantStats, stats) {
 			t.Fatalf("%s: stats %+v != sequential %+v", tc.ds.Name, stats, wantStats)
 		}
-		if obs["blocking_runs"] != 1 || obs["blocking_records"] != int64(len(tc.ds.Records)) ||
-			obs["blocking_pairs_unique"] != int64(tc.wantPairs) {
-			t.Fatalf("%s: blocking_pipeline_total not reported exactly once: %v", tc.ds.Name, obs)
+		if m.Counter("blocking_runs") != 1 || m.Counter("blocking_records") != int64(len(tc.ds.Records)) ||
+			m.Counter("blocking_pairs_unique") != int64(tc.wantPairs) {
+			t.Fatalf("%s: blocking_pipeline_total not reported exactly once: %v", tc.ds.Name, m.Snapshot().Counters)
 		}
 	}
 
@@ -228,29 +229,25 @@ func TestPerPassWindowOverride(t *testing.T) {
 // TestObserverCounters asserts the blocking_* family reaches the observer.
 func TestObserverCounters(t *testing.T) {
 	ds := testDataset(17, 60)
-	obs := countObserver{}
+	m := obs.NewMetrics()
 	Generate(ds, Config{
 		Passes:   EntropyPasses(ds, 2),
 		Trigram:  &TrigramConfig{},
 		Workers:  2,
-		Observer: obs,
+		Observer: m,
 	})
 	for _, c := range []string{"blocking_runs", "blocking_records", "blocking_snm_passes", "blocking_pairs_emitted", "blocking_pairs_unique"} {
-		if obs[c] == 0 {
+		if m.Counter(c) == 0 {
 			t.Errorf("counter %s not reported", c)
 		}
 	}
-	if obs["blocking_snm_passes"] != 2 {
-		t.Errorf("blocking_snm_passes = %d, want 2", obs["blocking_snm_passes"])
+	if m.Counter("blocking_snm_passes") != 2 {
+		t.Errorf("blocking_snm_passes = %d, want 2", m.Counter("blocking_snm_passes"))
 	}
-	if obs["blocking_runs"] != 1 {
-		t.Errorf("blocking_runs = %d, want exactly one report", obs["blocking_runs"])
+	if m.Counter("blocking_runs") != 1 {
+		t.Errorf("blocking_runs = %d, want exactly one report", m.Counter("blocking_runs"))
 	}
 }
-
-type countObserver map[string]int64
-
-func (o countObserver) AddN(counter string, n int64) { o[counter] += n }
 
 // TestRecallOnInjectedDuplicates: the multi-blocker configuration must
 // cover nearly all injected duplicate pairs — the paper's "no true

@@ -35,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/dedup"
 )
 
@@ -373,11 +374,11 @@ func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<-
 	}
 	// Report before closing C: the channel close is the consumer's only
 	// completion signal, so counters must be published before it fires.
-	if cfg.Observer != nil && !canceled {
+	if !canceled {
 		report(cfg.Observer, stats)
-		cfg.Observer.AddN("blocking_stream_batches", s.batches)
-		cfg.Observer.AddN("blocking_stream_pairs", int64(stats.Unique))
-		cfg.Observer.AddN("blocking_stream_peak_backlog", s.backlog)
+		counter.Add(cfg.Observer, "blocking_stream_batches", s.batches)
+		counter.Add(cfg.Observer, "blocking_stream_pairs", int64(stats.Unique))
+		counter.Add(cfg.Observer, "blocking_stream_peak_backlog", s.backlog)
 	}
 	close(ch)
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dedup"
+	"repro/internal/obs"
 )
 
 // collect drains a stream into one slice, optionally recycling batches.
@@ -100,22 +101,22 @@ func TestStreamCancel(t *testing.T) {
 // family plus the blocking_stream_* extension.
 func TestStreamObserverCounters(t *testing.T) {
 	ds := testDataset(17, 60)
-	obs := countObserver{}
+	m := obs.NewMetrics()
 	cfg := testConfig(ds, 2)
-	cfg.Observer = obs
+	cfg.Observer = m
 	s := GenerateStream(ds, cfg, StreamOpts{BatchSize: 64})
 	pairs, sizes := collect(t, s, false)
-	if obs["blocking_stream_batches"] != int64(len(sizes)) {
-		t.Errorf("blocking_stream_batches = %d, want %d", obs["blocking_stream_batches"], len(sizes))
+	if m.Counter("blocking_stream_batches") != int64(len(sizes)) {
+		t.Errorf("blocking_stream_batches = %d, want %d", m.Counter("blocking_stream_batches"), len(sizes))
 	}
-	if obs["blocking_stream_pairs"] != int64(len(pairs)) {
-		t.Errorf("blocking_stream_pairs = %d, want %d", obs["blocking_stream_pairs"], len(pairs))
+	if m.Counter("blocking_stream_pairs") != int64(len(pairs)) {
+		t.Errorf("blocking_stream_pairs = %d, want %d", m.Counter("blocking_stream_pairs"), len(pairs))
 	}
-	if obs["blocking_pairs_unique"] != int64(len(pairs)) {
-		t.Errorf("blocking_pairs_unique = %d, want %d", obs["blocking_pairs_unique"], len(pairs))
+	if m.Counter("blocking_pairs_unique") != int64(len(pairs)) {
+		t.Errorf("blocking_pairs_unique = %d, want %d", m.Counter("blocking_pairs_unique"), len(pairs))
 	}
-	if obs["blocking_runs"] != 1 {
-		t.Errorf("blocking_runs = %d, want 1", obs["blocking_runs"])
+	if m.Counter("blocking_runs") != 1 {
+		t.Errorf("blocking_runs = %d, want 1", m.Counter("blocking_runs"))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/counter"
 	"repro/internal/voter"
 )
 
@@ -44,7 +45,7 @@ type DeltaOptions struct {
 	ChunkBytes int
 	// Observer, when non-nil, receives the delta_* and the ingest_*
 	// counters.
-	Observer IngestObserver
+	Observer counter.Sink
 	// Index, when non-nil, is the caller's fingerprint index of the base
 	// dataset. ApplySnapshotDelta validates every first-touched cluster
 	// against it (a mismatch reports ErrStaleIndex: the delta was computed
@@ -211,15 +212,14 @@ func (d *Dataset) applyDeltaReader(r io.Reader, opts DeltaOptions) (*Delta, erro
 	dl.Stats.ImportStats = st
 	dl.Stats.TouchedClusters = len(dl.touched)
 	dl.Stats.DirtyClusters = len(dl.dirty)
-	if o := opts.Observer; o != nil {
-		o.AddN("delta_applies", 1)
-		o.AddN("delta_rows_decoded", int64(st.Rows))
-		o.AddN("delta_rows_unchanged", int64(dl.Stats.UnchangedRows))
-		o.AddN("delta_records_added", int64(st.NewRecords))
-		o.AddN("delta_new_objects", int64(st.NewObjects))
-		o.AddN("delta_clusters_touched", int64(dl.Stats.TouchedClusters))
-		o.AddN("delta_clusters_dirty", int64(dl.Stats.DirtyClusters))
-	}
+	o := opts.Observer
+	counter.Add(o, "delta_applies", 1)
+	counter.Add(o, "delta_rows_decoded", int64(st.Rows))
+	counter.Add(o, "delta_rows_unchanged", int64(dl.Stats.UnchangedRows))
+	counter.Add(o, "delta_records_added", int64(st.NewRecords))
+	counter.Add(o, "delta_new_objects", int64(st.NewObjects))
+	counter.Add(o, "delta_clusters_touched", int64(dl.Stats.TouchedClusters))
+	counter.Add(o, "delta_clusters_dirty", int64(dl.Stats.DirtyClusters))
 	if opts.Index != nil {
 		opts.Index.Refresh(d, dl.Touched())
 		if len(dl.stale) > 0 {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/voter"
 )
 
@@ -37,17 +38,6 @@ const defaultChunkBytes = 256 << 10
 // is applied, no row refers to its buffer.
 var blockBufs sync.Pool
 
-// IngestObserver receives the counters of a snapshot import: rows decoded,
-// records added, duplicates removed, new objects and the time the chunker
-// and the decode pool spent blocked on their queues (ingest_* names).
-// *obs.Metrics implements it, so a serving process importing snapshots
-// exposes ingest on GET /metrics next to the request metrics; the dependency
-// points upward through this interface because core must not import the
-// serving layers.
-type IngestObserver interface {
-	AddN(name string, n int64)
-}
-
 // IngestOptions tunes ImportSnapshotFileParallelOpts. The zero value of a
 // field selects the default documented on it.
 type IngestOptions struct {
@@ -56,8 +46,8 @@ type IngestOptions struct {
 	Workers int
 	// ChunkBytes is the line-aligned read block size; <= 0 selects 256 KiB.
 	ChunkBytes int
-	// Observer, when non-nil, receives the ingest counters.
-	Observer IngestObserver
+	// Observer, when non-nil, receives the ingest_* counters.
+	Observer counter.Sink
 }
 
 // ImportSnapshotFileParallelOpts streams one TSV snapshot file through the
@@ -152,14 +142,13 @@ func (d *Dataset) importReader(r io.Reader, opts IngestOptions, dl *Delta) (Impo
 		err = decodePool(rd, hm, workers, &stallRead, &stallDecode, apply)
 	}
 
-	if o := opts.Observer; o != nil {
-		o.AddN("ingest_rows_decoded", int64(imp.st.Rows))
-		o.AddN("ingest_records_added", int64(imp.st.NewRecords))
-		o.AddN("ingest_new_objects", int64(imp.st.NewObjects))
-		o.AddN("ingest_duplicates_removed", int64(imp.removed))
-		o.AddN("ingest_stall_read_ms", stallRead.Load()/int64(time.Millisecond))
-		o.AddN("ingest_stall_decode_ms", stallDecode.Load()/int64(time.Millisecond))
-	}
+	o := opts.Observer
+	counter.Add(o, "ingest_rows_decoded", int64(imp.st.Rows))
+	counter.Add(o, "ingest_records_added", int64(imp.st.NewRecords))
+	counter.Add(o, "ingest_new_objects", int64(imp.st.NewObjects))
+	counter.Add(o, "ingest_duplicates_removed", int64(imp.removed))
+	counter.Add(o, "ingest_stall_read_ms", stallRead.Load()/int64(time.Millisecond))
+	counter.Add(o, "ingest_stall_decode_ms", stallDecode.Load()/int64(time.Millisecond))
 	if err != nil {
 		return ImportStats{}, err
 	}

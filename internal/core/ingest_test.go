@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/voter"
 )
@@ -261,38 +262,29 @@ func TestParallelImportEmptyAndHeaderOnly(t *testing.T) {
 	}
 }
 
-// countingObserver records ingest counters for assertions.
-type countingObserver struct{ counts map[string]int64 }
-
-func (o *countingObserver) AddN(name string, n int64) {
-	if o.counts == nil {
-		o.counts = map[string]int64{}
-	}
-	o.counts[name] += n
-}
-
 // TestParallelImportObserverCounters: the ingest counters are reported at
 // every worker count, inline included, and agree with ImportStats.
 func TestParallelImportObserverCounters(t *testing.T) {
 	p := writeTemp(t, makeTSV(t, 50)) // 7 distinct NCIDs, heavy duplication
 	for _, workers := range []int{1, 4} {
-		obs := &countingObserver{}
-		st, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: workers, ChunkBytes: 512, Observer: obs})
+		m := obs.NewMetrics()
+		st, err := NewDataset(RemoveTrimmed).ImportSnapshotFileParallelOpts(p, IngestOptions{Workers: workers, ChunkBytes: 512, Observer: m})
 		if err != nil {
 			t.Fatal(err)
 		}
+		counts := m.Snapshot().Counters
 		for name, want := range map[string]int{
 			"ingest_rows_decoded":       st.Rows,
 			"ingest_records_added":      st.NewRecords,
 			"ingest_new_objects":        st.NewObjects,
 			"ingest_duplicates_removed": st.Rows - st.NewRecords,
 		} {
-			if got, ok := obs.counts[name]; !ok || got != int64(want) {
+			if got, ok := counts[name]; !ok || got != int64(want) {
 				t.Errorf("workers %d: %s = %d (reported %v), want %d", workers, name, got, ok, want)
 			}
 		}
 		var stalls []string
-		for name := range obs.counts {
+		for name := range counts {
 			if strings.HasPrefix(name, "ingest_stall_") {
 				stalls = append(stalls, name)
 			}

@@ -32,16 +32,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/hetero"
 	"repro/internal/simil"
 )
-
-// ScoreObserver receives the engine's counters (the score_pipeline_total
-// family). *obs.Metrics satisfies it; dedup stays import-free of obs the
-// same way core stays import-free through core.IngestObserver.
-type ScoreObserver interface {
-	AddN(counter string, n int64)
-}
 
 // ScoreOpts tunes the parallel scoring engine.
 type ScoreOpts struct {
@@ -53,7 +47,7 @@ type ScoreOpts struct {
 	// shards); 0 selects the default (~1M), negative disables caching.
 	MemoCap int
 	// Observer, when set, receives the score_* counters after the run.
-	Observer ScoreObserver
+	Observer counter.Sink
 	// OnStage, when set, receives each pipeline stage's wall time as the
 	// stage completes (preprocessing, scoring, merge) — the hook behind
 	// `ncdedup -v`.
@@ -161,7 +155,7 @@ type engine struct {
 	tfidf    []*simil.TFIDF        // per column, SoftTFIDF only
 	fallback []simil.StringMeasure // defensive path for un-interned values
 	memo     *memoCache
-	obs      ScoreObserver
+	obs      counter.Sink
 	prepped  int64
 }
 
@@ -372,14 +366,11 @@ func (e *engine) flush(sc *scoreScratch) {
 // report exports the run's counters to the observer as the
 // score_pipeline_total family.
 func (e *engine) report(pairs int64) {
-	if e.obs == nil {
-		return
-	}
-	e.obs.AddN("score_pairs_scored", pairs)
-	e.obs.AddN("score_values_preprocessed", e.prepped)
-	e.obs.AddN("score_memo_hits", e.memo.hits.Load())
-	e.obs.AddN("score_memo_misses", e.memo.misses.Load())
-	e.obs.AddN("score_memo_skips", e.memo.skips.Load())
+	counter.Add(e.obs, "score_pairs_scored", pairs)
+	counter.Add(e.obs, "score_values_preprocessed", e.prepped)
+	counter.Add(e.obs, "score_memo_hits", e.memo.hits.Load())
+	counter.Add(e.obs, "score_memo_misses", e.memo.misses.Load())
+	counter.Add(e.obs, "score_memo_skips", e.memo.skips.Load())
 }
 
 // sqrtInt is math.Sqrt over an int count, so the cosine kernel normalizes

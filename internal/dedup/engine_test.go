@@ -5,8 +5,9 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // equivWorkerCounts is the worker ladder of the equivalence suite.
@@ -112,37 +113,22 @@ func TestStepsBelowOnePanicsByName(t *testing.T) {
 	}
 }
 
-// countingObserver is a ScoreObserver for tests.
-type countingObserver struct {
-	mu sync.Mutex
-	n  map[string]int64
-}
-
-func (o *countingObserver) AddN(counter string, n int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n == nil {
-		o.n = map[string]int64{}
-	}
-	o.n[counter] += n
-}
-
 // TestParallelScoreObserverCounters checks the score_pipeline_total family:
 // pairs scored, values preprocessed, and a high memo hit rate on repetitive
 // data.
 func TestParallelScoreObserverCounters(t *testing.T) {
 	ds := toyDataset(t, 30, []int{2, 3}, 0.2)
 	candidates := allPairs(len(ds.Records))
-	obs := &countingObserver{}
+	m := obs.NewMetrics()
 	EvaluateCandidatesParallel(ds, MeasureTrigramJaccard, candidates, 20,
-		ScoreOpts{Workers: 2, Observer: obs})
-	if got := obs.n["score_pairs_scored"]; got != int64(len(candidates)) {
+		ScoreOpts{Workers: 2, Observer: m})
+	if got := m.Counter("score_pairs_scored"); got != int64(len(candidates)) {
 		t.Errorf("score_pairs_scored = %d, want %d", got, len(candidates))
 	}
-	if obs.n["score_values_preprocessed"] == 0 {
+	if m.Counter("score_values_preprocessed") == 0 {
 		t.Error("score_values_preprocessed = 0")
 	}
-	hits, misses := obs.n["score_memo_hits"], obs.n["score_memo_misses"]
+	hits, misses := m.Counter("score_memo_hits"), m.Counter("score_memo_misses")
 	if hits+misses == 0 {
 		t.Fatal("no memo traffic recorded")
 	}
@@ -150,8 +136,8 @@ func TestParallelScoreObserverCounters(t *testing.T) {
 	if rate := float64(hits) / float64(hits+misses); rate < 0.5 {
 		t.Errorf("memo hit rate = %.2f, want >= 0.5 on repetitive data", rate)
 	}
-	if obs.n["score_memo_skips"] != 0 {
-		t.Errorf("score_memo_skips = %d with default cap", obs.n["score_memo_skips"])
+	if got := m.Counter("score_memo_skips"); got != 0 {
+		t.Errorf("score_memo_skips = %d with default cap", got)
 	}
 }
 

@@ -28,6 +28,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/counter"
 )
 
 // EvaluateCandidatesStream is the scoring engine: batches of sorted,
@@ -50,10 +52,8 @@ func EvaluateCandidatesStream(ds *Dataset, m Measure, batches <-chan []Pair, ste
 	start = time.Now()
 	curve := curveFromCounts(ds, m, counts, dups, steps)
 	opts.stage("merge", start)
-	if eng.obs != nil {
-		eng.obs.AddN("dedup_stream_batches", nbatches)
-		eng.obs.AddN("dedup_stream_pairs", pairs)
-	}
+	counter.Add(eng.obs, "dedup_stream_batches", nbatches)
+	counter.Add(eng.obs, "dedup_stream_pairs", pairs)
 	return curve
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // feedBatches sends candidates through a channel in batches of size bs.
@@ -111,20 +113,20 @@ func TestStreamRecycleAndStages(t *testing.T) {
 func TestStreamObserverCounters(t *testing.T) {
 	ds := toyDataset(t, 30, []int{2, 3}, 0.2)
 	candidates := allPairs(len(ds.Records))
-	obs := &countingObserver{}
+	m := obs.NewMetrics()
 	EvaluateCandidatesStream(ds, MeasureTrigramJaccard, feedBatches(candidates, 64, 2), 20,
-		ScoreOpts{Workers: 2, Observer: obs})
-	if got := obs.n["score_pairs_scored"]; got != int64(len(candidates)) {
+		ScoreOpts{Workers: 2, Observer: m})
+	if got := m.Counter("score_pairs_scored"); got != int64(len(candidates)) {
 		t.Errorf("score_pairs_scored = %d, want %d", got, len(candidates))
 	}
-	if got := obs.n["dedup_stream_pairs"]; got != int64(len(candidates)) {
+	if got := m.Counter("dedup_stream_pairs"); got != int64(len(candidates)) {
 		t.Errorf("dedup_stream_pairs = %d, want %d", got, len(candidates))
 	}
 	wantBatches := int64((len(candidates) + 63) / 64)
-	if got := obs.n["dedup_stream_batches"]; got != wantBatches {
+	if got := m.Counter("dedup_stream_batches"); got != wantBatches {
 		t.Errorf("dedup_stream_batches = %d, want %d", got, wantBatches)
 	}
-	if obs.n["score_memo_hits"]+obs.n["score_memo_misses"] == 0 {
+	if m.Counter("score_memo_hits")+m.Counter("score_memo_misses") == 0 {
 		t.Error("no memo traffic recorded on the streaming path")
 	}
 }
@@ -164,21 +166,21 @@ func TestMemoBoundedCapUnderStreaming(t *testing.T) {
 	want := EvaluateCandidates(ds, MeasureMELev, candidates, 25)
 
 	const memoCap = memoShardCount * 2 // two entries per shard
-	obs := &countingObserver{}
+	m := obs.NewMetrics()
 	got := EvaluateCandidatesStream(ds, MeasureMELev, feedBatches(candidates, 32, 2), 25,
-		ScoreOpts{Workers: 4, MemoCap: memoCap, Observer: obs})
+		ScoreOpts{Workers: 4, MemoCap: memoCap, Observer: m})
 	requireCurvesIdentical(t, "tiny memo stream", want, got)
 
-	if obs.n["score_memo_skips"] == 0 {
+	if m.Counter("score_memo_skips") == 0 {
 		t.Error("no skips recorded with a cache smaller than the value-pair set")
 	}
-	if obs.n["score_memo_misses"] == 0 {
+	if m.Counter("score_memo_misses") == 0 {
 		t.Error("no misses recorded")
 	}
 	// Every computed similarity was either stored (bounded by the cap) or
 	// skipped; hits can only come from stored entries.
-	if obs.n["score_memo_skips"] > obs.n["score_memo_misses"] {
-		t.Errorf("skips %d > misses %d", obs.n["score_memo_skips"], obs.n["score_memo_misses"])
+	if m.Counter("score_memo_skips") > m.Counter("score_memo_misses") {
+		t.Errorf("skips %d > misses %d", m.Counter("score_memo_skips"), m.Counter("score_memo_misses"))
 	}
 }
 

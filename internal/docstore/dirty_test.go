@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // The dirty-segment save contract: given a stable Stride layout and a dirty
@@ -82,14 +84,14 @@ func TestDirtySaveReusesCleanSegments(t *testing.T) {
 		return base(i)
 	}
 	next := strideDB(t, 510, changed)
-	obs := &countObserver{}
+	m := obs.NewMetrics()
 	dirty := map[string]map[string]bool{"clusters": {
 		"c00120": true, // modified
 	}}
 	for i := 500; i < 510; i++ {
 		dirty["clusters"][fmt.Sprintf("c%05d", i)] = true
 	}
-	if err := next.SaveParallelOpts(dir, SaveOpts{Stride: stride, Dirty: dirty, Observer: obs}); err != nil {
+	if err := next.SaveParallelOpts(dir, SaveOpts{Stride: stride, Dirty: dirty, Observer: m}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,13 +107,13 @@ func TestDirtySaveReusesCleanSegments(t *testing.T) {
 	// 510 docs at stride 50 → 11 segments; only segment 2 (c00120) and the
 	// tail segment 10 hold dirty ids. Segment 10 is new (not in the old
 	// manifest), so 9 segments are reused.
-	if w := obs.get(CounterSegmentsWritten); w != 2 {
+	if w := m.Counter(CounterSegmentsWritten); w != 2 {
 		t.Errorf("segments written = %d, want 2", w)
 	}
-	if r := obs.get(CounterSegmentsReused); r != 9 {
+	if r := m.Counter(CounterSegmentsReused); r != 9 {
 		t.Errorf("segments reused = %d, want 9", r)
 	}
-	if f := obs.get(CounterDeltaFullRewrites); f != 0 {
+	if f := m.Counter(CounterDeltaFullRewrites); f != 0 {
 		t.Errorf("full rewrites = %d, want 0", f)
 	}
 
@@ -136,21 +138,21 @@ func TestDirtySaveSegmentCountChangeFallsBack(t *testing.T) {
 
 	// Dirty save at stride 50 over 210 docs → 5 segments ≠ 4: full rewrite.
 	next := strideDB(t, 210, payload)
-	obs := &countObserver{}
+	m := obs.NewMetrics()
 	dirty := map[string]map[string]bool{"clusters": {}}
 	for i := 200; i < 210; i++ {
 		dirty["clusters"][fmt.Sprintf("c%05d", i)] = true
 	}
-	if err := next.SaveParallelOpts(dir, SaveOpts{Stride: 50, Dirty: dirty, Observer: obs}); err != nil {
+	if err := next.SaveParallelOpts(dir, SaveOpts{Stride: 50, Dirty: dirty, Observer: m}); err != nil {
 		t.Fatal(err)
 	}
-	if f := obs.get(CounterDeltaFullRewrites); f != 1 {
+	if f := m.Counter(CounterDeltaFullRewrites); f != 1 {
 		t.Errorf("full rewrites = %d, want 1", f)
 	}
-	if r := obs.get(CounterSegmentsReused); r != 0 {
+	if r := m.Counter(CounterSegmentsReused); r != 0 {
 		t.Errorf("segments reused = %d, want 0", r)
 	}
-	if w := obs.get(CounterSegmentsWritten); w != 5 {
+	if w := m.Counter(CounterSegmentsWritten); w != 5 {
 		t.Errorf("segments written = %d, want 5", w)
 	}
 
@@ -167,17 +169,17 @@ func TestDirtySaveSegmentCountChangeFallsBack(t *testing.T) {
 // reused; the save still succeeds as a full rewrite.
 func TestDirtySaveFirstSaveFallsBack(t *testing.T) {
 	db := strideDB(t, 120, func(i int) string { return "x" })
-	obs := &countObserver{}
+	m := obs.NewMetrics()
 	dir := t.TempDir()
 	err := db.SaveParallelOpts(dir, SaveOpts{
 		Stride:   50,
 		Dirty:    map[string]map[string]bool{"clusters": {}},
-		Observer: obs,
+		Observer: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := obs.get(CounterDeltaFullRewrites); f != 1 {
+	if f := m.Counter(CounterDeltaFullRewrites); f != 1 {
 		t.Errorf("full rewrites = %d, want 1", f)
 	}
 	if loaded, err := LoadParallelOpts(dir, LoadOpts{}); err != nil || loaded.Collection("clusters").Len() != 120 {
@@ -193,22 +195,22 @@ func TestDirtySaveRequiresStride(t *testing.T) {
 	if err := db.SaveParallelOpts(dir, SaveOpts{Segments: 2}); err != nil {
 		t.Fatal(err)
 	}
-	obs := &countObserver{}
+	m := obs.NewMetrics()
 	err := db.SaveParallelOpts(dir, SaveOpts{
 		Segments: 2,
 		Dirty:    map[string]map[string]bool{"clusters": {}},
-		Observer: obs,
+		Observer: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := obs.get(CounterSegmentsReused); r != 0 {
+	if r := m.Counter(CounterSegmentsReused); r != 0 {
 		t.Errorf("segments reused = %d, want 0 without Stride", r)
 	}
-	if f := obs.get(CounterDeltaFullRewrites); f != 0 {
+	if f := m.Counter(CounterDeltaFullRewrites); f != 0 {
 		t.Errorf("full rewrites = %d, want 0 (mode never engaged)", f)
 	}
-	if w := obs.get(CounterSegmentsWritten); w != 2 {
+	if w := m.Counter(CounterSegmentsWritten); w != 2 {
 		t.Errorf("segments written = %d, want 2", w)
 	}
 }
@@ -225,16 +227,16 @@ func TestDirtySaveMissingSegmentFileRewrites(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, segmentFileName("clusters", 1))); err != nil {
 		t.Fatal(err)
 	}
-	obs := &countObserver{}
+	m := obs.NewMetrics()
 	err := db.SaveParallelOpts(dir, SaveOpts{
 		Stride:   50,
 		Dirty:    map[string]map[string]bool{"clusters": {}},
-		Observer: obs,
+		Observer: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := obs.get(CounterSegmentsWritten); w != 1 {
+	if w := m.Counter(CounterSegmentsWritten); w != 1 {
 		t.Errorf("segments written = %d, want 1 (the vanished one)", w)
 	}
 	if loaded, err := LoadParallelOpts(dir, LoadOpts{}); err != nil || loaded.Collection("clusters").Len() != 150 {
@@ -270,14 +272,14 @@ func TestSegmentCacheReload(t *testing.T) {
 	}
 
 	cache := NewSegmentCache()
-	cold := &countObserver{}
+	cold := obs.NewMetrics()
 	if _, err := LoadParallelOpts(dir, LoadOpts{Cache: cache, Observer: cold}); err != nil {
 		t.Fatal(err)
 	}
-	if c := cold.get(CounterSegmentsCached); c != 0 {
+	if c := cold.Counter(CounterSegmentsCached); c != 0 {
 		t.Errorf("cold load cached %d segments, want 0", c)
 	}
-	if r := cold.get(CounterSegmentsRead); r != 10 {
+	if r := cold.Counter(CounterSegmentsRead); r != 10 {
 		t.Errorf("cold load read %d segments, want 10", r)
 	}
 
@@ -297,17 +299,17 @@ func TestSegmentCacheReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := &countObserver{}
+	warm := obs.NewMetrics()
 	reloaded, err := LoadParallelOpts(dir, LoadOpts{Cache: cache, Observer: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 11 segments now: segment 2 (the modified doc) and the new tail segment
 	// were rewritten, so only those two decode; the other 9 hit the cache.
-	if c := warm.get(CounterSegmentsCached); c != 9 {
+	if c := warm.Counter(CounterSegmentsCached); c != 9 {
 		t.Errorf("warm load cached %d segments, want 9", c)
 	}
-	if r := warm.get(CounterSegmentsRead); r != 2 {
+	if r := warm.Counter(CounterSegmentsRead); r != 2 {
 		t.Errorf("warm load read %d segments, want 2", r)
 	}
 	fresh, err := LoadParallelOpts(dir, LoadOpts{})
@@ -351,11 +353,11 @@ func TestSegmentCacheHoldsOneGenerationPerFile(t *testing.T) {
 	if err := next.SaveParallelOpts(dir, SaveOpts{Stride: stride, Dirty: map[string]map[string]bool{"clusters": dirty}}); err != nil {
 		t.Fatal(err)
 	}
-	warm := &countObserver{}
+	warm := obs.NewMetrics()
 	if _, err := LoadParallelOpts(dir, LoadOpts{Cache: cache, Observer: warm}); err != nil {
 		t.Fatal(err)
 	}
-	if r := warm.get(CounterSegmentsRead); r != docs/stride/2 {
+	if r := warm.Counter(CounterSegmentsRead); r != docs/stride/2 {
 		t.Errorf("reload read %d segments, want %d", r, docs/stride/2)
 	}
 	if n := cache.Len(); n != docs/stride {

@@ -1,19 +1,9 @@
 package docstore
 
-// StoreObserver receives the docstore counters — the docstore_pipeline_total
-// family on GET /metrics. obs.Metrics satisfies it through AddN; the
-// interface lives here (instead of importing obs) to keep docstore
-// dependency-free. A nil observer drops counters with no overhead beyond a
-// nil check.
-type StoreObserver interface {
-	// AddN adds n to the named counter. Called from worker goroutines;
-	// implementations must be safe for concurrent use.
-	AddN(counter string, n int64)
-}
-
-// Counter names of the docstore_pipeline_total family: the segments, bytes
-// and documents the segmented persistence layer wrote, read, reused or
-// served from a SegmentCache.
+// Counter names of the docstore_pipeline_total family, reported to
+// SaveOpts.Observer and LoadOpts.Observer: the segments, bytes and
+// documents the segmented persistence layer wrote, read, reused or served
+// from a SegmentCache.
 const (
 	CounterSegmentsWritten = "docstore_segments_written"
 	CounterSegmentsRead    = "docstore_segments_read"
@@ -30,10 +20,3 @@ const (
 	CounterDocsWritten    = "docstore_docs_written"
 	CounterDocsRead       = "docstore_docs_read"
 )
-
-// addN reports to a possibly nil observer, skipping zero deltas.
-func addN(o StoreObserver, counter string, n int64) {
-	if o != nil && n != 0 {
-		o.AddN(counter, n)
-	}
-}

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/counter"
 )
 
 // Segmented persistence: each collection splits into N segment files
@@ -104,7 +106,7 @@ type SaveOpts struct {
 	// shift — and is ignored otherwise.
 	Dirty map[string]map[string]bool
 	// Observer receives the docstore_* persistence counters; nil drops them.
-	Observer StoreObserver
+	Observer counter.Sink
 	// Provenance, when non-nil, receives every collection's committed
 	// segment layout — including SHA-256 digests of freshly written
 	// segments, computed from the encode buffers on the save's worker pool —
@@ -121,7 +123,7 @@ type LoadOpts struct {
 	// Workers is the decode pool size; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Observer receives the docstore_* persistence counters; nil drops them.
-	Observer StoreObserver
+	Observer counter.Sink
 	// FS substitutes the filesystem the load reads from; nil selects OSFS.
 	FS FS
 	// Cache, when non-nil, memoizes decoded segments across loads keyed by
@@ -311,7 +313,7 @@ func (c *Collection) saveSegmented(dir string, opts SaveOpts) error {
 		var planned bool
 		reuse, planned = planDirtySave(fsys, dir, c.name, docs, ranges, opts.Stride, dirty)
 		if !planned {
-			addN(opts.Observer, CounterDeltaFullRewrites, 1)
+			counter.Add(opts.Observer, CounterDeltaFullRewrites, 1)
 		}
 	}
 
@@ -397,8 +399,8 @@ func (c *Collection) saveSegmented(dir string, opts SaveOpts) error {
 	}
 
 	o := opts.Observer
-	addN(o, CounterSegmentsWritten, int64(written))
-	addN(o, CounterSegmentsReused, int64(n-written))
+	counter.Add(o, CounterSegmentsWritten, int64(written))
+	counter.Add(o, CounterSegmentsReused, int64(n-written))
 	var totalBytes int64
 	docsWritten := 0
 	for i, info := range infos {
@@ -408,8 +410,8 @@ func (c *Collection) saveSegmented(dir string, opts SaveOpts) error {
 		totalBytes += info.Bytes
 		docsWritten += info.Docs
 	}
-	addN(o, CounterDocsWritten, int64(docsWritten))
-	addN(o, CounterBytesWritten, totalBytes)
+	counter.Add(o, CounterDocsWritten, int64(docsWritten))
+	counter.Add(o, CounterBytesWritten, totalBytes)
 	return nil
 }
 
@@ -614,10 +616,10 @@ func (c *Collection) loadSegmented(dir string, opts LoadOpts) error {
 	}
 
 	o := opts.Observer
-	addN(o, CounterSegmentsRead, int64(len(man.Segments))-cached)
-	addN(o, CounterSegmentsCached, cached)
-	addN(o, CounterDocsRead, int64(total))
-	addN(o, CounterBytesRead, bytesRead)
+	counter.Add(o, CounterSegmentsRead, int64(len(man.Segments))-cached)
+	counter.Add(o, CounterSegmentsCached, cached)
+	counter.Add(o, CounterDocsRead, int64(total))
+	counter.Add(o, CounterBytesRead, bytesRead)
 	return nil
 }
 

@@ -6,8 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // The central invariant: SaveParallelOpts/LoadParallelOpts must reconstruct
@@ -204,58 +205,41 @@ func TestSegmentCountDeterministic(t *testing.T) {
 	}
 }
 
-// countObserver collects docstore counters for assertions.
-type countObserver struct {
-	mu sync.Mutex
-	n  map[string]int64
-}
-
-func (o *countObserver) AddN(counter string, n int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n == nil {
-		o.n = map[string]int64{}
-	}
-	o.n[counter] += n
-}
-
-func (o *countObserver) get(counter string) int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.n[counter]
-}
-
 func TestSegmentedSaveLoadCounters(t *testing.T) {
 	db := segmentedFixture(t, 200)
 	live := int64(db.Collection("clusters").Len() + db.Collection("dataset").Len())
 	dir := t.TempDir()
 
-	saveObs := &countObserver{}
+	saveObs := obs.NewMetrics()
 	if err := db.SaveParallelOpts(dir, SaveOpts{Segments: 4, Observer: saveObs}); err != nil {
 		t.Fatal(err)
 	}
-	if got := saveObs.get(CounterDocsWritten); got != live {
+	if got := saveObs.Counter(CounterDocsWritten); got != live {
 		t.Errorf("docs written counter = %d, want %d", got, live)
 	}
 	// clusters: 4 segments; dataset (1 doc): 1 segment.
-	if got := saveObs.get(CounterSegmentsWritten); got != 5 {
+	if got := saveObs.Counter(CounterSegmentsWritten); got != 5 {
 		t.Errorf("segments written counter = %d, want 5", got)
 	}
-	if saveObs.get(CounterBytesWritten) <= 0 {
+	if saveObs.Counter(CounterBytesWritten) <= 0 {
 		t.Error("bytes written counter did not advance")
 	}
+	// A full save reuses no segment and reports that zero.
+	if n, ok := saveObs.Snapshot().Counters[CounterSegmentsReused]; !ok || n != 0 {
+		t.Errorf("segments reused after a full save: %d (reported %v), want a reported 0", n, ok)
+	}
 
-	loadObs := &countObserver{}
+	loadObs := obs.NewMetrics()
 	if _, err := LoadParallelOpts(dir, LoadOpts{Observer: loadObs}); err != nil {
 		t.Fatal(err)
 	}
-	if got := loadObs.get(CounterDocsRead); got != live {
+	if got := loadObs.Counter(CounterDocsRead); got != live {
 		t.Errorf("docs read counter = %d, want %d", got, live)
 	}
-	if got := loadObs.get(CounterSegmentsRead); got != 5 {
+	if got := loadObs.Counter(CounterSegmentsRead); got != 5 {
 		t.Errorf("segments read counter = %d, want 5", got)
 	}
-	if got := loadObs.get(CounterBytesRead); got != saveObs.get(CounterBytesWritten) {
-		t.Errorf("bytes read %d != bytes written %d", got, saveObs.get(CounterBytesWritten))
+	if got := loadObs.Counter(CounterBytesRead); got != saveObs.Counter(CounterBytesWritten) {
+		t.Errorf("bytes read %d != bytes written %d", got, saveObs.Counter(CounterBytesWritten))
 	}
 }

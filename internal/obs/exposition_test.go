@@ -55,7 +55,7 @@ docstore_pipeline_total{counter="segments_saved"} 23
 # HELP serving_total Serving-snapshot counters (swaps, response-cache hits/misses/evictions).
 # TYPE serving_total counter
 serving_total{counter="swaps"} 13
-# HELP provenance_total Corpus provenance counters (records stamped, chain links/resets, leaves hashed/reused, verify runs/leaves/failures, records served).
+# HELP provenance_total Corpus provenance counters (records stamped, chain links/resets, leaves hashed/reused, records served).
 # TYPE provenance_total counter
 provenance_total{counter="records_stamped"} 26
 # HELP http_requests_total Requests served, by route and status code.

@@ -69,24 +69,15 @@ func (m *Metrics) Observe(route string, status int, d time.Duration) {
 	}
 }
 
-// Inc bumps a named event counter ("panics", "timeouts", "shed", ...).
-func (m *Metrics) Inc(counter string) {
+// AddN adds n to a named event counter, zero included. The middleware
+// reports its events ("panics", "timeouts", "shed") here, and through it
+// Metrics satisfies counter.Sink, the seam every pipeline layer reports its
+// counters into, so GET /metrics covers ingest, scoring, persistence and
+// serving alongside the requests.
+func (m *Metrics) AddN(name string, n int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.counters[counter]++
-}
-
-// AddN adds n to a named event counter. It is the bulk form of Inc used by
-// batch producers — notably the snapshot import, whose ingest_* counters
-// (rows decoded, records added, duplicates removed, chunker and decode-pool
-// stall milliseconds) land here so GET /metrics covers ingest alongside
-// serving, and the document store, whose docstore_* persistence counters
-// arrive the same way. Metrics satisfies
-// core.IngestObserver and docstore.StoreObserver through this method.
-func (m *Metrics) AddN(counter string, n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.counters[counter] += n
+	m.counters[name] += n
 }
 
 // Counter reads a named event counter.
@@ -193,7 +184,7 @@ var counterFamilies = []struct{ prefix, family, help string }{
 	{"dedup_stream_", "dedup_stream_total", "Streaming scoring-consumer counters (batches consumed, pairs scored from the stream)."},
 	{"docstore_", "docstore_pipeline_total", "Document store counters (segments, bytes and documents saved/loaded, segments reused or served from the segment cache)."},
 	{"serving_", "serving_total", "Serving-snapshot counters (swaps, response-cache hits/misses/evictions)."},
-	{"provenance_", "provenance_total", "Corpus provenance counters (records stamped, chain links/resets, leaves hashed/reused, verify runs/leaves/failures, records served)."},
+	{"provenance_", "provenance_total", "Corpus provenance counters (records stamped, chain links/resets, leaves hashed/reused, records served)."},
 }
 
 // PrometheusText renders the registry in the Prometheus text exposition

@@ -71,7 +71,7 @@ func Recover(m *Metrics) Middleware {
 					panic(p)
 				}
 				if m != nil {
-					m.Inc("panics")
+					m.AddN("panics", 1)
 				}
 				slog.Default().Error("handler panic",
 					"path", r.URL.Path, "panic", p, "stack", string(debug.Stack()))
@@ -85,9 +85,9 @@ func Recover(m *Metrics) Middleware {
 }
 
 // Timeout attaches a deadline to the request context. Handlers are expected
-// to honor r.Context() (the docstore scans do); when the handler returns
-// with the deadline exceeded and nothing written, the middleware answers
-// 504 and increments the "timeouts" counter. d <= 0 disables the deadline.
+// to honor r.Context(); when the handler returns with the deadline exceeded
+// and nothing written, the middleware answers 504 and increments the
+// "timeouts" counter. d <= 0 disables the deadline.
 func Timeout(d time.Duration, m *Metrics) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -101,7 +101,7 @@ func Timeout(d time.Duration, m *Metrics) Middleware {
 			next.ServeHTTP(sw, r.WithContext(ctx))
 			if ctx.Err() != nil && !sw.wrote {
 				if m != nil {
-					m.Inc("timeouts")
+					m.AddN("timeouts", 1)
 				}
 				WriteError(sw, http.StatusGatewayTimeout, "timeout", "request exceeded the server deadline")
 			}
@@ -126,7 +126,7 @@ func InflightLimit(n int, m *Metrics) Middleware {
 					defer func() { <-sem }()
 				default:
 					if m != nil {
-						m.Inc("shed")
+						m.AddN("shed", 1)
 					}
 					WriteError(w, http.StatusServiceUnavailable, "overloaded", "server is at its in-flight request limit")
 					return

@@ -2,9 +2,11 @@
 // ingest infrastructure the paper runs on managed services (§5): composable
 // net/http middleware (structured request logging, panic recovery,
 // per-request timeouts, an in-flight limiter and per-route metrics) plus
-// the Metrics registry they report into — which also collects the ingest
-// pipeline counters via core.IngestObserver — exposed at GET /metrics in
-// JSON and Prometheus text formats.
+// the Metrics registry they report into — which is also the counter.Sink
+// the pipeline layers (ingest, delta, scoring, blocking, docstore,
+// provenance, serving) report their counters into — exposed at GET /metrics
+// in JSON and Prometheus text formats. Which Prometheus family a counter
+// name belongs to is decided here, in one table, not by the layers.
 //
 // The middleware is deliberately independent of the API it wraps; the one
 // shared convention is the error envelope — {"error": {"code", "message"}}

@@ -1,15 +1,7 @@
 package provenance
 
-// Observer receives the provenance counters — the provenance_total family
-// on GET /metrics. obs.Metrics satisfies it through AddN; the interface
-// lives here so the package stays free of the obs dependency.
-type Observer interface {
-	// AddN adds n to the named counter. Called from worker goroutines;
-	// implementations must be safe for concurrent use.
-	AddN(counter string, n int64)
-}
-
-// Counter names of the provenance_total family.
+// Counter names of the provenance_total family, reported to
+// StampOpts.Observer and, for CounterServed, by the HTTP API.
 const (
 	// CounterStamps counts records written by Save.
 	CounterStamps = "provenance_stamps"
@@ -29,19 +21,6 @@ const (
 	// the previous record without re-reading the segment — the dirty-save
 	// fast path.
 	CounterLeavesReused = "provenance_leaves_reused"
-	// CounterVerifyRuns / CounterVerifyLeaves / CounterVerifyFailures track
-	// VerifyDir: runs started, leaves whose digests were re-derived, and
-	// runs that found a mismatch.
-	CounterVerifyRuns     = "provenance_verify_runs"
-	CounterVerifyLeaves   = "provenance_verify_leaves"
-	CounterVerifyFailures = "provenance_verify_failures"
 	// CounterServed counts GET /v1/provenance responses carrying a record.
 	CounterServed = "provenance_served"
 )
-
-// addN reports to a possibly nil observer, skipping zero deltas.
-func addN(o Observer, counter string, n int64) {
-	if o != nil && n != 0 {
-		o.AddN(counter, n)
-	}
-}

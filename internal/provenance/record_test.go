@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/docstore"
+	"repro/internal/obs"
 	"repro/internal/testkit"
 )
 
@@ -218,16 +219,16 @@ func TestDirtySaveAfterRecordLoss(t *testing.T) {
 	if err := os.Remove(RecordPath(dir)); err != nil {
 		t.Fatal(err)
 	}
-	obs := counters{}
+	m := obs.NewMetrics()
 	dirty := map[string]map[string]bool{"clusters": {}, "dataset": {}}
-	rec, err := Save(db, dir, docstore.SaveOpts{Stride: 16, Dirty: dirty}, StampOpts{Meta: testMeta, Observer: obs})
+	rec, err := Save(db, dir, docstore.SaveOpts{Stride: 16, Dirty: dirty}, StampOpts{Meta: testMeta, Observer: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Chain) != 1 {
 		t.Fatalf("fresh chain has %d links", len(rec.Chain))
 	}
-	if obs[CounterLeavesReused] != 0 {
+	if m.Counter(CounterLeavesReused) != 0 {
 		t.Fatal("leaf digests carried over from a deleted record")
 	}
 	if rec.Root() != first.Root() {

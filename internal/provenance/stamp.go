@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/counter"
 	"repro/internal/docstore"
 )
 
@@ -15,7 +16,7 @@ type StampOpts struct {
 	// Meta is recorded verbatim and hashed into the appended chain link.
 	Meta Meta
 	// Observer receives the provenance_* counters; nil drops them.
-	Observer Observer
+	Observer counter.Sink
 }
 
 // sink collects the per-collection commit callbacks of one save. Commits
@@ -84,12 +85,12 @@ func Save(db *docstore.DB, dir string, store docstore.SaveOpts, opts StampOpts) 
 		return nil, err
 	}
 
-	addN(opts.Observer, CounterStamps, 1)
-	addN(opts.Observer, CounterLinks, 1)
-	addN(opts.Observer, CounterLeavesHashed, int64(hashed))
-	addN(opts.Observer, CounterLeavesReused, int64(reused))
+	counter.Add(opts.Observer, CounterStamps, 1)
+	counter.Add(opts.Observer, CounterLinks, 1)
+	counter.Add(opts.Observer, CounterLeavesHashed, int64(hashed))
+	counter.Add(opts.Observer, CounterLeavesReused, int64(reused))
 	if reset {
-		addN(opts.Observer, CounterChainResets, 1)
+		counter.Add(opts.Observer, CounterChainResets, 1)
 	}
 	return rec, nil
 }

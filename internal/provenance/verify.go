@@ -20,8 +20,6 @@ type VerifyOpts struct {
 	// selects the OS filesystem. The fault-injection sweep reads through a
 	// bit-flipping FS here.
 	FS docstore.FS
-	// Observer receives the provenance_* counters; nil drops them.
-	Observer Observer
 	// ExpectRoot, when non-empty, must match the record's corpus root or its
 	// head-link hash. This is the out-of-band pin that upgrades the record
 	// from self-consistent to trusted: a verifier that checks only what the
@@ -56,31 +54,24 @@ func VerifyDir(dir string, opts VerifyOpts) (*Report, error) {
 	if fsys == nil {
 		fsys = docstore.OSFS
 	}
-	addN(opts.Observer, CounterVerifyRuns, 1)
 	rep := &Report{}
-
-	fail := func(err error) (*Report, error) {
-		addN(opts.Observer, CounterVerifyFailures, 1)
-		return rep, err
-	}
-
 	raw, err := fsys.ReadFile(RecordPath(dir))
 	if err != nil {
-		return fail(fmt.Errorf("provenance: no record to verify: %w", err))
+		return rep, fmt.Errorf("provenance: no record to verify: %w", err)
 	}
 	rec, err := DecodeRecord(raw)
 	if err != nil {
 		rep.Bad = []string{RecordFile}
-		return fail(fmt.Errorf("%s: %w", RecordPath(dir), err))
+		return rep, fmt.Errorf("%s: %w", RecordPath(dir), err)
 	}
 	rep.Record = rec
 	if err := rec.SelfCheck(); err != nil {
 		rep.Bad = []string{RecordFile}
-		return fail(fmt.Errorf("%s: record is internally inconsistent — the record itself was tampered: %w", RecordPath(dir), err))
+		return rep, fmt.Errorf("%s: record is internally inconsistent — the record itself was tampered: %w", RecordPath(dir), err)
 	}
 	if opts.ExpectRoot != "" && opts.ExpectRoot != rec.Root() && opts.ExpectRoot != rec.HeadHash() {
-		return fail(fmt.Errorf("provenance: record root %s (head %s) does not match the pinned digest %s",
-			rec.Root(), rec.HeadHash(), opts.ExpectRoot))
+		return rep, fmt.Errorf("provenance: record root %s (head %s) does not match the pinned digest %s",
+			rec.Root(), rec.HeadHash(), opts.ExpectRoot)
 	}
 
 	// The record is self-consistent; every remaining failure mode is a file
@@ -153,10 +144,9 @@ func VerifyDir(dir string, opts VerifyOpts) (*Report, error) {
 		}
 	}
 	sort.Strings(rep.Bad)
-	addN(opts.Observer, CounterVerifyLeaves, hashedLeaves)
 	if len(rep.Bad) > 0 {
-		return fail(fmt.Errorf("provenance: %d file(s) disagree with the record: %s",
-			len(rep.Bad), strings.Join(rep.Bad, ", ")))
+		return rep, fmt.Errorf("provenance: %d file(s) disagree with the record: %s",
+			len(rep.Bad), strings.Join(rep.Bad, ", "))
 	}
 	return rep, nil
 }

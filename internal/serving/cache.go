@@ -3,6 +3,8 @@ package serving
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/counter"
 )
 
 // CacheKey identifies one cached response. The generation is part of the
@@ -42,12 +44,12 @@ type ResponseCache struct {
 	capacity int
 	ll       *list.List // front = most recently used
 	items    map[CacheKey]*list.Element
-	obs      Observer
+	obs      counter.Sink
 }
 
 // NewResponseCache returns a cache bounded to capacity entries; obs may be
 // nil. Capacity must be positive.
-func NewResponseCache(capacity int, obs Observer) *ResponseCache {
+func NewResponseCache(capacity int, obs counter.Sink) *ResponseCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -60,24 +62,20 @@ func NewResponseCache(capacity int, obs Observer) *ResponseCache {
 }
 
 // Get returns the cached response for the key and refreshes its recency.
-// Hits and misses are counted into the Observer.
+// Hits and misses are counted into the cache's sink.
 func (c *ResponseCache) Get(key CacheKey) (CachedResponse, bool) {
 	c.mu.Lock()
 	el, ok := c.items[key]
-	if ok {
-		c.ll.MoveToFront(el)
-	}
 	var resp CachedResponse
 	if ok {
+		c.ll.MoveToFront(el)
 		resp = el.Value.(*cacheEntry).resp
 	}
 	c.mu.Unlock()
-	if c.obs != nil {
-		if ok {
-			c.obs.AddN(CounterCacheHits, 1)
-		} else {
-			c.obs.AddN(CounterCacheMisses, 1)
-		}
+	if ok {
+		counter.Add(c.obs, CounterCacheHits, 1)
+	} else {
+		counter.Add(c.obs, CounterCacheMisses, 1)
 	}
 	return resp, ok
 }
@@ -101,8 +99,8 @@ func (c *ResponseCache) Put(key CacheKey, resp CachedResponse) {
 		}
 	}
 	c.mu.Unlock()
-	if evicted > 0 && c.obs != nil {
-		c.obs.AddN(CounterCacheEvictions, evicted)
+	if evicted > 0 {
+		counter.Add(c.obs, CounterCacheEvictions, evicted)
 	}
 }
 

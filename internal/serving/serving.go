@@ -18,16 +18,12 @@ package serving
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/counter"
 )
 
-// Observer receives named counter increments from the serving layer;
-// obs.Metrics satisfies it, landing the counters in GET /metrics next to
-// the request metrics. The counter names form the serving_* family.
-type Observer interface {
-	AddN(counter string, n int64)
-}
-
-// Counter names reported to the Observer.
+// Counter names of the serving_total family, reported to the sink of
+// NewSource and NewResponseCache.
 const (
 	// CounterSwaps counts snapshot swaps (the initial publish included).
 	CounterSwaps = "serving_swaps"
@@ -47,11 +43,11 @@ type Source struct {
 	mu  sync.Mutex // serializes Swap so generations publish in order
 	cur atomic.Pointer[Snapshot]
 	gen atomic.Uint64
-	obs Observer
+	obs counter.Sink
 }
 
 // NewSource returns an empty source; obs may be nil.
-func NewSource(obs Observer) *Source { return &Source{obs: obs} }
+func NewSource(obs counter.Sink) *Source { return &Source{obs: obs} }
 
 // Current returns the latest published snapshot, or nil before the first
 // Swap. The returned snapshot is immutable; callers may use it for the
@@ -72,8 +68,6 @@ func (s *Source) Swap(snap *Snapshot) uint64 {
 	gen := s.gen.Add(1)
 	snap.generation = gen
 	s.cur.Store(snap)
-	if s.obs != nil {
-		s.obs.AddN(CounterSwaps, 1)
-	}
+	counter.Add(s.obs, CounterSwaps, 1)
 	return gen
 }

@@ -7,34 +7,14 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hetero"
+	"repro/internal/obs"
 	"repro/internal/plaus"
 	"repro/internal/synth"
 )
-
-type countObs struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-func (o *countObs) AddN(name string, n int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.m == nil {
-		o.m = map[string]int64{}
-	}
-	o.m[name] += n
-}
-
-func (o *countObs) get(name string) int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.m[name]
-}
 
 func testDataset(t *testing.T) *core.Dataset {
 	t.Helper()
@@ -51,8 +31,8 @@ func testDataset(t *testing.T) *core.Dataset {
 }
 
 func TestSourceLifecycle(t *testing.T) {
-	obs := &countObs{}
-	src := NewSource(obs)
+	m := obs.NewMetrics()
+	src := NewSource(m)
 	if src.Current() != nil || src.Generation() != 0 {
 		t.Fatal("fresh source is not empty")
 	}
@@ -71,7 +51,7 @@ func TestSourceLifecycle(t *testing.T) {
 	if src.Current() != s2 {
 		t.Fatal("swap did not replace the snapshot")
 	}
-	if got := obs.get(CounterSwaps); got != 2 {
+	if got := m.Counter(CounterSwaps); got != 2 {
 		t.Fatalf("swap counter = %d", got)
 	}
 }
@@ -178,8 +158,8 @@ func TestSummaryBoundsMatchFullFold(t *testing.T) {
 }
 
 func TestResponseCacheLRU(t *testing.T) {
-	obs := &countObs{}
-	c := NewResponseCache(2, obs)
+	m := obs.NewMetrics()
+	c := NewResponseCache(2, m)
 	key := func(i int) CacheKey {
 		return CacheKey{Generation: 1, Resource: fmt.Sprintf("GET /v1/x?i=%d", i)}
 	}
@@ -211,10 +191,10 @@ func TestResponseCacheLRU(t *testing.T) {
 	if resp, _ := c.Get(key(1)); string(resp.Body) != "uno" {
 		t.Fatalf("update lost: %q", resp.Body)
 	}
-	if got := obs.get(CounterCacheEvictions); got != 1 {
+	if got := m.Counter(CounterCacheEvictions); got != 1 {
 		t.Fatalf("evictions = %d", got)
 	}
-	if hits, misses := obs.get(CounterCacheHits), obs.get(CounterCacheMisses); hits != 3 || misses != 3 {
+	if hits, misses := m.Counter(CounterCacheHits), m.Counter(CounterCacheMisses); hits != 3 || misses != 3 {
 		t.Fatalf("hits/misses = %d/%d", hits, misses)
 	}
 }

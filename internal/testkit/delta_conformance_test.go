@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
+	"repro/internal/obs"
 	"repro/internal/plaus"
 	"repro/internal/testkit"
 )
@@ -118,8 +119,8 @@ func TestConformanceDelta(t *testing.T) {
 				d.Publish()
 				plaus.UpdateDelta(d, dl, workers)
 				hetero.UpdateDelta(d, dl, workers)
-				counters := stampCounters{}
-				store := saveStore(tb, d, dir, docstore.SaveOpts{Workers: workers, Dirty: dl.DirtyIDs(), Observer: counters})
+				m := obs.NewMetrics()
+				store := saveStore(tb, d, dir, docstore.SaveOpts{Workers: workers, Dirty: dl.DirtyIDs(), Observer: m})
 				if fraction > 0 && (len(dl.Dirty()) != changed || dl.Stats.DirtyClusters != changed) {
 					tb.Errorf("delta marked %d clusters dirty (stats say %d), file changed %d",
 						len(dl.Dirty()), dl.Stats.DirtyClusters, changed)
@@ -133,7 +134,7 @@ func TestConformanceDelta(t *testing.T) {
 						segments++
 					}
 				}
-				written, reused := counters[docstore.CounterSegmentsWritten], counters[docstore.CounterSegmentsReused]
+				written, reused := m.Counter(docstore.CounterSegmentsWritten), m.Counter(docstore.CounterSegmentsReused)
 				if written < 1 || written+reused != segments || fraction == 1 && reused != 0 {
 					tb.Errorf("dirty save rewrote %d and reused %d of %d segments", written, reused, segments)
 				}

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/counter"
 	"repro/internal/docstore"
 	"repro/internal/hetero"
+	"repro/internal/obs"
 	"repro/internal/plaus"
 	"repro/internal/provenance"
 	"repro/internal/testkit"
@@ -39,10 +41,10 @@ func oracleMeta(d *core.Dataset) provenance.Meta {
 
 // stampStore saves the dataset with the stable stride layout and a
 // provenance stamp, returning the record.
-func stampStore(tb testing.TB, d *core.Dataset, dir string, opts docstore.SaveOpts, obs provenance.Observer) *provenance.Record {
+func stampStore(tb testing.TB, d *core.Dataset, dir string, opts docstore.SaveOpts, sink counter.Sink) *provenance.Record {
 	tb.Helper()
 	opts.Stride = deltaStride
-	rec, err := provenance.Save(d.ToDocDB(), dir, opts, provenance.StampOpts{Meta: oracleMeta(d), Observer: obs})
+	rec, err := provenance.Save(d.ToDocDB(), dir, opts, provenance.StampOpts{Meta: oracleMeta(d), Observer: sink})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -134,17 +136,18 @@ func TestConformanceProvenance(t *testing.T) {
 				d.Publish()
 				plaus.UpdateDelta(d, dl, workers)
 				hetero.UpdateDelta(d, dl, workers)
-				obs := stampCounters{}
-				rec := stampStore(tb, d, dir, docstore.SaveOpts{Workers: workers, Dirty: dl.DirtyIDs()}, obs)
+				m := obs.NewMetrics()
+				rec := stampStore(tb, d, dir, docstore.SaveOpts{Workers: workers, Dirty: dl.DirtyIDs()}, m)
 				// The dirty save must account for every leaf, split between
 				// fresh hashes and carried-over digests; the contiguous 1%
 				// batch must actually carry some over (the fast path under
 				// test), while the spread deltas replay a record into every
 				// segment and legitimately rehash them all.
-				if total := obs["provenance_leaves_hashed"] + obs["provenance_leaves_reused"]; total != int64(rec.Head().Leaves) {
+				hashed, reused := m.Counter(provenance.CounterLeavesHashed), m.Counter(provenance.CounterLeavesReused)
+				if total := hashed + reused; total != int64(rec.Head().Leaves) {
 					tb.Errorf("stamp accounted %d leaves, head promises %d", total, rec.Head().Leaves)
 				}
-				if contiguous && obs["provenance_leaves_reused"] == 0 {
+				if contiguous && reused == 0 {
 					tb.Errorf("fraction %g dirty save carried no leaf digests over", fraction)
 				}
 				return provResultOf(tb, dir, rec)
@@ -166,8 +169,3 @@ func TestConformanceProvenance(t *testing.T) {
 		}.Run(t)
 	}
 }
-
-// stampCounters collects provenance and store counters for assertions.
-type stampCounters map[string]int64
-
-func (c stampCounters) AddN(name string, n int64) { c[name] += n }

@@ -1,14 +1,14 @@
 # Development targets. `make ci` is the gate: gofmt + vet + build + the
-# end-to-end benchmark's own vet and tests + the report golden +
+# fused-multiply-add scan + the end-to-end benchmark's own vet and tests + the report golden +
 # race-enabled tests over every package (the conformance harness included),
 # the docs-link check, the fuzz smoke pass and the coverage floors.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race test-short conformance report-check fuzz-smoke cover loc bench-e2e-check bench-e2e docs
+.PHONY: ci fmt vet build fma-check test race test-short conformance report-check fuzz-smoke cover loc bench-e2e-check bench-e2e docs
 
-ci: fmt vet build bench-e2e-check report-check race docs fuzz-smoke cover
+ci: fmt vet build fma-check bench-e2e-check report-check race docs fuzz-smoke cover
 
 # Fail when any tracked Go file is not gofmt-clean.
 fmt:
@@ -20,6 +20,24 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# One dataset on every CPU: the Go spec lets arm64, riscv64, ppc64le, s390x
+# and loong64 fuse x*y + z into one instruction with one rounding (amd64
+# never does), which moves stored scores by an ulp and with them the corpus
+# root. Every such site rounds the product explicitly, float64(x*y). This
+# cross-compiles for two fusing ports and fails on any fused opcode in the
+# assembly, naming its file and line.
+FMA_ARCHS = arm64 riscv64
+fma-check:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; fail=0; \
+	for arch in $(FMA_ARCHS); do \
+		if ! GOARCH=$$arch $(GO) build -gcflags=-S ./internal/... ./cmd/... >"$$tmp" 2>&1; then \
+			tail -20 "$$tmp"; echo "FAIL GOARCH=$$arch does not build"; fail=1; continue; fi; \
+		if grep -qE '\)[[:space:]]+FN?M(ADD|SUB)[DS][[:space:]]' "$$tmp"; then \
+			echo "FAIL GOARCH=$$arch fuses multiply-adds; round the product, float64(x*y):"; \
+			sed -nE 's,.*\($(CURDIR)/([^()]+:[0-9]+)\)[[:space:]]+(FN?M(ADD|SUB)[DS])[[:space:]].*,  \1 \2,p' "$$tmp" | sort -u; fail=1; \
+		else echo "ok   GOARCH=$$arch: no fused multiply-add"; fi; \
+	done; exit $$fail
 
 # benchmark/ is a module of its own (BENCHMARK.json's harness), so the root
 # `./...` patterns never reach it: vet and test it here, or a change to an

@@ -2,7 +2,8 @@
 // dataset by heterogeneity range (the paper's NC1/NC2/NC3 recipe, §6.5):
 // sample clusters, drop records whose heterogeneity to preceding kept
 // records leaves [hlow, hhigh], keep the largest clusters, and write the
-// result as a labeled TSV restricted to the person attributes.
+// result as a labeled TSV restricted to the person attributes. The store is
+// verified against its provenance record before it is read.
 //
 // Usage:
 //
@@ -16,9 +17,8 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/custom"
-	"repro/internal/docstore"
+	"repro/internal/store"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -46,12 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger := log.New(stderr, "nccustom: ", 0)
 
-	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
-	if err != nil {
-		logger.Print(err)
-		return 1
-	}
-	ds, err := core.FromDocDBParallel(stored, 1)
+	ds, _, err := store.Open(*db, store.OpenOpts{Workers: 1})
 	if err != nil {
 		logger.Print(err)
 		return 1

@@ -16,10 +16,11 @@
 // (components joined by +: attribute names, soundex(attr), prefix(attr,n)).
 //
 // With -db the labeled dataset is derived from a stored corpus instead of
-// a TSV export (the store-backed evaluation mode): the store loads through
-// the parallel segmented reader, the clusters parse on -store-workers
-// cores, and every record is kept (the full heterogeneity range), so the
-// evaluation covers the store as-is.
+// a TSV export (the store-backed evaluation mode): the store is verified
+// against its provenance record, loads through the parallel segmented
+// reader, the clusters parse on -store-workers cores, and every record is
+// kept (the full heterogeneity range), so the evaluation covers the store
+// as-is.
 //
 // The blocking layer never materializes the candidate union: pairs flow to
 // the scoring workers as bounded batches, so peak memory is independent of
@@ -40,11 +41,10 @@ import (
 	"time"
 
 	"repro/internal/blocking"
-	"repro/internal/core"
 	"repro/internal/custom"
 	"repro/internal/dedup"
-	"repro/internal/docstore"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -103,11 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var ds *dedup.Dataset
 	if *db != "" {
-		stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: *storeWorkers, Observer: metrics})
-		if err != nil {
-			return fail(err)
-		}
-		cds, err := core.FromDocDBParallel(stored, *storeWorkers)
+		cds, _, err := store.Open(*db, store.OpenOpts{Workers: *storeWorkers, Observer: metrics})
 		if err != nil {
 			return fail(err)
 		}

@@ -11,10 +11,12 @@
 //
 // Re-running against an existing -db directory continues the dataset: new
 // snapshots are appended as a new version (the paper's update process,
-// Fig. 2). Each snapshot file is read in line-aligned blocks that -workers
-// goroutines decode and hash (1 = inline, no goroutines) while the rows are
-// applied in input order, so the result is identical at any count. -workers
-// also sizes dirty-cluster and -scores recomputation.
+// Fig. 2). The store is verified against its provenance record first; a
+// directory that holds files but no valid store is refused and left as it
+// is, never started over. Each snapshot file is read in line-aligned blocks
+// that -workers goroutines decode and hash (1 = inline, no goroutines) while
+// the rows are applied in input order, so the result is identical at any
+// count. -workers also sizes dirty-cluster and -scores recomputation.
 // -store-workers sizes the document store's segmented save/load pool the
 // same way (the store bytes and contents are identical at any count).
 // -metrics-addr serves GET /metrics (JSON and Prometheus) with the ingest
@@ -45,11 +47,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/obs"
 	"repro/internal/plaus"
 	"repro/internal/provenance"
+	"repro/internal/store"
 	"repro/internal/voter"
 )
 
@@ -146,20 +148,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var ds *core.Dataset
 	if err := timed("load", func() error {
-		if _, err := os.Stat(*db); err != nil {
+		var err error
+		ds, _, err = store.Open(*db, store.OpenOpts{Workers: *storeWorkers, Observer: metrics})
+		switch {
+		case errors.Is(err, os.ErrNotExist):
 			ds = core.NewDataset(mode)
 			return nil
-		}
-		existing, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: *storeWorkers, Observer: metrics})
-		if err != nil {
-			return fmt.Errorf("loading %s: %w", *db, err)
-		}
-		if ds, err = core.FromDocDBParallel(existing, *storeWorkers); err != nil {
-			// A fresh directory without dataset metadata: start clean.
-			ds = core.NewDataset(mode)
-			return nil
-		}
-		if ds.Mode != mode {
+		case err != nil:
+			return err
+		case ds.Mode != mode:
 			return fmt.Errorf("store %s uses mode %q; cannot continue with %q", *db, ds.Mode, mode)
 		}
 		fmt.Fprintf(stdout, "continuing store %s: %d clusters, %d records, version %d\n",
@@ -181,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	saveOpts := docstore.SaveOpts{Workers: *storeWorkers, Observer: metrics, Stride: *stride}
+	commit := store.CommitOpts{Workers: *storeWorkers, Stride: *stride, Observer: metrics}
 	if *delta {
 		// Incremental path: classify every row against the fingerprint index
 		// of the loaded dataset, touch only changed clusters, and remember
@@ -216,7 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			})
 			metrics.AddN("delta_clusters_rescored", int64(len(dirty)))
 		}
-		saveOpts.Dirty = merged.DirtyIDs()
+		commit.Delta = merged
 	} else {
 		for _, path := range files {
 			// Stream the file: register-sized snapshots never materialize.
@@ -243,14 +240,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	version := ds.Publish()
-	// Segmented parallel save plus a provenance stamp in one pass: segment
-	// files, a manifest per collection, and a hash-chained record of their
-	// digests (`ncstats -verify` re-derives it). The bytes do not depend on
-	// the worker count. A -delta save reuses unchanged segments, and the
-	// record extends the store's chain, carrying their digests over.
+	// Save and stamp in one pass; the bytes do not depend on the worker
+	// count, and a -delta save reuses the segments it did not touch.
 	if err := timed("persist", func() error {
-		_, err := provenance.Save(ds.ToDocDB(), *db, saveOpts,
-			provenance.StampOpts{Meta: stampMeta(ds, *in, logger), Observer: metrics})
+		commit.Meta = stampMeta(ds, *in, logger)
+		_, err := store.Commit(ds, *db, commit)
 		return err
 	}); err != nil {
 		return fail(err)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,4 +95,84 @@ func TestStoreIndependentOfWorkers(t *testing.T) {
 	if recOne.Root() != recTwo.Root() {
 		t.Errorf("provenance roots differ: %s vs %s", recOne.Root(), recTwo.Root())
 	}
+}
+
+// TestDamagedStoreIsRefused: continuing a store that is there but does not
+// verify exits 1 with one line naming the failure and leaves every file of
+// the store as it was — it is never taken for a fresh directory and
+// overwritten.
+func TestDamagedStoreIsRefused(t *testing.T) {
+	files := testkit.Corpus{Seed: 9}.SnapshotFiles(t, 120, 3)
+	first, last := t.TempDir(), t.TempDir()
+	for i, f := range files {
+		dst := first
+		if i == len(files)-1 {
+			dst = last
+		}
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(db string) error
+		want   string
+	}{
+		{"dataset collection deleted", func(db string) error {
+			matches, err := filepath.Glob(filepath.Join(db, "dataset.*"))
+			for _, m := range matches {
+				err = errors.Join(err, os.Remove(m))
+			}
+			return err
+		}, "dataset"},
+		{"segment byte flipped", func(db string) error {
+			seg := filepath.Join(db, "clusters.00.jsonl")
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				return err
+			}
+			data[len(data)/2] ^= 0x01
+			return os.WriteFile(seg, data, 0o644)
+		}, "clusters.00.jsonl"},
+		{"record removed", func(db string) error { return os.Remove(filepath.Join(db, provenance.RecordFile)) }, provenance.RecordFile},
+	} {
+		db := filepath.Join(t.TempDir(), "store")
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-in", first, "-db", db}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: first import exit %d: %s", tc.name, code, stderr.String())
+		}
+		if err := tc.damage(db); err != nil {
+			t.Fatal(err)
+		}
+		before := readStore(t, db)
+		stdout.Reset()
+		stderr.Reset()
+		code := run([]string{"-in", last, "-db", db}, &stdout, &stderr)
+		if msg := stderr.String(); code != 1 || stdout.Len() != 0 || !strings.Contains(msg, tc.want) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and one line naming %q", tc.name, code, stdout.String(), msg, tc.want)
+		}
+		if after := readStore(t, db); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Errorf("%s: the refused run changed the store's files", tc.name)
+		}
+	}
+}
+
+// readStore returns every file of a store directory by name.
+func readStore(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }

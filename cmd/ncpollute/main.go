@@ -1,8 +1,8 @@
 // Command ncpollute applies the DaPo-hybrid pollution (the paper's future
 // work, §8) to a stored test dataset: it injects additional synthetic
 // errors and extra duplicates at will — on top of the real outdated values
-// — and writes the polluted dataset into a new store. The gold standard is
-// preserved exactly.
+// — and commits the polluted dataset as a new stamped store whose record
+// names the input's corpus root. The gold standard is preserved exactly.
 //
 // Usage:
 //
@@ -16,10 +16,10 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/dapo"
-	"repro/internal/docstore"
 	"repro/internal/hetero"
+	"repro/internal/provenance"
+	"repro/internal/store"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -47,12 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger := log.New(stderr, "ncpollute: ", 0)
 
-	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
-	if err != nil {
-		logger.Print(err)
-		return 1
-	}
-	base, err := core.FromDocDBParallel(stored, 1)
+	base, src, err := store.Open(*db, store.OpenOpts{Workers: 1})
 	if err != nil {
 		logger.Print(err)
 		return 1
@@ -68,7 +63,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "recomputing heterogeneity scores ...")
 		hetero.UpdateParallel(polluted, 0)
 	}
-	if err := polluted.ToDocDB().SaveParallelOpts(*out, docstore.SaveOpts{}); err != nil {
+	// The output names its source: the verified input's root and generator.
+	meta := provenance.Meta{Source: "ncpollute", Mode: polluted.Mode.String(), Lineage: polluted.SnapshotLineage(),
+		Generator: src.Meta.Generator, SourceRoot: src.Root()}
+	if _, err := store.Commit(polluted, *out, store.CommitOpts{Meta: meta}); err != nil {
 		logger.Print(err)
 		return 1
 	}

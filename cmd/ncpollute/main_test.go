@@ -8,20 +8,22 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/docstore"
 	"repro/internal/provenance"
+	"repro/internal/store"
 	"repro/internal/testkit"
 )
 
 // TestFlagValidation drives ncpollute over a freshly stamped store: usage
 // errors exit 2 and a directory without a store exits 1 with one line on
-// stderr, both printing and writing nothing; a good run exits 0 and the
-// store it wrote loads with the cluster and record counts it printed.
+// stderr, both printing and writing nothing; a good run exits 0, and the
+// store it wrote verifies against its own record, names the input's corpus
+// root as its source, and loads with the counts it printed.
 func TestFlagValidation(t *testing.T) {
 	ds := testkit.Corpus{Seed: 7}.Dataset(t, 80, 3)
-	store := filepath.Join(t.TempDir(), "store")
-	if _, err := provenance.Save(ds.ToDocDB(), store, docstore.SaveOpts{}, provenance.StampOpts{}); err != nil {
+	input := filepath.Join(t.TempDir(), "store")
+	src, err := provenance.Save(ds.ToDocDB(), input, docstore.SaveOpts{}, provenance.StampOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(t.TempDir(), "missing")
@@ -31,9 +33,9 @@ func TestFlagValidation(t *testing.T) {
 		code int
 		want string // in stderr on a non-zero exit
 	}{
-		{[]string{"-db", store, "-shards", "4"}, 2, "flag provided but not defined: -shards"},
+		{[]string{"-db", input, "-shards", "4"}, 2, "flag provided but not defined: -shards"},
 		{[]string{"-db", missing}, 1, "misses the dataset metadata"},
-		{[]string{"-db", store, "-fraction", "0.5", "-extra", "0.5"}, 0, ""},
+		{[]string{"-db", input, "-fraction", "0.5", "-extra", "0.5"}, 0, ""},
 	} {
 		out := filepath.Join(t.TempDir(), "polluted")
 		args := append(tc.args, "-out", out)
@@ -55,13 +57,12 @@ func TestFlagValidation(t *testing.T) {
 			}
 			continue
 		}
-		stored, err := docstore.LoadParallelOpts(out, docstore.LoadOpts{})
+		got, rec, err := store.Open(out, store.OpenOpts{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v: the output does not verify: %v", args, err)
 		}
-		got, err := core.FromDocDBParallel(stored, 1)
-		if err != nil {
-			t.Fatal(err)
+		if rec.Meta.SourceRoot != src.Root() || rec.Meta.Source != "ncpollute" {
+			t.Errorf("%v: output record names source %q root %q, want ncpollute and %s", args, rec.Meta.Source, rec.Meta.SourceRoot, src.Root())
 		}
 		want := fmt.Sprintf("wrote %d clusters / %d records -> %s\n", got.NumClusters(), got.NumRecords(), out)
 		if got.NumRecords() <= ds.NumRecords() || !strings.Contains(stdout.String(), want) {

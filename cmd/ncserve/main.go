@@ -21,8 +21,8 @@
 //	GET /v1/years                 per-year import history (Table 1)
 //	GET /v1/histogram             cluster-size histogram (Fig. 1)
 //	GET /v1/versions              published versions
-//	GET /v1/provenance            the store's hash-chained provenance
-//	                              record (404 when the store has none)
+//	GET /v1/provenance            the store's verified hash-chained
+//	                              provenance record
 //	GET /v1/records/{ncid}        one person's record view (O(1) lookup)
 //	GET /v1/clusters/{ncid}       one cluster document
 //	GET /v1/clusters/summary      aggregation over the served clusters
@@ -38,15 +38,14 @@
 // The listener binds before the corpus loads (once the -db directory is
 // known to exist): /v1/livez answers immediately, /v1/healthz flips from 503
 // to 200 when the first snapshot is published. SIGHUP reloads the database
-// directory and swaps the new
-// generation in atomically — in-flight requests keep their generation, and
-// a failed reload keeps the old one serving. Reloads decode through a
-// persistent segment cache: segments whose manifest CRC is unchanged since
-// the previous load (everything a dirty-segment `ncimport -delta` save kept
-// on disk) are not re-read, so reload cost tracks the changed fraction of
-// the store rather than its size. On SIGINT/SIGTERM the server
-// stops accepting connections, drains in-flight requests for up to -grace,
-// then exits 0.
+// directory and swaps the new generation in atomically — in-flight requests
+// keep their generation, and a failed reload keeps the old one serving.
+// Every load checks each file it reads against the store's provenance
+// record. Reloads decode through a persistent segment cache: segments whose
+// manifest entry is unchanged are neither re-read, re-hashed nor re-parsed
+// (rebuilding the dataset from the documents still covers all of them). On
+// SIGINT/SIGTERM the server stops accepting connections, drains in-flight
+// requests for up to -grace, then exits 0.
 package main
 
 import (
@@ -63,10 +62,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/docstore"
 	"repro/internal/httpapi"
-	"repro/internal/provenance"
+	"repro/internal/store"
 )
 
 func main() {
@@ -119,38 +117,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		httpapi.WithResponseCache(*cacheSize),
 	)
 
-	// load reads the database directory and publishes it as the next
-	// serving generation. On reload, any failure leaves the previous
-	// generation serving untouched. The segment cache persists across
-	// reloads: after `ncimport -delta` rewrote only the dirty segments, the
-	// SIGHUP reload re-reads and re-parses exactly those — every unchanged
-	// segment (same manifest CRC) resolves to its already decoded documents.
-	// Sharing decoded documents between generations is safe here because the
-	// serving path never mutates them.
+	// load opens the store and publishes it as the next serving generation;
+	// a failed reload leaves the previous one serving. The segment cache
+	// persists across reloads, so a reload after `ncimport -delta` reads,
+	// hashes and parses only the manifests and the rewritten segments.
+	// Sharing decoded documents between generations is safe: the serving
+	// path never mutates them.
 	cache := docstore.NewSegmentCache()
 	load := func() error {
-		stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: *storeWorkers, Cache: cache})
+		ds, rec, err := store.Open(*db, store.OpenOpts{Workers: *storeWorkers, Cache: cache})
 		if err != nil {
 			return err
 		}
-		ds, err := core.FromDocDBParallel(stored, *storeWorkers)
-		if err != nil {
-			return err
-		}
-		// Pick up the store's provenance record for /v1/provenance. A store
-		// without one (or with a record this build rejects) serves 404 on
-		// that endpoint; it is not a reason to refuse the corpus.
-		var record []byte
-		if rec, raw, perr := provenance.LoadRecord(nil, *db); perr != nil {
-			if raw != nil { // a record exists but does not decode/validate
-				logger.Printf("ignoring %s: %v", provenance.RecordPath(*db), perr)
-			}
-		} else if serr := rec.SelfCheck(); serr != nil {
-			logger.Printf("ignoring %s: %v", provenance.RecordPath(*db), serr)
-		} else {
-			record = raw
-		}
-		gen := api.PublishWithProvenance(ds, record)
+		gen := api.PublishWithProvenance(ds, rec.Encode())
 		logger.Printf("generation %d: serving %d clusters / %d records from %s",
 			gen, ds.NumClusters(), ds.NumRecords(), *db)
 		return nil

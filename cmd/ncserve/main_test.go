@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/docstore"
+	"repro/internal/store"
 	"repro/internal/voter"
 )
 
@@ -73,9 +74,10 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestServeUntilSignal drives one whole life of the process: bind, load,
-// serve with the response cache disabled by -cache -1, drain on SIGTERM,
-// exit 0.
+// TestServeUntilSignal drives one whole life of the process: bind, load a
+// stamped store, serve with the response cache disabled by -cache -1, refuse
+// a SIGHUP reload of a store whose commit was cut, serve it once the commit
+// completes, drain on SIGTERM, exit 0.
 func TestServeUntilSignal(t *testing.T) {
 	d := core.NewDataset(core.RemoveTrimmed)
 	mk := func(ncid, first string) voter.Record {
@@ -88,15 +90,16 @@ func TestServeUntilSignal(t *testing.T) {
 		mk("A1", "ANNA"), mk("A1", "ANA"), mk("B2", "BELLA"),
 	}})
 	d.Publish()
-	store := t.TempDir()
-	if err := d.ToDocDB().SaveParallelOpts(store, docstore.SaveOpts{}); err != nil {
+	dir := t.TempDir()
+	rec, err := store.Commit(d, dir, store.CommitOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run([]string{"-db", store, "-addr", "127.0.0.1:0", "-cache", "-1", "-grace", "5s"}, &stdout, &stderr)
+		exit <- run([]string{"-db", dir, "-addr", "127.0.0.1:0", "-cache", "-1", "-grace", "5s"}, &stdout, &stderr)
 	}()
 	stopped := false
 	defer func() {
@@ -152,6 +155,39 @@ func TestServeUntilSignal(t *testing.T) {
 			t.Fatalf("-cache -1 left the response cache on: X-Cache %q", xc)
 		}
 	}
+
+	if resp, body := get("/v1/provenance"); resp.StatusCode != 200 || !strings.Contains(body, rec.Root()) {
+		t.Fatalf("provenance: %d %s, want the record with root %s", resp.StatusCode, body, rec.Root())
+	}
+
+	// A commit cut after its docstore save leaves manifests the record does
+	// not vouch for: the reload is refused and generation 1 keeps serving.
+	// Once the commit completes, the next reload serves it.
+	d.ImportSnapshot(voter.Snapshot{Date: "2009-01-01", Records: []voter.Record{mk("C3", "CARA")}})
+	d.Publish()
+	if err := d.ToDocDB().SaveParallelOpts(dir, docstore.SaveOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	reload := func(want string) {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+			t.Fatal(err)
+		}
+		for !strings.Contains(stderr.String(), want) {
+			if time.Now().After(deadline) {
+				t.Fatalf("stderr misses %q after SIGHUP: %q", want, stderr.String())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	reload("reload failed, keeping generation 1")
+	if resp, body := get("/v1/healthz"); resp.StatusCode != 200 || !strings.Contains(body, `"generation":1`) {
+		t.Fatalf("healthz after the refused reload = %d %s", resp.StatusCode, body)
+	}
+	if _, err := store.Commit(d, dir, store.CommitOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	reload("generation 2: serving 3 clusters / 4 records")
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Command ncstats prints the statistics of a stored test dataset: the
 // per-year import history (Table 1), the generation summary, the
 // cluster-size histogram (Fig. 1) and — when scores were computed — the
-// plausibility and heterogeneity distributions (Fig. 4).
+// plausibility and heterogeneity distributions (Fig. 4). The store is
+// verified against its provenance record before it is read.
 //
 // With -verify it instead checks the store against its provenance record
 // (internal/provenance): every segment and manifest digest is re-derived and
@@ -24,10 +25,10 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/docstore"
 	"repro/internal/hetero"
 	"repro/internal/plaus"
 	"repro/internal/provenance"
+	"repro/internal/store"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -58,12 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runVerify(stdout, logger, *db, *verifyWork, *expectRoot)
 	}
 
-	stored, err := docstore.LoadParallelOpts(*db, docstore.LoadOpts{Workers: 1})
-	if err != nil {
-		logger.Print(err)
-		return 1
-	}
-	ds, err := core.FromDocDBParallel(stored, 1)
+	ds, _, err := store.Open(*db, store.OpenOpts{Workers: 1})
 	if err != nil {
 		logger.Print(err)
 		return 1

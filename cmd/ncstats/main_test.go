@@ -13,9 +13,10 @@ import (
 )
 
 // TestFlagValidation drives ncstats over a freshly stamped store and a
-// directory in the flat layout earlier releases wrote: usage errors exit 2,
-// failures exit 1 with one line on stderr and nothing on stdout, and the
-// report and -verify exit 0.
+// directory in the flat layout earlier releases wrote, which carries no
+// provenance record and is refused naming it: usage errors exit 2, failures
+// exit 1 with one line on stderr and nothing on stdout, and the report and
+// -verify exit 0.
 func TestFlagValidation(t *testing.T) {
 	ds := testkit.Corpus{Seed: 7}.Dataset(t, 80, 3)
 	store := filepath.Join(t.TempDir(), "store")
@@ -34,7 +35,7 @@ func TestFlagValidation(t *testing.T) {
 		want string // in stdout on exit 0, in stderr otherwise
 	}{
 		{[]string{"-db", store, "-shards", "4"}, 2, "flag provided but not defined: -shards"},
-		{[]string{"-db", flatDir}, 1, flat},
+		{[]string{"-db", flatDir}, 1, filepath.Join(flatDir, provenance.RecordFile)},
 		{[]string{"-db", store, "-version", "99"}, 1, "version 99 not published"},
 		{[]string{"-db", store, "-version", "-1"}, 1, "version -1 not published"},
 		{[]string{"-db", store}, 0, "per-year import history"},

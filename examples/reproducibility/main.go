@@ -1,8 +1,8 @@
 // Reproducibility: the paper's versioned-update story (Fig. 2 and §5.1.2).
-// Import an initial batch of snapshots, publish version 1, persist the
-// store; later import new snapshots into the same store, publish version 2;
-// then reconstruct version 1 exactly and restrict the data to a snapshot
-// range — all without ever deleting a record.
+// Import an initial batch of snapshots, publish version 1, commit the
+// stamped store; later verify and reopen it, import new snapshots, publish
+// version 2; then reconstruct version 1's records and restrict the data to
+// a snapshot range — all without ever deleting a record.
 package main
 
 import (
@@ -11,8 +11,9 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/docstore"
 	"repro/internal/plaus"
+	"repro/internal/provenance"
+	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -37,22 +38,20 @@ func main() {
 	plaus.Update(ds)
 	v1 := ds.Publish()
 	recordsV1 := ds.NumRecords()
-	if err := ds.ToDocDB().SaveParallelOpts(dir, docstore.SaveOpts{}); err != nil {
+	meta := provenance.Meta{Source: "examples/reproducibility", Mode: ds.Mode.String(), Lineage: ds.SnapshotLineage()}
+	if _, err := store.Commit(ds, dir, store.CommitOpts{Meta: meta}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("published version %d: %d records, persisted to %s\n", v1, recordsV1, dir)
 
-	// A later session: load the store and continue with new snapshots —
-	// the update process of Fig. 2 (import -> update statistics ->
-	// version & publish).
-	db, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: 1})
+	// Later, in a new run: verify and load the store, then continue with new
+	// snapshots — the update process of Fig. 2 (import -> update
+	// statistics -> version & publish).
+	ds2, rec, err := store.Open(dir, store.OpenOpts{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds2, err := core.FromDocDBParallel(db, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("verified store: corpus root %s\n", rec.Root())
 	for _, s := range snaps[split:] {
 		ds2.ImportSnapshot(s)
 	}
@@ -61,8 +60,10 @@ func main() {
 	fmt.Printf("published version %d: %d records (monotone growth: +%d)\n",
 		v2, ds2.NumRecords(), ds2.NumRecords()-recordsV1)
 
-	// Reconstruct version 1 from the grown dataset: record counts and even
-	// the stored pair scores match exactly.
+	// Reconstruct version 1 from the grown dataset. Only the record count
+	// is compared here: the reconstruction still carries history from after
+	// version 1 (snapshot dates, insert maps, the version list), so its
+	// bytes differ from the published version 1.
 	back := ds2.ReconstructVersion(v1)
 	fmt.Printf("reconstructed version %d: %d records (expected %d, match=%v)\n",
 		v1, back.NumRecords(), recordsV1, back.NumRecords() == recordsV1)
@@ -76,5 +77,5 @@ func main() {
 	if back.NumRecords() != recordsV1 {
 		log.Fatal("reproducibility violated: reconstruction mismatch")
 	}
-	fmt.Println("reproducibility holds: old evaluations can be repeated bit-exactly.")
+	fmt.Println("reconstruction holds: version 1's record count is recovered from the grown store.")
 }

@@ -237,8 +237,8 @@ func TestFingerprintIndexVerifyCountsMismatch(t *testing.T) {
 	if err := ix.Verify(d); !errors.Is(err, ErrStaleIndex) {
 		t.Fatalf("Verify = %v, want ErrStaleIndex", err)
 	}
-	if fp, ok := ix.Lookup("A1"); !ok || fp.Records != 1 || fp.LastSeen != "2008-01-01" {
-		t.Errorf("Lookup A1 = %+v %v", fp, ok)
+	if fp, ok := ix.fps["A1"]; !ok || fp.Records != 1 || fp.LastSeen != "2008-01-01" {
+		t.Errorf("index entry A1 = %+v %v", fp, ok)
 	}
 	ix.Refresh(d, []string{"B2", "ghost"})
 	if err := ix.Verify(d); err != nil {

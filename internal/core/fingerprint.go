@@ -50,12 +50,6 @@ func BuildFingerprintIndex(d *Dataset) *FingerprintIndex {
 // Len returns the number of indexed clusters.
 func (ix *FingerprintIndex) Len() int { return len(ix.fps) }
 
-// Lookup returns the fingerprint of an NCID, and whether it is indexed.
-func (ix *FingerprintIndex) Lookup(ncid string) (ClusterFP, bool) {
-	fp, ok := ix.fps[ncid]
-	return fp, ok
-}
-
 // Refresh re-fingerprints the given NCIDs against the dataset's current
 // state. NCIDs without a cluster are dropped from the index.
 func (ix *FingerprintIndex) Refresh(d *Dataset, ncids []string) {

@@ -149,7 +149,7 @@ func TestMatcherNameConfusionHandled(t *testing.T) {
 
 func TestMatcherWeightsSumToOne(t *testing.T) {
 	ds := toyDataset(t, 10, []int{2}, 0.5)
-	w := NewMatcher(ds, MeasureMELev).Weights()
+	w := NewMatcher(ds, MeasureMELev).weights
 	sum := 0.0
 	for _, v := range w {
 		sum += v

@@ -144,9 +144,6 @@ func softTFIDFMeasure(column []string) simil.StringMeasure {
 	}
 }
 
-// Weights exposes the matcher's entropy weights (for tests and diagnostics).
-func (m *Matcher) Weights() []float64 { return m.weights }
-
 // RecordSim scores records i and j: the weighted average of their value
 // similarities, with the name attributes aggregated through the best 1:1
 // assignment.
@@ -161,7 +158,7 @@ func (m *Matcher) RecordSim(i, j int) float64 {
 		if w == 0 {
 			continue
 		}
-		sum += w * m.measures[c](a[c], b[c])
+		sum += float64(w * m.measures[c](a[c], b[c]))
 		wsum += w
 	}
 	if len(m.names) > 0 {
@@ -170,7 +167,7 @@ func (m *Matcher) RecordSim(i, j int) float64 {
 			nameW += m.weights[c]
 		}
 		if nameW > 0 {
-			sum += nameW * m.bestNameAssignment(a, b)
+			sum += float64(nameW * m.bestNameAssignment(a, b))
 			wsum += nameW
 		}
 	}
@@ -198,7 +195,7 @@ func (m *Matcher) bestNameAssignment(a, b []string) float64 {
 			score, wsum := 0.0, 0.0
 			for i, p := range perm {
 				w := m.weights[vaIdx[i]]
-				score += w * m.measures[vaIdx[i]](a[vaIdx[i]], b[vaIdx[p]])
+				score += float64(w * m.measures[vaIdx[i]](a[vaIdx[i]], b[vaIdx[p]]))
 				wsum += w
 			}
 			if wsum > 0 {

@@ -36,7 +36,7 @@ func New(values []float64, n int) Histogram {
 func NewOver(lo, hi float64, n int) Histogram {
 	h := Histogram{Bins: make([]int, n), Lo: lo, Width: (hi - lo) / float64(n)}
 	for i := 0; i < n; i++ {
-		h.Labels = append(h.Labels, fmt.Sprintf("[%.2f,%.2f)", lo+float64(i)*h.Width, lo+float64(i+1)*h.Width))
+		h.Labels = append(h.Labels, fmt.Sprintf("[%.2f,%.2f)", lo+float64(float64(i)*h.Width), lo+float64(float64(i+1)*h.Width)))
 	}
 	return h
 }
@@ -68,17 +68,17 @@ func (h Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(h.Total)
+	rank := float64(q * float64(h.Total))
 	cum := 0.0
 	for i, b := range h.Bins {
 		next := cum + float64(b)
 		if b > 0 && next >= rank {
 			frac := (rank - cum) / float64(b)
-			return h.Lo + (float64(i)+frac)*h.Width
+			return h.Lo + float64((float64(i)+frac)*h.Width)
 		}
 		cum = next
 	}
-	return h.Lo + float64(len(h.Bins))*h.Width
+	return h.Lo + float64(float64(len(h.Bins))*h.Width)
 }
 
 // Fprint renders the histogram with proportional bars.

@@ -45,7 +45,7 @@ type Config struct {
 	CacheSize    int           // response-cache entries (default 1024; <0 disables)
 }
 
-// Option mutates the Config inside New.
+// Option mutates the Config inside NewDeferred.
 type Option func(*Config)
 
 // WithTimeout sets the per-request deadline; d < 0 disables it.
@@ -88,16 +88,6 @@ type route struct {
 	pattern   string // resource-relative, e.g. "/clusters/{ncid}"
 	handler   http.HandlerFunc
 	cacheable bool
-}
-
-// New builds a server and synchronously publishes the dataset as its first
-// serving snapshot — the convenience constructor for tests and one-shot
-// tools. Long-running servers that want real readiness semantics use
-// NewDeferred and Publish.
-func New(ds *core.Dataset, opts ...Option) *Server {
-	s := NewDeferred(opts...)
-	s.Publish(ds)
-	return s
 }
 
 // NewDeferred builds a server with no snapshot loaded yet: every data

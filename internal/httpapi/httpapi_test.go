@@ -38,9 +38,16 @@ func testLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
+// newPublished is NewDeferred with ds published as the first generation.
+func newPublished(ds *core.Dataset, opts ...Option) *Server {
+	s := NewDeferred(opts...)
+	s.Publish(ds)
+	return s
+}
+
 func testServer(t *testing.T, opts ...Option) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(New(testDataset(t), append([]Option{WithLogger(testLogger())}, opts...)...))
+	srv := httptest.NewServer(newPublished(testDataset(t), append([]Option{WithLogger(testLogger())}, opts...)...))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -145,7 +152,7 @@ func TestClusterLookup(t *testing.T) {
 
 func TestRecordsEndpoint(t *testing.T) {
 	ds := testDataset(t)
-	srv := httptest.NewServer(New(ds, WithLogger(testLogger())))
+	srv := httptest.NewServer(newPublished(ds, WithLogger(testLogger())))
 	defer srv.Close()
 	oracle := testkit.NewServingOracle(ds.ToDocDB())
 	for _, ncid := range ds.NCIDs() {
@@ -208,7 +215,7 @@ func TestProvenanceEndpoint(t *testing.T) {
 
 func TestConditionalGet(t *testing.T) {
 	ds := testDataset(t)
-	api := New(ds, WithLogger(testLogger()))
+	api := newPublished(ds, WithLogger(testLogger()))
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
@@ -259,7 +266,7 @@ func TestConditionalGet(t *testing.T) {
 
 func TestResponseCache(t *testing.T) {
 	ds := testDataset(t)
-	api := New(ds, WithLogger(testLogger()))
+	api := newPublished(ds, WithLogger(testLogger()))
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
@@ -295,7 +302,7 @@ func TestResponseCache(t *testing.T) {
 	}
 
 	// Disabled cache serves identical data without the X-Cache header.
-	plain := httptest.NewServer(New(ds, WithLogger(testLogger()), WithResponseCache(-1)))
+	plain := httptest.NewServer(newPublished(ds, WithLogger(testLogger()), WithResponseCache(-1)))
 	defer plain.Close()
 	resp, err := http.Get(plain.URL + "/v1/clusters/summary")
 	if err != nil {

@@ -17,7 +17,7 @@ func TestClusterSummary(t *testing.T) {
 	// whatever the worker count of the snapshot build.
 	ref := viaJSON(t, testkit.NewServingOracle(ds.ToDocDB()).Summary(serving.SizeBounds{}))
 	for _, workers := range []int{1, 2, 7} {
-		srv := httptest.NewServer(New(ds, WithLogger(testLogger()), WithStoreWorkers(workers)))
+		srv := httptest.NewServer(newPublished(ds, WithLogger(testLogger()), WithStoreWorkers(workers)))
 		var got map[string]any
 		if code, _ := getData(t, srv.URL+"/v1/clusters/summary", &got); code != 200 {
 			t.Fatalf("workers=%d: summary code = %d", workers, code)
@@ -92,7 +92,7 @@ func TestSummaryDoesNotShadowClusterLookup(t *testing.T) {
 
 func TestSummarySizeFilter(t *testing.T) {
 	ds := testDataset(t)
-	srv := httptest.NewServer(New(ds, WithLogger(testLogger())))
+	srv := httptest.NewServer(newPublished(ds, WithLogger(testLogger())))
 	defer srv.Close()
 	var all, filtered map[string]any
 	getData(t, srv.URL+"/v1/clusters/summary", &all)

@@ -17,7 +17,7 @@ import (
 // read path has no data races with Publish.
 func TestSwapUnderLoad(t *testing.T) {
 	ds := testDataset(t)
-	api := New(ds, WithLogger(testLogger()))
+	api := newPublished(ds, WithLogger(testLogger()))
 
 	var list []map[string]any
 	lsrv := httptest.NewServer(api)

@@ -207,7 +207,7 @@ func quantiles(ms []float64) (p50, p95, p99, max float64) {
 	copy(s, ms)
 	sort.Float64s(s)
 	at := func(q float64) float64 {
-		i := int(q*float64(len(s))+0.999999) - 1
+		i := int(float64(q*float64(len(s)))+0.999999) - 1
 		if i < 0 {
 			i = 0
 		}

@@ -26,7 +26,7 @@ func validRecordBytes(tb testing.TB) []byte {
 	if _, err := Save(db, dir, docstore.SaveOpts{Stride: 16}, StampOpts{Meta: testMeta}); err != nil {
 		tb.Fatal(err)
 	}
-	raw, err := os.ReadFile(RecordPath(dir))
+	raw, err := os.ReadFile(recordPath(dir))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func FuzzChainVerify(f *testing.F) {
 	f.Add(validRecordBytes(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(RecordPath(dir), data, 0o644); err != nil {
+		if err := os.WriteFile(recordPath(dir), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		// One plausible data file, so records naming it exercise the digest

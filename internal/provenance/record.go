@@ -56,7 +56,7 @@ type GeneratorInfo struct {
 // from. It is hashed into every chain link (MetaHash), so tampering with
 // the recorded seed or lineage breaks the chain walk.
 type Meta struct {
-	// Source names the stamping tool ("ncimport").
+	// Source names the stamping tool ("ncimport", "ncpollute").
 	Source string `json:"source,omitempty"`
 	// Mode is the duplicate-removal mode of the dataset.
 	Mode string `json:"mode,omitempty"`
@@ -65,6 +65,9 @@ type Meta struct {
 	Lineage []string `json:"lineage,omitempty"`
 	// Generator pins the ncgen run behind the snapshots, when known.
 	Generator *GeneratorInfo `json:"generator,omitempty"`
+	// SourceRoot is the corpus root of the store a derived store was made
+	// from (ncpollute); empty for a store imported from snapshots.
+	SourceRoot string `json:"sourceRoot,omitempty"`
 }
 
 // Leaf is one segment file's digest entry. Its canonical JSON is the Merkle
@@ -348,8 +351,8 @@ func (r *Record) Encode() []byte {
 	return append(b, '\n')
 }
 
-// RecordPath returns the record file path inside a store directory.
-func RecordPath(dir string) string { return filepath.Join(dir, RecordFile) }
+// recordPath returns the record file path inside a store directory.
+func recordPath(dir string) string { return filepath.Join(dir, RecordFile) }
 
 // LoadRecord reads and validates the record of a store directory through
 // fsys (nil selects the OS filesystem). The raw bytes are returned
@@ -358,13 +361,13 @@ func LoadRecord(fsys docstore.FS, dir string) (*Record, []byte, error) {
 	if fsys == nil {
 		fsys = docstore.OSFS
 	}
-	raw, err := fsys.ReadFile(RecordPath(dir))
+	raw, err := fsys.ReadFile(recordPath(dir))
 	if err != nil {
 		return nil, nil, err
 	}
 	rec, err := DecodeRecord(raw)
 	if err != nil {
-		return nil, raw, fmt.Errorf("%s: %w", RecordPath(dir), err)
+		return nil, raw, fmt.Errorf("%s: %w", recordPath(dir), err)
 	}
 	return rec, raw, nil
 }
@@ -372,7 +375,7 @@ func LoadRecord(fsys docstore.FS, dir string) (*Record, []byte, error) {
 // writeRecord persists the record atomically (write-then-rename), the same
 // discipline as the docstore manifests.
 func writeRecord(fsys docstore.FS, dir string, r *Record) error {
-	path := RecordPath(dir)
+	path := recordPath(dir)
 	tmp := path + ".tmp"
 	if err := fsys.WriteFile(tmp, r.Encode(), 0o644); err != nil {
 		fsys.Remove(tmp)

@@ -94,7 +94,7 @@ func TestSelfCheckRejections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(RecordPath(dir))
+	raw, err := os.ReadFile(recordPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestLoadRecordErrors(t *testing.T) {
 		t.Fatal("missing record loads")
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(RecordPath(dir), []byte("not a record"), 0o644); err != nil {
+	if err := os.WriteFile(recordPath(dir), []byte("not a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rec, raw, err := LoadRecord(nil, dir)
@@ -216,7 +216,7 @@ func TestDirtySaveAfterRecordLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(RecordPath(dir)); err != nil {
+	if err := os.Remove(recordPath(dir)); err != nil {
 		t.Fatal(err)
 	}
 	m := obs.NewMetrics()

@@ -63,7 +63,7 @@ func Save(db *docstore.DB, dir string, store docstore.SaveOpts, opts StampOpts) 
 	// Load the previous record before the save overwrites the directory.
 	var prev *Record
 	reset := false
-	if raw, err := fsys.ReadFile(RecordPath(dir)); err == nil {
+	if raw, err := fsys.ReadFile(recordPath(dir)); err == nil {
 		if p, derr := DecodeRecord(raw); derr == nil && p.SelfCheck() == nil {
 			prev = p
 		} else {

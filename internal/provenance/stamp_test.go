@@ -66,7 +66,7 @@ func TestSaveDeterministicAcrossWorkers(t *testing.T) {
 		if _, err := Save(db, dir, docstore.SaveOpts{Stride: 16, Workers: workers}, StampOpts{Meta: testMeta}); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(RecordPath(dir))
+		raw, err := os.ReadFile(recordPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSaveResetsBrokenChain(t *testing.T) {
 	if _, err := Save(db, dir, opts, StampOpts{Meta: testMeta}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(RecordPath(dir), []byte("{not a record"), 0o644); err != nil {
+	if err := os.WriteFile(recordPath(dir), []byte("{not a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m := obs.NewMetrics()

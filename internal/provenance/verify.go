@@ -55,19 +55,19 @@ func VerifyDir(dir string, opts VerifyOpts) (*Report, error) {
 		fsys = docstore.OSFS
 	}
 	rep := &Report{}
-	raw, err := fsys.ReadFile(RecordPath(dir))
+	raw, err := fsys.ReadFile(recordPath(dir))
 	if err != nil {
 		return rep, fmt.Errorf("provenance: no record to verify: %w", err)
 	}
 	rec, err := DecodeRecord(raw)
 	if err != nil {
 		rep.Bad = []string{RecordFile}
-		return rep, fmt.Errorf("%s: %w", RecordPath(dir), err)
+		return rep, fmt.Errorf("%s: %w", recordPath(dir), err)
 	}
 	rep.Record = rec
 	if err := rec.SelfCheck(); err != nil {
 		rep.Bad = []string{RecordFile}
-		return rep, fmt.Errorf("%s: record is internally inconsistent — the record itself was tampered: %w", RecordPath(dir), err)
+		return rep, fmt.Errorf("%s: record is internally inconsistent — the record itself was tampered: %w", recordPath(dir), err)
 	}
 	if opts.ExpectRoot != "" && opts.ExpectRoot != rec.Root() && opts.ExpectRoot != rec.HeadHash() {
 		return rep, fmt.Errorf("provenance: record root %s (head %s) does not match the pinned digest %s",
@@ -75,31 +75,22 @@ func VerifyDir(dir string, opts VerifyOpts) (*Report, error) {
 	}
 
 	// The record is self-consistent; every remaining failure mode is a file
-	// on disk disagreeing with it. Hash manifests inline (small), segments
-	// on the pool.
-	type job struct {
-		file   string
-		sha256 string
-		bytes  int64
-	}
-	var jobs []job
+	// on disk disagreeing with it. Manifests and segments hash on the pool.
+	var files []string
 	for _, c := range rec.Collections {
-		jobs = append(jobs, job{file: docstore.ManifestFileName(c.Name), sha256: c.ManifestSHA256, bytes: -1})
+		files = append(files, docstore.ManifestFileName(c.Name))
 		for _, l := range c.Leaves {
-			jobs = append(jobs, job{file: l.File, sha256: l.SHA256, bytes: l.Bytes})
+			files = append(files, l.File)
 		}
 	}
+	checked := rec.CheckedFS(fsys)
 
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = max(len(jobs), 1)
-	}
-	bad := make([]string, len(jobs))
-	var hashedBytes, hashedLeaves int64
-	var mu sync.Mutex
+	workers = max(min(workers, len(files)), 1)
+	sizes := make([]int64, len(files)) // -1: the file disagrees with the record
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -107,40 +98,27 @@ func VerifyDir(dir string, opts VerifyOpts) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				j := jobs[i]
-				data, rerr := fsys.ReadFile(filepath.Join(dir, j.file))
-				if rerr != nil {
-					bad[i] = j.file
-					continue
+				data, err := checked.ReadFile(filepath.Join(dir, files[i]))
+				if sizes[i] = int64(len(data)); err != nil {
+					sizes[i] = -1
 				}
-				if j.bytes >= 0 && int64(len(data)) != j.bytes {
-					bad[i] = j.file
-					continue
-				}
-				if hexDigest(sha256.Sum256(data)) != j.sha256 {
-					bad[i] = j.file
-					continue
-				}
-				mu.Lock()
-				hashedBytes += int64(len(data))
-				if j.bytes >= 0 {
-					hashedLeaves++
-				}
-				mu.Unlock()
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := range files {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 
-	rep.Leaves = int(hashedLeaves)
-	rep.Bytes = hashedBytes
-	for _, f := range bad {
-		if f != "" {
+	for i, f := range files {
+		if sizes[i] < 0 {
 			rep.Bad = append(rep.Bad, f)
+			continue
+		}
+		rep.Bytes += sizes[i]
+		if !strings.HasSuffix(f, docstore.ManifestFileName("")) {
+			rep.Leaves++
 		}
 	}
 	sort.Strings(rep.Bad)
@@ -149,4 +127,33 @@ func VerifyDir(dir string, opts VerifyOpts) (*Report, error) {
 			len(rep.Bad), strings.Join(rep.Bad, ", "))
 	}
 	return rep, nil
+}
+
+// CheckedFS returns base with ReadFile holding every file it returns to the
+// SHA-256 r records for it; a file r does not name fails. VerifyDir reads
+// through it, and as docstore.LoadOpts.FS it checks a load's own reads, so
+// the bytes checked are the bytes parsed. r must have passed SelfCheck.
+func (r *Record) CheckedFS(base docstore.FS) docstore.FS {
+	c := checkedFS{base, map[string]string{}}
+	for _, col := range r.Collections {
+		c.want[docstore.ManifestFileName(col.Name)] = col.ManifestSHA256
+		for _, l := range col.Leaves {
+			c.want[l.File] = l.SHA256
+		}
+	}
+	return c
+}
+
+// checkedFS is CheckedFS's filesystem: want maps file names to SHA-256s.
+type checkedFS struct {
+	docstore.FS
+	want map[string]string
+}
+
+func (c checkedFS) ReadFile(path string) ([]byte, error) {
+	data, err := c.FS.ReadFile(path)
+	if err == nil && hexDigest(sha256.Sum256(data)) != c.want[filepath.Base(path)] {
+		return nil, fmt.Errorf("%s disagrees with %s", path, RecordFile)
+	}
+	return data, err
 }

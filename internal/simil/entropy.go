@@ -32,7 +32,7 @@ func Entropy(column []string) float64 {
 	h := 0.0
 	for _, v := range values {
 		p := float64(counts[v]) / n
-		h -= p * math.Log2(p)
+		h -= float64(p * math.Log2(p))
 	}
 	if h < 0 {
 		h = 0 // guard against -0 from rounding
@@ -82,7 +82,7 @@ func WeightedAverage(scores, weights []float64) float64 {
 	}
 	sum, wsum := 0.0, 0.0
 	for i, s := range scores {
-		sum += s * weights[i]
+		sum += float64(s * weights[i])
 		wsum += weights[i]
 	}
 	if wsum == 0 {

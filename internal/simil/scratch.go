@@ -214,7 +214,7 @@ func jaroRunes(ra, rb []rune, sc *Scratch) float64 {
 		j++
 	}
 	m := float64(matches)
-	t := float64(transpositions) / 2
+	t := float64(float64(transpositions) / 2)
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
 
@@ -228,7 +228,7 @@ func JaroWinklerInto(a, b string, sc *Scratch) float64 {
 	for prefix < winklerMaxPrefix && prefix < len(ra) && prefix < len(rb) && ra[prefix] == rb[prefix] {
 		prefix++
 	}
-	return j + float64(prefix)*winklerPrefixScale*(1-j)
+	return j + float64(float64(prefix)*winklerPrefixScale*(1-j))
 }
 
 // NeedlemanWunschInto is NeedlemanWunsch over a caller-provided Scratch.

@@ -65,7 +65,7 @@ func (t *TFIDF) weights(doc []string) (order []string, w map[string]float64) {
 	for _, tok := range order {
 		x := w[tok] * t.IDF(tok)
 		w[tok] = x
-		norm += x * x
+		norm += float64(x * x)
 	}
 	if norm == 0 {
 		return order, w
@@ -103,7 +103,7 @@ func (t *TFIDF) SoftCosine(a, b []string, tok TokenMeasure, threshold float64) f
 			}
 		}
 		if bestTok != "" {
-			dot += wa[ta] * wb[bestTok] * bestSim
+			dot += float64(wa[ta] * wb[bestTok] * bestSim)
 		}
 	}
 	if dot > 1 {

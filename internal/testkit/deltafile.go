@@ -49,7 +49,7 @@ func WriteDeltaFile(dir string, d *core.Dataset, date string, fraction float64, 
 			}
 		}
 	} else {
-		k := int(fraction*float64(len(ids)) + 0.5)
+		k := int(float64(fraction*float64(len(ids))) + 0.5)
 		if k < 1 {
 			k = 1
 		}

@@ -12,7 +12,9 @@ import (
 // (one import of bench from obs puts synth, corrupt, dedup, blocking, …
 // into ncserve), the analysis stack must not import the test kit from
 // non-test code, and the pipeline layers reach the metrics registry only
-// through the counter seam, which itself imports nothing. A banned entry
+// through the counter seam, which itself imports nothing. The store seam sits
+// above every layer: only binaries, examples and tests open or commit a
+// store through it. A banned entry
 // also bans every package below it; the roots themselves are exempt.
 func TestImportDirection(t *testing.T) {
 	if testing.Short() {
@@ -28,6 +30,8 @@ func TestImportDirection(t *testing.T) {
 		{[]string{"repro/internal/bench"}, []string{"repro/internal/testkit"}},
 		{[]string{"repro/internal/counter"}, []string{"repro"}},
 		{layers, []string{"repro/internal/obs", "net/http"}},
+		{slices.Concat(layers, []string{"repro/internal/hetero", "repro/internal/plaus", "repro/internal/custom", "repro/internal/httpapi"}),
+			[]string{"repro/internal/store"}},
 	} {
 		out, err := exec.Command("go", append([]string{"list", "-deps"}, tc.roots...)...).Output()
 		if err != nil {

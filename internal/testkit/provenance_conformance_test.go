@@ -3,6 +3,7 @@ package testkit_test
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -62,7 +63,7 @@ func provResultOf(tb testing.TB, dir string, rec *provenance.Record) provResult 
 	if rep.Leaves != rec.Head().Leaves {
 		tb.Errorf("verification re-derived %d leaves, record promises %d", rep.Leaves, rec.Head().Leaves)
 	}
-	raw, err := docstore.OSFS.ReadFile(provenance.RecordPath(dir))
+	raw, err := docstore.OSFS.ReadFile(filepath.Join(dir, provenance.RecordFile))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package testkit_test
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestProvenanceFaultSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := docstore.OSFS.ReadFile(provenance.RecordPath(dir))
+	raw, err := docstore.OSFS.ReadFile(filepath.Join(dir, provenance.RecordFile))
 	if err != nil {
 		t.Fatal(err)
 	}

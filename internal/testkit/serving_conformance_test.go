@@ -305,8 +305,9 @@ func TestConformanceServing(t *testing.T) {
 			Name:       "serving/" + tc.name + "/snapshot-vs-documents",
 			Sequential: func(testing.TB) map[string]servingResponse { return want },
 			Parallel: func(tb testing.TB, workers int) map[string]servingResponse {
-				api := httpapi.New(tc.ds, httpapi.WithLogger(logger),
+				api := httpapi.NewDeferred(httpapi.WithLogger(logger),
 					httpapi.WithStoreWorkers(workers), httpapi.WithResponseCache(-1))
+				api.Publish(tc.ds)
 				return fetchAll(tb, api, paths)
 			},
 			Compare: func(tb testing.TB, want, got map[string]servingResponse) {

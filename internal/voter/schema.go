@@ -170,22 +170,15 @@ var (
 	IdxRegistrDate    = MustIndex("registr_dt")
 	IdxCancellationDt = MustIndex("cancellation_dt")
 	IdxVoterRegNum    = MustIndex("voter_reg_num")
-	IdxVoterStatus    = MustIndex("voter_status_desc")
 	IdxLastName       = MustIndex("last_name")
 	IdxFirstName      = MustIndex("first_name")
 	IdxMiddleName     = MustIndex("midl_name")
-	IdxNameSuffix     = MustIndex("name_sufx_cd")
 	IdxAge            = MustIndex("age")
 	IdxSexCode        = MustIndex("sex_code")
-	IdxSex            = MustIndex("sex")
 	IdxBirthPlace     = MustIndex("birth_place")
 	IdxRaceDesc       = MustIndex("race_desc")
-	IdxPhone          = MustIndex("phone_num")
 	IdxStreetName     = MustIndex("street_name")
 	IdxResCity        = MustIndex("res_city_desc")
-	IdxZip            = MustIndex("zip_code")
 	IdxMailAddr1      = MustIndex("mail_addr1")
-	IdxNCHouseDesc    = MustIndex("nc_house_desc")
-	IdxCongDistDesc   = MustIndex("cong_dist_desc")
 	IdxAgeGroup       = MustIndex("age_group")
 )

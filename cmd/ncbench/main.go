@@ -139,7 +139,6 @@ func run(args []string, out, stderr io.Writer) int {
 		bench.RunAblationNameScoring(w, out)
 		bench.RunAblationBlocking(w, *top, out)
 		bench.RunAblationPollution(w, out)
-		bench.RunAblationMeasures(w, *top, out)
 		bench.RunAblationThreshold(w, *top, out)
 		bench.RunAblationFS(w, *top, out)
 	}

@@ -153,29 +153,3 @@ func RunAblationPollution(w *Workspace, out io.Writer) AblationPollutionResult {
 	fmt.Fprintln(out, "  (real outdated values preserved; additional errors injected at will)")
 	return res
 }
-
-// AblationMeasuresResult is the measure zoo: best F1 per available measure
-// on the medium-dirtiness customization.
-type AblationMeasuresResult struct {
-	Measure []dedup.Measure
-	BestF1  []float64
-}
-
-// RunAblationMeasures extends Figure 5 beyond the paper's three measures:
-// all seven record measures compete on NC2, where the measure choice
-// matters (§6.5's observation for dirtier data).
-func RunAblationMeasures(w *Workspace, top int, out io.Writer) AblationMeasuresResult {
-	ds := NCDatasets(w, top)[1]
-	cands := paperCandidates(ds)
-	var res AblationMeasuresResult
-	fmt.Fprintf(out, "Ablation measure zoo on %s (%d records, %d true pairs)\n",
-		ds.Name, ds.NumRecords(), ds.NumTruePairs())
-	for _, m := range dedup.AllMeasures {
-		curve := dedup.EvaluateCandidatesParallel(ds, m, cands, sweepSteps, dedup.ScoreOpts{})
-		f1, th := curve.BestF1()
-		res.Measure = append(res.Measure, m)
-		res.BestF1 = append(res.BestF1, f1)
-		fmt.Fprintf(out, "  %-16s best F1 %.3f @ threshold %.2f\n", m, f1, th)
-	}
-	return res
-}

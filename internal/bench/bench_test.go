@@ -364,15 +364,6 @@ func TestAblations(t *testing.T) {
 	if pol.PollutedF1 >= pol.BaseF1 {
 		t.Errorf("pollution did not raise difficulty: F1 %v -> %v", pol.BaseF1, pol.PollutedF1)
 	}
-	zoo := RunAblationMeasures(testWS, 40, io.Discard)
-	if len(zoo.Measure) != len(dedup.AllMeasures) {
-		t.Fatalf("measure zoo = %d measures, want %d", len(zoo.Measure), len(dedup.AllMeasures))
-	}
-	for i, f1 := range zoo.BestF1 {
-		if f1 < 0.3 || f1 > 1 {
-			t.Errorf("measure %s best F1 = %v", zoo.Measure[i], f1)
-		}
-	}
 	th := RunAblationThreshold(testWS, 40, io.Discard)
 	if len(th.Selected) != 3 {
 		t.Fatalf("threshold ablation = %d datasets", len(th.Selected))

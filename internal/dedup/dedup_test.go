@@ -114,10 +114,10 @@ func TestTrimmed(t *testing.T) {
 
 func TestMatcherIdenticalRecords(t *testing.T) {
 	ds := toyDataset(t, 5, []int{2}, 0)
-	for _, m := range AllMeasures {
-		matcher := NewMatcher(ds, m)
+	for _, m := range Measures {
+		mt := newMatcher(ds, m)
 		// Records 0 and 1 are exact copies.
-		if got := matcher.RecordSim(0, 1); got < 0.999 {
+		if got := mt.recordSim(0, 1); got < 0.999 {
 			t.Errorf("%s: identical records sim = %v", m, got)
 		}
 	}
@@ -136,9 +136,9 @@ func TestMatcherNameConfusionHandled(t *testing.T) {
 		},
 		ClusterOf: []int{0, 0, 1, 2},
 	}
-	matcher := NewMatcher(ds, MeasureMELev)
-	confused := matcher.RecordSim(0, 1)
-	different := matcher.RecordSim(0, 2)
+	mt := newMatcher(ds, MeasureMELev)
+	confused := mt.recordSim(0, 1)
+	different := mt.recordSim(0, 2)
 	if confused < 0.99 {
 		t.Errorf("rotated names sim = %v, want ~1 (1:1 matching)", confused)
 	}
@@ -149,7 +149,7 @@ func TestMatcherNameConfusionHandled(t *testing.T) {
 
 func TestMatcherWeightsSumToOne(t *testing.T) {
 	ds := toyDataset(t, 10, []int{2}, 0.5)
-	w := NewMatcher(ds, MeasureMELev).weights
+	w := newMatcher(ds, MeasureMELev).weights
 	sum := 0.0
 	for _, v := range w {
 		sum += v
@@ -188,9 +188,9 @@ func BenchmarkRecordSimMELev(b *testing.B) {
 		},
 		ClusterOf: []int{0, 0},
 	}
-	m := NewMatcher(ds, MeasureMELev)
+	m := newMatcher(ds, MeasureMELev)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.RecordSim(0, 1)
+		m.recordSim(0, 1)
 	}
 }

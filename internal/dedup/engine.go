@@ -6,10 +6,10 @@
 // removes all of that from the pair loop:
 //
 //   - a preprocessing pass interns every distinct column value once and
-//     caches its lowercase form, token lists and sorted interned q-gram
-//     profile (simil.GramProfile), so token/set measures become linear
-//     merges over precomputed slices;
-//   - the DP kernels (Damerau-Levenshtein, Jaro-Winkler, the alignments)
+//     caches its lowercase form, token lists and sorted interned trigram
+//     IDs (simil.InternGrams), so trigram Jaccard becomes a linear merge
+//     over precomputed slices;
+//   - the DP kernels (Damerau-Levenshtein, Monge-Elkan, Jaro-Winkler)
 //     run through per-worker simil.Scratch buffers — no allocation per
 //     comparison;
 //   - a sharded, bounded memo cache reuses value-pair similarities, which
@@ -19,7 +19,7 @@
 //     every float of the Curve is identical to the sequential run for any
 //     worker count and any batch shape.
 //
-// Bit-identity with the plain Matcher holds because every kernel variant
+// Bit-identity with the plain matcher holds because every kernel variant
 // evaluates the same expressions in the same order (fuzz-enforced in
 // internal/simil) and every measure is a pure function, so memo hits can
 // only skip work, never change a result.
@@ -27,8 +27,8 @@
 package dedup
 
 import (
-	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -80,11 +80,11 @@ type valPrep struct {
 	raw           string
 	lower         string
 	foldInvariant bool // hetero.FoldInvariant(raw)
-	// tokensRaw/tokensLower back the Monge-Elkan and SoftTFIDF measures.
+	// tokensRaw/tokensLower back the Monge-Elkan measure.
 	tokensRaw   []string
 	tokensLower []string
-	// grams is the sorted interned trigram profile of the lowercase form.
-	grams simil.GramProfile
+	// grams is the sorted unique interned trigram IDs of the lowercase form.
+	grams []uint32
 }
 
 // colPrep is one column's interning table: every distinct value of the
@@ -102,11 +102,6 @@ const (
 	kindMELev measureKind = iota
 	kindJaroWinkler
 	kindJaccard
-	kindNW
-	kindSW
-	kindCosine
-	kindOverlap
-	kindSoftTFIDF
 )
 
 func kindOf(m Measure) measureKind {
@@ -117,27 +112,15 @@ func kindOf(m Measure) measureKind {
 		return kindJaroWinkler
 	case MeasureTrigramJaccard:
 		return kindJaccard
-	case MeasureNeedlemanWunsch:
-		return kindNW
-	case MeasureSmithWaterman:
-		return kindSW
-	case MeasureCosineTrigram:
-		return kindCosine
-	case MeasureOverlapTrigram:
-		return kindOverlap
-	case MeasureSoftTFIDF:
-		return kindSoftTFIDF
 	}
 	panic("dedup: unknown measure " + string(m))
 }
 
-// scoreScratch is one worker's private working state: the DP scratch, the
-// SoftTFIDF token measure bound to it, and local counters flushed once at
-// the end (per-pair atomics would put a contended cache line in the hot
-// loop).
+// scoreScratch is one worker's private working state: the DP scratch and
+// local counters flushed once at the end (per-pair atomics would put a
+// contended cache line in the hot loop).
 type scoreScratch struct {
-	sc  simil.Scratch
-	tok simil.TokenMeasure
+	sc simil.Scratch
 
 	hits, misses, skips int64
 }
@@ -146,22 +129,19 @@ type scoreScratch struct {
 // per (dataset, measure) via newEngine; matchers derived from it share all
 // preprocessed state and differ only in their scratch.
 type engine struct {
-	ds       *Dataset
-	kind     measureKind
-	weights  []float64
-	names    []int
-	nameSet  map[int]bool
-	cols     []colPrep
-	tfidf    []*simil.TFIDF        // per column, SoftTFIDF only
-	fallback []simil.StringMeasure // defensive path for un-interned values
-	memo     *memoCache
-	obs      counter.Sink
-	prepped  int64
+	ds      *Dataset
+	kind    measureKind
+	weights []float64
+	names   []int
+	nameSet map[int]bool
+	cols    []colPrep
+	memo    *memoCache
+	obs     counter.Sink
+	prepped int64
 }
 
-// newEngine runs the preprocessing pass: one interning table per column,
-// one prep per distinct value, and (for SoftTFIDF) the per-column corpus
-// statistics.
+// newEngine runs the preprocessing pass: one interning table per column and
+// one prep per distinct value.
 func newEngine(ds *Dataset, m Measure, opts ScoreOpts) *engine {
 	kind := kindOf(m)
 	e := &engine{
@@ -178,9 +158,6 @@ func newEngine(ds *Dataset, m Measure, opts ScoreOpts) *engine {
 		e.nameSet[n] = true
 	}
 
-	needTokens := kind == kindMELev || kind == kindSoftTFIDF
-	needGrams := kind == kindJaccard || kind == kindCosine || kind == kindOverlap
-
 	for c := range ds.Attrs {
 		col := colPrep{index: make(map[string]int32, len(ds.Records))}
 		intern := map[string]uint32{}
@@ -189,14 +166,12 @@ func newEngine(ds *Dataset, m Measure, opts ScoreOpts) *engine {
 				return
 			}
 			vp := valPrep{raw: v, lower: strings.ToLower(v), foldInvariant: hetero.FoldInvariant(v)}
-			if needTokens {
-				if kind == kindMELev {
-					vp.tokensRaw = simil.Tokenize(vp.raw)
-				}
+			switch kind {
+			case kindMELev:
+				vp.tokensRaw = simil.Tokenize(vp.raw)
 				vp.tokensLower = simil.Tokenize(vp.lower)
-			}
-			if needGrams {
-				vp.grams = simil.NewGramProfile(simil.QGrams(vp.lower, 3), intern)
+			case kindJaccard:
+				vp.grams = simil.InternGrams(simil.QGrams(vp.lower, 3), intern)
 			}
 			col.index[v] = int32(len(col.vals))
 			col.vals = append(col.vals, vp)
@@ -220,43 +195,15 @@ func newEngine(ds *Dataset, m Measure, opts ScoreOpts) *engine {
 		e.cols[c] = col
 	}
 
-	if kind == kindSoftTFIDF {
-		e.tfidf = make([]*simil.TFIDF, len(ds.Attrs))
-		for c := range ds.Attrs {
-			docs := make([][]string, len(ds.Records))
-			for i, rec := range ds.Records {
-				docs[i] = e.cols[c].vals[e.cols[c].index[rec[c]]].tokensLower
-			}
-			e.tfidf[c] = simil.NewTFIDF(docs)
-		}
-	}
-
-	e.fallback = make([]simil.StringMeasure, len(ds.Attrs))
-	for c := range ds.Attrs {
-		if kind == kindSoftTFIDF {
-			tf := e.tfidf[c]
-			e.fallback[c] = func(a, b string) float64 {
-				return tf.SoftCosine(
-					simil.Tokenize(strings.ToLower(a)),
-					simil.Tokenize(strings.ToLower(b)),
-					simil.DamerauLevenshteinSimilarity, softTFIDFThreshold)
-			}
-		} else {
-			e.fallback[c] = valueMeasure(m)
-		}
-	}
 	return e
 }
 
-// matcherFor derives a Matcher whose per-column measures route through the
-// engine with the given worker-private scratch. The Matcher's combination
+// matcherFor derives a matcher whose per-column measures route through the
+// engine with the given worker-private scratch. The matcher's combination
 // logic (entropy weighting, best 1:1 name assignment) is reused verbatim,
 // which is what makes the engine's scores provably the same floats.
-func (e *engine) matcherFor(sc *scoreScratch) *Matcher {
-	sc.tok = func(a, b string) float64 {
-		return simil.DamerauLevenshteinSimilarityInto(a, b, &sc.sc)
-	}
-	mt := &Matcher{
+func (e *engine) matcherFor(sc *scoreScratch) *matcher {
+	mt := &matcher{
 		ds:      e.ds,
 		weights: e.weights,
 		names:   e.names,
@@ -271,25 +218,27 @@ func (e *engine) matcherFor(sc *scoreScratch) *Matcher {
 }
 
 // value scores one value pair of one column: memo lookup, then the
-// preprocessed kernel, then memo insert.
+// preprocessed kernel, then memo insert. Equal values score 1 under every
+// measure (each kernel returns exactly 1 for equal inputs; fuzz-checked in
+// internal/simil), so they skip both the memo and the kernel.
 func (e *engine) value(c int, a, b string, sc *scoreScratch) float64 {
 	col := &e.cols[c]
 	ua, okA := col.index[a]
 	ub, okB := col.index[b]
 	if !okA || !okB {
-		// Values outside the dataset (never produced by RecordSim, but the
-		// Matcher API is open) take the legacy measure directly.
-		return e.fallback[c](a, b)
+		// recordSim passes only dataset values, and name columns intern the
+		// union of all name-column values: a miss is a bug, not an input.
+		panic("dedup: column " + strconv.Quote(e.ds.Attrs[c]) + " has not interned " + strconv.Quote(a) + " or " + strconv.Quote(b))
 	}
-	if ua == ub && e.kind == kindMELev {
-		return 1 // hetero.ValueSimInto's equal-value shortcut
+	if ua == ub {
+		return 1
 	}
 	if v, ok := e.memo.get(int32(c), ua, ub); ok {
 		sc.hits++
 		return v
 	}
 	sc.misses++
-	v := e.kernel(c, &col.vals[ua], &col.vals[ub], sc)
+	v := e.kernel(&col.vals[ua], &col.vals[ub], sc)
 	if !e.memo.put(int32(c), ua, ub, v) {
 		sc.skips++
 	}
@@ -299,7 +248,7 @@ func (e *engine) value(c int, a, b string, sc *scoreScratch) float64 {
 // kernel computes one value-pair similarity from preprocessed state. Each
 // branch mirrors its allocating counterpart expression for expression; see
 // the package comment for why that matters.
-func (e *engine) kernel(c int, va, vb *valPrep, sc *scoreScratch) float64 {
+func (e *engine) kernel(va, vb *valPrep, sc *scoreScratch) float64 {
 	switch e.kind {
 	case kindMELev:
 		// hetero.ValueSimInto over preprocessed values: mean of raw/lower ×
@@ -315,43 +264,17 @@ func (e *engine) kernel(c int, va, vb *valPrep, sc *scoreScratch) float64 {
 		return (dl + dlLower + me + meLower) / 4
 	case kindJaroWinkler:
 		return simil.JaroWinklerInto(va.lower, vb.lower, &sc.sc)
-	case kindNW:
-		return simil.NeedlemanWunschInto(va.lower, vb.lower, &sc.sc)
-	case kindSW:
-		return simil.SmithWatermanInto(va.lower, vb.lower, &sc.sc)
 	case kindJaccard:
-		la, lb := len(va.grams.IDs), len(vb.grams.IDs)
+		la, lb := len(va.grams), len(vb.grams)
 		if la == 0 && lb == 0 {
 			return 1
 		}
-		inter := simil.SortedIntersectCount(va.grams.IDs, vb.grams.IDs)
+		inter := simil.SortedIntersectCount(va.grams, vb.grams)
 		union := la + lb - inter
 		if union == 0 {
 			return 1
 		}
 		return float64(inter) / float64(union)
-	case kindCosine:
-		la, lb := len(va.grams.IDs), len(vb.grams.IDs)
-		if la == 0 && lb == 0 {
-			return 1
-		}
-		if la == 0 || lb == 0 {
-			return 0
-		}
-		dot := simil.SortedDot(va.grams, vb.grams)
-		return math.Min(1, float64(dot)/(sqrtInt(va.grams.NormSq)*sqrtInt(vb.grams.NormSq)))
-	case kindOverlap:
-		la, lb := len(va.grams.IDs), len(vb.grams.IDs)
-		if la == 0 && lb == 0 {
-			return 1
-		}
-		if la == 0 || lb == 0 {
-			return 0
-		}
-		inter := simil.SortedIntersectCount(va.grams.IDs, vb.grams.IDs)
-		return float64(inter) / float64(minInt2(la, lb))
-	case kindSoftTFIDF:
-		return e.tfidf[c].SoftCosine(va.tokensLower, vb.tokensLower, sc.tok, softTFIDFThreshold)
 	}
 	panic("dedup: unhandled measure kind")
 }
@@ -371,17 +294,4 @@ func (e *engine) report(pairs int64) {
 	counter.Add(e.obs, "score_memo_hits", e.memo.hits.Load())
 	counter.Add(e.obs, "score_memo_misses", e.memo.misses.Load())
 	counter.Add(e.obs, "score_memo_skips", e.memo.skips.Load())
-}
-
-// sqrtInt is math.Sqrt over an int count, so the cosine kernel normalizes
-// with the same expression as CosineQGram (sqrt(na)·sqrt(nb), not
-// sqrt(na·nb) — the products differ in the last ulp), clamp to 1 included.
-func sqrtInt(n int) float64 { return math.Sqrt(float64(n)) }
-
-// minInt2 returns the smaller of a and b (simil's helpers are unexported).
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestParallelScoreEquivalence(t *testing.T) {
 	if len(candidates) == 0 {
 		t.Fatal("no candidates")
 	}
-	for _, m := range AllMeasures {
+	for _, m := range Measures {
 		want := EvaluateCandidates(ds, m, candidates, 50)
 		for _, workers := range equivWorkerCounts() {
 			got := EvaluateCandidatesParallel(ds, m, candidates, 50, ScoreOpts{Workers: workers})
@@ -88,7 +89,7 @@ func TestSliceAdapterBatchBoundaries(t *testing.T) {
 	if len(candidates) < counts[len(counts)-1] {
 		t.Fatalf("only %d candidates, need %d", len(candidates), counts[len(counts)-1])
 	}
-	for _, m := range AllMeasures {
+	for _, m := range Measures {
 		for _, n := range counts {
 			want := EvaluateCandidates(ds, m, candidates[:n], 20)
 			got := EvaluateCandidatesParallel(ds, m, candidates[:n], 20, ScoreOpts{Workers: 3})
@@ -110,6 +111,32 @@ func TestStepsBelowOnePanicsByName(t *testing.T) {
 			}()
 			EvaluateCandidatesParallel(ds, MeasureMELev, nil, steps, ScoreOpts{Workers: 1})
 		}()
+	}
+}
+
+// TestUninternedValuePanicsNamingColumn: recordSim hands the engine only
+// dataset values, so a value missing from a column's interning table is an
+// invariant violation. It must panic naming the column, under every
+// measure and on either side of the pair, rather than be scored some other
+// way.
+func TestUninternedValuePanicsNamingColumn(t *testing.T) {
+	ds := toyDataset(t, 5, []int{2}, 0)
+	for _, m := range Measures {
+		mt := newEngine(ds, m, ScoreOpts{}).matcherFor(&scoreScratch{})
+		for _, c := range []int{2, 3} { // a name column and a plain one
+			known := ds.Records[0][c]
+			for _, pair := range [][2]string{{"NOT A VALUE", known}, {known, "NOT A VALUE"}} {
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, "has not interned") || !strings.Contains(msg, strconv.Quote(ds.Attrs[c])) {
+							t.Errorf("%s/%s %q: recovered %q, want a panic naming the column", m, ds.Attrs[c], pair, msg)
+						}
+					}()
+					mt.measures[c](pair[0], pair[1])
+				}()
+			}
+		}
 	}
 }
 

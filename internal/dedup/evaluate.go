@@ -35,16 +35,16 @@ func (c Curve) BestF1() (f1, threshold float64) {
 }
 
 // EvaluateCandidates scores the given candidate pairs with the plain
-// per-pair Matcher and sweeps the decision threshold by sorting. It is the
+// per-pair matcher and sweeps the decision threshold by sorting. It is the
 // sequential reference the tests compare the engine against — independent
 // code, kept for that. Production callers use EvaluateCandidatesParallel
 // (pairs in a slice) or EvaluateCandidatesStream (pairs from the blocking
 // layer), which produce the same Curve, bit for bit, several times faster.
 func EvaluateCandidates(ds *Dataset, m Measure, candidates []Pair, steps int) Curve {
-	matcher := NewMatcher(ds, m)
+	mt := newMatcher(ds, m)
 	sims := make([]float64, len(candidates))
 	for k, p := range candidates {
-		sims[k] = matcher.RecordSim(p.I, p.J)
+		sims[k] = mt.recordSim(p.I, p.J)
 	}
 	return sweepCurve(ds, m, candidates, sims, steps)
 }

@@ -23,11 +23,11 @@ type FSModel struct {
 	measure  func(a, b string) float64
 }
 
-// TrainFellegiSunter estimates the model from the dataset's gold standard
+// trainFellegiSunter estimates the model from the dataset's gold standard
 // over the given candidate pairs. agreement = ME/Lev value similarity >=
 // agreeSim. Probabilities are Laplace-smoothed so attributes never produce
 // infinite weights.
-func TrainFellegiSunter(ds *Dataset, candidates []Pair, agreeSim float64) *FSModel {
+func trainFellegiSunter(ds *Dataset, candidates []Pair, agreeSim float64) *FSModel {
 	measure := valueMeasure(MeasureMELev)
 	nAttrs := len(ds.Attrs)
 	agreeDup := make([]float64, nAttrs)
@@ -91,8 +91,8 @@ func (m *FSModel) Weight(attr int) float64 {
 // score achieving it. trainFrac and seed control the split, candidates
 // blocks each half (see SelectThreshold).
 func EvaluateFellegiSunter(ds *Dataset, candidates func(*Dataset) []Pair, agreeSim, trainFrac float64, seed int64) (bestF1, bestScore float64) {
-	train, validate := SplitClusters(ds, trainFrac, seed)
-	model := TrainFellegiSunter(train, candidates(train), agreeSim)
+	train, validate := splitClusters(ds, trainFrac, seed)
+	model := trainFellegiSunter(train, candidates(train), agreeSim)
 
 	valCands := candidates(validate)
 	type scored struct {

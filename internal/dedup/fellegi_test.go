@@ -8,7 +8,7 @@ import (
 func TestFellegiSunterWeightsLearnIdentifyingAttrs(t *testing.T) {
 	ds := toyDataset(t, 60, []int{2, 3}, 0.3)
 	cands := allPairs(len(ds.Records))
-	model := TrainFellegiSunter(ds, cands, 0.9)
+	model := trainFellegiSunter(ds, cands, 0.9)
 	if len(model.M) != len(ds.Attrs) {
 		t.Fatalf("model width = %d", len(model.M))
 	}
@@ -28,7 +28,7 @@ func TestFellegiSunterWeightsLearnIdentifyingAttrs(t *testing.T) {
 func TestFellegiSunterScoresSeparate(t *testing.T) {
 	ds := toyDataset(t, 60, []int{2}, 0.3)
 	cands := allPairs(len(ds.Records))
-	model := TrainFellegiSunter(ds, cands, 0.9)
+	model := trainFellegiSunter(ds, cands, 0.9)
 	// Mean score of duplicates must exceed mean score of non-duplicates.
 	var dupSum, nonSum float64
 	var dupN, nonN int

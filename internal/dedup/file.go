@@ -36,8 +36,8 @@ func (d *Dataset) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadFrom parses a dataset serialized by Write.
-func ReadFrom(r io.Reader) (*Dataset, error) {
+// readFrom parses a dataset serialized by Write.
+func readFrom(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	d := &Dataset{}
@@ -108,5 +108,5 @@ func ReadFile(path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadFrom(f)
+	return readFrom(f)
 }

@@ -23,7 +23,7 @@ func TestDatasetFileRoundTrip(t *testing.T) {
 	if err := ds.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrom(&buf)
+	got, err := readFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestReadFromRejectsMalformed(t *testing.T) {
 		"cluster_id\ta\n1\tx\textra\n",
 	}
 	for i, c := range cases {
-		if _, err := ReadFrom(strings.NewReader(c)); err == nil {
+		if _, err := readFrom(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: malformed input accepted", i)
 		}
 	}

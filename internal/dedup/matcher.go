@@ -22,29 +22,8 @@ const (
 	MeasureTrigramJaccard Measure = "Jaccard"
 )
 
-// Extended measures beyond the paper's three: global and local alignment
-// and two further q-gram measures, covering the sequential / hybrid /
-// token-based spectrum more densely.
-const (
-	MeasureNeedlemanWunsch Measure = "NeedlemanWunsch"
-	MeasureSmithWaterman   Measure = "SmithWaterman"
-	MeasureCosineTrigram   Measure = "CosineTrigram"
-	MeasureOverlapTrigram  Measure = "OverlapTrigram"
-	// MeasureSoftTFIDF is the corpus-aware SoftTFIDF measure: per-column
-	// token idf statistics with typo-forgiving token matching. Unlike the
-	// other measures it depends on the dataset it runs on.
-	MeasureSoftTFIDF Measure = "SoftTFIDF"
-)
-
 // Measures lists the paper's three in paper order.
 var Measures = []Measure{MeasureMELev, MeasureJaroWinkler, MeasureTrigramJaccard}
-
-// AllMeasures lists every available measure, the paper's first.
-var AllMeasures = []Measure{
-	MeasureMELev, MeasureJaroWinkler, MeasureTrigramJaccard,
-	MeasureNeedlemanWunsch, MeasureSmithWaterman,
-	MeasureCosineTrigram, MeasureOverlapTrigram, MeasureSoftTFIDF,
-}
 
 // valueMeasure resolves a measure name to its value-similarity function.
 func valueMeasure(m Measure) simil.StringMeasure {
@@ -55,24 +34,8 @@ func valueMeasure(m Measure) simil.StringMeasure {
 		return jwCaseInsensitive
 	case MeasureTrigramJaccard:
 		return jaccardCaseInsensitive
-	case MeasureNeedlemanWunsch:
-		return lowered(simil.NeedlemanWunsch)
-	case MeasureSmithWaterman:
-		return lowered(simil.SmithWaterman)
-	case MeasureCosineTrigram:
-		return lowered(func(a, b string) float64 { return simil.CosineQGram(a, b, 3) })
-	case MeasureOverlapTrigram:
-		return lowered(func(a, b string) float64 { return simil.OverlapQGram(a, b, 3) })
 	}
 	panic("dedup: unknown measure " + string(m))
-}
-
-// lowered wraps a measure with case folding, matching the paper's
-// case-insensitive record comparison.
-func lowered(m simil.StringMeasure) simil.StringMeasure {
-	return func(a, b string) float64 {
-		return m(strings.ToLower(a), strings.ToLower(b))
-	}
 }
 
 func jwCaseInsensitive(a, b string) float64 {
@@ -83,13 +46,13 @@ func jaccardCaseInsensitive(a, b string) float64 {
 	return simil.TrigramJaccard(strings.ToLower(a), strings.ToLower(b))
 }
 
-// Matcher scores record pairs of one dataset under one measure, with
+// matcher scores record pairs of one dataset under one measure, with
 // entropy-derived attribute weights and best 1:1 name matching. Weights are
 // computed over all records — the user cannot know the duplicates in
 // advance (§6.5) — which is exactly what distinguishes them from the
-// heterogeneity weights. Measures are held per column so corpus-aware
-// measures (SoftTFIDF) can carry column statistics.
-type Matcher struct {
+// heterogeneity weights. Measures are held per column so the scoring
+// engine can route each column through its own interning table.
+type matcher struct {
 	ds       *Dataset
 	measures []simil.StringMeasure // one per column
 	weights  []float64
@@ -97,57 +60,31 @@ type Matcher struct {
 	nameSet  map[int]bool
 }
 
-// NewMatcher builds a matcher for the dataset under the given measure.
-func NewMatcher(ds *Dataset, m Measure) *Matcher {
+// newMatcher builds a matcher for the dataset under the given measure.
+func newMatcher(ds *Dataset, m Measure) *matcher {
 	weights := simil.EntropyWeights(ds.Columns())
 	nameSet := map[int]bool{}
 	for _, n := range ds.NameAttrs {
 		nameSet[n] = true
 	}
-	matcher := &Matcher{
+	mt := &matcher{
 		ds:      ds,
 		weights: weights,
 		names:   append([]int(nil), ds.NameAttrs...),
 		nameSet: nameSet,
 	}
-	matcher.measures = make([]simil.StringMeasure, len(ds.Attrs))
-	if m == MeasureSoftTFIDF {
-		for c, col := range ds.Columns() {
-			matcher.measures[c] = softTFIDFMeasure(col)
-		}
-		return matcher
-	}
+	mt.measures = make([]simil.StringMeasure, len(ds.Attrs))
 	vm := valueMeasure(m)
-	for c := range matcher.measures {
-		matcher.measures[c] = vm
+	for c := range mt.measures {
+		mt.measures[c] = vm
 	}
-	return matcher
+	return mt
 }
 
-// softTFIDFThreshold is the internal token-match threshold of the
-// SoftTFIDF measure.
-const softTFIDFThreshold = 0.85
-
-// softTFIDFMeasure builds the per-column SoftTFIDF value measure from the
-// column's token corpus.
-func softTFIDFMeasure(column []string) simil.StringMeasure {
-	docs := make([][]string, len(column))
-	for i, v := range column {
-		docs[i] = simil.Tokenize(strings.ToLower(v))
-	}
-	tfidf := simil.NewTFIDF(docs)
-	return func(a, b string) float64 {
-		return tfidf.SoftCosine(
-			simil.Tokenize(strings.ToLower(a)),
-			simil.Tokenize(strings.ToLower(b)),
-			simil.DamerauLevenshteinSimilarity, softTFIDFThreshold)
-	}
-}
-
-// RecordSim scores records i and j: the weighted average of their value
+// recordSim scores records i and j: the weighted average of their value
 // similarities, with the name attributes aggregated through the best 1:1
 // assignment.
-func (m *Matcher) RecordSim(i, j int) float64 {
+func (m *matcher) recordSim(i, j int) float64 {
 	a, b := m.ds.Records[i], m.ds.Records[j]
 	sum, wsum := 0.0, 0.0
 	for c := range m.ds.Attrs {
@@ -181,7 +118,7 @@ func (m *Matcher) RecordSim(i, j int) float64 {
 // between the two records' name values, weighting each matched slot by its
 // attribute weight. With the register's three names this enumerates at most
 // 3! = 6 permutations.
-func (m *Matcher) bestNameAssignment(a, b []string) float64 {
+func (m *matcher) bestNameAssignment(a, b []string) float64 {
 	n := len(m.names)
 	vaIdx := m.names
 	perm := make([]int, n)

@@ -14,9 +14,10 @@ const memoShardCount = 64
 const defaultMemoCap = 1 << 20
 
 // memoKey identifies one ordered pair of interned column values. The pair
-// is deliberately not canonicalized: SoftTFIDF's soft cosine is asymmetric,
-// and the bit-identity contract requires the memoized result to be exactly
-// what the direct computation would have returned for that argument order.
+// is not canonicalized, so (a, b) and (b, a) are cached apart. Every kernel
+// the engine runs is fuzz-checked bit-symmetric (FuzzStringKernels,
+// FuzzTokenKernels), so canonical keys would return the same floats; they
+// are left for a change that measures what they save.
 type memoKey struct {
 	col  int32
 	a, b int32

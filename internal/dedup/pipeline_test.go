@@ -25,16 +25,6 @@ func evaluate(ds *Dataset, m Measure, k, window, steps int) Curve {
 	return EvaluateCandidatesParallel(ds, m, candidates(ds, k, window), steps, ScoreOpts{})
 }
 
-func TestExtendedMeasuresEvaluate(t *testing.T) {
-	ds := ToyDataset(t, 30, []int{2, 3}, 0.2)
-	for _, m := range AllMeasures[3:] {
-		f1, _ := evaluate(ds, m, 3, 20, 20).BestF1()
-		if f1 < 0.7 {
-			t.Errorf("%s: best F1 = %v on clean data, want >= 0.7", m, f1)
-		}
-	}
-}
-
 func TestSNMFindsAllClusteredPairs(t *testing.T) {
 	ds := ToyDataset(t, 30, []int{2, 3}, 0.2)
 	cands := candidates(ds, 3, 20)
@@ -166,7 +156,7 @@ func TestEvaluateAllMatchesSequential(t *testing.T) {
 func TestEvaluateMatchesSequential(t *testing.T) {
 	ds := ToyDataset(t, 25, []int{1, 2, 3}, 0.4)
 	ref, _ := blocking.GenerateSeq(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 3), Window: 12})
-	for _, m := range AllMeasures {
+	for _, m := range Measures {
 		RequireCurvesIdentical(t, string(m), EvaluateCandidates(ds, m, ref, 30), evaluate(ds, m, 3, 12, 30))
 	}
 }

@@ -74,12 +74,12 @@ func (e *engine) scoreStream(batches <-chan []Pair, steps, workers int, recycle 
 	counts = make([]int64, steps+2)
 	dups = make([]int64, steps+2)
 
-	consume := func(mt *Matcher, lc, ld []int64) (lp, lb int64) {
+	consume := func(mt *matcher, lc, ld []int64) (lp, lb int64) {
 		for batch := range batches {
 			lb++
 			lp += int64(len(batch))
 			for _, p := range batch {
-				b := thresholdBucket(mt.RecordSim(p.I, p.J), steps)
+				b := thresholdBucket(mt.recordSim(p.I, p.J), steps)
 				lc[b]++
 				if e.ds.IsDuplicate(p.I, p.J) {
 					ld[b]++

@@ -35,7 +35,7 @@ func TestStreamCurveEquivalence(t *testing.T) {
 	if len(candidates) == 0 {
 		t.Fatal("no candidates")
 	}
-	for _, m := range AllMeasures {
+	for _, m := range Measures {
 		want := EvaluateCandidates(ds, m, candidates, 50)
 		for _, workers := range equivWorkerCounts() {
 			got := EvaluateCandidatesStream(ds, m, feedBatches(candidates, 37, 2), 50,

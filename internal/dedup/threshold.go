@@ -26,7 +26,7 @@ type ThresholdSelection struct {
 // this package cannot import); trainFrac is the fraction of clusters
 // trained on; seed fixes the split.
 func SelectThreshold(ds *Dataset, m Measure, candidates func(*Dataset) []Pair, steps int, trainFrac float64, seed int64) ThresholdSelection {
-	train, validate := SplitClusters(ds, trainFrac, seed)
+	train, validate := splitClusters(ds, trainFrac, seed)
 	sel := ThresholdSelection{Measure: m}
 
 	trainCurve := EvaluateCandidatesParallel(train, m, candidates(train), steps, ScoreOpts{})
@@ -49,10 +49,10 @@ func SelectThreshold(ds *Dataset, m Measure, candidates func(*Dataset) []Pair, s
 	return sel
 }
 
-// SplitClusters partitions the dataset's clusters into two datasets: the
+// splitClusters partitions the dataset's clusters into two datasets: the
 // first receives about trainFrac of the clusters. Records never straddle
 // the split.
-func SplitClusters(ds *Dataset, trainFrac float64, seed int64) (train, validate *Dataset) {
+func splitClusters(ds *Dataset, trainFrac float64, seed int64) (train, validate *Dataset) {
 	clusters := ds.Clusters()
 	ids := make([]int, 0, len(clusters))
 	for id := range clusters {

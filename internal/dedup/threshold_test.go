@@ -4,7 +4,7 @@ import "testing"
 
 func TestSplitClusters(t *testing.T) {
 	ds := toyDataset(t, 40, []int{2, 3}, 0.2)
-	train, validate := SplitClusters(ds, 0.5, 1)
+	train, validate := splitClusters(ds, 0.5, 1)
 	if train.NumClusters()+validate.NumClusters() != ds.NumClusters() {
 		t.Errorf("cluster split lost clusters: %d + %d != %d",
 			train.NumClusters(), validate.NumClusters(), ds.NumClusters())
@@ -23,11 +23,11 @@ func TestSplitClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deterministic.
-	t2, _ := SplitClusters(ds, 0.5, 1)
+	t2, _ := splitClusters(ds, 0.5, 1)
 	if t2.NumRecords() != train.NumRecords() {
 		t.Error("split not deterministic")
 	}
-	t3, _ := SplitClusters(ds, 0.5, 2)
+	t3, _ := splitClusters(ds, 0.5, 2)
 	if t3.NumRecords() == train.NumRecords() && t3.NumTruePairs() == train.NumTruePairs() &&
 		len(t3.Records) > 0 && len(train.Records) > 0 && t3.Records[0][0] == train.Records[0][0] {
 		t.Log("different seeds produced a similar split (possible but unlikely)")

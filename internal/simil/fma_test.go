@@ -45,12 +45,6 @@ func TestJaroWinklerRoundsPrefixBoost(t *testing.T) {
 	pinUnfused(t, "JaroWinkler", JaroWinkler("DWAYNE", "DICKSONX"), fusedJaroWinkler("DWAYNE", "DICKSONX"), 0.575)
 }
 
-func TestSoftCosineRoundsNormAndDot(t *testing.T) {
-	tf := NewTFIDF([][]string{{"JOHN", "SMITH"}, {"JON", "SMYTH"}, {"MARY", "ANN", "SMITH"}, {"ACME", "INC"}, {"NGUYEN", "VAN"}, {"JOHN", "NGUYEN"}})
-	a, b := []string{"VAN", "JOHN", "NGUEN"}, []string{"NGUYEN", "ANN"}
-	pinUnfused(t, "SoftCosine", tf.SoftCosine(a, b, JaroWinkler, 0.8), fusedSoftCosine(tf, a, b, JaroWinkler, 0.8), 0.35216747459411457)
-}
-
 // fusedEntropy is Entropy as a fusing CPU computes it without the rounding.
 func fusedEntropy(column []string) float64 {
 	counts := map[string]int{}
@@ -90,46 +84,4 @@ func fusedJaroWinkler(a, b string) float64 {
 		prefix++
 	}
 	return math.FMA(float64(prefix)*winklerPrefixScale, 1-j, j)
-}
-
-// fusedSoftCosine is SoftCosine with both its norm and its dot product
-// fused (non-empty inputs).
-func fusedSoftCosine(t *TFIDF, a, b []string, tok TokenMeasure, threshold float64) float64 {
-	weights := func(doc []string) ([]string, map[string]float64) {
-		w := map[string]float64{}
-		for _, tk := range doc {
-			w[tk]++
-		}
-		order := make([]string, 0, len(w))
-		for tk := range w {
-			order = append(order, tk)
-		}
-		sort.Strings(order)
-		norm := 0.0
-		for _, tk := range order {
-			x := w[tk] * t.IDF(tk)
-			w[tk] = x
-			norm = math.FMA(x, x, norm)
-		}
-		norm = math.Sqrt(norm)
-		for _, tk := range order {
-			w[tk] /= norm
-		}
-		return order, w
-	}
-	orderA, wa := weights(a)
-	orderB, wb := weights(b)
-	dot := 0.0
-	for _, ta := range orderA {
-		bestSim, bestTok := 0.0, ""
-		for _, tb := range orderB {
-			if s := tok(ta, tb); s >= threshold && s > bestSim {
-				bestSim, bestTok = s, tb
-			}
-		}
-		if bestTok != "" {
-			dot = math.FMA(wa[ta]*wb[bestTok], bestSim, dot)
-		}
-	}
-	return min(dot, 1)
 }

@@ -120,11 +120,11 @@ func gjLess(x, y gjCand) bool {
 	return x.j < y.j
 }
 
-// MongeElkanDirected returns the directed Monge-Elkan similarity of token
+// mongeElkanDirected returns the directed Monge-Elkan similarity of token
 // sequence a against b: the mean over a's tokens of each token's best match
 // in b under the internal measure tok. One empty sequence scores 0; two
 // empty sequences score 1.
-func MongeElkanDirected(a, b []string, tok TokenMeasure) float64 {
+func mongeElkanDirected(a, b []string, tok TokenMeasure) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
@@ -148,7 +148,7 @@ func MongeElkanDirected(a, b []string, tok TokenMeasure) float64 {
 // two directed scores. The paper symmetrizes exactly this way because the
 // directed measure is asymmetric (§6.3, footnote 13).
 func MongeElkan(a, b []string, tok TokenMeasure) float64 {
-	return (MongeElkanDirected(a, b, tok) + MongeElkanDirected(b, a, tok)) / 2
+	return (mongeElkanDirected(a, b, tok) + mongeElkanDirected(b, a, tok)) / 2
 }
 
 // MongeElkanDL is MongeElkan over letter/digit tokens with the

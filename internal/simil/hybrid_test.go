@@ -78,7 +78,7 @@ func TestGeneralizedJaccardBoundsAndSymmetry(t *testing.T) {
 func TestMongeElkanDirectedVsSymmetric(t *testing.T) {
 	a := Tokenize("JRS RIDGE")
 	b := Tokenize("JRS")
-	d1 := MongeElkanDirected(b, a, DamerauLevenshteinSimilarity)
+	d1 := mongeElkanDirected(b, a, DamerauLevenshteinSimilarity)
 	if d1 != 1 {
 		t.Errorf("directed ME of subset tokens = %v, want 1", d1)
 	}

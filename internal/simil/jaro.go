@@ -3,10 +3,10 @@ package simil
 // Jaro returns the Jaro similarity of a and b in [0, 1]. It counts matching
 // runes within the usual half-window and penalizes transpositions among the
 // matches. Two empty strings score 1; one empty string scores 0. Thin
-// wrapper over JaroInto with a fresh Scratch.
+// wrapper over jaroInto with a fresh Scratch.
 func Jaro(a, b string) float64 {
 	var sc Scratch
-	return JaroInto(a, b, &sc)
+	return jaroInto(a, b, &sc)
 }
 
 // winklerPrefixScale is the standard Winkler prefix bonus factor.

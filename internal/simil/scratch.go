@@ -2,7 +2,7 @@ package simil
 
 // Scratch holds the reusable working memory of the dynamic-programming
 // kernels: rune decodings of both inputs, up to three DP rows, the two
-// match-flag arrays of the Jaro kernel, and four token buffers. One Scratch
+// match-flag arrays of the Jaro kernel, and two token buffers. One Scratch
 // serves one goroutine; the parallel scoring engine keeps one per worker so
 // the §6.3/§6.5 hot loop — millions of value comparisons — runs without
 // per-comparison allocations. The zero value is ready to use; buffers grow
@@ -17,7 +17,6 @@ type Scratch struct {
 	r0, r1, r2 []int
 	ma, mb     []bool
 	ta, tb     []string
-	tla, tlb   []string
 	gj         []gjCand
 }
 
@@ -52,9 +51,9 @@ func boolRow(buf *[]bool, n int) []bool {
 	return b
 }
 
-// TokenizeInto is Tokenize writing into buf (reused, length reset). The
+// tokenizeInto is Tokenize writing into buf (reused, length reset). The
 // returned slice aliases buf's backing array.
-func TokenizeInto(s string, buf []string) []string {
+func tokenizeInto(s string, buf []string) []string {
 	buf = buf[:0]
 	start := -1
 	for i, r := range s {
@@ -75,8 +74,8 @@ func TokenizeInto(s string, buf []string) []string {
 	return buf
 }
 
-// LevenshteinInto is Levenshtein over a caller-provided Scratch.
-func LevenshteinInto(a, b string, sc *Scratch) int {
+// levenshteinInto is Levenshtein over a caller-provided Scratch.
+func levenshteinInto(a, b string, sc *Scratch) int {
 	sc.ra = appendRunes(sc.ra, a)
 	sc.rb = appendRunes(sc.rb, b)
 	ra, rb := sc.ra, sc.rb
@@ -105,9 +104,9 @@ func LevenshteinInto(a, b string, sc *Scratch) int {
 	return prev[len(rb)]
 }
 
-// DamerauLevenshteinInto is DamerauLevenshtein over a caller-provided
+// damerauLevenshteinInto is DamerauLevenshtein over a caller-provided
 // Scratch.
-func DamerauLevenshteinInto(a, b string, sc *Scratch) int {
+func damerauLevenshteinInto(a, b string, sc *Scratch) int {
 	sc.ra = appendRunes(sc.ra, a)
 	sc.rb = appendRunes(sc.rb, b)
 	return damerauLevenshteinRunes(sc.ra, sc.rb, sc)
@@ -160,8 +159,8 @@ func DamerauLevenshteinSimilarityInto(a, b string, sc *Scratch) float64 {
 	return 1 - float64(damerauLevenshteinRunes(sc.ra, sc.rb, sc))/float64(m)
 }
 
-// JaroInto is Jaro over a caller-provided Scratch.
-func JaroInto(a, b string, sc *Scratch) float64 {
+// jaroInto is Jaro over a caller-provided Scratch.
+func jaroInto(a, b string, sc *Scratch) float64 {
 	sc.ra = appendRunes(sc.ra, a)
 	sc.rb = appendRunes(sc.rb, b)
 	return jaroRunes(sc.ra, sc.rb, sc)
@@ -231,90 +230,6 @@ func JaroWinklerInto(a, b string, sc *Scratch) float64 {
 	return j + float64(float64(prefix)*winklerPrefixScale*(1-j))
 }
 
-// NeedlemanWunschInto is NeedlemanWunsch over a caller-provided Scratch.
-func NeedlemanWunschInto(a, b string, sc *Scratch) float64 {
-	sc.ra = appendRunes(sc.ra, a)
-	sc.rb = appendRunes(sc.rb, b)
-	ra, rb := sc.ra, sc.rb
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	prev := intRow(&sc.r0, lb+1)
-	cur := intRow(&sc.r1, lb+1)
-	for j := range prev {
-		prev[j] = 0
-	}
-	cur[0] = 0
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			best := prev[j] // gap in b
-			if cur[j-1] > best {
-				best = cur[j-1] // gap in a
-			}
-			diag := prev[j-1]
-			if ra[i-1] == rb[j-1] {
-				diag++
-			}
-			if diag > best {
-				best = diag
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	return float64(prev[lb]) / float64(maxInt(la, lb))
-}
-
-// SmithWatermanInto is SmithWaterman over a caller-provided Scratch.
-func SmithWatermanInto(a, b string, sc *Scratch) float64 {
-	sc.ra = appendRunes(sc.ra, a)
-	sc.rb = appendRunes(sc.rb, b)
-	ra, rb := sc.ra, sc.rb
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	prev := intRow(&sc.r0, lb+1)
-	cur := intRow(&sc.r1, lb+1)
-	for j := range prev {
-		prev[j] = 0
-	}
-	cur[0] = 0
-	best := 0
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			score := prev[j-1]
-			if ra[i-1] == rb[j-1] {
-				score++
-			} else {
-				score--
-			}
-			if g := prev[j] - 1; g > score {
-				score = g
-			}
-			if g := cur[j-1] - 1; g > score {
-				score = g
-			}
-			if score < 0 {
-				score = 0
-			}
-			cur[j] = score
-			if score > best {
-				best = score
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return float64(best) / float64(minInt(la, lb))
-}
-
 // MongeElkanTokensInto is MongeElkan over pre-tokenized sequences with the
 // Damerau-Levenshtein similarity as the internal measure, reusing the
 // Scratch for every token comparison. It equals
@@ -324,7 +239,7 @@ func MongeElkanTokensInto(a, b []string, sc *Scratch) float64 {
 	return (mongeElkanDirectedInto(a, b, sc) + mongeElkanDirectedInto(b, a, sc)) / 2
 }
 
-// mongeElkanDirectedInto is MongeElkanDirected with the DL-similarity
+// mongeElkanDirectedInto is mongeElkanDirected with the DL-similarity
 // internal measure over a Scratch.
 func mongeElkanDirectedInto(a, b []string, sc *Scratch) float64 {
 	if len(a) == 0 && len(b) == 0 {
@@ -350,7 +265,7 @@ func mongeElkanDirectedInto(a, b []string, sc *Scratch) float64 {
 // token slices are built in the Scratch's buffers, the token comparisons in
 // its DP rows.
 func MongeElkanDLInto(a, b string, sc *Scratch) float64 {
-	sc.ta = TokenizeInto(a, sc.ta)
-	sc.tb = TokenizeInto(b, sc.tb)
+	sc.ta = tokenizeInto(a, sc.ta)
+	sc.tb = tokenizeInto(b, sc.tb)
 	return MongeElkanTokensInto(sc.ta, sc.tb, sc)
 }

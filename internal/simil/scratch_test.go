@@ -26,21 +26,19 @@ func TestIntoVariantsMatchAllocatingKernels(t *testing.T) {
 	var sc Scratch // shared and reused across all iterations on purpose
 	for i := 0; i < 500; i++ {
 		a, b := randomValue(rng), randomValue(rng)
-		if d, dInto := Levenshtein(a, b), LevenshteinInto(a, b, &sc); d != dInto {
-			t.Fatalf("LevenshteinInto(%q, %q) = %d, want %d", a, b, dInto, d)
+		if d, dInto := Levenshtein(a, b), levenshteinInto(a, b, &sc); d != dInto {
+			t.Fatalf("levenshteinInto(%q, %q) = %d, want %d", a, b, dInto, d)
 		}
-		if d, dInto := DamerauLevenshtein(a, b), DamerauLevenshteinInto(a, b, &sc); d != dInto {
-			t.Fatalf("DamerauLevenshteinInto(%q, %q) = %d, want %d", a, b, dInto, d)
+		if d, dInto := DamerauLevenshtein(a, b), damerauLevenshteinInto(a, b, &sc); d != dInto {
+			t.Fatalf("damerauLevenshteinInto(%q, %q) = %d, want %d", a, b, dInto, d)
 		}
 		checks := []struct {
 			name       string
 			have, want float64
 		}{
 			{"DamerauLevenshteinSimilarity", DamerauLevenshteinSimilarityInto(a, b, &sc), DamerauLevenshteinSimilarity(a, b)},
-			{"Jaro", JaroInto(a, b, &sc), Jaro(a, b)},
+			{"Jaro", jaroInto(a, b, &sc), Jaro(a, b)},
 			{"JaroWinkler", JaroWinklerInto(a, b, &sc), JaroWinkler(a, b)},
-			{"NeedlemanWunsch", NeedlemanWunschInto(a, b, &sc), NeedlemanWunsch(a, b)},
-			{"SmithWaterman", SmithWatermanInto(a, b, &sc), SmithWaterman(a, b)},
 			{"MongeElkanDL", MongeElkanDLInto(a, b, &sc), MongeElkanDL(a, b)},
 		}
 		for _, c := range checks {
@@ -57,72 +55,45 @@ func TestTokenizeIntoMatchesTokenize(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s := randomValue(rng)
 		want := Tokenize(s)
-		buf = TokenizeInto(s, buf)
+		buf = tokenizeInto(s, buf)
 		if len(buf) != len(want) {
-			t.Fatalf("TokenizeInto(%q) = %v, want %v", s, buf, want)
+			t.Fatalf("tokenizeInto(%q) = %v, want %v", s, buf, want)
 		}
 		for j := range want {
 			if buf[j] != want[j] {
-				t.Fatalf("TokenizeInto(%q) = %v, want %v", s, buf, want)
+				t.Fatalf("tokenizeInto(%q) = %v, want %v", s, buf, want)
 			}
 		}
 	}
 }
 
-// TestGramProfileKernelsMatchMapMeasures checks that the merge kernels count
-// exactly what the map-based q-gram measures count.
+// TestGramProfileKernelsMatchMapMeasures checks that the merge over
+// interned trigram IDs counts exactly what the map-based TrigramJaccard
+// counts.
 func TestGramProfileKernelsMatchMapMeasures(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	intern := map[string]uint32{}
 	for i := 0; i < 300; i++ {
 		a, b := randomValue(rng), randomValue(rng)
-		pa := NewGramProfile(QGrams(a, 3), intern)
-		pb := NewGramProfile(QGrams(b, 3), intern)
-
-		inter := SortedIntersectCount(pa.IDs, pb.IDs)
-		var jac float64
-		switch {
-		case len(pa.IDs) == 0 && len(pb.IDs) == 0:
-			jac = 1
-		default:
-			union := len(pa.IDs) + len(pb.IDs) - inter
-			if union == 0 {
-				jac = 1
-			} else {
-				jac = float64(inter) / float64(union)
-			}
-		}
+		jac := internedJaccard(InternGrams(QGrams(a, 3), intern), InternGrams(QGrams(b, 3), intern))
 		if want := TrigramJaccard(a, b); math.Float64bits(jac) != math.Float64bits(want) {
 			t.Fatalf("profile Jaccard(%q, %q) = %v, want %v", a, b, jac, want)
 		}
-
-		var cos float64
-		switch {
-		case len(pa.IDs) == 0 && len(pb.IDs) == 0:
-			cos = 1
-		case len(pa.IDs) == 0 || len(pb.IDs) == 0:
-			cos = 0
-		default:
-			cos = float64(SortedDot(pa, pb)) /
-				(math.Sqrt(float64(pa.NormSq)) * math.Sqrt(float64(pb.NormSq)))
-		}
-		if want := CosineQGram(a, b, 3); math.Float64bits(cos) != math.Float64bits(want) {
-			t.Fatalf("profile Cosine(%q, %q) = %v, want %v", a, b, cos, want)
-		}
-
-		var ovl float64
-		switch {
-		case len(pa.IDs) == 0 && len(pb.IDs) == 0:
-			ovl = 1
-		case len(pa.IDs) == 0 || len(pb.IDs) == 0:
-			ovl = 0
-		default:
-			ovl = float64(inter) / float64(minInt(len(pa.IDs), len(pb.IDs)))
-		}
-		if want := OverlapQGram(a, b, 3); math.Float64bits(ovl) != math.Float64bits(want) {
-			t.Fatalf("profile Overlap(%q, %q) = %v, want %v", a, b, ovl, want)
-		}
 	}
+}
+
+// internedJaccard is the scoring engine's trigram Jaccard over two sorted
+// unique ID slices.
+func internedJaccard(a, b []uint32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := SortedIntersectCount(a, b)
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
 }
 
 // TestEntropyDeterministic recomputes the entropy weights of a
@@ -148,27 +119,6 @@ func TestEntropyDeterministic(t *testing.T) {
 				t.Fatalf("run %d: weight %d = %x, want %x", run, i,
 					math.Float64bits(again[i]), math.Float64bits(base[i]))
 			}
-		}
-	}
-}
-
-// TestSoftCosineDeterministic requires SoftTFIDF to be a pure function of
-// its inputs across repeated evaluations (sorted iteration, deterministic
-// tie-breaks).
-func TestSoftCosineDeterministic(t *testing.T) {
-	docs := [][]string{
-		{"JOHN", "SMITH"}, {"JON", "SMYTH"}, {"MARY", "NGUYEN"},
-		{"MARY", "NGUYEM"}, {"A", "B", "C"}, {"C", "B", "A"},
-	}
-	tf := NewTFIDF(docs)
-	a := []string{"JOHN", "NGUYEN", "B"}
-	b := []string{"JON", "NGUYEM", "C", "B"}
-	base := tf.SoftCosine(a, b, DamerauLevenshteinSimilarity, 0.5)
-	for i := 0; i < 50; i++ {
-		tf2 := NewTFIDF(docs)
-		got := tf2.SoftCosine(a, b, DamerauLevenshteinSimilarity, 0.5)
-		if math.Float64bits(got) != math.Float64bits(base) {
-			t.Fatalf("run %d: SoftCosine = %x, want %x", i, math.Float64bits(got), math.Float64bits(base))
 		}
 	}
 }

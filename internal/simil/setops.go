@@ -1,55 +1,33 @@
 package simil
 
-import "sort"
+import "slices"
 
 // Interned-set kernels. The scoring engine (§6.5 hot loop) preprocesses
 // every distinct column value once — lowercasing, q-gram extraction, gram
-// interning — and stores each value's gram profile as a sorted slice of
-// integer gram IDs with aligned multiplicities. The token and set measures
-// (Jaccard, overlap, cosine over trigrams) then reduce to linear merges over
-// two sorted slices: no maps, no hashing, no allocation per comparison.
-// These kernels count exactly what the map-based Jaccard / OverlapQGram /
-// CosineQGram count, so the derived similarities are bit-identical.
+// interning — and stores each value's trigram set as a sorted slice of
+// unique integer gram IDs. Trigram Jaccard then reduces to a linear merge
+// over two sorted slices: no maps, no hashing, no allocation per
+// comparison. The merge counts exactly what the map-based Jaccard counts,
+// so the derived similarity is bit-identical.
 
-// GramProfile is one value's interned q-gram multiset: IDs sorted ascending
-// and unique, Counts aligned (multiplicity per ID), NormSq the sum of
-// squared multiplicities (the cosine's denominator contribution).
-type GramProfile struct {
-	IDs    []uint32
-	Counts []int32
-	NormSq int
-}
-
-// NewGramProfile interns the grams through the given ID map (extending it
-// for unseen grams) and builds the sorted profile.
-func NewGramProfile(grams []string, intern map[string]uint32) GramProfile {
+// InternGrams interns the grams through the given ID map (extending it for
+// unseen grams, in first-seen order) and returns their IDs sorted
+// ascending and unique.
+func InternGrams(grams []string, intern map[string]uint32) []uint32 {
 	if len(grams) == 0 {
-		return GramProfile{}
+		return nil
 	}
-	// Count multiplicities per interned ID.
-	counts := make(map[uint32]int32, len(grams))
-	for _, g := range grams {
+	ids := make([]uint32, len(grams))
+	for i, g := range grams {
 		id, ok := intern[g]
 		if !ok {
 			id = uint32(len(intern))
 			intern[g] = id
 		}
-		counts[id]++
+		ids[i] = id
 	}
-	p := GramProfile{
-		IDs:    make([]uint32, 0, len(counts)),
-		Counts: make([]int32, 0, len(counts)),
-	}
-	for id := range counts {
-		p.IDs = append(p.IDs, id)
-	}
-	sort.Slice(p.IDs, func(i, j int) bool { return p.IDs[i] < p.IDs[j] })
-	for _, id := range p.IDs {
-		c := counts[id]
-		p.Counts = append(p.Counts, c)
-		p.NormSq += int(c) * int(c)
-	}
-	return p
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // SortedIntersectCount returns |A ∩ B| of two sorted unique ID slices.
@@ -68,23 +46,4 @@ func SortedIntersectCount(a, b []uint32) int {
 		}
 	}
 	return n
-}
-
-// SortedDot returns the dot product of the two profiles' multiplicity
-// vectors: Σ over shared IDs of countA·countB.
-func SortedDot(a, b GramProfile) int {
-	i, j, dot := 0, 0, 0
-	for i < len(a.IDs) && j < len(b.IDs) {
-		switch {
-		case a.IDs[i] == b.IDs[j]:
-			dot += int(a.Counts[i]) * int(b.Counts[j])
-			i++
-			j++
-		case a.IDs[i] < b.IDs[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return dot
 }

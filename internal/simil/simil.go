@@ -4,7 +4,11 @@
 // extended variant that forgives missing and abbreviated values), sequence
 // measures (Jaro, Jaro-Winkler), token and q-gram set measures (Jaccard),
 // hybrid measures (Generalized Jaccard, Monge-Elkan), the Soundex phonetic
-// code, and column-entropy attribute weighting.
+// code, and column-entropy attribute weighting. Of these, the usability
+// experiment's three record measures are Monge-Elkan over
+// Damerau-Levenshtein, Jaro-Winkler and trigram Jaccard; the scoring engine
+// runs them through the allocation-free Scratch kernels and the
+// interned-set merge (setops.go).
 //
 // All similarity functions return values in [0, 1] where 1 means identical.
 // All functions are pure and safe for concurrent use.
@@ -23,7 +27,7 @@ type TokenMeasure func(a, b string) float64
 // whitespace separate tokens and are discarded. The zero-value result for an
 // empty or all-punctuation string is an empty (non-nil) slice.
 func Tokenize(s string) []string {
-	return TokenizeInto(s, make([]string, 0, 4))
+	return tokenizeInto(s, make([]string, 0, 4))
 }
 
 // isTokenRune reports whether r belongs inside a token.

@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger := log.New(stderr, "nccustom: ", 0)
 
-	ds, _, err := store.Open(*db, store.OpenOpts{Workers: 1})
+	ds, _, err := store.Open(*db, store.OpenOpts{})
 	if err != nil {
 		logger.Print(err)
 		return 1

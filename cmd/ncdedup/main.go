@@ -8,8 +8,8 @@
 //
 //	ncdedup -in nc2.tsv -passes 5 -window 20
 //	ncdedup -in nc2.tsv -block snm,trigram -passes 'last_name+zip_code,soundex(last_name)'
-//	ncdedup -in nc2.tsv -workers 8             # parallel blocking + scoring, identical output
-//	ncdedup -db store/ -store-workers 8        # store-backed evaluation mode
+//	ncdedup -db store/                         # store-backed evaluation mode
+//	GOMAXPROCS=1 ncdedup -in nc2.tsv           # inline blocking + scoring, identical output
 //
 // -passes takes either an integer k (one SNM pass per the k most unique
 // attributes — the paper's §6.5 setup) or comma-separated pass-key specs
@@ -18,14 +18,16 @@
 // With -db the labeled dataset is derived from a stored corpus instead of
 // a TSV export (the store-backed evaluation mode): the store is verified
 // against its provenance record, loads through the parallel segmented
-// reader, the clusters parse on -store-workers cores, and every record is
+// reader, the clusters parse in parallel, and every record is
 // kept (the full heterogeneity range), so the evaluation covers the store
 // as-is.
 //
 // The blocking layer never materializes the candidate union: pairs flow to
 // the scoring workers as bounded batches, so peak memory is independent of
 // the candidate count. Blocking re-runs per measure, the price of never
-// holding the pair set; the report is byte-identical at any -workers.
+// holding the pair set. Loading, blocking and scoring run on GOMAXPROCS
+// workers (GOMAXPROCS=1 runs them inline); the report is byte-identical at
+// any count.
 package main
 
 import (
@@ -60,15 +62,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		db           = fs.String("db", "", "document-store directory to evaluate directly (store-backed evaluation mode: loads the segmented store in parallel and derives the labeled dataset from it instead of a TSV export)")
 		block        = fs.String("block", "snm", "comma-separated candidate blockers: snm, trigram (their pair union is deduplicated before scoring)")
 		passesS      = fs.String("passes", "5", "SNM passes: an integer k (k most-unique attributes, the paper's setup) or comma-separated key specs like 'last_name+zip_code,soundex(first_name),prefix(last_name,4)'")
-		window       = fs.Int("window", 20, "SNM window size (records per sorted-neighborhood slide)")
+		window       = fs.Int("window", blocking.DefaultWindow, "SNM window size (records per sorted-neighborhood slide, at least 2)")
 		trigramAttrs = fs.String("trigram-attrs", "", "comma-separated attribute names the trigram blocker signs (default: the dataset's name attributes)")
 		bands        = fs.Int("bands", blocking.DefaultBands, "trigram minhash bands (more bands = higher recall)")
 		rows         = fs.Int("rows", blocking.DefaultRows, "trigram minhash rows per band (more rows = stricter band matches)")
 		maxBucket    = fs.Int("max-bucket", blocking.DefaultMaxBucket, "trigram bucket size cap bounding the quadratic pair blow-up (negative = unlimited)")
 		steps        = fs.Int("steps", 100, "threshold sweep steps (at least 1)")
 		curves       = fs.Bool("curves", false, "print the full F1 curve per measure")
-		workers      = fs.Int("workers", 1, "blocking and scoring workers; 1 runs inline, >1 on that many goroutines, with results bit-identical in both -in and -db store-backed modes")
-		storeWorkers = fs.Int("store-workers", 0, "document-store load workers for the -db store-backed mode (0 = all cores)")
 		metricsAddr  = fs.String("metrics-addr", "", "serve GET /metrics (JSON and Prometheus) with the blocking_pipeline_total and score_pipeline_total counters on this address during the run (e.g. :9090)")
 		verbose      = fs.Bool("v", false, "print per-stage wall times (blocking, preprocessing, scoring, merge)")
 	)
@@ -88,6 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *steps < 1 {
 		return fail(fmt.Errorf("-steps %d: need at least one threshold step", *steps))
 	}
+	if *window < 2 {
+		return fail(fmt.Errorf("-window %d: need at least two records per window", *window))
+	}
 
 	metrics := obs.NewMetrics()
 	if *metricsAddr != "" {
@@ -103,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var ds *dedup.Dataset
 	if *db != "" {
-		cds, _, err := store.Open(*db, store.OpenOpts{Workers: *storeWorkers, Observer: metrics})
+		cds, _, err := store.Open(*db, store.OpenOpts{Observer: metrics})
 		if err != nil {
 			return fail(err)
 		}
@@ -124,7 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	cfg.Workers = *workers
 	cfg.Observer = metrics
 
 	// stages accumulates wall time per pipeline stage for -v, mirroring
@@ -138,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		stages[name] += d
 	}
-	opts := dedup.ScoreOpts{Workers: *workers, Observer: metrics, OnStage: addStage}
+	opts := dedup.ScoreOpts{Observer: metrics, OnStage: addStage}
 
 	// One GenerateStream per measure feeds the scoring workers directly, so
 	// the candidate union never exists in memory. The blocking summary

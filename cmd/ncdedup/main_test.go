@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,7 +24,12 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-in", "missing.tsv", "-steps", "0"}, 1, "-steps 0"},
 		{[]string{"-steps", "10"}, 1, "exactly one of -in"},
 		{[]string{"-in", "missing.tsv", "-db", "missing"}, 1, "exactly one of -in"},
+		{[]string{"-in", "missing.tsv", "-window", "1"}, 1, "-window 1"},
+		{[]string{"-in", "missing.tsv", "-window", "0"}, 1, "-window 0"},
+		{[]string{"-in", "missing.tsv", "-window", "-4"}, 1, "-window -4"},
 		{[]string{"-in", "missing.tsv", "-stream"}, 2, "flag provided but not defined"},
+		{[]string{"-in", "missing.tsv", "-workers", "2"}, 2, "flag provided but not defined: -workers"},
+		{[]string{"-in", "missing.tsv", "-store-workers", "2"}, 2, "flag provided but not defined: -store-workers"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)
@@ -44,26 +50,27 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // TestReportIndependentOfWorkers: the whole report — blocking summary,
-// best-F1 lines and full curves — is byte-identical inline and on four
-// workers, for SNM alone and for the SNM+trigram union.
+// best-F1 lines and full curves — is byte-identical inline (GOMAXPROCS=1)
+// and on four workers, for SNM alone and for the SNM+trigram union.
 func TestReportIndependentOfWorkers(t *testing.T) {
 	ds := testkit.Corpus{Seed: 61}.DedupDataset(t, 110, 4, 0, 150)
 	path := filepath.Join(t.TempDir(), "labeled.tsv")
 	if err := ds.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	report := func(block, workers string) string {
+	report := func(block string, procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var stdout, stderr bytes.Buffer
-		args := []string{"-in", path, "-block", block, "-passes", "3", "-steps", "40", "-curves", "-workers", workers}
+		args := []string{"-in", path, "-block", block, "-passes", "3", "-steps", "40", "-curves"}
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
 		}
 		return stdout.String()
 	}
 	for _, block := range []string{"snm", "snm,trigram"} {
-		one, four := report(block, "1"), report(block, "4")
+		one, four := report(block, 1), report(block, 4)
 		if one != four {
-			t.Errorf("-block %s: report differs between -workers 1 and -workers 4:\n%s\nvs\n%s", block, one, four)
+			t.Errorf("-block %s: report differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", block, one, four)
 		}
 		if !strings.Contains(one, "unique candidate pairs") || strings.Count(one, "best F1") != 3 {
 			t.Errorf("-block %s: report lacks the blocking summary or a measure:\n%s", block, one)

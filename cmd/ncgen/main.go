@@ -6,6 +6,9 @@
 // Usage:
 //
 //	ncgen -out snapshots/ -voters 5000 -years 13 -seed 1
+//
+// The snapshots are written on GOMAXPROCS writer goroutines while the next
+// one is generated; the files are the same at any count.
 package main
 
 import (
@@ -34,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Int64("seed", 1, "random seed (same seed, same data)")
 		heavy   = fs.Bool("heavy", false, "use the heavy error mix instead of the realistic light one")
 		unsound = fs.Float64("unsound", 0.002, "fraction of new voters wrongly reusing a removed NCID")
-		workers = fs.Int("workers", 0, "parallel snapshot writers (0 = all cores, 1 = sequential); same files either way")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -54,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var paths []string
 	err := os.MkdirAll(*out, 0o755)
 	if err == nil {
-		paths, err = synth.WriteAllParallel(cfg, *out, *workers)
+		paths, err = synth.WriteAllParallel(cfg, *out, 0)
 	}
 	if err == nil {
 		// Drop the generator descriptor next to the snapshots: ncimport

@@ -7,18 +7,18 @@
 // Usage:
 //
 //	ncimport -in snapshots/ -mode trimming -scores -db store/
-//	ncimport -in snapshots/ -workers 8 -metrics-addr :9090 -db store/
+//	ncimport -in snapshots/ -metrics-addr :9090 -db store/
 //
 // Re-running against an existing -db directory continues the dataset: new
 // snapshots are appended as a new version (the paper's update process,
 // Fig. 2). The store is verified against its provenance record first; a
 // directory that holds files but no valid store is refused and left as it
 // is, never started over. Each snapshot file is read in line-aligned blocks
-// that -workers goroutines decode and hash (1 = inline, no goroutines) while
-// the rows are applied in input order, so the result is identical at any
-// count. -workers also sizes dirty-cluster and -scores recomputation.
-// -store-workers sizes the document store's segmented save/load pool the
-// same way (the store bytes and contents are identical at any count).
+// that GOMAXPROCS goroutines decode and hash (GOMAXPROCS=1 runs inline, no
+// goroutines) while the rows are applied in input order, so the result is
+// identical at any count. GOMAXPROCS also sizes dirty-cluster and -scores
+// recomputation and the document store's segmented save/load pool (the
+// store bytes and contents are identical at any count).
 // -metrics-addr serves GET /metrics (JSON and Prometheus) with the ingest
 // and docstore counters while the import runs. -v prints per-stage wall
 // times (load, parse+merge per snapshot, score, persist).
@@ -95,16 +95,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ncimport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in           = fs.String("in", "snapshots", "directory with VR_Snapshot_*.tsv files")
-		modeS        = fs.String("mode", "trimming", "duplicate-removal mode: none|exact|trimming|person")
-		db           = fs.String("db", "store", "document-database directory (created or continued)")
-		scores       = fs.Bool("scores", false, "compute plausibility and heterogeneity maps")
-		workers      = fs.Int("workers", 0, "ingest decode and score-recomputation workers (0 = all cores, 1 = inline, no goroutines)")
-		storeWorkers = fs.Int("store-workers", 0, "document-store save/load workers (0 = all cores); results are identical at any count")
-		metricsAddr  = fs.String("metrics-addr", "", "serve GET /metrics with ingest counters on this address during the import (e.g. :9090)")
-		delta        = fs.Bool("delta", false, "incremental import: diff snapshots against the continued store, rescore only dirty clusters, rewrite only dirty segments")
-		stride       = fs.Int("stride", 0, "stable segment layout: documents per segment (0 = balanced layout; required > 0 by -delta)")
-		verbose      = fs.Bool("v", false, "print per-stage wall times (load, parse+merge, score, persist)")
+		in          = fs.String("in", "snapshots", "directory with VR_Snapshot_*.tsv files")
+		modeS       = fs.String("mode", "trimming", "duplicate-removal mode: none|exact|trimming|person")
+		db          = fs.String("db", "store", "document-database directory (created or continued)")
+		scores      = fs.Bool("scores", false, "compute plausibility and heterogeneity maps")
+		metricsAddr = fs.String("metrics-addr", "", "serve GET /metrics with ingest counters on this address during the import (e.g. :9090)")
+		delta       = fs.Bool("delta", false, "incremental import: diff snapshots against the continued store, rescore only dirty clusters, rewrite only dirty segments")
+		stride      = fs.Int("stride", 0, "stable segment layout: documents per segment (0 = balanced layout; required > 0 by -delta)")
+		verbose     = fs.Bool("v", false, "print per-stage wall times (load, parse+merge, score, persist)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -149,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var ds *core.Dataset
 	if err := timed("load", func() error {
 		var err error
-		ds, _, err = store.Open(*db, store.OpenOpts{Workers: *storeWorkers, Observer: metrics})
+		ds, _, err = store.Open(*db, store.OpenOpts{Observer: metrics})
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			ds = core.NewDataset(mode)
@@ -178,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	commit := store.CommitOpts{Workers: *storeWorkers, Stride: *stride, Observer: metrics}
+	commit := store.CommitOpts{Stride: *stride, Observer: metrics}
 	if *delta {
 		// Incremental path: classify every row against the fingerprint index
 		// of the loaded dataset, touch only changed clusters, and remember
@@ -191,9 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			var dl *core.Delta
 			if err := timed("parse+merge", func() error {
 				var err error
-				dl, err = ds.ApplySnapshotDelta(path, core.DeltaOptions{
-					Workers: *workers, Observer: metrics, Index: ix,
-				})
+				dl, err = ds.ApplySnapshotDelta(path, core.DeltaOptions{Observer: metrics, Index: ix})
 				return err
 			}); err != nil {
 				return fail(fmt.Errorf("%s: %w", path, err))
@@ -207,8 +203,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			dirty := merged.Dirty()
 			fmt.Fprintf(stdout, "recomputing scores for %d dirty clusters ...\n", len(dirty))
 			timed("score", func() error {
-				plaus.UpdateDelta(ds, merged, *workers)
-				hetero.UpdateDelta(ds, merged, *workers)
+				plaus.UpdateDelta(ds, merged, 0)
+				hetero.UpdateDelta(ds, merged, 0)
 				return nil
 			})
 			metrics.AddN("delta_clusters_rescored", int64(len(dirty)))
@@ -218,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, path := range files {
 			// Stream the file: register-sized snapshots never materialize.
 			if err := timed("parse+merge", func() error {
-				st, err := ds.ImportSnapshotFileParallelOpts(path, core.IngestOptions{Workers: *workers, Observer: metrics})
+				st, err := ds.ImportSnapshotFileParallelOpts(path, core.IngestOptions{Observer: metrics})
 				if err != nil {
 					return err
 				}
@@ -232,9 +228,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *scores {
 			timed("score", func() error {
 				fmt.Fprintln(stdout, "computing plausibility scores ...")
-				plaus.UpdateParallel(ds, *workers)
+				plaus.UpdateParallel(ds, 0)
 				fmt.Fprintln(stdout, "computing heterogeneity scores ...")
-				hetero.UpdateParallel(ds, *workers)
+				hetero.UpdateParallel(ds, 0)
 				return nil
 			})
 		}

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -26,6 +27,8 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-in", empty, "-db", db, "-mode", "fuzzy"}, 2, `unknown removal mode "fuzzy"`},
 		{[]string{"-in", empty, "-db", db, "-shards", "4"}, 2, "flag provided but not defined"},
+		{[]string{"-in", empty, "-db", db, "-workers", "2"}, 2, "flag provided but not defined: -workers"},
+		{[]string{"-in", empty, "-db", db, "-store-workers", "2"}, 2, "flag provided but not defined: -store-workers"},
 		{[]string{"-in", empty, "-db", db, "-delta"}, 1, "-delta requires -stride > 0"},
 		{[]string{"-in", empty, "-db", db}, 1, "no VR_Snapshot_*.tsv files in " + empty},
 	} {
@@ -50,50 +53,51 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestStoreIndependentOfWorkers: importing the same snapshots inline and on
-// two decode workers writes byte-identical store files with the same
-// provenance root, and both runs report the ingest counters.
+// TestStoreIndependentOfWorkers: importing the same snapshots inline
+// (GOMAXPROCS=1) and on four workers writes byte-identical store files with
+// the same provenance root, and both runs report the ingest counters.
 func TestStoreIndependentOfWorkers(t *testing.T) {
 	in := filepath.Dir(testkit.Corpus{Seed: 9}.SnapshotFiles(t, 120, 3)[0])
-	importStore := func(workers string) string {
+	importStore := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		db := filepath.Join(t.TempDir(), "store")
 		var stdout, stderr bytes.Buffer
-		args := []string{"-in", in, "-db", db, "-scores", "-workers", workers}
+		args := []string{"-in", in, "-db", db, "-scores"}
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
 		}
 		out := stdout.String()
 		if !strings.Contains(out, "pipeline counters:") || !strings.Contains(out, "ingest_rows_decoded") {
-			t.Errorf("-workers %s: no ingest counters in the output:\n%s", workers, out)
+			t.Errorf("GOMAXPROCS %d: no ingest counters in the output:\n%s", procs, out)
 		}
 		return db
 	}
-	one, two := importStore("1"), importStore("2")
+	one, four := importStore(1), importStore(4)
 
 	names, err := os.ReadDir(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other, err := os.ReadDir(two); err != nil || len(other) != len(names) {
+	if other, err := os.ReadDir(four); err != nil || len(other) != len(names) {
 		t.Fatalf("store file counts differ: %d vs %d (%v)", len(names), len(other), err)
 	}
 	for _, e := range names {
 		a, errA := os.ReadFile(filepath.Join(one, e.Name()))
-		b, errB := os.ReadFile(filepath.Join(two, e.Name()))
+		b, errB := os.ReadFile(filepath.Join(four, e.Name()))
 		if errA != nil || errB != nil || !bytes.Equal(a, b) {
-			t.Errorf("%s differs between -workers 1 and -workers 2 (%v, %v)", e.Name(), errA, errB)
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4 (%v, %v)", e.Name(), errA, errB)
 		}
 	}
 	recOne, _, err := provenance.LoadRecord(nil, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recTwo, _, err := provenance.LoadRecord(nil, two)
+	recFour, _, err := provenance.LoadRecord(nil, four)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recOne.Root() != recTwo.Root() {
-		t.Errorf("provenance roots differ: %s vs %s", recOne.Root(), recTwo.Root())
+	if recOne.Root() != recFour.Root() {
+		t.Errorf("provenance roots differ: %s vs %s", recOne.Root(), recFour.Root())
 	}
 }
 

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger := log.New(stderr, "ncpollute: ", 0)
 
-	base, src, err := store.Open(*db, store.OpenOpts{Workers: 1})
+	base, src, err := store.Open(*db, store.OpenOpts{})
 	if err != nil {
 		logger.Print(err)
 		return 1

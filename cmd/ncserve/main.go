@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ncserve -db store/ -addr :8080 [-timeout 10s] [-max-inflight 256]
-//	        [-grace 10s] [-store-workers 0] [-cache 1024]
+//	        [-grace 10s] [-cache 1024]
 //
 // Endpoints (unversioned paths redirect to their /v1 twin — 301 for
 // GET/HEAD, 308 otherwise). Every /v1 response is a {data, meta, error}
@@ -45,7 +45,9 @@
 // manifest entry is unchanged are neither re-read, re-hashed nor re-parsed
 // (rebuilding the dataset from the documents still covers all of them). On
 // SIGINT/SIGTERM the server stops accepting connections, drains in-flight
-// requests for up to -grace, then exits 0.
+// requests for up to -grace, then exits 0. Every (re)load — segment
+// decoding, cluster parsing and the serving-snapshot build — runs on
+// GOMAXPROCS workers; what is served is identical at any count.
 package main
 
 import (
@@ -83,13 +85,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ncserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		db           = fs.String("db", "store", "document-database directory")
-		addr         = fs.String("addr", "127.0.0.1:8080", "listen address")
-		timeout      = fs.Duration("timeout", 10*time.Second, "per-request deadline (0 disables)")
-		inflight     = fs.Int("max-inflight", 256, "max concurrently served requests (0 disables shedding)")
-		grace        = fs.Duration("grace", 10*time.Second, "shutdown drain deadline")
-		storeWorkers = fs.Int("store-workers", 0, "workers of every (re)load: segment decoding, cluster parsing and the serving-snapshot build (0 = all cores); results are identical at any count")
-		cacheSize    = fs.Int("cache", 1024, "response-cache entries (negative disables)")
+		db        = fs.String("db", "store", "document-database directory")
+		addr      = fs.String("addr", "127.0.0.1:8080", "listen address")
+		timeout   = fs.Duration("timeout", 10*time.Second, "per-request deadline (0 disables)")
+		inflight  = fs.Int("max-inflight", 256, "max concurrently served requests (0 disables shedding)")
+		grace     = fs.Duration("grace", 10*time.Second, "shutdown drain deadline")
+		cacheSize = fs.Int("cache", 1024, "response-cache entries (negative disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -113,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	api := httpapi.NewDeferred(
 		httpapi.WithTimeout(*timeout),
 		httpapi.WithMaxInflight(*inflight),
-		httpapi.WithStoreWorkers(*storeWorkers),
 		httpapi.WithResponseCache(*cacheSize),
 	)
 
@@ -125,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// path never mutates them.
 	cache := docstore.NewSegmentCache()
 	load := func() error {
-		ds, rec, err := store.Open(*db, store.OpenOpts{Workers: *storeWorkers, Cache: cache})
+		ds, rec, err := store.Open(*db, store.OpenOpts{Cache: cache})
 		if err != nil {
 			return err
 		}

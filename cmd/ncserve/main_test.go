@@ -34,6 +34,7 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		// The store-backed serving mode and its switch are gone.
 		{[]string{"-db", missing, "-snapshot=false"}, 2, []string{"flag provided but not defined: -snapshot", "Usage of ncserve"}},
+		{[]string{"-db", missing, "-store-workers", "2"}, 2, []string{"flag provided but not defined: -store-workers", "Usage of ncserve"}},
 		{[]string{"-cache", "many"}, 2, []string{"invalid value", "Usage of ncserve"}},
 		{[]string{"-db", missing, "-addr", "127.0.0.1:0"}, 1, []string{missing}},
 		{[]string{"-db", file, "-addr", "127.0.0.1:0"}, 1, []string{"not a directory"}},

@@ -8,12 +8,13 @@
 // (internal/provenance): every segment and manifest digest is re-derived and
 // the hash chain is walked, so any flipped bit since the last stamp is
 // reported with the exact corrupted file named. -expect-root additionally
-// pins the record to an out-of-band corpus root or head hash.
+// pins the record to an out-of-band corpus root or head hash. Loading and
+// leaf hashing run on GOMAXPROCS workers.
 //
 // Usage:
 //
 //	ncstats -db store/
-//	ncstats -db store/ -verify [-verify-workers N] [-expect-root HEX]
+//	ncstats -db store/ -verify [-expect-root HEX]
 package main
 
 import (
@@ -44,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		from       = fs.String("from", "", "restrict to snapshots >= this date (YYYY-MM-DD)")
 		to         = fs.String("to", "", "restrict to snapshots <= this date (YYYY-MM-DD)")
 		verify     = fs.Bool("verify", false, "verify the store against its provenance record and exit")
-		verifyWork = fs.Int("verify-workers", 0, "leaf-hashing workers for -verify (0 = all cores)")
 		expectRoot = fs.String("expect-root", "", "with -verify: require the record's corpus root or head hash to equal this digest")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -56,10 +56,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger := log.New(stderr, "ncstats: ", 0)
 
 	if *verify {
-		return runVerify(stdout, logger, *db, *verifyWork, *expectRoot)
+		return runVerify(stdout, logger, *db, *expectRoot)
 	}
 
-	ds, _, err := store.Open(*db, store.OpenOpts{Workers: 1})
+	ds, _, err := store.Open(*db, store.OpenOpts{})
 	if err != nil {
 		logger.Print(err)
 		return 1
@@ -122,11 +122,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runVerify checks the store against its provenance record: 0 on a clean
 // verification, 1 with every corrupted file named otherwise.
-func runVerify(stdout io.Writer, logger *log.Logger, dir string, workers int, expectRoot string) int {
-	rep, err := provenance.VerifyDir(dir, provenance.VerifyOpts{
-		Workers:    workers,
-		ExpectRoot: expectRoot,
-	})
+func runVerify(stdout io.Writer, logger *log.Logger, dir, expectRoot string) int {
+	rep, err := provenance.VerifyDir(dir, provenance.VerifyOpts{ExpectRoot: expectRoot})
 	if err != nil {
 		for _, f := range rep.Bad {
 			logger.Printf("corrupted: %s", f)

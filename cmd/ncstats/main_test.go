@@ -35,6 +35,7 @@ func TestFlagValidation(t *testing.T) {
 		want string // in stdout on exit 0, in stderr otherwise
 	}{
 		{[]string{"-db", store, "-shards", "4"}, 2, "flag provided but not defined: -shards"},
+		{[]string{"-db", store, "-verify", "-verify-workers", "2"}, 2, "flag provided but not defined: -verify-workers"},
 		{[]string{"-db", flatDir}, 1, filepath.Join(flatDir, provenance.RecordFile)},
 		{[]string{"-db", store, "-version", "99"}, 1, "version 99 not published"},
 		{[]string{"-db", store, "-version", "-1"}, 1, "version -1 not published"},

@@ -47,7 +47,7 @@ func main() {
 	// Later, in a new run: verify and load the store, then continue with new
 	// snapshots — the update process of Fig. 2 (import -> update
 	// statistics -> version & publish).
-	ds2, rec, err := store.Open(dir, store.OpenOpts{Workers: 1})
+	ds2, rec, err := store.Open(dir, store.OpenOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,8 +45,6 @@ type Pass struct {
 	Name string
 	// Key derives the sorting key from a record's attribute values.
 	Key KeyFunc
-	// Window overrides Config.Window for this pass when > 0.
-	Window int
 }
 
 // TrigramConfig parameterizes the minhash banding blocker. The signature
@@ -83,8 +81,8 @@ const (
 type Config struct {
 	// Passes are the SNM passes; empty disables the SNM blocker.
 	Passes []Pass
-	// Window is the SNM window size for passes without their own;
-	// 0 selects DefaultWindow, values below 2 clamp to 2.
+	// Window is the SNM window size of every pass; 0 selects
+	// DefaultWindow, values below 2 clamp to 2.
 	Window int
 	// Trigram enables the minhash banding blocker when non-nil.
 	Trigram *TrigramConfig
@@ -103,18 +101,11 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-func (c Config) window(p Pass) int {
-	w := p.Window
-	if w == 0 {
-		w = c.Window
+func (c Config) window() int {
+	if c.Window == 0 {
+		return DefaultWindow
 	}
-	if w == 0 {
-		w = DefaultWindow
-	}
-	if w < 2 {
-		w = 2
-	}
-	return w
+	return max(c.Window, 2)
 }
 
 // PassStats is one pass's share of the candidate stream, before the
@@ -167,7 +158,7 @@ func GenerateSeq(ds *dedup.Dataset, cfg Config) ([]dedup.Pair, Stats) {
 	stats := Stats{Records: len(ds.Records)}
 	var all []dedup.Pair
 	for _, p := range cfg.Passes {
-		w := cfg.window(p)
+		w := cfg.window()
 		pairs := snmPassSeq(ds, p.Key, w)
 		stats.SNMPasses = append(stats.SNMPasses, PassStats{Name: p.Name, Window: w, Pairs: len(pairs)})
 		all = append(all, pairs...)

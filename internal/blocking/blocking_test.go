@@ -211,21 +211,6 @@ func TestWindowClamp(t *testing.T) {
 	}
 }
 
-// TestPerPassWindowOverride asserts Pass.Window wins over Config.Window.
-func TestPerPassWindowOverride(t *testing.T) {
-	ds := testDataset(13, 40)
-	passes := EntropyPasses(ds, 1)
-	passes[0].Window = 10
-	got, stats := Generate(ds, Config{Passes: passes, Window: 2, Workers: 2})
-	want, _ := Generate(ds, Config{Passes: EntropyPasses(ds, 1), Window: 10, Workers: 2})
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("per-pass window override ignored")
-	}
-	if stats.SNMPasses[0].Window != 10 {
-		t.Fatalf("stats window = %d, want 10", stats.SNMPasses[0].Window)
-	}
-}
-
 // TestObserverCounters asserts the blocking_* family reaches the observer.
 func TestObserverCounters(t *testing.T) {
 	ds := testDataset(17, 60)

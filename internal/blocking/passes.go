@@ -24,15 +24,15 @@ const keySep = "\x1f"
 // space.
 type KeyFunc func(rec []string) string
 
-// SoundexKey keys on the Soundex code of one attribute — the classic
+// soundexKey keys on the Soundex code of one attribute — the classic
 // phonetic blocking for name data (the same code §6.4 uses as an error
 // measure for phonetic typos, here turned into a sort key).
-func SoundexKey(attr int) KeyFunc {
+func soundexKey(attr int) KeyFunc {
 	return func(rec []string) string { return simil.Soundex(rec[attr]) }
 }
 
-// PrefixKey keys on the first n runes of one attribute (upper-cased).
-func PrefixKey(attr, n int) KeyFunc {
+// prefixKey keys on the first n runes of one attribute (upper-cased).
+func prefixKey(attr, n int) KeyFunc {
 	return func(rec []string) string {
 		r := []rune(strings.ToUpper(strings.TrimSpace(rec[attr])))
 		if len(r) > n {
@@ -42,8 +42,8 @@ func PrefixKey(attr, n int) KeyFunc {
 	}
 }
 
-// ExactKey keys on the full trimmed value of one attribute.
-func ExactKey(attr int) KeyFunc {
+// exactKey keys on the full trimmed value of one attribute.
+func exactKey(attr int) KeyFunc {
 	return func(rec []string) string { return strings.TrimSpace(rec[attr]) }
 }
 
@@ -114,7 +114,7 @@ func componentKey(ds *dedup.Dataset, comp string) (KeyFunc, error) {
 			if err != nil {
 				return nil, err
 			}
-			return SoundexKey(attr), nil
+			return soundexKey(attr), nil
 		case "prefix":
 			if len(args) != 2 {
 				return nil, fmt.Errorf("blocking: prefix wants (attr, n), got %q", comp)
@@ -127,7 +127,7 @@ func componentKey(ds *dedup.Dataset, comp string) (KeyFunc, error) {
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("blocking: prefix length in %q must be a positive integer", comp)
 			}
-			return PrefixKey(attr, n), nil
+			return prefixKey(attr, n), nil
 		}
 		return nil, fmt.Errorf("blocking: unknown key function %q (want soundex, prefix)", fn)
 	}
@@ -135,7 +135,7 @@ func componentKey(ds *dedup.Dataset, comp string) (KeyFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ExactKey(attr), nil
+	return exactKey(attr), nil
 }
 
 // combineKeys joins component keys with keySep; a single component passes

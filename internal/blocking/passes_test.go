@@ -105,9 +105,9 @@ func TestEntropyPassesNames(t *testing.T) {
 }
 
 func TestPrefixKey(t *testing.T) {
-	k := PrefixKey(0, 3)
+	k := prefixKey(0, 3)
 	if k([]string{" williams "}) != "WIL" {
-		t.Errorf("PrefixKey = %q", k([]string{" williams "}))
+		t.Errorf("prefixKey = %q", k([]string{" williams "}))
 	}
 	if k([]string{"AB"}) != "AB" {
 		t.Errorf("short value key = %q", k([]string{"AB"}))

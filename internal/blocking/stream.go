@@ -41,27 +41,27 @@ import (
 
 // Default streaming parameters.
 const (
-	// DefaultStreamBatch is the pair count per emitted batch.
-	DefaultStreamBatch = 4096
-	// DefaultStreamBuffer is the channel capacity in batches.
-	DefaultStreamBuffer = 4
+	// defaultStreamBatch is the pair count per emitted batch.
+	defaultStreamBatch = 4096
+	// defaultStreamBuffer is the channel capacity in batches.
+	defaultStreamBuffer = 4
 )
 
 // StreamOpts tunes GenerateStream's batch emission and backpressure.
 type StreamOpts struct {
-	// BatchSize is the pair count per emitted batch; 0 selects
-	// DefaultStreamBatch, values below 1 clamp to 1.
+	// BatchSize is the pair count per emitted batch; 0 selects the
+	// default of 4096, values below 1 clamp to 1.
 	BatchSize int
 	// Buffer is the emission channel's capacity in batches — together with
 	// BatchSize it bounds the pairs in flight between producer and
-	// consumer; 0 selects DefaultStreamBuffer, negative selects an
+	// consumer; 0 selects the default of 4, negative selects an
 	// unbuffered channel (full lockstep).
 	Buffer int
 }
 
 func (o StreamOpts) batchSize() int {
 	if o.BatchSize == 0 {
-		return DefaultStreamBatch
+		return defaultStreamBatch
 	}
 	if o.BatchSize < 1 {
 		return 1
@@ -71,7 +71,7 @@ func (o StreamOpts) batchSize() int {
 
 func (o StreamOpts) buffer() int {
 	if o.Buffer == 0 {
-		return DefaultStreamBuffer
+		return defaultStreamBuffer
 	}
 	if o.Buffer < 0 {
 		return 0
@@ -81,32 +81,29 @@ func (o StreamOpts) buffer() int {
 
 // Stream is one running streamed blocking run. Batches arrive on C in
 // strictly increasing (I, J) order with no pair repeated across batches;
-// C closes after the last batch. Consumers that keep a batch past the next
-// receive must copy it only if they also return it via Recycle — otherwise
-// the batch is theirs.
+// C closes after the last batch. Consumers must drain C: the producer
+// blocks on every send, so a consumer that stops early leaves its
+// goroutine parked. Consumers that keep a batch past the next receive must
+// copy it only if they also return it via Recycle — otherwise the batch is
+// theirs.
 type Stream struct {
 	// C yields the candidate batches. Receive until closed.
 	C <-chan []dedup.Pair
 
-	done chan struct{}
-	once sync.Once
-	fin  chan struct{}
+	fin chan struct{}
 
 	pool sync.Pool
 
 	// Written by the producer before fin closes.
-	stats    Stats
-	elapsed  time.Duration
-	batches  int64
-	backlog  int64
-	canceled bool
+	stats   Stats
+	elapsed time.Duration
+	batches int64
+	backlog int64
 }
 
-// Stats blocks until the producer has finished (C closed or the run
-// canceled) and returns the run's Stats — identical to what GenerateSeq
-// returns for the same dataset and configuration. After Cancel the stats
-// are partial and Unique reflects only the pairs emitted before the
-// cancellation was observed.
+// Stats blocks until the producer has finished (C closed) and returns the
+// run's Stats — identical to what GenerateSeq returns for the same dataset
+// and configuration.
 func (s *Stream) Stats() Stats {
 	<-s.fin
 	return s.stats
@@ -118,12 +115,6 @@ func (s *Stream) Stats() Stats {
 func (s *Stream) Elapsed() time.Duration {
 	<-s.fin
 	return s.elapsed
-}
-
-// Cancel aborts the producer: it stops emitting, closes C and releases its
-// goroutine. Safe to call multiple times and after completion.
-func (s *Stream) Cancel() {
-	s.once.Do(func() { close(s.done) })
 }
 
 // Recycle returns a fully consumed batch to the producer's buffer pool so
@@ -152,11 +143,7 @@ func (s *Stream) newBatch(size int) []dedup.Pair {
 // the in-flight batches.
 func GenerateStream(ds *dedup.Dataset, cfg Config, opts StreamOpts) *Stream {
 	ch := make(chan []dedup.Pair, opts.buffer())
-	s := &Stream{
-		C:    ch,
-		done: make(chan struct{}),
-		fin:  make(chan struct{}),
-	}
+	s := &Stream{C: ch, fin: make(chan struct{})}
 	go s.produce(ds, cfg, opts.batchSize(), ch)
 	return s
 }
@@ -284,7 +271,7 @@ func (s *snmSource) fill() {
 }
 
 // produce builds the pass sources, merges them and emits batches until the
-// stream is drained or canceled.
+// stream is drained.
 func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<- []dedup.Pair) {
 	start := time.Now()
 	workers := cfg.workers()
@@ -292,7 +279,7 @@ func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<-
 
 	var srcs []pairSource
 	for _, p := range cfg.Passes {
-		w := cfg.window(p)
+		w := cfg.window()
 		src, pairs := newSNMSource(ds, p.Key, w, workers)
 		stats.SNMPasses = append(stats.SNMPasses, PassStats{Name: p.Name, Window: w, Pairs: pairs})
 		stats.Emitted += pairs
@@ -326,20 +313,14 @@ func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<-
 	batch := s.newBatch(batchSize)
 	var last dedup.Pair
 	haveLast := false
-	canceled := false
-	emit := func() bool {
+	emit := func() {
 		if backlog := int64(len(ch)); backlog > s.backlog {
 			s.backlog = backlog
 		}
-		select {
-		case ch <- batch:
-			s.batches++
-			return true
-		case <-s.done:
-			return false
-		}
+		ch <- batch
+		s.batches++
 	}
-	for !canceled {
+	for {
 		best := -1
 		var bestPair dedup.Pair
 		for i, src := range srcs {
@@ -362,28 +343,22 @@ func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<-
 		stats.Unique++
 		batch = append(batch, bestPair)
 		if len(batch) == batchSize {
-			if !emit() {
-				canceled = true
-				break
-			}
+			emit()
 			batch = s.newBatch(batchSize)
 		}
 	}
-	if !canceled && len(batch) > 0 {
-		canceled = !emit()
+	if len(batch) > 0 {
+		emit()
 	}
 	// Report before closing C: the channel close is the consumer's only
 	// completion signal, so counters must be published before it fires.
-	if !canceled {
-		report(cfg.Observer, stats)
-		counter.Add(cfg.Observer, "blocking_stream_batches", s.batches)
-		counter.Add(cfg.Observer, "blocking_stream_pairs", int64(stats.Unique))
-		counter.Add(cfg.Observer, "blocking_stream_peak_backlog", s.backlog)
-	}
+	report(cfg.Observer, stats)
+	counter.Add(cfg.Observer, "blocking_stream_batches", s.batches)
+	counter.Add(cfg.Observer, "blocking_stream_pairs", int64(stats.Unique))
+	counter.Add(cfg.Observer, "blocking_stream_peak_backlog", s.backlog)
 	close(ch)
 
 	s.stats = stats
-	s.canceled = canceled
 	s.elapsed = time.Since(start)
 	close(s.fin)
 }

@@ -80,23 +80,6 @@ func TestStreamEmptyDataset(t *testing.T) {
 	}
 }
 
-// TestStreamCancel: Cancel mid-stream unblocks the producer and closes C.
-func TestStreamCancel(t *testing.T) {
-	ds := testDataset(11, 200)
-	s := GenerateStream(ds, testConfig(ds, 2), StreamOpts{BatchSize: 8, Buffer: -1})
-	first, ok := <-s.C
-	if !ok || len(first) == 0 {
-		t.Fatal("no first batch before cancel")
-	}
-	s.Cancel()
-	s.Cancel() // idempotent
-	for range s.C {
-	}
-	if got := s.Stats(); got.Unique == 0 {
-		t.Fatalf("partial stats lost after cancel: %+v", got)
-	}
-}
-
 // TestStreamObserverCounters: a completed stream reports the blocking_*
 // family plus the blocking_stream_* extension.
 func TestStreamObserverCounters(t *testing.T) {

@@ -448,7 +448,7 @@ func TestDecodeHash(t *testing.T) {
 	for i := range h {
 		h[i] = byte(i * 7)
 	}
-	got, ok := decodeHash(HashHex(h))
+	got, ok := decodeHash(hashHex(h))
 	if !ok || got != h {
 		t.Errorf("decodeHash round trip failed")
 	}

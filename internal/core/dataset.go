@@ -369,8 +369,8 @@ func (d *Dataset) ClusterSizeHistogram() map[int]int {
 	return h
 }
 
-// HashHex renders a record hash for storage.
-func HashHex(h voter.Hash) string { return hex.EncodeToString(h[:]) }
+// hashHex renders a record hash for storage.
+func hashHex(h voter.Hash) string { return hex.EncodeToString(h[:]) }
 
 // sortedKeys returns the keys of a string-keyed map in sorted order.
 func sortedKeys[V any](m map[string]V) []string {

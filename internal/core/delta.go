@@ -128,8 +128,8 @@ func (dl *Delta) Merge(other *Delta) {
 	dl.Stats.DirtyClusters = len(dl.dirty)
 }
 
-// Touched returns the NCIDs whose stored bytes changed, sorted.
-func (dl *Delta) Touched() []string { return sortedSet(dl.touched) }
+// touchedIDs returns the NCIDs whose stored bytes changed, sorted.
+func (dl *Delta) touchedIDs() []string { return sortedSet(dl.touched) }
 
 // Dirty returns the NCIDs needing score recomputation, sorted. The result
 // is never nil: an empty delta rescopes rescoring to nothing, it does not
@@ -221,7 +221,7 @@ func (d *Dataset) applyDeltaReader(r io.Reader, opts DeltaOptions) (*Delta, erro
 	counter.Add(o, "delta_clusters_touched", int64(dl.Stats.TouchedClusters))
 	counter.Add(o, "delta_clusters_dirty", int64(dl.Stats.DirtyClusters))
 	if opts.Index != nil {
-		opts.Index.Refresh(d, dl.Touched())
+		opts.Index.Refresh(d, dl.touchedIDs())
 		if len(dl.stale) > 0 {
 			sort.Strings(dl.stale)
 			return dl, fmt.Errorf("core: %w: %d clusters diverged from the fingerprint index (first: %s)",

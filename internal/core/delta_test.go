@@ -77,8 +77,8 @@ func TestDeltaClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dl.Touched(), []string{"A1", "B2", "D4"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Touched = %v, want %v", got, want)
+	if got, want := dl.touchedIDs(), []string{"A1", "B2", "D4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("touchedIDs = %v, want %v", got, want)
 	}
 	if got, want := dl.Dirty(), []string{"A1", "D4"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Dirty = %v, want %v", got, want)
@@ -91,7 +91,7 @@ func TestDeltaClassification(t *testing.T) {
 		t.Errorf("cluster counts = %+v", st)
 	}
 	ids := dl.DirtyIDs()
-	if !reflect.DeepEqual(sortedSet(ids[ClustersCollection]), dl.Touched()) {
+	if !reflect.DeepEqual(sortedSet(ids[ClustersCollection]), dl.touchedIDs()) {
 		t.Errorf("DirtyIDs clusters = %v", ids)
 	}
 	if _, ok := ids[MetaCollection]; ok {
@@ -190,9 +190,9 @@ func TestFingerprintIndexTracksDeltas(t *testing.T) {
 			t.Fatalf("index stale after refresh: %v", err)
 		}
 		after := BuildFingerprintIndex(d)
-		if got := before.Diff(after); !reflect.DeepEqual(got, dl.Touched()) {
+		if got := before.Diff(after); !reflect.DeepEqual(got, dl.touchedIDs()) {
 			t.Errorf("%s: fingerprint diff %d ids, touched %d ids",
-				filepath.Base(p), len(got), len(dl.Touched()))
+				filepath.Base(p), len(got), len(dl.touchedIDs()))
 		}
 	}
 
@@ -213,7 +213,7 @@ func TestFingerprintIndexTracksDeltas(t *testing.T) {
 	if !errors.Is(err, ErrStaleIndex) {
 		t.Fatalf("err = %v, want ErrStaleIndex", err)
 	}
-	if dl == nil || !reflect.DeepEqual(dl.Touched(), []string{ncid}) {
+	if dl == nil || !reflect.DeepEqual(dl.touchedIDs(), []string{ncid}) {
 		t.Fatalf("delta sets not returned on stale index: %+v", dl)
 	}
 	importReference(t, plain, path)
@@ -268,8 +268,8 @@ func TestDeltaMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl1.Merge(dl2)
-	if got, want := dl1.Touched(), []string{"A1", "B2", "C3"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("merged Touched = %v, want %v", got, want)
+	if got, want := dl1.touchedIDs(), []string{"A1", "B2", "C3"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("merged touchedIDs = %v, want %v", got, want)
 	}
 	if got, want := dl1.Dirty(), []string{"A1", "B2", "C3"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("merged Dirty = %v, want %v", got, want)

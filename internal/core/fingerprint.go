@@ -65,7 +65,7 @@ func (ix *FingerprintIndex) Refresh(d *Dataset, ncids []string) {
 // Diff returns the NCIDs whose fingerprints differ between the two indexes
 // (including NCIDs present in only one), sorted. Diffing the base index
 // against a post-apply rebuild yields exactly the clusters whose stored
-// state changed — the specification the delta tests pin Touched against.
+// state changed — the specification the delta tests pin touchedIDs against.
 func (ix *FingerprintIndex) Diff(other *FingerprintIndex) []string {
 	out := map[string]bool{}
 	for id, fp := range ix.fps {

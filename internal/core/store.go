@@ -71,7 +71,7 @@ func clusterDoc(c *Cluster) docstore.Document {
 	snapshots := make([]any, 0, len(c.Records))
 	for _, e := range c.Records {
 		records = append(records, recordDoc(e.Rec))
-		hashes = append(hashes, HashHex(e.Hash))
+		hashes = append(hashes, hashHex(e.Hash))
 		firstVersions = append(firstVersions, e.FirstVersion)
 		dates := make([]any, len(e.Snapshots))
 		for i, s := range e.Snapshots {
@@ -290,7 +290,7 @@ func recordFromDoc(doc docstore.Document) voter.Record {
 	return r
 }
 
-// decodeHash parses the hex form written by HashHex.
+// decodeHash parses the hex form written by hashHex.
 func decodeHash(s string) (voter.Hash, bool) {
 	var h voter.Hash
 	if len(s) != len(h)*2 {

@@ -77,9 +77,9 @@ func TestPhoneticErrorPreservesSoundex(t *testing.T) {
 	r := rng()
 	for i := 0; i < 500; i++ {
 		orig := "BAILEY"
-		got := PhoneticError(r, orig)
+		got := phoneticError(r, orig)
 		if simil.Soundex(got) != simil.Soundex(orig) {
-			t.Fatalf("PhoneticError(%q) = %q changed soundex %s -> %s",
+			t.Fatalf("phoneticError(%q) = %q changed soundex %s -> %s",
 				orig, got, simil.Soundex(orig), simil.Soundex(got))
 		}
 	}
@@ -89,21 +89,21 @@ func TestPhoneticErrorEventuallyChanges(t *testing.T) {
 	r := rng()
 	changed := false
 	for i := 0; i < 100 && !changed; i++ {
-		changed = PhoneticError(r, "BAILEY") != "BAILEY"
+		changed = phoneticError(r, "BAILEY") != "BAILEY"
 	}
 	if !changed {
-		t.Error("PhoneticError never produced a respelling")
+		t.Error("phoneticError never produced a respelling")
 	}
 }
 
 func TestAbbreviate(t *testing.T) {
 	r := rng()
-	got := Abbreviate(r, "ALEXANDER")
+	got := abbreviate(r, "ALEXANDER")
 	if got != "A" && got != "A." {
-		t.Errorf("Abbreviate = %q", got)
+		t.Errorf("abbreviate = %q", got)
 	}
-	if got := Abbreviate(r, ""); got != "" {
-		t.Errorf("Abbreviate(empty) = %q", got)
+	if got := abbreviate(r, ""); got != "" {
+		t.Errorf("abbreviate(empty) = %q", got)
 	}
 }
 
@@ -126,9 +126,9 @@ func TestTruncateTailIsPrefix(t *testing.T) {
 
 func TestTruncateHeadIsSuffix(t *testing.T) {
 	r := rng()
-	got := TruncateHead(r, "BRAGGTOWN")
+	got := truncateHead(r, "BRAGGTOWN")
 	if !strings.HasSuffix("BRAGGTOWN", got) || got == "BRAGGTOWN" {
-		t.Errorf("TruncateHead(BRAGGTOWN) = %q", got)
+		t.Errorf("truncateHead(BRAGGTOWN) = %q", got)
 	}
 }
 
@@ -191,12 +191,12 @@ func TestFormatNoiseOnlyNonAlnum(t *testing.T) {
 
 func TestWhitespacePadTrimsBack(t *testing.T) {
 	r := rng()
-	got := WhitespacePad(r, "SMITH")
+	got := whitespacePad(r, "SMITH")
 	if strings.TrimSpace(got) != "SMITH" {
-		t.Errorf("WhitespacePad core changed: %q", got)
+		t.Errorf("whitespacePad core changed: %q", got)
 	}
 	if got == "SMITH" {
-		t.Error("WhitespacePad added no whitespace")
+		t.Error("whitespacePad added no whitespace")
 	}
 }
 
@@ -226,15 +226,15 @@ func makeRecord() voter.Record {
 
 func TestConfuseValues(t *testing.T) {
 	r := makeRecord()
-	ConfuseValues(&r, voter.IdxFirstName, voter.IdxLastName)
+	confuseValues(&r, voter.IdxFirstName, voter.IdxLastName)
 	if r.GetName("first_name") != "WILLIAMS" || r.GetName("last_name") != "DEBRA" {
-		t.Errorf("ConfuseValues: %q / %q", r.GetName("first_name"), r.GetName("last_name"))
+		t.Errorf("confuseValues: %q / %q", r.GetName("first_name"), r.GetName("last_name"))
 	}
 }
 
 func TestIntegrateValue(t *testing.T) {
 	r := makeRecord()
-	IntegrateValue(&r, voter.IdxMiddleName, voter.IdxFirstName)
+	integrateValue(&r, voter.IdxMiddleName, voter.IdxFirstName)
 	if r.GetName("first_name") != "DEBRA ANN" {
 		t.Errorf("first_name = %q", r.GetName("first_name"))
 	}
@@ -244,7 +244,7 @@ func TestIntegrateValue(t *testing.T) {
 	// Integrating an empty value is a no-op.
 	r2 := makeRecord()
 	r2.SetName("midl_name", "")
-	IntegrateValue(&r2, voter.IdxMiddleName, voter.IdxFirstName)
+	integrateValue(&r2, voter.IdxMiddleName, voter.IdxFirstName)
 	if r2.GetName("first_name") != "DEBRA" {
 		t.Errorf("no-op integrate changed first_name to %q", r2.GetName("first_name"))
 	}
@@ -254,7 +254,7 @@ func TestScatterValuesPreservesTokenUnion(t *testing.T) {
 	r := makeRecord()
 	r.SetName("midl_name", "AN LE")
 	r.SetName("last_name", "MA")
-	ScatterValues(rng(), &r, voter.IdxMiddleName, voter.IdxLastName)
+	scatterValues(rng(), &r, voter.IdxMiddleName, voter.IdxLastName)
 	got := append(strings.Fields(r.GetName("midl_name")), strings.Fields(r.GetName("last_name"))...)
 	if len(got) != 3 {
 		t.Fatalf("token count = %d, want 3", len(got))

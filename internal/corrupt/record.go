@@ -8,17 +8,17 @@ import (
 	"repro/internal/voter"
 )
 
-// ConfuseValues swaps the values of two attributes in place — the paper's
+// confuseValues swaps the values of two attributes in place — the paper's
 // value-confusion irregularity (e.g. first and last name transposed between
 // two registrations of the same voter).
-func ConfuseValues(r *voter.Record, i, j int) {
+func confuseValues(r *voter.Record, i, j int) {
 	r.Values[i], r.Values[j] = r.Values[j], r.Values[i]
 }
 
-// IntegrateValue appends the value of attribute from as an extra token of
+// integrateValue appends the value of attribute from as an extra token of
 // attribute into and clears from — the "integrated value" irregularity
 // (e.g. a middle name stored as a second token of the first name).
-func IntegrateValue(r *voter.Record, from, into int) {
+func integrateValue(r *voter.Record, from, into int) {
 	v := strings.TrimSpace(r.Values[from])
 	if v == "" {
 		return
@@ -31,11 +31,11 @@ func IntegrateValue(r *voter.Record, from, into int) {
 	r.Values[from] = ""
 }
 
-// ScatterValues redistributes the combined token multiset of attributes i
+// scatterValues redistributes the combined token multiset of attributes i
 // and j randomly between the two — the "scattered values" irregularity. The
 // union of tokens is preserved; their assignment is not. Both attributes end
 // up non-empty when at least two tokens exist.
-func ScatterValues(rng *rand.Rand, r *voter.Record, i, j int) {
+func scatterValues(rng *rand.Rand, r *voter.Record, i, j int) {
 	tokens := append(strings.Fields(r.Values[i]), strings.Fields(r.Values[j])...)
 	if len(tokens) < 2 {
 		return
@@ -46,9 +46,9 @@ func ScatterValues(rng *rand.Rand, r *voter.Record, i, j int) {
 	r.Values[j] = strings.Join(tokens[cut:], " ")
 }
 
-// MakeMissing blanks the value of attribute i, optionally using one of the
+// makeMissing blanks the value of attribute i, optionally using one of the
 // conventional missing markers instead of the empty string.
-func MakeMissing(rng *rand.Rand, r *voter.Record, i int) {
+func makeMissing(rng *rand.Rand, r *voter.Record, i int) {
 	markers := []string{"", "", "", "-", "UNKNOWN"}
 	r.Values[i] = markers[rng.Intn(len(markers))]
 }
@@ -179,16 +179,16 @@ func (c *Corruptor) Apply(r *voter.Record) {
 			v = OCRError(rng, v)
 		}
 		if rng.Float64() < cfg.Phonetic {
-			v = PhoneticError(rng, v)
+			v = phoneticError(rng, v)
 		}
 		if rng.Float64() < cfg.Abbreviation && (i == voter.IdxMiddleName || i == voter.IdxFirstName) {
-			v = Abbreviate(rng, v)
+			v = abbreviate(rng, v)
 		}
 		if rng.Float64() < cfg.TruncateTail {
 			v = TruncateTail(rng, v)
 		}
 		if rng.Float64() < cfg.TruncateHead {
-			v = TruncateHead(rng, v)
+			v = truncateHead(rng, v)
 		}
 		if rng.Float64() < cfg.DropToken {
 			v = DropToken(rng, v)
@@ -204,7 +204,7 @@ func (c *Corruptor) Apply(r *voter.Record) {
 		}
 		if rng.Float64() < cfg.Missing {
 			r.Values[i] = v
-			MakeMissing(rng, r, i)
+			makeMissing(rng, r, i)
 			continue
 		}
 		r.Values[i] = v
@@ -215,14 +215,14 @@ func (c *Corruptor) Apply(r *voter.Record) {
 		if j >= i {
 			j++
 		}
-		ConfuseValues(r, nameIndices[i], nameIndices[j])
+		confuseValues(r, nameIndices[i], nameIndices[j])
 	}
 	if rng.Float64() < cfg.IntegratedValue {
 		into := nameIndices[rng.Intn(2)*2] // first or last name
-		IntegrateValue(r, voter.IdxMiddleName, into)
+		integrateValue(r, voter.IdxMiddleName, into)
 	}
 	if rng.Float64() < cfg.ScatteredValue {
-		ScatterValues(rng, r, voter.IdxMiddleName, voter.IdxLastName)
+		scatterValues(rng, r, voter.IdxMiddleName, voter.IdxLastName)
 	}
 	if rng.Float64() < cfg.OutlierAge {
 		OutlierAge(rng, r)
@@ -230,7 +230,7 @@ func (c *Corruptor) Apply(r *voter.Record) {
 	if cfg.Whitespace > 0 {
 		for _, i := range stringAttrIndices {
 			if r.Values[i] != "" && rng.Float64() < cfg.Whitespace {
-				r.Values[i] = WhitespacePad(rng, r.Values[i])
+				r.Values[i] = whitespacePad(rng, r.Values[i])
 			}
 		}
 	}

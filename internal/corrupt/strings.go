@@ -117,10 +117,10 @@ var phoneticSubs = map[rune][]rune{
 	'Y': {'I'},
 }
 
-// PhoneticError respells one character of s with a Soundex-equivalent
+// phoneticError respells one character of s with a Soundex-equivalent
 // letter. The first character is never touched (it anchors the Soundex
 // code). Returns s unchanged if no substitutable character exists.
-func PhoneticError(rng *rand.Rand, s string) string {
+func phoneticError(rng *rand.Rand, s string) string {
 	r := []rune(s)
 	var positions []int
 	for i := 1; i < len(r); i++ {
@@ -137,10 +137,10 @@ func PhoneticError(rng *rand.Rand, s string) string {
 	return string(r)
 }
 
-// Abbreviate reduces s to its first letter, optionally followed by a period
+// abbreviate reduces s to its first letter, optionally followed by a period
 // — the paper's abbreviation singleton ("a single letter, possibly followed
 // by a punctuation mark", §6.4). Empty input stays empty.
-func Abbreviate(rng *rand.Rand, s string) string {
+func abbreviate(rng *rand.Rand, s string) string {
 	t := strings.TrimSpace(s)
 	if t == "" {
 		return s
@@ -165,9 +165,9 @@ func TruncateTail(rng *rand.Rand, s string) string {
 	return string(r[:keep])
 }
 
-// TruncateHead cuts a random non-empty prefix off s (postfix irregularity).
+// truncateHead cuts a random non-empty prefix off s (postfix irregularity).
 // Values shorter than 4 runes are returned unchanged.
-func TruncateHead(rng *rand.Rand, s string) string {
+func truncateHead(rng *rand.Rand, s string) string {
 	r := []rune(s)
 	if len(r) < 4 {
 		return s
@@ -232,9 +232,9 @@ func FormatNoise(rng *rand.Rand, s string) string {
 	return s
 }
 
-// WhitespacePad adds leading and/or trailing spaces, the distribution
+// whitespacePad adds leading and/or trailing spaces, the distribution
 // artifact the paper removes with trimming (§3.1.3).
-func WhitespacePad(rng *rand.Rand, s string) string {
+func whitespacePad(rng *rand.Rand, s string) string {
 	lead := strings.Repeat(" ", rng.Intn(3))
 	trail := strings.Repeat(" ", 1+rng.Intn(3))
 	return lead + s + trail

@@ -9,6 +9,7 @@ package dedup
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,6 +30,12 @@ type Dataset struct {
 	NameAttrs []int
 }
 
+// maxNameAttrs caps NameAttrs: the best 1:1 name assignment walks all n!
+// assignments per pair, so one pair costs microseconds at 3 name attributes,
+// milliseconds at 6 and seconds at 10. Every producer writes at most 3 (the
+// register's first, middle and last name).
+const maxNameAttrs = 4
+
 // Validate checks internal consistency.
 func (d *Dataset) Validate() error {
 	if len(d.Records) != len(d.ClusterOf) {
@@ -39,9 +46,15 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("dedup: %s: record %d has %d values, want %d", d.Name, i, len(r), len(d.Attrs))
 		}
 	}
-	for _, n := range d.NameAttrs {
+	if len(d.NameAttrs) > maxNameAttrs {
+		return fmt.Errorf("dedup: %s: %d name attributes, at most %d", d.Name, len(d.NameAttrs), maxNameAttrs)
+	}
+	for i, n := range d.NameAttrs {
 		if n < 0 || n >= len(d.Attrs) {
 			return fmt.Errorf("dedup: %s: name attribute %d out of range", d.Name, n)
+		}
+		if slices.Contains(d.NameAttrs[:i], n) {
+			return fmt.Errorf("dedup: %s: name attribute %d repeated", d.Name, n)
 		}
 	}
 	return nil
@@ -126,8 +139,8 @@ func (d *Dataset) Trimmed() *Dataset {
 	return out
 }
 
-// Columns returns the dataset transposed: one slice per attribute.
-func (d *Dataset) Columns() [][]string {
+// columns returns the dataset transposed: one slice per attribute.
+func (d *Dataset) columns() [][]string {
 	cols := make([][]string, len(d.Attrs))
 	for c := range cols {
 		col := make([]string, len(d.Records))
@@ -143,7 +156,7 @@ func (d *Dataset) Columns() [][]string {
 // entropy — the paper's choice of SNM sorting keys (§6.5 sorts on the five
 // most unique attributes, reusing the §6.3 entropy weights).
 func MostUniqueAttrs(ds *Dataset, k int) []int {
-	cols := ds.Columns()
+	cols := ds.columns()
 	type ae struct {
 		idx int
 		h   float64

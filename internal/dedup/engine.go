@@ -147,7 +147,7 @@ func newEngine(ds *Dataset, m Measure, opts ScoreOpts) *engine {
 	e := &engine{
 		ds:      ds,
 		kind:    kind,
-		weights: simil.EntropyWeights(ds.Columns()),
+		weights: simil.EntropyWeights(ds.columns()),
 		names:   append([]int(nil), ds.NameAttrs...),
 		nameSet: map[int]bool{},
 		cols:    make([]colPrep, len(ds.Attrs)),

@@ -71,6 +71,8 @@ func TestReadFromRejectsMalformed(t *testing.T) {
 		"bogus\theader\nx\ty\n",
 		"cluster_id\ta\nnotanumber\tx\n",
 		"cluster_id\ta\n1\tx\textra\n",
+		"#nameattrs:0,0,1\ncluster_id\ta\tb\n1\tx\ty\n",                       // a repeated name attribute weighs twice
+		"#nameattrs:0,1,2,3,4\ncluster_id\ta\tb\tc\td\te\n1\tv\tw\tx\ty\tz\n", // n! assignments per pair
 	}
 	for i, c := range cases {
 		if _, err := readFrom(strings.NewReader(c)); err == nil {

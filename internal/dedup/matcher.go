@@ -62,7 +62,7 @@ type matcher struct {
 
 // newMatcher builds a matcher for the dataset under the given measure.
 func newMatcher(ds *Dataset, m Measure) *matcher {
-	weights := simil.EntropyWeights(ds.Columns())
+	weights := simil.EntropyWeights(ds.columns())
 	nameSet := map[int]bool{}
 	for _, n := range ds.NameAttrs {
 		nameSet[n] = true

@@ -104,7 +104,7 @@ func (e *docEncoder) appendValue(b []byte, v any) ([]byte, error) {
 	case bool:
 		return strconv.AppendBool(b, t), nil
 	}
-	return AppendJSONMarshal(b, v)
+	return appendJSONMarshal(b, v)
 }
 
 // The three primitives below are the whole of the encoder's knowledge of
@@ -119,7 +119,7 @@ func (e *docEncoder) appendValue(b []byte, v any) ([]byte, error) {
 func AppendJSONString(b []byte, s string) ([]byte, error) {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return AppendJSONMarshal(b, s)
+			return appendJSONMarshal(b, s)
 		}
 	}
 	b = append(b, '"')
@@ -133,11 +133,11 @@ func AppendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if abs := math.Abs(f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
 		return strconv.AppendFloat(b, f, 'f', -1, 64), nil
 	}
-	return AppendJSONMarshal(b, f)
+	return appendJSONMarshal(b, f)
 }
 
-// AppendJSONMarshal is the fallback: json.Marshal's own bytes for v.
-func AppendJSONMarshal(b []byte, v any) ([]byte, error) {
+// appendJSONMarshal is the fallback: json.Marshal's own bytes for v.
+func appendJSONMarshal(b []byte, v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	return append(b, raw...), err
 }

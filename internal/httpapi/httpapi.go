@@ -38,11 +38,10 @@ import (
 // Config tunes the middleware around the handlers; the zero value of a
 // field means "use the default below".
 type Config struct {
-	Timeout      time.Duration // per-request deadline (default 10s; <0 disables)
-	MaxInflight  int           // in-flight request cap (default 256; <0 disables)
-	Logger       *slog.Logger  // request logger (default slog.Default())
-	StoreWorkers int           // workers of the snapshot build (default/0: all cores)
-	CacheSize    int           // response-cache entries (default 1024; <0 disables)
+	Timeout     time.Duration // per-request deadline (default 10s; <0 disables)
+	MaxInflight int           // in-flight request cap (default 256; <0 disables)
+	Logger      *slog.Logger  // request logger (default slog.Default())
+	CacheSize   int           // response-cache entries (default 1024; <0 disables)
 }
 
 // Option mutates the Config inside NewDeferred.
@@ -58,25 +57,18 @@ func WithMaxInflight(n int) Option { return func(c *Config) { c.MaxInflight = n 
 // server's own failures (a response that does not encode or write).
 func WithLogger(l *slog.Logger) Option { return func(c *Config) { c.Logger = l } }
 
-// WithStoreWorkers sets the worker count of the snapshot build every Publish
-// runs (the pass over the clusters; a process that loads a store first, like
-// ncserve, gives its load the same count); n <= 0 selects GOMAXPROCS.
-// Responses and built snapshots are identical at any count.
-func WithStoreWorkers(n int) Option { return func(c *Config) { c.StoreWorkers = n } }
-
 // WithResponseCache bounds the LRU response cache to n entries; n < 0
 // disables caching. The default is 1024 entries.
 func WithResponseCache(n int) Option { return func(c *Config) { c.CacheSize = n } }
 
 // Server serves dataset snapshots published through Publish.
 type Server struct {
-	mux          *http.ServeMux
-	metrics      *obs.Metrics
-	handler      http.Handler
-	source       *serving.Source
-	cache        *serving.ResponseCache
-	logger       *slog.Logger
-	storeWorkers int
+	mux     *http.ServeMux
+	metrics *obs.Metrics
+	handler http.Handler
+	source  *serving.Source
+	cache   *serving.ResponseCache
+	logger  *slog.Logger
 }
 
 // route is one registered endpoint, relative to the /v1 prefix. Resources
@@ -111,10 +103,9 @@ func NewDeferred(opts ...Option) *Server {
 	}
 
 	s := &Server{
-		mux:          http.NewServeMux(),
-		metrics:      obs.NewMetrics(),
-		logger:       cfg.Logger,
-		storeWorkers: cfg.StoreWorkers,
+		mux:     http.NewServeMux(),
+		metrics: obs.NewMetrics(),
+		logger:  cfg.Logger,
 	}
 	s.source = serving.NewSource(s.metrics)
 	if cfg.CacheSize >= 0 {
@@ -168,7 +159,7 @@ func (s *Server) PublishWithProvenance(ds *core.Dataset, record json.RawMessage)
 		}
 		record = compact
 	}
-	snap := serving.Build(ds, serving.BuildOpts{Workers: s.storeWorkers, Provenance: record})
+	snap := serving.Build(ds, serving.BuildOpts{Provenance: record})
 	return s.source.Swap(snap)
 }
 

@@ -13,19 +13,18 @@ import (
 func TestClusterSummary(t *testing.T) {
 	ds := testDataset(t)
 
-	// The aggregation is the fold of a scan over the corpus's documents,
-	// whatever the worker count of the snapshot build.
+	// The aggregation is the fold of a scan over the corpus's documents
+	// (serving's BuildOpts.Workers ladder covers the snapshot build's
+	// worker count).
 	ref := viaJSON(t, testkit.NewServingOracle(ds.ToDocDB()).Summary(serving.SizeBounds{}))
-	for _, workers := range []int{1, 2, 7} {
-		srv := httptest.NewServer(newPublished(ds, WithLogger(testLogger()), WithStoreWorkers(workers)))
-		var got map[string]any
-		if code, _ := getData(t, srv.URL+"/v1/clusters/summary", &got); code != 200 {
-			t.Fatalf("workers=%d: summary code = %d", workers, code)
-		}
-		srv.Close()
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d: summary diverged from the document scan:\n%v\nvs\n%v", workers, got, ref)
-		}
+	srv := httptest.NewServer(newPublished(ds, WithLogger(testLogger())))
+	var got map[string]any
+	if code, _ := getData(t, srv.URL+"/v1/clusters/summary", &got); code != 200 {
+		t.Fatalf("summary code = %d", code)
+	}
+	srv.Close()
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("summary diverged from the document scan:\n%v\nvs\n%v", got, ref)
 	}
 
 	clusters, _ := ref["clusters"].(float64)

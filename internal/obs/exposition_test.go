@@ -19,7 +19,7 @@ func TestPrometheusTextWholeExposition(t *testing.T) {
 	m.Observe("/v1/stats", 200, 2*time.Millisecond)
 	m.Observe("/v1/stats", 304, 4*time.Millisecond)
 	m.Observe("/v1/clusters", 200, 8*time.Millisecond)
-	m.AddInFlight(3)
+	m.inFlight.Add(3)
 	if got := m.PrometheusText(); got != wholeExposition {
 		t.Errorf("exposition changed:\n--- got\n%s--- want\n%s", got, wholeExposition)
 	}

@@ -87,13 +87,6 @@ func (m *Metrics) Counter(name string) int64 {
 	return m.counters[name]
 }
 
-// AddInFlight moves the in-flight gauge; the limiter middleware maintains
-// it.
-func (m *Metrics) AddInFlight(delta int64) { m.inFlight.Add(delta) }
-
-// InFlight reads the in-flight gauge.
-func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
-
 // RouteSnapshot is the exported per-route view: counts by status code plus
 // latency quantiles estimated from the histogram (0.1 ms resolution, capped
 // at the histogram range; MaxMS is exact).

@@ -133,8 +133,8 @@ func InflightLimit(n int, m *Metrics) Middleware {
 				}
 			}
 			if m != nil {
-				m.AddInFlight(1)
-				defer m.AddInFlight(-1)
+				m.inFlight.Add(1)
+				defer m.inFlight.Add(-1)
 			}
 			next.ServeHTTP(w, r)
 		})

@@ -105,7 +105,7 @@ func TestInflightLimitSheds(t *testing.T) {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/hold", nil))
 	}()
 	<-occupied
-	if got := m.InFlight(); got != 1 {
+	if got := m.inFlight.Load(); got != 1 {
 		t.Fatalf("in-flight gauge = %d", got)
 	}
 	rec := httptest.NewRecorder()
@@ -122,7 +122,7 @@ func TestInflightLimitSheds(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if got := m.InFlight(); got != 0 {
+	if got := m.inFlight.Load(); got != 0 {
 		t.Fatalf("in-flight gauge after drain = %d", got)
 	}
 }

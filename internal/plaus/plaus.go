@@ -25,11 +25,11 @@ var componentWeights = []float64{0.5, 0.15, 0.15, 0.15}
 // match inside the Generalized Jaccard Coefficient.
 const genJaccThreshold = 0.5
 
-// NameSimilarity scores the (first, middle, last) name tuples with the
+// nameSimilarity scores the (first, middle, last) name tuples with the
 // Generalized Jaccard Coefficient over the Extended Damerau-Levenshtein
 // token measure, so confusions between the name attributes, typos within a
 // name, missing names and abbreviations are all forgiven.
-func NameSimilarity(a, b voter.Record) float64 {
+func nameSimilarity(a, b voter.Record) float64 {
 	na := nameTuple(a)
 	nb := nameTuple(b)
 	return simil.GeneralizedJaccard(na, nb, simil.ExtendedDamerauLevenshtein, genJaccThreshold)
@@ -55,9 +55,9 @@ func normalizeMissing(v string) string {
 	return strings.TrimSpace(v)
 }
 
-// SexSimilarity compares the sex codes: agreement, an undesignated value
+// sexSimilarity compares the sex codes: agreement, an undesignated value
 // ('U') or a missing value score 1; a real disagreement scores 0.
-func SexSimilarity(a, b voter.Record) float64 {
+func sexSimilarity(a, b voter.Record) float64 {
 	sa := strings.ToUpper(strings.TrimSpace(a.Values[voter.IdxSexCode]))
 	sb := strings.ToUpper(strings.TrimSpace(b.Values[voter.IdxSexCode]))
 	if sa == "" || sb == "" || sa == "U" || sb == "U" || sa == sb {
@@ -66,13 +66,13 @@ func SexSimilarity(a, b voter.Record) float64 {
 	return 0
 }
 
-// YearOfBirthSimilarity compares the derived years of birth (snapshot date
+// yearOfBirthSimilarity compares the derived years of birth (snapshot date
 // minus age) with the paper's tolerance formula:
 //
 //	sim = 1 - min(1, max(0, |Δ| - 1) / 10)
 //
 // A missing year on either side does not contradict and scores 1.
-func YearOfBirthSimilarity(a, b voter.Record) float64 {
+func yearOfBirthSimilarity(a, b voter.Record) float64 {
 	ya, yb := a.YearOfBirth(), b.YearOfBirth()
 	if ya == 0 || yb == 0 {
 		return 1
@@ -92,9 +92,9 @@ func YearOfBirthSimilarity(a, b voter.Record) float64 {
 	return 1 - penalty
 }
 
-// BirthPlaceSimilarity compares the birth places with the Extended
+// birthPlaceSimilarity compares the birth places with the Extended
 // Damerau-Levenshtein similarity (missing values and prefixes forgiven).
-func BirthPlaceSimilarity(a, b voter.Record) float64 {
+func birthPlaceSimilarity(a, b voter.Record) float64 {
 	return simil.ExtendedDamerauLevenshtein(
 		normalizeMissing(a.Values[voter.IdxBirthPlace]),
 		normalizeMissing(b.Values[voter.IdxBirthPlace]))
@@ -104,10 +104,10 @@ func BirthPlaceSimilarity(a, b voter.Record) float64 {
 // the four component similarities.
 func PairScore(a, b voter.Record) float64 {
 	scores := []float64{
-		NameSimilarity(a, b),
-		SexSimilarity(a, b),
-		YearOfBirthSimilarity(a, b),
-		BirthPlaceSimilarity(a, b),
+		nameSimilarity(a, b),
+		sexSimilarity(a, b),
+		yearOfBirthSimilarity(a, b),
+		birthPlaceSimilarity(a, b),
 	}
 	return simil.WeightedAverage(scores, componentWeights)
 }
@@ -141,8 +141,8 @@ func newPairScorer() core.PairScorer {
 		ps.nb[1] = normalizeMissing(b.Values[voter.IdxMiddleName])
 		ps.nb[2] = normalizeMissing(b.Values[voter.IdxLastName])
 		ps.scores[0] = simil.GeneralizedJaccardInto(ps.na[:], ps.nb[:], tok, genJaccThreshold, &ps.sc)
-		ps.scores[1] = SexSimilarity(a, b)
-		ps.scores[2] = YearOfBirthSimilarity(a, b)
+		ps.scores[1] = sexSimilarity(a, b)
+		ps.scores[2] = yearOfBirthSimilarity(a, b)
 		ps.scores[3] = simil.ExtendedDamerauLevenshteinInto(
 			normalizeMissing(a.Values[voter.IdxBirthPlace]),
 			normalizeMissing(b.Values[voter.IdxBirthPlace]), &ps.sc)

@@ -86,8 +86,8 @@ func TestSexSimilarity(t *testing.T) {
 	for _, c := range cases {
 		a := mk("X", "", "Y", c.a, "", "", "")
 		b := mk("X", "", "Y", c.b, "", "", "")
-		if got := SexSimilarity(a, b); got != c.want {
-			t.Errorf("SexSimilarity(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		if got := sexSimilarity(a, b); got != c.want {
+			t.Errorf("sexSimilarity(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -110,14 +110,14 @@ func TestYearOfBirthSimilarity(t *testing.T) {
 		{rec("", "2008-01-01"), rec("45", "2008-01-01"), 1},
 	}
 	for i, c := range cases {
-		if got := YearOfBirthSimilarity(c.a, c.b); got != c.want {
+		if got := yearOfBirthSimilarity(c.a, c.b); got != c.want {
 			t.Errorf("case %d: YoB sim = %v, want %v", i, got, c.want)
 		}
 	}
 	// Age aging across snapshots keeps the same YoB.
 	a := rec("45", "2008-01-01")
 	b := rec("49", "2012-01-01")
-	if got := YearOfBirthSimilarity(a, b); got != 1 {
+	if got := yearOfBirthSimilarity(a, b); got != 1 {
 		t.Errorf("aging across snapshots = %v, want 1", got)
 	}
 }

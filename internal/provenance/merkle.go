@@ -38,8 +38,8 @@ const (
 // Digest is one SHA-256 output.
 type Digest = [sha256.Size]byte
 
-// LeafHash hashes one leaf's data with the leaf domain prefix.
-func LeafHash(data []byte) Digest {
+// leafHash hashes one leaf's data with the leaf domain prefix.
+func leafHash(data []byte) Digest {
 	h := sha256.New()
 	h.Write([]byte{leafPrefix})
 	h.Write(data)
@@ -78,7 +78,7 @@ func MerkleRoot(leaves [][]byte) Digest {
 
 func merkleRange(leaves [][]byte) Digest {
 	if len(leaves) == 1 {
-		return LeafHash(leaves[0])
+		return leafHash(leaves[0])
 	}
 	k := splitPoint(len(leaves))
 	return nodeHash(merkleRange(leaves[:k]), merkleRange(leaves[k:]))
@@ -111,7 +111,7 @@ func VerifyMerkleProof(data []byte, i, n int, proof []Digest, root Digest) bool 
 	if i < 0 || i >= n || n == 0 {
 		return false
 	}
-	got, ok := rebuildRoot(LeafHash(data), i, n, proof)
+	got, ok := rebuildRoot(leafHash(data), i, n, proof)
 	return ok && got == root
 }
 

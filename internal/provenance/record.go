@@ -142,14 +142,14 @@ func canonicalJSON(v any) []byte {
 	return b
 }
 
-// HashMeta returns the canonical hash of a Meta block.
-func HashMeta(m Meta) string {
+// hashMeta returns the canonical hash of a Meta block.
+func hashMeta(m Meta) string {
 	return hexDigest(sha256.Sum256(canonicalJSON(m)))
 }
 
-// HashLink returns the canonical hash of a chain link — what the next
+// hashLink returns the canonical hash of a chain link — what the next
 // link's Parent field must carry.
-func HashLink(l Link) string {
+func hashLink(l Link) string {
 	return hexDigest(sha256.Sum256(canonicalJSON(l)))
 }
 
@@ -184,7 +184,7 @@ func (r *Record) Head() Link { return r.Chain[len(r.Chain)-1] }
 // HeadHash returns the hash of the head link: the single value a consumer
 // pins out of band to make the whole record (and therefore the whole
 // corpus) tamper-evident.
-func (r *Record) HeadHash() string { return HashLink(r.Head()) }
+func (r *Record) HeadHash() string { return hashLink(r.Head()) }
 
 // Root returns the corpus Merkle root the head link commits to.
 func (r *Record) Root() string { return r.Head().Root }
@@ -302,10 +302,10 @@ func (r *Record) SelfCheck() error {
 		if l.Parent != parent {
 			return fmt.Errorf("provenance: chain link %d does not extend link %d (parent hash mismatch)", l.Seq, i)
 		}
-		parent = HashLink(l)
+		parent = hashLink(l)
 	}
 	head := r.Head()
-	if got := HashMeta(r.Meta); head.MetaHash != got {
+	if got := hashMeta(r.Meta); head.MetaHash != got {
 		return fmt.Errorf("provenance: metadata does not match the head link's meta hash")
 	}
 	docs, leaves := 0, 0

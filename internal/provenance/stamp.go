@@ -153,7 +153,7 @@ func buildRecord(fsys docstore.FS, dir string, commits []commit, prev *Record, m
 		Root:     corpusRoot(cols),
 		Docs:     docs,
 		Leaves:   leaves,
-		MetaHash: HashMeta(meta),
+		MetaHash: hashMeta(meta),
 	}
 	var chain []Link
 	if prev != nil {

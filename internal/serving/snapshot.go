@@ -94,8 +94,8 @@ type SizeBounds struct {
 	HasMin, HasMax bool
 }
 
-// Unbounded reports whether no size filter is set.
-func (b SizeBounds) Unbounded() bool { return !b.HasMin && !b.HasMax }
+// unbounded reports whether no size filter is set.
+func (b SizeBounds) unbounded() bool { return !b.HasMin && !b.HasMax }
 
 // ErrBadCursor is returned by ClusterPage when afterID does not name a
 // cluster that has the listed score — a stale or forged cursor.
@@ -328,7 +328,7 @@ func (sn *Snapshot) ClusterPage(by Score, r ScoreRange, afterID string, limit in
 // cluster visits). Every accumulator is a count, an extreme or an integer
 // histogram bin, so fold order cannot change the payload.
 func (sn *Snapshot) Summary(b SizeBounds) any {
-	if b.Unbounded() {
+	if b.unbounded() {
 		return sn.summary
 	}
 	return sn.foldSummary(b)

@@ -16,9 +16,9 @@ import (
 	"repro/internal/provenance"
 )
 
-// OpenOpts configures Open.
+// OpenOpts configures Open. Its read-hash-decode and parse pools run on
+// GOMAXPROCS workers.
 type OpenOpts struct {
-	Workers  int                    // read-hash-decode and parse pools; <= 0 is GOMAXPROCS
 	Cache    *docstore.SegmentCache // memoizes decoded segments across opens
 	Observer counter.Sink           // docstore_* load counters; nil drops them
 }
@@ -41,7 +41,7 @@ func Open(dir string, o OpenOpts) (*core.Dataset, *provenance.Record, error) {
 		// %v, not %w: an unstamped store must not read as a missing one.
 		return nil, nil, fmt.Errorf("store %s: %s: %v", dir, provenance.RecordFile, err)
 	}
-	db, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Workers: o.Workers, Cache: o.Cache, Observer: o.Observer, FS: rec.CheckedFS(docstore.OSFS)})
+	db, err := docstore.LoadParallelOpts(dir, docstore.LoadOpts{Cache: o.Cache, Observer: o.Observer, FS: rec.CheckedFS(docstore.OSFS)})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,16 +50,16 @@ func Open(dir string, o OpenOpts) (*core.Dataset, *provenance.Record, error) {
 			return nil, nil, fmt.Errorf("store %s: %s is missing", dir, docstore.ManifestFileName(c.Name))
 		}
 	}
-	ds, err := core.FromDocDBParallel(db, o.Workers)
+	ds, err := core.FromDocDBParallel(db, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	return ds, rec, nil
 }
 
-// CommitOpts configures Commit; the bytes on disk do not depend on Workers.
+// CommitOpts configures Commit. Its save encode pool runs on GOMAXPROCS
+// workers; the bytes on disk do not depend on their count.
 type CommitOpts struct {
-	Workers  int             // save encode pool; <= 0 is GOMAXPROCS
 	Stride   int             // stable segment layout (docstore.SaveOpts.Stride)
 	Delta    *core.Delta     // with Stride > 0, rewrite only the segments it touched
 	Meta     provenance.Meta // committed by the new chain link
@@ -69,7 +69,7 @@ type CommitOpts struct {
 // Commit renders ds, saves it into dir and stamps the directory's
 // provenance record, extending its chain. The caller publishes ds first.
 func Commit(ds *core.Dataset, dir string, o CommitOpts) (*provenance.Record, error) {
-	save := docstore.SaveOpts{Workers: o.Workers, Stride: o.Stride, Observer: o.Observer}
+	save := docstore.SaveOpts{Stride: o.Stride, Observer: o.Observer}
 	if o.Delta != nil {
 		save.Dirty = o.Delta.DirtyIDs()
 	}

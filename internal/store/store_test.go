@@ -42,12 +42,12 @@ func commitFiles(t *testing.T, dir string, files []string, stride int) *provenan
 func TestOpenCommitRoundTrip(t *testing.T) {
 	ds := testkit.Corpus{Seed: 7}.Dataset(t, 80, 3)
 	dir := filepath.Join(t.TempDir(), "store")
-	stamped, err := Commit(ds, dir, CommitOpts{Workers: 2, Meta: provenance.Meta{Source: "test"}})
+	stamped, err := Commit(ds, dir, CommitOpts{Meta: provenance.Meta{Source: "test"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := counts{}
-	got, rec, err := Open(dir, OpenOpts{Workers: 2, Observer: loads})
+	got, rec, err := Open(dir, OpenOpts{Observer: loads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCommitDeltaMatchesFull(t *testing.T) {
 		dir := t.TempDir()
 		commitFiles(t, dir, files[:3], stride)
 		cache := docstore.NewSegmentCache()
-		ds, _, err := Open(dir, OpenOpts{Workers: 1, Cache: cache})
+		ds, _, err := Open(dir, OpenOpts{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestCommitDeltaMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		if withDelta {
-			if _, _, err := Open(dir, OpenOpts{Workers: 1, Cache: cache, Observer: reloads}); err != nil {
+			if _, _, err := Open(dir, OpenOpts{Cache: cache, Observer: reloads}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -305,8 +306,9 @@ func TestConformanceServing(t *testing.T) {
 			Name:       "serving/" + tc.name + "/snapshot-vs-documents",
 			Sequential: func(testing.TB) map[string]servingResponse { return want },
 			Parallel: func(tb testing.TB, workers int) map[string]servingResponse {
-				api := httpapi.NewDeferred(httpapi.WithLogger(logger),
-					httpapi.WithStoreWorkers(workers), httpapi.WithResponseCache(-1))
+				// The snapshot build runs on GOMAXPROCS workers.
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				api := httpapi.NewDeferred(httpapi.WithLogger(logger), httpapi.WithResponseCache(-1))
 				api.Publish(tc.ds)
 				return fetchAll(tb, api, paths)
 			},

@@ -96,6 +96,7 @@ FUZZ_TARGETS = \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \
 	FuzzValueSimShortcuts:./internal/hetero \
+	FuzzEngineKernelSymmetric:./internal/dedup \
 	FuzzProvenanceDecode:./internal/provenance \
 	FuzzChainVerify:./internal/provenance
 

@@ -33,7 +33,8 @@ type Dataset struct {
 // maxNameAttrs caps NameAttrs: the best 1:1 name assignment walks all n!
 // assignments per pair, so one pair costs microseconds at 3 name attributes,
 // milliseconds at 6 and seconds at 10. Every producer writes at most 3 (the
-// register's first, middle and last name).
+// register's first, middle and last name); the engine sizes its per-pair
+// name matrix by this cap.
 const maxNameAttrs = 4
 
 // Validate checks internal consistency.

@@ -4,11 +4,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/simil"
 )
 
 // equivWorkerCounts is the worker ladder of the equivalence suite.
@@ -44,21 +45,58 @@ func requireCurvesIdentical(t *testing.T, label string, want, got Curve) {
 	}
 }
 
-// TestParallelScoreEquivalence is the engine's bit-identity contract: for
-// every measure and every worker count the curve from the slice adapter
-// equals the sequential reference exactly. `make race` runs it under the
-// race detector.
-func TestParallelScoreEquivalence(t *testing.T) {
-	ds := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
-	candidates := allPairs(len(ds.Records))
-	if len(candidates) == 0 {
-		t.Fatal("no candidates")
+// equivDatasets are the shapes the engine's id-row pair loop branches on:
+// 0, 1, 3 and 4 name attributes, and a constant column (entropy weight 0)
+// outside and inside the name slot, alone there too, so that the name
+// weight sum is 0.
+func equivDatasets(t *testing.T) map[string]*Dataset {
+	t.Helper()
+	base := toyDataset(t, 40, []int{1, 2, 3}, 0.4)
+	constant := len(base.Attrs)
+	shapes := map[string][]int{
+		"names=0":        nil,
+		"names=1":        {2},
+		"names=3":        {0, 1, 2},
+		"names=4":        {0, 1, 2, 3},
+		"names=4+const":  {0, 2, 3, constant},
+		"names=3,const":  {0, 1, 2},
+		"names=1(const)": {constant},
 	}
-	for _, m := range Measures {
-		want := EvaluateCandidates(ds, m, candidates, 50)
-		for _, workers := range equivWorkerCounts() {
-			got := EvaluateCandidatesParallel(ds, m, candidates, 50, ScoreOpts{Workers: workers})
-			requireCurvesIdentical(t, string(m)+"/workers="+itoa(workers), want, got)
+	out := map[string]*Dataset{}
+	for name, names := range shapes {
+		ds := *base
+		ds.NameAttrs = names
+		if strings.Contains(name, "const") {
+			ds.Attrs = append(slices.Clone(base.Attrs), "state")
+			ds.Records = make([][]string, len(base.Records))
+			for i, rec := range base.Records {
+				ds.Records[i] = append(slices.Clone(rec), "NC")
+			}
+			if w := simil.EntropyWeights(ds.columns())[constant]; w != 0 {
+				t.Fatalf("%s: constant column weighs %v, want 0", name, w)
+			}
+		}
+		if err := ds.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = &ds
+	}
+	return out
+}
+
+// TestParallelScoreEquivalence is the engine's bit-identity contract: for
+// every dataset shape, every measure and every worker count the curve from
+// the slice adapter equals the sequential reference exactly. `make race`
+// runs it under the race detector.
+func TestParallelScoreEquivalence(t *testing.T) {
+	for shape, ds := range equivDatasets(t) {
+		candidates := allPairs(len(ds.Records))
+		for _, m := range Measures {
+			want := EvaluateCandidates(ds, m, candidates, 50)
+			for _, workers := range equivWorkerCounts() {
+				got := EvaluateCandidatesParallel(ds, m, candidates, 50, ScoreOpts{Workers: workers})
+				requireCurvesIdentical(t, shape+"/"+string(m)+"/workers="+itoa(workers), want, got)
+			}
 		}
 	}
 }
@@ -111,32 +149,6 @@ func TestStepsBelowOnePanicsByName(t *testing.T) {
 			}()
 			EvaluateCandidatesParallel(ds, MeasureMELev, nil, steps, ScoreOpts{Workers: 1})
 		}()
-	}
-}
-
-// TestUninternedValuePanicsNamingColumn: recordSim hands the engine only
-// dataset values, so a value missing from a column's interning table is an
-// invariant violation. It must panic naming the column, under every
-// measure and on either side of the pair, rather than be scored some other
-// way.
-func TestUninternedValuePanicsNamingColumn(t *testing.T) {
-	ds := toyDataset(t, 5, []int{2}, 0)
-	for _, m := range Measures {
-		mt := newEngine(ds, m, ScoreOpts{}).matcherFor(&scoreScratch{})
-		for _, c := range []int{2, 3} { // a name column and a plain one
-			known := ds.Records[0][c]
-			for _, pair := range [][2]string{{"NOT A VALUE", known}, {known, "NOT A VALUE"}} {
-				func() {
-					defer func() {
-						msg, _ := recover().(string)
-						if !strings.Contains(msg, "has not interned") || !strings.Contains(msg, strconv.Quote(ds.Attrs[c])) {
-							t.Errorf("%s/%s %q: recovered %q, want a panic naming the column", m, ds.Attrs[c], pair, msg)
-						}
-					}()
-					mt.measures[c](pair[0], pair[1])
-				}()
-			}
-		}
 	}
 }
 
@@ -207,4 +219,36 @@ func BenchmarkEvaluateCandidatesEngine1(b *testing.B) {
 func benchDataset(b *testing.B) *Dataset {
 	b.Helper()
 	return toyDataset(b, 120, []int{1, 2, 3}, 0.4)
+}
+
+// FuzzEngineKernelSymmetric holds the property the memo's canonical keys
+// rest on: on the engine's own preprocessed path, every measure's kernel
+// returns the same float bits for (a, b) and (b, a), and the float of the
+// plain matcher's value measure. The seeds cover both sides of the ME/Lev
+// fold-invariant shortcut.
+func FuzzEngineKernelSymmetric(f *testing.F) {
+	f.Add("SMITH", "SMYTH")             // both fold-invariant
+	f.Add("123 MAIN ST", "124 MAIN ST") // fold-invariant, several tokens
+	f.Add("Smith", "SMITH")             // one side folds
+	f.Add("mary ann", "MARY-ANN")       // neither token list matches
+	f.Add("", "JOHN")                   // empty value
+	f.Add("ßstraße", "STRASSE")         // lower-case form changes length
+	f.Add("\u212aELVIN", "KELVIN")      // Kelvin sign lower-cases into ASCII
+	f.Add("a\x80b", "A\xffB")           // invalid UTF-8
+	f.Add("O'NEIL JR", "ONEIL")         // punctuation inside tokens
+	f.Fuzz(func(t *testing.T, a, b string) {
+		ds := &Dataset{Name: "fuzz", Attrs: []string{"v"}, Records: [][]string{{a}, {b}}, ClusterOf: []int{0, 1}}
+		sc := &simil.Scratch{}
+		for _, m := range Measures {
+			e := newEngine(ds, m, ScoreOpts{})
+			va, vb := &e.vals[e.ids[0]], &e.vals[e.ids[1]]
+			ab, ba := e.kernel(va, vb, sc), e.kernel(vb, va, sc)
+			if math.Float64bits(ab) != math.Float64bits(ba) {
+				t.Fatalf("%s not symmetric: (%q,%q)=%v (%q,%q)=%v", m, a, b, ab, b, a, ba)
+			}
+			if plain := valueMeasure(m)(a, b); math.Float64bits(ab) != math.Float64bits(plain) {
+				t.Fatalf("%s(%q,%q): engine %v, plain %v", m, a, b, ab, plain)
+			}
+		}
+	})
 }

@@ -50,14 +50,14 @@ func jaccardCaseInsensitive(a, b string) float64 {
 // entropy-derived attribute weights and best 1:1 name matching. Weights are
 // computed over all records — the user cannot know the duplicates in
 // advance (§6.5) — which is exactly what distinguishes them from the
-// heterogeneity weights. Measures are held per column so the scoring
-// engine can route each column through its own interning table.
+// heterogeneity weights. It is the plain reference the scoring engine's
+// id-row path (engine.go) is checked against.
 type matcher struct {
-	ds       *Dataset
-	measures []simil.StringMeasure // one per column
-	weights  []float64
-	names    []int
-	nameSet  map[int]bool
+	ds      *Dataset
+	measure simil.StringMeasure
+	weights []float64
+	names   []int
+	nameSet map[int]bool
 }
 
 // newMatcher builds a matcher for the dataset under the given measure.
@@ -67,18 +67,13 @@ func newMatcher(ds *Dataset, m Measure) *matcher {
 	for _, n := range ds.NameAttrs {
 		nameSet[n] = true
 	}
-	mt := &matcher{
+	return &matcher{
 		ds:      ds,
+		measure: valueMeasure(m),
 		weights: weights,
 		names:   append([]int(nil), ds.NameAttrs...),
 		nameSet: nameSet,
 	}
-	mt.measures = make([]simil.StringMeasure, len(ds.Attrs))
-	vm := valueMeasure(m)
-	for c := range mt.measures {
-		mt.measures[c] = vm
-	}
-	return mt
 }
 
 // recordSim scores records i and j: the weighted average of their value
@@ -95,7 +90,7 @@ func (m *matcher) recordSim(i, j int) float64 {
 		if w == 0 {
 			continue
 		}
-		sum += float64(w * m.measures[c](a[c], b[c]))
+		sum += float64(w * m.measure(a[c], b[c]))
 		wsum += w
 	}
 	if len(m.names) > 0 {
@@ -132,7 +127,7 @@ func (m *matcher) bestNameAssignment(a, b []string) float64 {
 			score, wsum := 0.0, 0.0
 			for i, p := range perm {
 				w := m.weights[vaIdx[i]]
-				score += float64(w * m.measures[vaIdx[i]](a[vaIdx[i]], b[vaIdx[p]]))
+				score += float64(w * m.measure(a[vaIdx[i]], b[vaIdx[p]]))
 				wsum += w
 			}
 			if wsum > 0 {

@@ -35,7 +35,7 @@ import (
 // EvaluateCandidatesStream is the scoring engine: batches of sorted,
 // deduplicated pairs arrive on the channel (closed by the producer after
 // the last batch), workers score them with the engine's scratch kernels
-// and memo cache as they arrive, and the returned Curve is bit-identical
+// and memos as they arrive, and the returned Curve is bit-identical
 // to EvaluateCandidates over the same pairs — without the candidate slice
 // or the similarity slice ever existing. opts.Recycle, when set, receives
 // each fully scored batch. steps must be at least 1.
@@ -73,13 +73,19 @@ func thresholdBucket(sim float64, steps int) int {
 func (e *engine) scoreStream(batches <-chan []Pair, steps, workers int, recycle func([]Pair)) (counts, dups []int64, pairs, nbatches int64) {
 	counts = make([]int64, steps+2)
 	dups = make([]int64, steps+2)
+	memoCap := memoCapPerWorker(e.memoCap, workers)
 
-	consume := func(mt *matcher, lc, ld []int64) (lp, lb int64) {
+	var mu sync.Mutex
+	work := func() {
+		s := &scorer{e: e, memo: memo{m: map[uint64]float64{}, cap: memoCap}}
+		lc := make([]int64, steps+2)
+		ld := make([]int64, steps+2)
+		var lp, lb int64
 		for batch := range batches {
 			lb++
 			lp += int64(len(batch))
 			for _, p := range batch {
-				b := thresholdBucket(mt.recordSim(p.I, p.J), steps)
+				b := thresholdBucket(s.recordSim(p.I, p.J), steps)
 				lc[b]++
 				if e.ds.IsDuplicate(p.I, p.J) {
 					ld[b]++
@@ -89,33 +95,28 @@ func (e *engine) scoreStream(batches <-chan []Pair, steps, workers int, recycle 
 				recycle(batch)
 			}
 		}
-		return lp, lb
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range lc {
+			counts[i] += lc[i]
+			dups[i] += ld[i]
+		}
+		pairs += lp
+		nbatches += lb
+		e.hits += s.memo.hits
+		e.misses += s.memo.misses
+		e.skips += s.memo.skips
 	}
 
 	if workers <= 1 {
-		sc := &scoreScratch{}
-		pairs, nbatches = consume(e.matcherFor(sc), counts, dups)
-		e.flush(sc)
+		work()
 	} else {
-		var mu sync.Mutex
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := &scoreScratch{}
-				lc := make([]int64, steps+2)
-				ld := make([]int64, steps+2)
-				lp, lb := consume(e.matcherFor(sc), lc, ld)
-				mu.Lock()
-				for i := range lc {
-					counts[i] += lc[i]
-					dups[i] += ld[i]
-				}
-				pairs += lp
-				nbatches += lb
-				mu.Unlock()
-				e.flush(sc)
+				work()
 			}()
 		}
 		wg.Wait()

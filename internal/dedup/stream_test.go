@@ -1,7 +1,9 @@
 package dedup
 
 import (
+	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -156,23 +158,22 @@ func TestThresholdBucketMatchesSweepSearch(t *testing.T) {
 	}
 }
 
-// TestMemoBoundedCapUnderStreaming is the bounded-eviction regression: a
-// memo cache far smaller than the distinct value-pair set must fill every
-// shard to at most its capacity, count the overflow as skips, and leave
-// the streamed curve untouched.
+// TestMemoBoundedCapUnderStreaming is the bounded-memo regression: memos
+// far smaller than the distinct value-pair set must count the overflow as
+// skips and leave the streamed curve untouched.
 func TestMemoBoundedCapUnderStreaming(t *testing.T) {
 	ds := toyDataset(t, 60, []int{2, 3}, 0.6)
 	candidates := allPairs(len(ds.Records))
 	want := EvaluateCandidates(ds, MeasureMELev, candidates, 25)
 
-	const memoCap = memoShardCount * 2 // two entries per shard
+	const memoCap = 8 // two entries per worker
 	m := obs.NewMetrics()
 	got := EvaluateCandidatesStream(ds, MeasureMELev, feedBatches(candidates, 32, 2), 25,
 		ScoreOpts{Workers: 4, MemoCap: memoCap, Observer: m})
 	requireCurvesIdentical(t, "tiny memo stream", want, got)
 
 	if m.Counter("score_memo_skips") == 0 {
-		t.Error("no skips recorded with a cache smaller than the value-pair set")
+		t.Error("no skips recorded with a memo smaller than the value-pair set")
 	}
 	if m.Counter("score_memo_misses") == 0 {
 		t.Error("no misses recorded")
@@ -184,52 +185,52 @@ func TestMemoBoundedCapUnderStreaming(t *testing.T) {
 	}
 }
 
-// TestMemoShardNeverExceedsCap drives one cache past capacity directly and
-// asserts the per-shard bound and the put contract.
-func TestMemoShardNeverExceedsCap(t *testing.T) {
-	const totalCap = memoShardCount * 3
-	c := newMemoCache(totalCap)
-	stored, skipped := 0, 0
-	for a := int32(0); a < 64; a++ {
-		for b := int32(0); b < 64; b++ {
-			if c.put(0, a, b, float64(a)+float64(b)/100) {
-				stored++
-			} else {
-				skipped++
+// TestMemoPerWorkerCap: MemoCap is a total split across the workers. At one
+// entry per worker and with caching disabled, each worker's memo stays
+// within its cap, the overflow is counted as skips, and every score and
+// curve equals the plain matcher's.
+func TestMemoPerWorkerCap(t *testing.T) {
+	for _, c := range []struct{ total, workers, want int }{
+		{4, 4, 1}, {3, 4, 1}, {1, 1, 1}, {defaultMemoCap, 2, defaultMemoCap / 2}, {-1, 3, -1},
+	} {
+		if got := memoCapPerWorker(c.total, c.workers); got != c.want {
+			t.Errorf("memoCapPerWorker(%d, %d) = %d, want %d", c.total, c.workers, got, c.want)
+		}
+	}
+
+	ds := toyDataset(t, 30, []int{2, 3}, 0.6)
+	candidates := allPairs(len(ds.Records))
+	for _, m := range Measures {
+		mt := newMatcher(ds, m)
+		want := EvaluateCandidates(ds, m, candidates, 25)
+		for _, memoCap := range []int{1, -1} {
+			label := string(m) + "/cap=" + strconv.Itoa(memoCap)
+			s := &scorer{e: newEngine(ds, m, ScoreOpts{}), memo: memo{m: map[uint64]float64{}, cap: memoCap}}
+			for _, p := range candidates {
+				if got, want := s.recordSim(p.I, p.J), mt.recordSim(p.I, p.J); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: pair %v scores %v, want %v", label, p, got, want)
+				}
 			}
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("64x64 inserts never overflowed a 3-entry-per-shard cache")
-	}
-	for i := range c.shards {
-		if n := len(c.shards[i].m); n > c.capPerShard {
-			t.Errorf("shard %d holds %d entries, cap %d", i, n, c.capPerShard)
-		}
-	}
-	// Stored entries must read back exactly; get must miss for skipped keys.
-	hits := 0
-	for a := int32(0); a < 64; a++ {
-		for b := int32(0); b < 64; b++ {
-			if v, ok := c.get(0, a, b); ok {
-				hits++
-				if want := float64(a) + float64(b)/100; v != want {
-					t.Fatalf("get(0,%d,%d) = %v, want %v", a, b, v, want)
+			if len(s.memo.m) > max(memoCap, 0) {
+				t.Errorf("%s: memo holds %d entries", label, len(s.memo.m))
+			}
+			if s.memo.skips == 0 || s.memo.skips < s.memo.misses-1 {
+				t.Errorf("%s: %d skips of %d misses, want all but at most one skipped", label, s.memo.skips, s.memo.misses)
+			}
+			if memoCap < 0 && s.memo.hits != 0 {
+				t.Errorf("%s: %d hits with caching disabled", label, s.memo.hits)
+			}
+
+			for _, workers := range []int{1, 2, 7} {
+				total := memoCap * workers
+				obsm := obs.NewMetrics()
+				got := EvaluateCandidatesParallel(ds, m, candidates, 25, ScoreOpts{Workers: workers, MemoCap: total, Observer: obsm})
+				requireCurvesIdentical(t, label+"/workers="+strconv.Itoa(workers), want, got)
+				if obsm.Counter("score_memo_skips") == 0 {
+					t.Errorf("%s/workers=%d: no skips counted", label, workers)
 				}
 			}
 		}
-	}
-	if hits != stored {
-		t.Errorf("%d readable entries, %d stored", hits, stored)
-	}
-
-	// Disabled cache: nothing stores, nothing hits.
-	off := newMemoCache(-1)
-	if off.put(0, 1, 2, 0.5) {
-		t.Error("disabled cache stored an entry")
-	}
-	if _, ok := off.get(0, 1, 2); ok {
-		t.Error("disabled cache returned a hit")
 	}
 }
 

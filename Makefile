@@ -95,6 +95,7 @@ FUZZ_TARGETS = \
 	FuzzImportLines:./internal/core \
 	FuzzStringKernels:./internal/simil \
 	FuzzTokenKernels:./internal/simil \
+	FuzzEditDistanceBits:./internal/simil \
 	FuzzValueSimShortcuts:./internal/hetero \
 	FuzzEngineKernelSymmetric:./internal/dedup \
 	FuzzProvenanceDecode:./internal/provenance \

@@ -10,7 +10,7 @@
 //     once, in one table for all columns, caching its lowercase form,
 //     token lists and sorted interned trigram IDs (simil.InternGrams), and
 //     writes one row of value ids per record;
-//   - the DP kernels (Damerau-Levenshtein, Monge-Elkan, Jaro-Winkler)
+//   - the string kernels (Damerau-Levenshtein, Monge-Elkan, Jaro-Winkler)
 //     run through per-worker simil.Scratch buffers — no allocation per
 //     comparison;
 //   - a per-worker bounded memo, keyed by the unordered pair of value ids,
@@ -85,9 +85,12 @@ type valPrep struct {
 	raw           string
 	lower         string
 	foldInvariant bool // hetero.FoldInvariant(raw)
-	// tokensRaw/tokensLower back the Monge-Elkan measure.
-	tokensRaw   []string
-	tokensLower []string
+	// tokensRaw/tokensLower back the Monge-Elkan measure; oneToken and
+	// oneTokenLower record simil.OneToken of raw and lower, for which
+	// Monge-Elkan is the Damerau-Levenshtein similarity.
+	tokensRaw               []string
+	tokensLower             []string
+	oneToken, oneTokenLower bool
 	// grams is the sorted unique interned trigram IDs of the lowercase form.
 	grams []uint32
 }
@@ -191,6 +194,7 @@ func prepValue(v string, kind measureKind, grams map[string]uint32) valPrep {
 	case kindMELev:
 		vp.tokensRaw = simil.Tokenize(vp.raw)
 		vp.tokensLower = simil.Tokenize(vp.lower)
+		vp.oneToken, vp.oneTokenLower = simil.OneToken(vp.raw), simil.OneToken(vp.lower)
 	case kindJaccard:
 		vp.grams = simil.InternGrams(simil.QGrams(vp.lower, 3), grams)
 	}
@@ -277,7 +281,7 @@ func (s *scorer) value(a, b int32) float64 {
 		return 1
 	}
 	k := memoKey(a, b)
-	if v, ok := s.memo.m[k]; ok {
+	if v, ok := s.memo.get(k); ok {
 		s.memo.hits++
 		return v
 	}
@@ -295,13 +299,20 @@ func (e *engine) kernel(va, vb *valPrep, sc *simil.Scratch) float64 {
 	case kindMELev:
 		// hetero.ValueSimInto over preprocessed values: mean of raw/lower ×
 		// sequential/hybrid; between fold-invariant values the lower-cased
-		// half repeats the raw one bit for bit (argued there).
+		// half repeats the raw one bit for bit, and between single-token
+		// values Monge-Elkan repeats Damerau-Levenshtein (both argued there).
 		dl := simil.DamerauLevenshteinSimilarityInto(va.raw, vb.raw, sc)
-		me := simil.MongeElkanTokensInto(va.tokensRaw, vb.tokensRaw, sc)
+		me := dl
+		if !va.oneToken || !vb.oneToken {
+			me = simil.MongeElkanTokensInto(va.tokensRaw, vb.tokensRaw, sc)
+		}
 		dlLower, meLower := dl, me
 		if !va.foldInvariant || !vb.foldInvariant {
 			dlLower = simil.DamerauLevenshteinSimilarityInto(va.lower, vb.lower, sc)
-			meLower = simil.MongeElkanTokensInto(va.tokensLower, vb.tokensLower, sc)
+			meLower = dlLower
+			if !va.oneTokenLower || !vb.oneTokenLower {
+				meLower = simil.MongeElkanTokensInto(va.tokensLower, vb.tokensLower, sc)
+			}
 		}
 		return (dl + dlLower + me + meLower) / 4
 	case kindJaroWinkler:

@@ -77,7 +77,7 @@ func (e *engine) scoreStream(batches <-chan []Pair, steps, workers int, recycle 
 
 	var mu sync.Mutex
 	work := func() {
-		s := &scorer{e: e, memo: memo{m: map[uint64]float64{}, cap: memoCap}}
+		s := &scorer{e: e, memo: memo{cap: memoCap}}
 		lc := make([]int64, steps+2)
 		ld := make([]int64, steps+2)
 		var lp, lb int64

@@ -205,14 +205,14 @@ func TestMemoPerWorkerCap(t *testing.T) {
 		want := EvaluateCandidates(ds, m, candidates, 25)
 		for _, memoCap := range []int{1, -1} {
 			label := string(m) + "/cap=" + strconv.Itoa(memoCap)
-			s := &scorer{e: newEngine(ds, m, ScoreOpts{}), memo: memo{m: map[uint64]float64{}, cap: memoCap}}
+			s := &scorer{e: newEngine(ds, m, ScoreOpts{}), memo: memo{cap: memoCap}}
 			for _, p := range candidates {
 				if got, want := s.recordSim(p.I, p.J), mt.recordSim(p.I, p.J); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: pair %v scores %v, want %v", label, p, got, want)
 				}
 			}
-			if len(s.memo.m) > max(memoCap, 0) {
-				t.Errorf("%s: memo holds %d entries", label, len(s.memo.m))
+			if s.memo.n > max(memoCap, 0) {
+				t.Errorf("%s: memo holds %d entries", label, s.memo.n)
 			}
 			if s.memo.skips == 0 || s.memo.skips < s.memo.misses-1 {
 				t.Errorf("%s: %d skips of %d misses, want all but at most one skipped", label, s.memo.skips, s.memo.misses)
@@ -231,6 +231,42 @@ func TestMemoPerWorkerCap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMemoTableMatchesMap drives the flat table through several doublings
+// and up to its cap against a map: every stored key reads back its value,
+// every other key misses, and puts past the cap are skips.
+func TestMemoTableMatchesMap(t *testing.T) {
+	const memoCap = 3*memoMinSlots + 5
+	m := memo{cap: memoCap}
+	want := map[uint64]float64{}
+	var skips int64
+	for i := 1; i <= 2*memoCap; i++ {
+		k := memoKey(int32(i%97), int32(i))
+		if i%97 == 0 {
+			k = memoKey(int32(i), int32(i+1)) // keys whose low halves collide too
+		}
+		if _, ok := m.get(k); ok {
+			t.Fatalf("key %#x found before it was put", k)
+		}
+		m.put(k, float64(i))
+		if len(want) < memoCap {
+			want[k] = float64(i)
+		} else {
+			skips++
+		}
+	}
+	if m.n != memoCap || m.skips != skips {
+		t.Fatalf("memo holds %d entries with %d skips, want %d and %d", m.n, m.skips, memoCap, skips)
+	}
+	for k, v := range want {
+		if got, ok := m.get(k); !ok || got != v {
+			t.Fatalf("get(%#x) = %v, %v; want %v", k, got, ok, v)
+		}
+	}
+	if 2*m.n > len(m.slots) {
+		t.Errorf("%d entries in %d slots: over half full", m.n, len(m.slots))
 	}
 }
 

@@ -22,15 +22,16 @@ func naiveValueSim(a, b string) float64 {
 	return s / 4
 }
 
-// FuzzValueSimShortcuts holds the kernel's three bit-identity claims against
-// arbitrary byte strings: the equal-value and fold-invariant shortcuts change
-// nothing, and the result does not depend on argument order.
+// FuzzValueSimShortcuts holds the kernel's four bit-identity claims against
+// arbitrary byte strings: the equal-value, fold-invariant and single-token
+// shortcuts change nothing, and the result does not depend on argument order.
 func FuzzValueSimShortcuts(f *testing.F) {
 	seeds := []string{
 		"", "SMITH", "smith", "SmItH", "ANH THI", "THI ANH", "O'BRIEN-LEE 3RD",
 		"K", "\u212a", // Kelvin sign: lower-cases to ASCII k
 		"\u0130STANBUL", "STRASSE", "stra\u00dfe", "\xff\xfeSMITH", "A\xc3", // invalid UTF-8
 		"-- // --", "...", " ", "123 MAIN ST", "123 main st",
+		"SMYTH", "M\u00dcLLER", "m\u00fcller", "O'BRIEN", "12345", // single tokens
 	}
 	for _, a := range seeds {
 		for _, b := range seeds {
@@ -45,6 +46,11 @@ func FuzzValueSimShortcuts(f *testing.F) {
 		}
 		if got := math.Float64bits(ValueSim(b, a)); got != want {
 			t.Fatalf("ValueSim(%q, %q) = %016x, but %016x the other way round", b, a, got, want)
+		}
+		if simil.OneToken(a) && simil.OneToken(b) {
+			if me, dl := simil.MongeElkanDL(a, b), simil.DamerauLevenshteinSimilarity(a, b); math.Float64bits(me) != math.Float64bits(dl) {
+				t.Fatalf("single tokens %q, %q: Monge-Elkan %v, Damerau-Levenshtein %v", a, b, me, dl)
+			}
 		}
 	})
 }

@@ -26,30 +26,38 @@ func ValueSim(a, b string) float64 {
 
 // ValueSimInto is ValueSim through caller-owned scratch buffers, and the
 // package's one four-way kernel: DL(a,b) + DL(lower a, lower b) + ME(a,b) +
-// ME(lower a, lower b), added left to right, over 4. Two shortcuts leave every
-// bit of that unchanged:
+// ME(lower a, lower b), added left to right, over 4. Three shortcuts leave
+// every bit of that unchanged:
 //   - a == b scores exactly 1: the Damerau-Levenshtein similarity of equal
 //     values is 1 - 0/m (1 if both are empty); in Monge-Elkan every token
 //     finds itself, so both directed means are n·1/n (1 without tokens);
 //     (1+1+1+1)/4 = 1; and lower-casing equal values keeps them equal.
 //   - between two FoldInvariant values the lower-cased half repeats the raw
 //     half, so each kernel runs once and is added twice, in the same order.
+//   - between two values that are each one token (simil.OneToken),
+//     Monge-Elkan is the Damerau-Levenshtein similarity, so it is not run.
 //
 // The result is also symmetric bit for bit — edit distances are symmetric
 // integers and the two directed Monge-Elkan means are added commutatively —
 // so the cluster scorer keeps one table entry per unordered value pair.
-// FuzzValueSimShortcuts pins all three against the plain four-way form.
+// FuzzValueSimShortcuts pins all four against the plain four-way form.
 func ValueSimInto(a, b string, sc *simil.Scratch) float64 {
 	if a == b {
 		return 1
 	}
 	dl := simil.DamerauLevenshteinSimilarityInto(a, b, sc)
-	me := simil.MongeElkanDLInto(a, b, sc)
+	me := dl
+	if !simil.OneToken(a) || !simil.OneToken(b) {
+		me = simil.MongeElkanDLInto(a, b, sc)
+	}
 	dlLower, meLower := dl, me
 	if !FoldInvariant(a) || !FoldInvariant(b) {
 		la, lb := strings.ToLower(a), strings.ToLower(b)
 		dlLower = simil.DamerauLevenshteinSimilarityInto(la, lb, sc)
-		meLower = simil.MongeElkanDLInto(la, lb, sc)
+		meLower = dlLower
+		if !simil.OneToken(la) || !simil.OneToken(lb) {
+			meLower = simil.MongeElkanDLInto(la, lb, sc)
+		}
 	}
 	return (dl + dlLower + me + meLower) / 4
 }

@@ -2,6 +2,7 @@ package simil
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -104,5 +105,66 @@ func FuzzTokenKernels(f *testing.F) {
 			// MongeElkanTokensInto is pinned to the DL token measure.
 			t.Fatalf("MongeElkanTokensInto diverges: %v", tok)
 		}
+	})
+}
+
+// dpDistance is the edit distance by the dynamic program alone: the
+// reference the bit-parallel kernel is held to.
+func dpDistance(ra, rb []rune, transpose bool) int {
+	if len(ra) == 0 || len(rb) == 0 {
+		return len(ra) + len(rb)
+	}
+	return editDistanceDP(ra, rb, transpose, &Scratch{})
+}
+
+// checkEditDistance fails unless the bit-parallel kernel, where it takes the
+// pair, and editDistance in both argument orders equal the dynamic program,
+// for OSA and for plain Levenshtein, and the pattern masks are left clear.
+func checkEditDistance(t *testing.T, a, b string, sc *Scratch) {
+	t.Helper()
+	ra, rb := []rune(a), []rune(b)
+	p, txt := ra, rb
+	if len(p) > len(txt) {
+		p, txt = txt, p
+	}
+	for _, transpose := range []bool{true, false} {
+		want := dpDistance(ra, rb, transpose)
+		if len(p) > 0 { // editDistance answers an empty pattern itself
+			if d, ok := editDistanceBits(p, txt, transpose, sc); ok && d != want {
+				t.Fatalf("editDistanceBits(%q, %q, transpose=%v) = %d, DP %d", a, b, transpose, d, want)
+			}
+		}
+		if d := editDistance(ra, rb, transpose, sc); d != want {
+			t.Fatalf("editDistance(%q, %q, transpose=%v) = %d, DP %d", a, b, transpose, d, want)
+		}
+		if d := editDistance(rb, ra, transpose, sc); d != want {
+			t.Fatalf("editDistance(%q, %q, transpose=%v) = %d, DP %d", b, a, transpose, d, want)
+		}
+	}
+	if sc.peq != [128]uint64{} {
+		t.Fatalf("pattern masks left set after (%q, %q)", a, b)
+	}
+}
+
+// FuzzEditDistanceBits holds the bit-parallel edit distance equal to the
+// dynamic program it replaced, for OSA Damerau-Levenshtein and for plain
+// Levenshtein, on arbitrary strings. The other kernel fuzzers cannot: the
+// allocating wrappers and the dedup matcher reach the same kernel.
+func FuzzEditDistanceBits(f *testing.F) {
+	long := strings.Repeat("ABCDEFGHIJ", 7) // 70 runes
+	f.Add(long[:63], long[1:66])            // patterns of 63, 64 and 65 runes
+	f.Add(long[:64], "X"+long[:64]+"Y")
+	f.Add(long[:65], long[2:69])
+	f.Add("M\u00dcLLER", "MUELLER")                     // non-ASCII rune in the pattern
+	f.Add("MULLER", "M\u00dcLLERS")                     // non-ASCII rune only in the text
+	f.Add("A\xffB\xfe", "AB\xff")                       // invalid UTF-8
+	f.Add(long[:64], long[:62]+long[63:64]+long[62:63]) // transposition across bit 63
+	f.Add(long[:64], long[:63]+"ZA"+long[63:64])
+	f.Add("", "")
+	f.Add("", "SMITH")
+	f.Add("CA", "ABC")
+	var sc Scratch
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkEditDistance(t, a, b, &sc)
 	})
 }

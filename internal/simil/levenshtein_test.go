@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// levenshtein is the classic edit distance, the reference the OSA distance
+// is held to: no measure of the paper uses it.
+func levenshtein(a, b string) int {
+	return editDistance([]rune(a), []rune(b), false, &Scratch{})
+}
+
 func TestLevenshteinKnown(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -23,8 +29,8 @@ func TestLevenshteinKnown(t *testing.T) {
 		{"ab", "ba", 2}, // plain Levenshtein: transposition costs 2
 	}
 	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := levenshtein(c.a, c.b); got != c.want {
+			t.Errorf("levenshtein(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -52,7 +58,7 @@ func TestDamerauLevenshteinKnown(t *testing.T) {
 
 func TestDamerauNeverExceedsLevenshtein(t *testing.T) {
 	f := func(a, b string) bool {
-		return DamerauLevenshtein(a, b) <= Levenshtein(a, b)
+		return DamerauLevenshtein(a, b) <= levenshtein(a, b)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
@@ -61,7 +67,7 @@ func TestDamerauNeverExceedsLevenshtein(t *testing.T) {
 
 func TestLevenshteinSymmetry(t *testing.T) {
 	f := func(a, b string) bool {
-		return Levenshtein(a, b) == Levenshtein(b, a) &&
+		return levenshtein(a, b) == levenshtein(b, a) &&
 			DamerauLevenshtein(a, b) == DamerauLevenshtein(b, a)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
@@ -71,7 +77,7 @@ func TestLevenshteinSymmetry(t *testing.T) {
 
 func TestLevenshteinIdentity(t *testing.T) {
 	f := func(a string) bool {
-		return Levenshtein(a, a) == 0 && DamerauLevenshtein(a, a) == 0
+		return levenshtein(a, a) == 0 && DamerauLevenshtein(a, a) == 0
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
@@ -80,7 +86,7 @@ func TestLevenshteinIdentity(t *testing.T) {
 
 func TestLevenshteinTriangle(t *testing.T) {
 	f := func(a, b, c string) bool {
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
+		return levenshtein(a, c) <= levenshtein(a, b)+levenshtein(b, c)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
@@ -123,6 +129,42 @@ func TestSimilarityIdentityIsOne(t *testing.T) {
 		if err := quick.Check(f, quickCfg()); err != nil {
 			t.Errorf("%s(a, a) != 1: %v", name, err)
 		}
+	}
+}
+
+// TestEditDistanceBitsMatchesDP is the seeded differential run of the
+// bit-parallel kernel against the dynamic program: lengths up to 70 runes
+// around the 64-rune word, a four-letter alphabet so that transpositions
+// and repeats are common, and a non-ASCII rune in one string of eight.
+func TestEditDistanceBitsMatchesDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []rune("ABCD")
+	gen := func() string {
+		r := make([]rune, rng.Intn(71))
+		for i := range r {
+			r[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if len(r) > 0 && rng.Intn(8) == 0 {
+			r[rng.Intn(len(r))] = '\u00c9'
+		}
+		return string(r)
+	}
+	var sc Scratch
+	for i := 0; i < 20000; i++ {
+		a := gen()
+		b := a
+		if r := []rune(b); rng.Intn(2) == 0 {
+			b = gen()
+		} else if len(r) > 1 {
+			// A near miss: swap two adjacent runes, then perhaps edit one.
+			k := rng.Intn(len(r) - 1)
+			r[k], r[k+1] = r[k+1], r[k]
+			if rng.Intn(2) == 0 {
+				r[rng.Intn(len(r))] = alphabet[rng.Intn(len(alphabet))]
+			}
+			b = string(r)
+		}
+		checkEditDistance(t, a, b, &sc)
 	}
 }
 

@@ -1,21 +1,24 @@
 package simil
 
-// Scratch holds the reusable working memory of the dynamic-programming
-// kernels: rune decodings of both inputs, up to three DP rows, the two
-// match-flag arrays of the Jaro kernel, and two token buffers. One Scratch
-// serves one goroutine; the parallel scoring engine keeps one per worker so
-// the §6.3/§6.5 hot loop — millions of value comparisons — runs without
-// per-comparison allocations. The zero value is ready to use; buffers grow
-// on demand and are retained between calls.
+// Scratch holds the reusable working memory of the string kernels: rune
+// decodings of both inputs, the pattern masks of the bit-parallel edit
+// distance, three DP rows for the patterns it does not take, the two
+// match-flag arrays of the Jaro kernel, the Monge-Elkan column maxima and
+// two token buffers. One Scratch serves one goroutine; the parallel scoring
+// engine keeps one per worker so the §6.3/§6.5 hot loop — millions of value
+// comparisons — runs without per-comparison allocations. The zero value is
+// ready to use; buffers grow on demand and are retained between calls.
 //
 // The *Into kernel variants below take a Scratch and are bit-identical to
 // their allocating counterparts (which are now thin wrappers around them):
-// the DP recurrences and float normalizations are the same expressions in
-// the same order.
+// edit distances are the same integers whichever algorithm computes them,
+// and the float normalizations are the same expressions in the same order.
 type Scratch struct {
 	ra, rb     []rune
+	peq        [128]uint64 // per ASCII rune, its positions in the pattern; all 0 between calls
 	r0, r1, r2 []int
 	ma, mb     []bool
+	colMax     []float64
 	ta, tb     []string
 	gj         []gjCand
 }
@@ -74,89 +77,16 @@ func tokenizeInto(s string, buf []string) []string {
 	return buf
 }
 
-// levenshteinInto is Levenshtein over a caller-provided Scratch.
-func levenshteinInto(a, b string, sc *Scratch) int {
-	sc.ra = appendRunes(sc.ra, a)
-	sc.rb = appendRunes(sc.rb, b)
-	ra, rb := sc.ra, sc.rb
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := intRow(&sc.r0, len(rb)+1)
-	cur := intRow(&sc.r1, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// damerauLevenshteinInto is DamerauLevenshtein over a caller-provided
-// Scratch.
-func damerauLevenshteinInto(a, b string, sc *Scratch) int {
-	sc.ra = appendRunes(sc.ra, a)
-	sc.rb = appendRunes(sc.rb, b)
-	return damerauLevenshteinRunes(sc.ra, sc.rb, sc)
-}
-
-// damerauLevenshteinRunes is the OSA Damerau-Levenshtein DP over decoded
-// runes; ra and rb may alias sc.ra and sc.rb.
-func damerauLevenshteinRunes(ra, rb []rune, sc *Scratch) int {
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev2 := intRow(&sc.r0, len(rb)+1)
-	prev := intRow(&sc.r1, len(rb)+1)
-	cur := intRow(&sc.r2, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d := min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := prev2[j-2] + 1; t < d {
-					d = t
-				}
-			}
-			cur[j] = d
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	return prev[len(rb)]
-}
-
 // DamerauLevenshteinSimilarityInto is DamerauLevenshteinSimilarity over a
 // caller-provided Scratch.
 func DamerauLevenshteinSimilarityInto(a, b string, sc *Scratch) float64 {
 	sc.ra = appendRunes(sc.ra, a)
 	sc.rb = appendRunes(sc.rb, b)
-	m := maxInt(len(sc.ra), len(sc.rb))
+	m := max(len(sc.ra), len(sc.rb))
 	if m == 0 {
 		return 1
 	}
-	return 1 - float64(damerauLevenshteinRunes(sc.ra, sc.rb, sc))/float64(m)
+	return 1 - float64(editDistance(sc.ra, sc.rb, true, sc))/float64(m)
 }
 
 // jaroInto is Jaro over a caller-provided Scratch.
@@ -175,7 +105,7 @@ func jaroRunes(ra, rb []rune, sc *Scratch) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := maxInt(la, lb)/2 - 1
+	window := max(la, lb)/2 - 1
 	if window < 0 {
 		window = 0
 	}
@@ -183,8 +113,8 @@ func jaroRunes(ra, rb []rune, sc *Scratch) float64 {
 	matchedB := boolRow(&sc.mb, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo := maxInt(0, i-window)
-		hi := minInt(lb-1, i+window)
+		lo := max(0, i-window)
+		hi := min(lb-1, i+window)
 		for j := lo; j <= hi; j++ {
 			if matchedB[j] || ra[i] != rb[j] {
 				continue
@@ -232,33 +162,40 @@ func JaroWinklerInto(a, b string, sc *Scratch) float64 {
 
 // MongeElkanTokensInto is MongeElkan over pre-tokenized sequences with the
 // Damerau-Levenshtein similarity as the internal measure, reusing the
-// Scratch for every token comparison. It equals
-// MongeElkan(a, b, DamerauLevenshteinSimilarity) bit-for-bit: the directed
-// means accumulate in the same token order.
+// Scratch for every token comparison. It fills the token similarity matrix
+// once and reads the directed mean of a from its row maxima, that of b from
+// its column maxima, so each token pair is compared once instead of twice.
+// It equals MongeElkan(a, b, DamerauLevenshteinSimilarity) bit-for-bit: the
+// DL similarity is bit-symmetric, a maximum over non-negative values does
+// not depend on the order it is taken in, and each mean still adds in token
+// order.
 func MongeElkanTokensInto(a, b []string, sc *Scratch) float64 {
-	return (mongeElkanDirectedInto(a, b, sc) + mongeElkanDirectedInto(b, a, sc)) / 2
-}
-
-// mongeElkanDirectedInto is mongeElkanDirected with the DL-similarity
-// internal measure over a Scratch.
-func mongeElkanDirectedInto(a, b []string, sc *Scratch) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
 	if len(a) == 0 || len(b) == 0 {
+		if len(a) == len(b) {
+			return 1
+		}
 		return 0
 	}
-	sum := 0.0
+	if cap(sc.colMax) < len(b) {
+		sc.colMax = make([]float64, len(b))
+	}
+	colMax := sc.colMax[:len(b)]
+	clear(colMax)
+	sumA := 0.0
 	for _, ta := range a {
 		best := 0.0
-		for _, tb := range b {
-			if s := DamerauLevenshteinSimilarityInto(ta, tb, sc); s > best {
-				best = s
-			}
+		for j, tb := range b {
+			s := DamerauLevenshteinSimilarityInto(ta, tb, sc)
+			best = max(best, s)
+			colMax[j] = max(colMax[j], s)
 		}
-		sum += best
+		sumA += best
 	}
-	return sum / float64(len(a))
+	sumB := 0.0
+	for _, s := range colMax {
+		sumB += s
+	}
+	return (sumA/float64(len(a)) + sumB/float64(len(b))) / 2
 }
 
 // MongeElkanDLInto is MongeElkanDL over a caller-provided Scratch: the

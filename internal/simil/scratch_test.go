@@ -26,12 +26,7 @@ func TestIntoVariantsMatchAllocatingKernels(t *testing.T) {
 	var sc Scratch // shared and reused across all iterations on purpose
 	for i := 0; i < 500; i++ {
 		a, b := randomValue(rng), randomValue(rng)
-		if d, dInto := Levenshtein(a, b), levenshteinInto(a, b, &sc); d != dInto {
-			t.Fatalf("levenshteinInto(%q, %q) = %d, want %d", a, b, dInto, d)
-		}
-		if d, dInto := DamerauLevenshtein(a, b), damerauLevenshteinInto(a, b, &sc); d != dInto {
-			t.Fatalf("damerauLevenshteinInto(%q, %q) = %d, want %d", a, b, dInto, d)
-		}
+		checkEditDistance(t, a, b, &sc)
 		checks := []struct {
 			name       string
 			have, want float64
@@ -63,6 +58,21 @@ func TestTokenizeIntoMatchesTokenize(t *testing.T) {
 			if buf[j] != want[j] {
 				t.Fatalf("tokenizeInto(%q) = %v, want %v", s, buf, want)
 			}
+		}
+	}
+}
+
+// TestOneToken holds OneToken to its definition, Tokenize(s) == [s].
+func TestOneToken(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	cases := []string{"", "SMITH", "O'BRIEN", "M\u00dcLLER", "A\xff", "12", " A", "-"}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, randomValue(rng))
+	}
+	for _, s := range cases {
+		toks := Tokenize(s)
+		if want := len(toks) == 1 && toks[0] == s; OneToken(s) != want {
+			t.Errorf("OneToken(%q) = %v, Tokenize gives %q", s, !want, toks)
 		}
 	}
 }

@@ -30,6 +30,20 @@ func Tokenize(s string) []string {
 	return tokenizeInto(s, make([]string, 0, 4))
 }
 
+// OneToken reports whether Tokenize(s) is exactly [s]: s is not empty and
+// every rune of it is a letter or a digit (an invalid UTF-8 byte is
+// neither). Monge-Elkan between two such values is their
+// Damerau-Levenshtein similarity s, bit for bit: each directed mean is s/1
+// and (s + s) / 2 is exact.
+func OneToken(s string) bool {
+	for _, r := range s {
+		if !isTokenRune(r) {
+			return false
+		}
+	}
+	return s != ""
+}
+
 // isTokenRune reports whether r belongs inside a token.
 func isTokenRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
@@ -54,25 +68,4 @@ func QGrams(s string, q int) []string {
 		grams = append(grams, string(r[i:i+q]))
 	}
 	return grams
-}
-
-// minInt returns the smaller of a and b.
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// maxInt returns the larger of a and b.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// min3 returns the smallest of a, b and c.
-func min3(a, b, c int) int {
-	return minInt(minInt(a, b), c)
 }

@@ -140,7 +140,6 @@ func run(args []string, out, stderr io.Writer) int {
 		bench.RunAblationBlocking(w, *top, out)
 		bench.RunAblationPollution(w, out)
 		bench.RunAblationThreshold(w, *top, out)
-		bench.RunAblationFS(w, *top, out)
 	}
 	if run("scalesweep") {
 		bench.RunScaleSweep(scale.Seed, []int{scale.InitialVoters, scale.InitialVoters * 4}, scale.Years, out)

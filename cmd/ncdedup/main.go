@@ -1,13 +1,13 @@
-// Command ncdedup evaluates the duplicate-detection pipelines of the
-// paper's usability experiment on a labeled dataset: pluggable candidate
-// generation (multi-pass Sorted Neighborhood and/or trigram minhash
-// banding, see docs/BLOCKING.md), entropy-weighted record similarity with
-// best 1:1 name matching, and a full threshold sweep per measure.
+// Command ncdedup evaluates the duplicate-detection pipeline of the
+// paper's usability experiment on a labeled dataset: multi-pass Sorted
+// Neighborhood candidate generation (see docs/BLOCKING.md),
+// entropy-weighted record similarity with best 1:1 name matching, and a
+// full threshold sweep per §6.5 measure.
 //
 // Usage:
 //
 //	ncdedup -in nc2.tsv -passes 5 -window 20
-//	ncdedup -in nc2.tsv -block snm,trigram -passes 'last_name+zip_code,soundex(last_name)'
+//	ncdedup -in nc2.tsv -passes 'last_name+zip_code,soundex(last_name)'
 //	ncdedup -db store/                         # store-backed evaluation mode
 //	GOMAXPROCS=1 ncdedup -in nc2.tsv           # inline blocking + scoring, identical output
 //
@@ -58,19 +58,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ncdedup", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in           = fs.String("in", "", "labeled dataset file (from nccustom); mutually exclusive with the -db store-backed mode")
-		db           = fs.String("db", "", "document-store directory to evaluate directly (store-backed evaluation mode: loads the segmented store in parallel and derives the labeled dataset from it instead of a TSV export)")
-		block        = fs.String("block", "snm", "comma-separated candidate blockers: snm, trigram (their pair union is deduplicated before scoring)")
-		passesS      = fs.String("passes", "5", "SNM passes: an integer k (k most-unique attributes, the paper's setup) or comma-separated key specs like 'last_name+zip_code,soundex(first_name),prefix(last_name,4)'")
-		window       = fs.Int("window", blocking.DefaultWindow, "SNM window size (records per sorted-neighborhood slide, at least 2)")
-		trigramAttrs = fs.String("trigram-attrs", "", "comma-separated attribute names the trigram blocker signs (default: the dataset's name attributes)")
-		bands        = fs.Int("bands", blocking.DefaultBands, "trigram minhash bands (more bands = higher recall)")
-		rows         = fs.Int("rows", blocking.DefaultRows, "trigram minhash rows per band (more rows = stricter band matches)")
-		maxBucket    = fs.Int("max-bucket", blocking.DefaultMaxBucket, "trigram bucket size cap bounding the quadratic pair blow-up (negative = unlimited)")
-		steps        = fs.Int("steps", 100, "threshold sweep steps (at least 1)")
-		curves       = fs.Bool("curves", false, "print the full F1 curve per measure")
-		metricsAddr  = fs.String("metrics-addr", "", "serve GET /metrics (JSON and Prometheus) with the blocking_pipeline_total and score_pipeline_total counters on this address during the run (e.g. :9090)")
-		verbose      = fs.Bool("v", false, "print per-stage wall times (blocking, preprocessing, scoring, merge)")
+		in          = fs.String("in", "", "labeled dataset file (from nccustom); mutually exclusive with the -db store-backed mode")
+		db          = fs.String("db", "", "document-store directory to evaluate directly (store-backed evaluation mode: loads the segmented store in parallel and derives the labeled dataset from it instead of a TSV export)")
+		passesS     = fs.String("passes", "5", "SNM passes: an integer k (k most-unique attributes, the paper's setup) or comma-separated key specs like 'last_name+zip_code,soundex(first_name),prefix(last_name,4)'")
+		window      = fs.Int("window", blocking.DefaultWindow, "SNM window size (records per sorted-neighborhood slide, at least 2)")
+		steps       = fs.Int("steps", 100, "threshold sweep steps (at least 1)")
+		curves      = fs.Bool("curves", false, "print the full F1 curve per measure")
+		metricsAddr = fs.String("metrics-addr", "", "serve GET /metrics (JSON and Prometheus) with the blocking_pipeline_total and score_pipeline_total counters on this address during the run (e.g. :9090)")
+		verbose     = fs.Bool("v", false, "print the run's wall time and per-stage times (blocking busy time and lifetime, preprocessing, scoring, merge)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -78,6 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	start := time.Now()
 	fail := func(err error) int {
 		logger.Print(err)
 		return 1
@@ -123,15 +119,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s: %d records, %d clusters, %d true duplicate pairs\n",
 		ds.Name, ds.NumRecords(), ds.NumClusters(), ds.NumTruePairs())
 
-	cfg, err := blockConfig(ds, *block, *passesS, *window, *trigramAttrs, *bands, *rows, *maxBucket)
+	cfg, err := blockConfig(ds, *passesS, *window)
 	if err != nil {
 		return fail(err)
 	}
 	cfg.Observer = metrics
 
-	// stages accumulates wall time per pipeline stage for -v, mirroring
-	// ncimport. The blocking stage runs concurrently with scoring, so its
-	// time overlaps the scoring stage rather than adding to the total.
+	// stages accumulates each scoring stage's wall time for -v, in the
+	// order the stages first report. The blocking producer runs
+	// concurrently with scoring, so it is timed apart: busy is its time
+	// outside blocked sends, life its lifetime.
 	stages := map[string]time.Duration{}
 	var stageOrder []string
 	addStage := func(name string, d time.Duration) {
@@ -140,12 +137,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		stages[name] += d
 	}
+	var busy, life time.Duration
 	opts := dedup.ScoreOpts{Observer: metrics, OnStage: addStage}
 
 	// One GenerateStream per measure feeds the scoring workers directly, so
 	// the candidate union never exists in memory. The blocking summary
 	// prints after the first measure, when its stats are complete.
-	addStage("blocking", 0) // fix the stage order
 	for i, m := range dedup.Measures {
 		if i > 0 {
 			// Blocking counters were reported with the first stream; the
@@ -155,16 +152,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s := blocking.GenerateStream(ds, cfg, blocking.StreamOpts{})
 		opts.Recycle = s.Recycle
 		curve := dedup.EvaluateCandidatesStream(ds, m, s.C, *steps, opts)
-		addStage("blocking", s.Elapsed())
+		busy += s.Busy()
+		life += s.Elapsed()
 		if i == 0 {
 			// Recall at threshold 0 classifies every streamed candidate a
 			// duplicate — exactly the blocking recall.
-			printBlockingStats(stdout, cfg, s.Stats(), curve.Points[0].Recall)
+			printBlockingStats(stdout, s.Stats(), curve.Points[0].Recall)
 		}
 		printCurve(stdout, m, curve, *curves)
 	}
 	if *verbose {
-		fmt.Fprintln(stdout, "stage timings:")
+		fmt.Fprintf(stdout, "stage timings (wall %.3fs):\n", time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "  %-13s %9.3fs busy of %.3fs lifetime, concurrent with scoring\n",
+			"blocking", busy.Seconds(), life.Seconds())
 		for _, name := range stageOrder {
 			fmt.Fprintf(stdout, "  %-13s %9.3fs\n", name, stages[name].Seconds())
 		}
@@ -172,13 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func printBlockingStats(w io.Writer, cfg blocking.Config, stats blocking.Stats, recall float64) {
+func printBlockingStats(w io.Writer, stats blocking.Stats, recall float64) {
 	for _, p := range stats.SNMPasses {
 		fmt.Fprintf(w, "blocking: snm pass %-28s window %-3d %8d pairs\n", p.Name, p.Window, p.Pairs)
-	}
-	if cfg.Trigram != nil {
-		fmt.Fprintf(w, "blocking: trigram banding %dx%d %17d pairs (%d buckets, %d skipped oversize)\n",
-			cfg.Trigram.Bands, cfg.Trigram.Rows, stats.TrigramPairs, stats.Buckets, stats.OversizeBuckets)
 	}
 	fmt.Fprintf(w, "blocking: %d unique candidate pairs (%d emitted), recall %.3f\n",
 		stats.Unique, stats.Emitted, recall)
@@ -195,50 +191,18 @@ func printCurve(w io.Writer, m dedup.Measure, curve dedup.Curve, full bool) {
 	}
 }
 
-// blockConfig assembles the blocking configuration from the flag values.
-func blockConfig(ds *dedup.Dataset, block, passesS string, window int, trigramAttrs string, bands, rows, maxBucket int) (blocking.Config, error) {
+// blockConfig assembles the blocking configuration from the flag values:
+// -passes is an integer k (the k most unique attributes) or key specs.
+func blockConfig(ds *dedup.Dataset, passesS string, window int) (blocking.Config, error) {
 	cfg := blocking.Config{Window: window}
-	useSNM, useTrigram := false, false
-	for _, b := range strings.Split(block, ",") {
-		switch strings.TrimSpace(b) {
-		case "snm":
-			useSNM = true
-		case "trigram":
-			useTrigram = true
-		case "":
-		default:
-			return cfg, fmt.Errorf("unknown blocker %q (want snm, trigram)", strings.TrimSpace(b))
+	if k, err := strconv.Atoi(strings.TrimSpace(passesS)); err == nil {
+		if k < 1 {
+			return cfg, fmt.Errorf("-passes %d: need at least one pass", k)
 		}
+		cfg.Passes = blocking.EntropyPasses(ds, k)
+		return cfg, nil
 	}
-	if !useSNM && !useTrigram {
-		return cfg, fmt.Errorf("-block %q selects no blocker", block)
-	}
-	if useSNM {
-		if k, err := strconv.Atoi(strings.TrimSpace(passesS)); err == nil {
-			if k < 1 {
-				return cfg, fmt.Errorf("-passes %d: need at least one pass", k)
-			}
-			cfg.Passes = blocking.EntropyPasses(ds, k)
-		} else {
-			passes, err := blocking.ParsePasses(ds, passesS)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Passes = passes
-		}
-	}
-	if useTrigram {
-		tc := &blocking.TrigramConfig{Bands: bands, Rows: rows, MaxBucket: maxBucket}
-		if trigramAttrs != "" {
-			for _, name := range strings.Split(trigramAttrs, ",") {
-				idx, err := blocking.AttrIndex(ds, strings.TrimSpace(name))
-				if err != nil {
-					return cfg, err
-				}
-				tc.Attrs = append(tc.Attrs, idx)
-			}
-		}
-		cfg.Trigram = tc
-	}
-	return cfg, nil
+	passes, err := blocking.ParsePasses(ds, passesS)
+	cfg.Passes = passes
+	return cfg, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,6 +31,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-in", "missing.tsv", "-stream"}, 2, "flag provided but not defined"},
 		{[]string{"-in", "missing.tsv", "-workers", "2"}, 2, "flag provided but not defined: -workers"},
 		{[]string{"-in", "missing.tsv", "-store-workers", "2"}, 2, "flag provided but not defined: -store-workers"},
+		{[]string{"-in", "missing.tsv", "-block", "snm"}, 2, "flag provided but not defined: -block"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)
@@ -51,32 +53,87 @@ func TestFlagValidation(t *testing.T) {
 
 // TestReportIndependentOfWorkers: the whole report — blocking summary,
 // best-F1 lines and full curves — is byte-identical inline (GOMAXPROCS=1)
-// and on four workers, for SNM alone and for the SNM+trigram union.
+// and on four workers, for entropy passes and for ParsePasses key specs.
 func TestReportIndependentOfWorkers(t *testing.T) {
-	ds := testkit.Corpus{Seed: 61}.DedupDataset(t, 110, 4, 0, 150)
-	path := filepath.Join(t.TempDir(), "labeled.tsv")
-	if err := ds.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	report := func(block string, procs int) string {
+	path := writeDataset(t)
+	report := func(passes string, procs int) string {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var stdout, stderr bytes.Buffer
-		args := []string{"-in", path, "-block", block, "-passes", "3", "-steps", "40", "-curves"}
+		args := []string{"-in", path, "-passes", passes, "-steps", "40", "-curves"}
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
 		}
 		return stdout.String()
 	}
-	for _, block := range []string{"snm", "snm,trigram"} {
-		one, four := report(block, 1), report(block, 4)
+	for _, passes := range []string{"3", "last_name+zip_code,soundex(first_name),prefix(last_name,4)"} {
+		one, four := report(passes, 1), report(passes, 4)
 		if one != four {
-			t.Errorf("-block %s: report differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", block, one, four)
+			t.Errorf("-passes %s: report differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", passes, one, four)
 		}
 		if !strings.Contains(one, "unique candidate pairs") || strings.Count(one, "best F1") != 3 {
-			t.Errorf("-block %s: report lacks the blocking summary or a measure:\n%s", block, one)
+			t.Errorf("-passes %s: report lacks the blocking summary or a measure:\n%s", passes, one)
 		}
-		if (block != "snm") != strings.Contains(one, "trigram banding") {
-			t.Errorf("-block %s: trigram line misplaced:\n%s", block, one)
+		if n := strings.Count(one, "blocking: snm pass "); n != 3 {
+			t.Errorf("-passes %s: %d pass lines, want 3:\n%s", passes, n, one)
 		}
 	}
+}
+
+// TestVerboseStagesAddUp: -v reports the blocking producer's busy time
+// beside its lifetime, and the sequential scoring stages sum to no more
+// than the printed wall time — the blocking lifetime, which overlaps
+// scoring, is not added to them.
+func TestVerboseStagesAddUp(t *testing.T) {
+	path := writeDataset(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-in", path, "-passes", "3", "-v"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	var wall, busy, life, sum float64
+	seen := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "stage timings (wall "):
+			wall = seconds(t, strings.TrimSuffix(strings.TrimPrefix(line, "stage timings (wall "), "):"))
+		case len(f) >= 5 && f[0] == "blocking" && f[2] == "busy":
+			busy, life = seconds(t, f[1]), seconds(t, f[4])
+			seen[f[0]] = true
+		case len(f) == 2 && (f[0] == "preprocessing" || f[0] == "scoring" || f[0] == "merge"):
+			sum += seconds(t, f[1])
+			seen[f[0]] = true
+		}
+	}
+	if len(seen) != 4 || wall <= 0 {
+		t.Fatalf("-v output lacks the wall time or a stage:\n%s", out)
+	}
+	if busy < 0 || busy > life {
+		t.Errorf("blocking busy %.3fs, lifetime %.3fs: want 0 <= busy <= lifetime\n%s", busy, life, out)
+	}
+	if sum > wall {
+		t.Errorf("preprocessing + scoring + merge = %.3fs exceeds the wall time %.3fs\n%s", sum, wall, out)
+	}
+}
+
+// writeDataset writes a small labeled NC1 customization and returns its path.
+func writeDataset(t *testing.T) string {
+	t.Helper()
+	ds := testkit.Corpus{Seed: 61}.DedupDataset(t, 110, 4, 0, 150)
+	path := filepath.Join(t.TempDir(), "labeled.tsv")
+	if err := ds.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// seconds parses a "1.234s" duration as printed by -v.
+func seconds(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
+	if err != nil {
+		t.Fatalf("bad duration %q: %v", s, err)
+	}
+	return v
 }

@@ -12,26 +12,22 @@ import (
 	"repro/internal/hetero"
 )
 
-// AblationBlockingResult compares the blockers the pipeline ships on the
-// same dataset: the paper's entropy-pass SNM, SNM over hand-picked key
-// passes, and trigram banding.
+// AblationBlockingResult compares the paper's entropy-pass SNM with SNM
+// over hand-picked key passes on the same dataset.
 type AblationBlockingResult struct {
-	SNMCandidates     int
-	SNMRecall         float64
-	KeyCandidates     int
-	KeyRecall         float64
-	TrigramCandidates int
-	TrigramRecall     float64
+	SNMCandidates int
+	SNMRecall     float64
+	KeyCandidates int
+	KeyRecall     float64
 }
 
 // keyPassSpec is the hand-picked SNM configuration of the blocking
 // ablation: phonetic last name, zip code, first-name prefix.
 const keyPassSpec = "soundex(last_name), zip_code, prefix(first_name,4)"
 
-// RunAblationBlocking contrasts the three blocking schemes on the NC1
-// customization, all through blocking.Generate: SNM with the paper's
-// parameters, SNM over keyPassSpec at the same window, and trigram banding
-// at its defaults.
+// RunAblationBlocking contrasts the two pass choices on the NC1
+// customization, both through blocking.Generate: SNM with the paper's
+// parameters and SNM over keyPassSpec at the same window.
 func RunAblationBlocking(w *Workspace, top int, out io.Writer) AblationBlockingResult {
 	ds := NCDatasets(w, top)[0]
 	snm := paperCandidates(ds)
@@ -40,15 +36,12 @@ func RunAblationBlocking(w *Workspace, top int, out io.Writer) AblationBlockingR
 		panic(err) // the NC customizations carry the register's schema
 	}
 	key, _ := blocking.Generate(ds, blocking.Config{Passes: keyPasses, Window: snmWindow})
-	trigram, _ := blocking.Generate(ds, blocking.Config{Trigram: &blocking.TrigramConfig{}})
 
 	res := AblationBlockingResult{
-		SNMCandidates:     len(snm),
-		SNMRecall:         blocking.Recall(ds, snm),
-		KeyCandidates:     len(key),
-		KeyRecall:         blocking.Recall(ds, key),
-		TrigramCandidates: len(trigram),
-		TrigramRecall:     blocking.Recall(ds, trigram),
+		SNMCandidates: len(snm),
+		SNMRecall:     blocking.Recall(ds, snm),
+		KeyCandidates: len(key),
+		KeyRecall:     blocking.Recall(ds, key),
 	}
 	fmt.Fprintf(out, "Ablation blocking on %s (%d records, %d true pairs)\n",
 		ds.Name, ds.NumRecords(), ds.NumTruePairs())
@@ -56,8 +49,6 @@ func RunAblationBlocking(w *Workspace, top int, out io.Writer) AblationBlockingR
 		snmPasses, snmWindow, res.SNMCandidates, res.SNMRecall)
 	fmt.Fprintf(out, "  SNM (%s, w=%d): %d candidates, recall %.3f\n",
 		keyPassSpec, snmWindow, res.KeyCandidates, res.KeyRecall)
-	fmt.Fprintf(out, "  trigram banding (names, %d bands x %d rows): %d candidates, recall %.3f\n",
-		blocking.DefaultBands, blocking.DefaultRows, res.TrigramCandidates, res.TrigramRecall)
 	return res
 }
 
@@ -81,32 +72,6 @@ func RunAblationThreshold(w *Workspace, top int, out io.Writer) AblationThreshol
 		res.Selected = append(res.Selected, sel)
 		fmt.Fprintf(out, "  %-4s threshold %.2f: train F1 %.3f -> validate F1 %.3f\n",
 			ds.Name, sel.Threshold, sel.TrainF1, sel.ValidateF1)
-	}
-	return res
-}
-
-// AblationFSResult compares the Fellegi-Sunter probabilistic matcher
-// (trained on half the gold clusters) against the paper's
-// similarity-threshold matcher under the same split.
-type AblationFSResult struct {
-	Dataset     []string
-	ThresholdF1 []float64 // ME/Lev threshold matcher, validated
-	FSF1        []float64 // Fellegi-Sunter, validated
-}
-
-// RunAblationFS runs the comparison on NC1-NC3: both approaches train on
-// half the clusters and report validation F1.
-func RunAblationFS(w *Workspace, top int, out io.Writer) AblationFSResult {
-	var res AblationFSResult
-	fmt.Fprintln(out, "Ablation Fellegi-Sunter vs similarity threshold (validated on held-out clusters)")
-	for _, ds := range NCDatasets(w, top) {
-		sel := dedup.SelectThreshold(ds, dedup.MeasureMELev, paperCandidates, sweepSteps, 0.5, w.Scale.Seed)
-		fsF1, _ := dedup.EvaluateFellegiSunter(ds, paperCandidates, 0.9, 0.5, w.Scale.Seed)
-		res.Dataset = append(res.Dataset, ds.Name)
-		res.ThresholdF1 = append(res.ThresholdF1, sel.ValidateF1)
-		res.FSF1 = append(res.FSF1, fsF1)
-		fmt.Fprintf(out, "  %-4s threshold matcher F1 %.3f | Fellegi-Sunter F1 %.3f\n",
-			ds.Name, sel.ValidateF1, fsF1)
 	}
 	return res
 }

@@ -354,9 +354,6 @@ func TestAblations(t *testing.T) {
 	if blk.KeyCandidates == 0 || blk.KeyRecall <= 0 {
 		t.Errorf("key-pass SNM degenerate: %+v", blk)
 	}
-	if blk.TrigramCandidates == 0 || blk.TrigramRecall <= 0 {
-		t.Errorf("trigram banding degenerate: %+v", blk)
-	}
 	pol := RunAblationPollution(testWS, io.Discard)
 	if pol.PollutedHetero <= pol.BaseHetero {
 		t.Errorf("pollution did not raise heterogeneity: %v -> %v", pol.BaseHetero, pol.PollutedHetero)
@@ -371,15 +368,6 @@ func TestAblations(t *testing.T) {
 	for i, sel := range th.Selected {
 		if sel.Threshold <= 0 || sel.Threshold >= 1 {
 			t.Errorf("%s threshold = %v", th.Dataset[i], sel.Threshold)
-		}
-	}
-	fs := RunAblationFS(testWS, 40, io.Discard)
-	if len(fs.FSF1) != 3 {
-		t.Fatalf("FS ablation = %d datasets", len(fs.FSF1))
-	}
-	for i, f1 := range fs.FSF1 {
-		if f1 < 0 || f1 > 1 {
-			t.Errorf("%s FS F1 = %v", fs.Dataset[i], f1)
 		}
 	}
 }

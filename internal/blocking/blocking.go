@@ -6,27 +6,21 @@
 // 507 M-row framing, candidate generation (not pair scoring) is the cost
 // that decides whether full-corpus deduplication is feasible at all.
 //
-// Two pluggable blockers produce candidates:
+// Multi-pass SNM is the one blocker: one Pass per sorting key — the k most
+// unique attributes (EntropyPasses, the paper's setup) or composed key
+// specs (ParsePasses: attribute values, concatenations, phonetic codes,
+// prefixes, e.g. lastname+zip or Soundex keys) — each sliding a window over
+// the key-sorted order (snm.go).
 //
-//   - multi-pass SNM (snm.go): one Pass per sorting key — attribute
-//     values, concatenations, phonetic codes, prefixes — each sliding a
-//     window over the key-sorted order (the paper's own validation setup,
-//     e.g. lastname+zip, firstname+age, Soundex keys);
-//   - trigram/minhash banding (trigram.go): an LSH-style blocker for noisy
-//     fields, where SNM's lexicographic sort is brittle against leading-
-//     character errors. Records whose trigram-set minhash signatures agree
-//     on any band land in the same bucket.
-//
-// GenerateStream (stream.go) is the one implementation: it runs every
-// configured blocker with each stage sharded across workers and k-way
-// merges the per-blocker sorted runs with duplicates dropped at the merge
-// point, so downstream scoring sees each candidate pair exactly once, in
-// (I, J) order, as bounded batches. Generate drains that stream into a
-// slice for callers that need the whole pair set. GenerateSeq is the
-// independent sequential reference — plain loops, no pools, no merges —
-// that both are pinned to, pairs and Stats, for any worker count (under
-// -race by the package tests and the testkit differential oracle,
-// `make conformance`).
+// GenerateStream (stream.go) is the one implementation: it runs every pass
+// with each stage sharded across workers and k-way merges the per-pass
+// sorted runs with duplicates dropped at the merge point, so downstream
+// scoring sees each candidate pair exactly once, in (I, J) order, as
+// bounded batches. Generate drains that stream into a slice for callers
+// that need the whole pair set. GenerateSeq is the independent sequential
+// reference — plain loops, no pools, no merges — that both are pinned to,
+// pairs and Stats, for any worker count (under -race by the package tests
+// and the testkit differential oracle, `make conformance`).
 package blocking
 
 import (
@@ -47,45 +41,16 @@ type Pass struct {
 	Key KeyFunc
 }
 
-// TrigramConfig parameterizes the minhash banding blocker. The signature
-// of a record is Bands×Rows minhashes over the trigram set of its
-// configured attributes; two records become candidates when all Rows
-// minhashes of at least one band agree. More rows per band make a band
-// match stricter (higher precision), more bands give a noisy duplicate
-// more chances to collide (higher recall).
-type TrigramConfig struct {
-	// Attrs are the attribute indices whose lower-cased values are
-	// concatenated into the signature text. Empty selects the dataset's
-	// name attributes, falling back to all attributes.
-	Attrs []int
-	// Bands and Rows shape the signature; 0 selects the defaults (8×4).
-	Bands, Rows int
-	// MaxBucket caps a bucket's record count to bound the quadratic pair
-	// blow-up of giant buckets; 0 selects the default (64), negative
-	// disables the cap.
-	MaxBucket int
-	// Seed varies the minhash function family; the default 0 is fine.
-	Seed uint64
-}
+// DefaultWindow is the paper's SNM window (§6.5, w = 20).
+const DefaultWindow = 20
 
-// Default trigram-banding parameters.
-const (
-	DefaultBands     = 8
-	DefaultRows      = 4
-	DefaultMaxBucket = 64
-	// DefaultWindow is the paper's SNM window (§6.5, w = 20).
-	DefaultWindow = 20
-)
-
-// Config selects and tunes the blockers of one Generate run.
+// Config selects and tunes the passes of one Generate run.
 type Config struct {
-	// Passes are the SNM passes; empty disables the SNM blocker.
+	// Passes are the SNM passes; empty yields no candidates.
 	Passes []Pass
 	// Window is the SNM window size of every pass; 0 selects
 	// DefaultWindow, values below 2 clamp to 2.
 	Window int
-	// Trigram enables the minhash banding blocker when non-nil.
-	Trigram *TrigramConfig
 	// Workers shards every stage; <= 0 selects GOMAXPROCS, 1 runs every
 	// stage inline on the producer (GenerateSeq is the independent
 	// sequential reference, not this).
@@ -123,12 +88,6 @@ type Stats struct {
 	Records int
 	// SNMPasses has one entry per configured pass, in pass order.
 	SNMPasses []PassStats
-	// TrigramPairs counts the banding blocker's emissions (pre-dedupe);
-	// Buckets counts occupied (band, hash) buckets with >= 2 records, of
-	// which OversizeBuckets were skipped under MaxBucket.
-	TrigramPairs    int
-	Buckets         int
-	OversizeBuckets int
 	// Emitted is the total pre-dedupe candidate stream; Unique is the
 	// final pair count after the deduplicating merge.
 	Emitted int
@@ -136,7 +95,7 @@ type Stats struct {
 }
 
 // Generate drains GenerateStream into a slice: the deduplicated union of
-// the configured blockers' candidate pairs, sorted by (I, J), with the
+// the configured passes' candidate pairs, sorted by (I, J), with the
 // run's Stats and — when cfg.Observer is set — the stream's counters. For
 // callers that need the pair set itself; scoring consumes the stream
 // directly and never holds it.
@@ -150,7 +109,7 @@ func Generate(ds *dedup.Dataset, cfg Config) ([]dedup.Pair, Stats) {
 	return pairs, s.Stats()
 }
 
-// GenerateSeq is the sequential reference: the same blockers implemented
+// GenerateSeq is the sequential reference: the same passes implemented
 // with plain loops and a sort+dedupe union, no pools, no merges. The
 // package tests and the testkit differential oracle pin GenerateStream —
 // and Generate, its drain — to it bit for bit.
@@ -161,13 +120,6 @@ func GenerateSeq(ds *dedup.Dataset, cfg Config) ([]dedup.Pair, Stats) {
 		w := cfg.window()
 		pairs := snmPassSeq(ds, p.Key, w)
 		stats.SNMPasses = append(stats.SNMPasses, PassStats{Name: p.Name, Window: w, Pairs: len(pairs)})
-		all = append(all, pairs...)
-	}
-	if cfg.Trigram != nil {
-		pairs, bs := trigramSeq(ds, *cfg.Trigram)
-		stats.TrigramPairs = len(pairs)
-		stats.Buckets = bs.buckets
-		stats.OversizeBuckets = bs.oversize
 		all = append(all, pairs...)
 	}
 	stats.Emitted = len(all)
@@ -196,9 +148,6 @@ func report(obs counter.Sink, s Stats) {
 	for _, p := range s.SNMPasses {
 		counter.Add(obs, "blocking_snm_pairs", int64(p.Pairs))
 	}
-	counter.Add(obs, "blocking_trigram_pairs", int64(s.TrigramPairs))
-	counter.Add(obs, "blocking_trigram_buckets", int64(s.Buckets))
-	counter.Add(obs, "blocking_trigram_oversize_buckets", int64(s.OversizeBuckets))
 	counter.Add(obs, "blocking_pairs_emitted", int64(s.Emitted))
 	counter.Add(obs, "blocking_pairs_unique", int64(s.Unique))
 }

@@ -72,7 +72,6 @@ func testConfig(ds *dedup.Dataset, workers int) Config {
 	return Config{
 		Passes:  passes,
 		Window:  6,
-		Trigram: &TrigramConfig{Attrs: []int{0, 1}, Bands: 6, Rows: 3, MaxBucket: 32},
 		Workers: workers,
 	}
 }
@@ -84,6 +83,10 @@ func testConfig(ds *dedup.Dataset, workers int) Config {
 func TestBlockingParallelMatchesSequential(t *testing.T) {
 	ds := testDataset(7, 120)
 	wantPairs, wantStats := GenerateSeq(ds, testConfig(ds, 1))
+	if wantStats.Emitted <= wantStats.Unique {
+		t.Fatalf("passes never overlap (emitted %d, unique %d): the cross-pass dedupe goes unexercised",
+			wantStats.Emitted, wantStats.Unique)
+	}
 	for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
 		gotPairs, gotStats := Generate(ds, testConfig(ds, workers))
 		if !reflect.DeepEqual(wantPairs, gotPairs) {
@@ -137,8 +140,8 @@ func TestBlockingEdgeCases(t *testing.T) {
 		cfg       Config
 		wantPairs int
 	}{
-		{empty, Config{Passes: EntropyPasses(empty, 1), Trigram: &TrigramConfig{}, Workers: 4}, 0},
-		{single, Config{Passes: EntropyPasses(single, 1), Trigram: &TrigramConfig{}, Workers: 4}, 0},
+		{empty, Config{Passes: EntropyPasses(empty, 1), Workers: 4}, 0},
+		{single, Config{Passes: EntropyPasses(single, 1), Workers: 4}, 0},
 		{eq, Config{Passes: EntropyPasses(eq, 1), Window: 4, Workers: 2}, 21},
 	} {
 		wantPairs, wantStats := GenerateSeq(tc.ds, tc.cfg)
@@ -217,7 +220,6 @@ func TestObserverCounters(t *testing.T) {
 	m := obs.NewMetrics()
 	Generate(ds, Config{
 		Passes:   EntropyPasses(ds, 2),
-		Trigram:  &TrigramConfig{},
 		Workers:  2,
 		Observer: m,
 	})
@@ -234,7 +236,7 @@ func TestObserverCounters(t *testing.T) {
 	}
 }
 
-// TestRecallOnInjectedDuplicates: the multi-blocker configuration must
+// TestRecallOnInjectedDuplicates: the multi-pass configuration must
 // cover nearly all injected duplicate pairs — the paper's "no true
 // duplicates lost" claim at test scale.
 func TestRecallOnInjectedDuplicates(t *testing.T) {

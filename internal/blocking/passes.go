@@ -153,13 +153,6 @@ func combineKeys(keys []KeyFunc) KeyFunc {
 	}
 }
 
-// AttrIndex resolves an attribute name to its column index,
-// case-insensitively — the same lookup the pass-spec grammar uses, exported
-// so callers configuring TrigramConfig.Attrs by name share it.
-func AttrIndex(ds *dedup.Dataset, name string) (int, error) {
-	return attrIndex(ds, name)
-}
-
 // attrIndex finds an attribute by case-insensitive name.
 func attrIndex(ds *dedup.Dataset, name string) (int, error) {
 	for i, a := range ds.Attrs {

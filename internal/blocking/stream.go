@@ -1,5 +1,5 @@
 // Candidate generation as a bounded-memory stream — the package's one
-// implementation. Materializing every blocker's pair slice and then their
+// implementation. Materializing every pass's pair slice and then their
 // sorted union before scoring sees a single pair sets a peak that, at full
 // corpus scale, decides whether end-to-end dedup fits in RAM at all (cf.
 // the clinical-note dedup study in PAPERS.md: block-then-score only pays
@@ -13,16 +13,13 @@
 //     (I, J) order by walking each record's sorted-neighborhood window
 //     through the inverse permutation — the pass's full pair slice (window
 //     × records entries) never exists;
-//   - the trigram blocker's per-worker emission parts are chunk-sorted in
-//     place and fed to the merge as independent sorted runs, never
-//     concatenated;
-//   - a k-way merge with dedupe at the merge point drains all sources in
+//   - a k-way merge with dedupe at the merge point drains all passes in
 //     the global (I, J) total order, filling fixed-size batches that travel
 //     through a channel of configurable capacity. The producer blocks when
 //     the consumer falls behind, so pairs in flight are bounded by
 //     (Buffer+1) × BatchSize regardless of corpus size.
 //
-// Determinism: every source enumerates a pure function of the dataset and
+// Determinism: every pass enumerates a pure function of the dataset and
 // configuration in a fixed order, and the merge comparator is the total
 // order GenerateSeq sorts under — so the emitted concatenation equals its
 // slice element for element at any worker count, enforced by the package
@@ -97,6 +94,7 @@ type Stream struct {
 	// Written by the producer before fin closes.
 	stats   Stats
 	elapsed time.Duration
+	blocked time.Duration // spent in sends waiting for the consumer
 	batches int64
 	backlog int64
 }
@@ -117,6 +115,15 @@ func (s *Stream) Elapsed() time.Duration {
 	return s.elapsed
 }
 
+// Busy blocks like Stats and returns the producer's time outside blocked
+// sends: key derivation, sorting, the window walk and the merge. The
+// producer runs concurrently with its consumer, so Busy — not Elapsed — is
+// the blocking stage's own share of a pipeline's wall time.
+func (s *Stream) Busy() time.Duration {
+	<-s.fin
+	return s.elapsed - s.blocked
+}
+
 // Recycle returns a fully consumed batch to the producer's buffer pool so
 // steady-state emission reuses backing arrays instead of allocating one
 // slice per batch. Optional; never pass a batch that is still being read.
@@ -134,48 +141,17 @@ func (s *Stream) newBatch(size int) []dedup.Pair {
 	return make([]dedup.Pair, 0, size)
 }
 
-// GenerateStream runs the configured blockers sharded across cfg.Workers
+// GenerateStream runs the configured passes sharded across cfg.Workers
 // and emits the deduplicated union of their candidate pairs, sorted by
 // (I, J), as bounded batches on the returned Stream. The concatenation of
 // all batches — and the Stats — is bit-identical to GenerateSeq for any
 // worker count, but the full union is never materialized: peak memory is
-// O(records) per SNM pass plus the trigram blocker's own emissions plus
-// the in-flight batches.
+// O(records) per SNM pass plus the in-flight batches.
 func GenerateStream(ds *dedup.Dataset, cfg Config, opts StreamOpts) *Stream {
 	ch := make(chan []dedup.Pair, opts.buffer())
 	s := &Stream{C: ch, fin: make(chan struct{})}
 	go s.produce(ds, cfg, opts.batchSize(), ch)
 	return s
-}
-
-// pairSource is one sorted pair run feeding the merge: head returns the
-// current pair until the source is exhausted.
-type pairSource interface {
-	head() (dedup.Pair, bool)
-	advance()
-}
-
-// chunkSource drains one pre-sorted pair slice. The slice reference is
-// dropped on exhaustion so the garbage collector can reclaim finished
-// chunks while the merge is still running.
-type chunkSource struct {
-	pairs []dedup.Pair
-	i     int
-}
-
-func (c *chunkSource) head() (dedup.Pair, bool) {
-	if c.i >= len(c.pairs) {
-		return dedup.Pair{}, false
-	}
-	return c.pairs[c.i], true
-}
-
-func (c *chunkSource) advance() {
-	c.i++
-	if c.i >= len(c.pairs) {
-		c.pairs = nil
-		c.i = 0
-	}
 }
 
 // snmSource enumerates one Sorted-Neighborhood pass's pairs directly in
@@ -277,7 +253,7 @@ func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<-
 	workers := cfg.workers()
 	stats := Stats{Records: len(ds.Records)}
 
-	var srcs []pairSource
+	var srcs []*snmSource
 	for _, p := range cfg.Passes {
 		w := cfg.window()
 		src, pairs := newSNMSource(ds, p.Key, w, workers)
@@ -287,28 +263,6 @@ func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<-
 			srcs = append(srcs, src)
 		}
 	}
-	if cfg.Trigram != nil {
-		parts, bs := trigramParts(ds, *cfg.Trigram, workers)
-		stats.Buckets = bs.buckets
-		stats.OversizeBuckets = bs.oversize
-		// Chunk-sort each per-worker part concurrently; each becomes one
-		// sorted run of the merge, never concatenated.
-		var wg sync.WaitGroup
-		for _, part := range parts {
-			stats.TrigramPairs += len(part)
-			if len(part) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(part []dedup.Pair) {
-				defer wg.Done()
-				sort.Slice(part, func(x, y int) bool { return pairLess(part[x], part[y]) })
-			}(part)
-			srcs = append(srcs, &chunkSource{pairs: part})
-		}
-		wg.Wait()
-		stats.Emitted += stats.TrigramPairs
-	}
 
 	batch := s.newBatch(batchSize)
 	var last dedup.Pair
@@ -317,7 +271,9 @@ func (s *Stream) produce(ds *dedup.Dataset, cfg Config, batchSize int, ch chan<-
 		if backlog := int64(len(ch)); backlog > s.backlog {
 			s.backlog = backlog
 		}
+		t := time.Now()
 		ch <- batch
+		s.blocked += time.Since(t)
 		s.batches++
 	}
 	for {

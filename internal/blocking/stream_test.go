@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dedup"
 	"repro/internal/obs"
@@ -31,6 +32,10 @@ func collect(t *testing.T, s *Stream, recycle bool) ([]dedup.Pair, []int) {
 func TestStreamMatchesSequential(t *testing.T) {
 	ds := testDataset(7, 120)
 	wantPairs, wantStats := GenerateSeq(ds, testConfig(ds, 1))
+	if wantStats.Emitted <= wantStats.Unique {
+		t.Fatalf("passes never overlap (emitted %d, unique %d): the merge's dedupe goes unexercised",
+			wantStats.Emitted, wantStats.Unique)
+	}
 	shapes := []StreamOpts{
 		{},
 		{BatchSize: 1},
@@ -68,7 +73,7 @@ func TestStreamMatchesSequential(t *testing.T) {
 // still reports the pass structure in Stats.
 func TestStreamEmptyDataset(t *testing.T) {
 	empty := &dedup.Dataset{Name: "empty", Attrs: []string{"a"}}
-	cfg := Config{Passes: EntropyPasses(empty, 1), Trigram: &TrigramConfig{}, Workers: 4}
+	cfg := Config{Passes: EntropyPasses(empty, 1), Workers: 4}
 	s := GenerateStream(empty, cfg, StreamOpts{})
 	pairs, sizes := collect(t, s, false)
 	if len(pairs) != 0 || len(sizes) != 0 {
@@ -161,5 +166,25 @@ func TestSNMSourceMatchesPass(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStreamBusyExcludesBlockedSends: behind a consumer that sleeps on
+// every batch, the producer spends most of its lifetime blocked in sends,
+// so Busy must stay far below Elapsed.
+func TestStreamBusyExcludesBlockedSends(t *testing.T) {
+	ds := testDataset(5, 80)
+	s := GenerateStream(ds, testConfig(ds, 2), StreamOpts{BatchSize: 32, Buffer: -1})
+	batches := 0
+	for batch := range s.C {
+		batches++
+		time.Sleep(time.Millisecond)
+		s.Recycle(batch)
+	}
+	if batches < 20 {
+		t.Fatalf("only %d batches; the test needs a long stream", batches)
+	}
+	if busy, life := s.Busy(), s.Elapsed(); busy <= 0 || 2*busy > life {
+		t.Fatalf("Busy() = %v of Elapsed() = %v behind a sleeping consumer, want under half", busy, life)
 	}
 }

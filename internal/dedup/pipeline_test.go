@@ -1,7 +1,6 @@
 package dedup_test
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -158,17 +157,6 @@ func TestEvaluateMatchesSequential(t *testing.T) {
 	ref, _ := blocking.GenerateSeq(ds, blocking.Config{Passes: blocking.EntropyPasses(ds, 3), Window: 12})
 	for _, m := range Measures {
 		RequireCurvesIdentical(t, string(m), EvaluateCandidates(ds, m, ref, 30), evaluate(ds, m, 3, 12, 30))
-	}
-}
-
-func TestEvaluateFellegiSunterEndToEnd(t *testing.T) {
-	ds := ToyDataset(t, 100, []int{2, 3}, 0.3)
-	f1, score := EvaluateFellegiSunter(ds, func(d *Dataset) []Pair { return candidates(d, 3, 20) }, 0.9, 0.5, 3)
-	if f1 < 0.8 {
-		t.Errorf("validation F1 = %v, want >= 0.8 on clean data", f1)
-	}
-	if math.IsNaN(score) || math.IsInf(score, 0) {
-		t.Errorf("decision score = %v", score)
 	}
 }
 

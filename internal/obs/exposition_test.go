@@ -40,7 +40,7 @@ delta_pipeline_total{counter="applies"} 13
 # HELP score_pipeline_total Parallel pair-scoring engine counters (pairs scored, values preprocessed, memo hits/misses/skips).
 # TYPE score_pipeline_total counter
 score_pipeline_total{counter="pairs_scored"} 18
-# HELP blocking_pipeline_total Candidate-generation layer counters (runs, records keyed, per-blocker pair emissions, buckets, unique candidates).
+# HELP blocking_pipeline_total Candidate-generation layer counters (runs, records keyed, per-pass pair emissions, unique candidates).
 # TYPE blocking_pipeline_total counter
 blocking_pipeline_total{counter="runs"} 13
 # HELP blocking_stream_total Streamed candidate-emission counters (batches emitted, pairs streamed, peak batch backlog).

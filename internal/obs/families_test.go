@@ -74,17 +74,15 @@ func TestCounterFamilies(t *testing.T) {
 		{
 			name: "blocking",
 			adds: []add{{"blocking_runs", 1}, {"blocking_records", 500}, {"blocking_snm_passes", 5},
-				{"blocking_snm_pairs", 9000}, {"blocking_trigram_pairs", 1200}, {"blocking_trigram_buckets", 340},
-				{"blocking_trigram_oversize_buckets", 2}, {"blocking_pairs_emitted", 10200},
+				// One snm_pairs add per pass, as blocking reports them: they sum.
+				{"blocking_snm_pairs", 4000}, {"blocking_snm_pairs", 3000}, {"blocking_snm_pairs", 3200},
+				{"blocking_pairs_emitted", 10200},
 				{"blocking_pairs_unique", 7600}, {"score_pairs_scored", 7600}},
 			want: []string{
 				`blocking_pipeline_total{counter="runs"} 1`,
 				`blocking_pipeline_total{counter="records"} 500`,
 				`blocking_pipeline_total{counter="snm_passes"} 5`,
-				`blocking_pipeline_total{counter="snm_pairs"} 9000`,
-				`blocking_pipeline_total{counter="trigram_pairs"} 1200`,
-				`blocking_pipeline_total{counter="trigram_buckets"} 340`,
-				`blocking_pipeline_total{counter="trigram_oversize_buckets"} 2`,
+				`blocking_pipeline_total{counter="snm_pairs"} 10200`,
 				`blocking_pipeline_total{counter="pairs_emitted"} 10200`,
 				`blocking_pipeline_total{counter="pairs_unique"} 7600`,
 				`score_pipeline_total{counter="pairs_scored"} 7600`,

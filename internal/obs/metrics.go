@@ -172,7 +172,7 @@ var counterFamilies = []struct{ prefix, family, help string }{
 	{"ingest_", "ingest_pipeline_total", "Parallel snapshot-ingest pipeline counters."},
 	{"delta_", "delta_pipeline_total", "Incremental snapshot application counters (applies, rows decoded/unchanged, records and objects added, clusters touched/dirty/rescored)."},
 	{"score_", "score_pipeline_total", "Parallel pair-scoring engine counters (pairs scored, values preprocessed, memo hits/misses/skips)."},
-	{"blocking_", "blocking_pipeline_total", "Candidate-generation layer counters (runs, records keyed, per-blocker pair emissions, buckets, unique candidates)."},
+	{"blocking_", "blocking_pipeline_total", "Candidate-generation layer counters (runs, records keyed, per-pass pair emissions, unique candidates)."},
 	{"blocking_stream_", "blocking_stream_total", "Streamed candidate-emission counters (batches emitted, pairs streamed, peak batch backlog)."},
 	{"dedup_stream_", "dedup_stream_total", "Streaming scoring-consumer counters (batches consumed, pairs scored from the stream)."},
 	{"docstore_", "docstore_pipeline_total", "Document store counters (segments, bytes and documents saved/loaded, segments reused or served from the segment cache)."},

@@ -9,16 +9,17 @@ import (
 	"repro/internal/testkit"
 )
 
-// The blocking differential oracle: every blocker — multi-pass SNM,
-// trigram banding, and their deduplicated union — drained from the stream
-// by blocking.Generate and pinned to the sequential reference
+// The blocking differential oracle: multi-pass SNM over entropy passes, over
+// key-spec passes, and over both at once — drained from the stream by
+// blocking.Generate and pinned to the sequential reference
 // blocking.GenerateSeq over the shared seeded corpus, across the worker
 // ladder, under -race (`make conformance`, and `make race` via `make ci`).
 // Compares the full pair set AND the run stats: both are contracts of
-// Generate.
+// Generate. Every configuration's passes overlap, so the cross-pass dedupe
+// at the merge point is exercised on each.
 
 // blockingResult is what blocking equivalence means: the exact sorted
-// candidate pair set plus every per-pass and bucket counter.
+// candidate pair set plus every per-pass and union counter.
 type blockingResult struct {
 	Pairs []dedup.Pair
 	Stats blocking.Stats
@@ -32,12 +33,7 @@ func blockingConfigs(ds *dedup.Dataset) map[string]blocking.Config {
 	return map[string]blocking.Config{
 		"snm-entropy": {Passes: blocking.EntropyPasses(ds, 5), Window: 10},
 		"snm-keyed":   {Passes: multi, Window: 10},
-		"trigram":     {Trigram: &blocking.TrigramConfig{Bands: 8, Rows: 3}},
-		"union": {
-			Passes:  multi,
-			Window:  10,
-			Trigram: &blocking.TrigramConfig{Bands: 8, Rows: 3, MaxBucket: 48},
-		},
+		"union":       {Passes: append(blocking.EntropyPasses(ds, 5), multi...), Window: 10},
 	}
 }
 
@@ -62,6 +58,10 @@ func TestConformanceBlocking(t *testing.T) {
 				return blockingResult{pairs, stats}
 			},
 			Compare: func(tb testing.TB, want, got blockingResult) {
+				if want.Stats.Emitted <= want.Stats.Unique {
+					tb.Fatalf("passes never overlap (emitted %d, unique %d): the merge's dedupe goes unexercised",
+						want.Stats.Emitted, want.Stats.Unique)
+				}
 				if !reflect.DeepEqual(want.Pairs, got.Pairs) {
 					tb.Fatalf("parallel candidate set diverges from sequential reference: %d vs %d pairs",
 						len(got.Pairs), len(want.Pairs))
